@@ -12,6 +12,26 @@ solution with data f is u(., t) = invFT[e^{-i t |Z|^2} f].
 The propagator splits time into perturbation-free gaps, handled by the exact
 spectral multiplier, and active windows, handled by Crank-Nicolson (n = 1,
 cyclic tridiagonal solves) or Strang splitting (n = 2, best effort).
+
+Each Crank-Nicolson step in n = 1 costs one single-column banded solve plus
+work on the perturbation footprint:
+
+* The cyclic system is solved by Sherman-Morrison, which needs a second
+  column q = B^{-1} u besides the solution for the right-hand side.  u is
+  nonzero only at the box corners, and q decays away from them into the
+  subnormal range and then to exact zeros, so changes of B on a footprint
+  away from the corners leave q a solution.  One march therefore solves q
+  once and reuses it while an exact guard holds: the corner data are
+  bitwise equal, and the backward error of the reuse, summed over the
+  matrix columns that changed, is at most REUSE_TOLERANCE * eps * |gamma|.
+  Otherwise q is solved afresh with the step.  Subnormal parts of q are
+  flushed to zero, because arithmetic on them runs far slower than on
+  normal numbers.
+* The fields of ``symbols`` are bit-exactly flat outside the terms'
+  declared supports, so the bands equal the free stencil there.  They are
+  built once per march, and each step evaluates the metric, potential and
+  measure fields only at the points and faces inside some support and
+  rebuilds only the band rows that read them.
 """
 
 from __future__ import annotations
@@ -35,6 +55,7 @@ from .symbols import PerturbationSpec
 ACTIVE_MARGIN = 1e-9   # relative inflation of term time-windows
 LEAK_THRESHOLD = 1e-6
 SHELL_FRACTION = 0.05
+REUSE_TOLERANCE = 1e-3   # Sherman-Morrison column reuse, in units of eps |gamma|
 
 
 # ---------------------------------------------------------------------------
@@ -316,32 +337,96 @@ def _active_intervals(spec: PerturbationSpec, t_from: float, t_to: float):
 # cyclic tridiagonal Crank-Nicolson (n = 1)
 
 
-def solve_cyclic_tridiagonal(lower, diag, upper, corner_ul, corner_lr, rhs):
+def solve_cyclic_tridiagonal(lower, diag, upper, corner_ul, corner_lr, rhs,
+                             column=None):
     """Solve a cyclic tridiagonal system by Sherman-Morrison.
 
     ``lower[j]`` couples row j to j-1, ``upper[j]`` couples row j to j+1,
     ``corner_ul`` is the (0, N-1) entry and ``corner_lr`` the (N-1, 0) entry.
+
+    With gamma = -diag[0], the cyclic matrix is B + u v^T, where B is
+    tridiagonal, u = gamma e_0 + corner_lr e_{N-1} and
+    v = e_0 + (corner_ul / gamma) e_{N-1} (Numerical Recipes, section 2.7).
+    The solution is x = y - (v.y / (1 + v.q)) q with B y = rhs and B q = u.
+
+    ``column`` is an optional :class:`ShermanMorrisonColumn`, shared by the
+    steps of one Crank-Nicolson march.  When its guard holds, q is taken from
+    it and B is solved for ``rhs`` alone; otherwise q is solved here together
+    with y and stored in ``column``.
     """
     N = diag.size
     gamma = -diag[0]
-    d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= corner_ul * corner_lr / gamma
-
     ab = np.zeros((3, N), dtype=complex)
     ab[0, 1:] = upper[:-1]
-    ab[1, :] = d
+    ab[1, :] = diag
+    ab[1, 0] -= gamma
+    ab[1, -1] -= corner_ul * corner_lr / gamma
     ab[2, :-1] = lower[1:]
 
-    u = np.zeros(N, dtype=complex)
-    u[0] = gamma
-    u[-1] = corner_lr
-    stacked = solve_banded((1, 1), ab, np.column_stack([rhs, u]))
-    y, q = stacked[:, 0], stacked[:, 1]
-    # v = e_0 + (corner_ul / gamma) e_{N-1}
+    key = np.array([gamma, corner_ul, corner_lr], dtype=complex).tobytes()
+    if column is not None and column.fits(key, gamma, ab):
+        y, q = solve_banded((1, 1), ab, rhs), column.q
+    else:
+        u = np.zeros(N, dtype=complex)
+        u[0] = gamma
+        u[-1] = corner_lr
+        stacked = solve_banded((1, 1), ab, np.column_stack([rhs, u]))
+        y, q = stacked[:, 0], _flush_subnormal(stacked[:, 1])
+        if column is not None:
+            column.key, column.ab, column.q = key, ab, q
     vy = y[0] + corner_ul / gamma * y[-1]
     vq = q[0] + corner_ul / gamma * q[-1]
     return y - vy / (1.0 + vq) * q
+
+
+class ShermanMorrisonColumn:
+    """The Sherman-Morrison column q of one Crank-Nicolson march.
+
+    q solves B q = gamma e_0 + corner_lr e_{N-1} (see
+    :func:`solve_cyclic_tridiagonal`).  It decays from the box corners into
+    the subnormal range and is exactly zero across a perturbation footprint
+    far from the corners, so the q solved at one step serves the later steps
+    of the march.  Reuse is guarded exactly by :meth:`fits`.
+    """
+
+    def __init__(self):
+        self.key = None     # bytes of (gamma, corner_ul, corner_lr) of q
+        self.ab = None      # the banded B that q was solved for
+        self.q = None
+
+    def fits(self, key, gamma, ab) -> bool:
+        """True when q may stand for the solution with the banded matrix ab.
+
+        gamma and both corners must be bitwise equal to those of q, and the
+        backward error of the reuse, sum_j max_i |dB_ij| |q_j| over the
+        columns j where ab differs from the cached matrix, must be at most
+        REUSE_TOLERANCE * eps * |gamma|, far below the backward error of a
+        fresh solve.  Columns where q is zero add nothing; a non-finite
+        difference in any other column fails the guard."""
+        if key != self.key:
+            return False
+        changed = np.flatnonzero(np.any(ab != self.ab, axis=0))
+        live = changed[self.q[changed] != 0]
+        if live.size == 0:
+            return True
+        delta = np.abs(np.take(ab, live, axis=1) - np.take(self.ab, live, axis=1))
+        backward = float(np.max(delta, axis=0) @ np.abs(self.q[live]))
+        return backward <= REUSE_TOLERANCE * np.finfo(float).eps * abs(gamma)
+
+
+def _flush_subnormal(q):
+    """q with every subnormal real or imaginary part set to zero.
+
+    Arithmetic on subnormal operands runs far slower than on normal ones,
+    and 31 % of the components of q are subnormal on the 8192-point grid of
+    the benchmark.  The flushed parts are below 2.3e-308: they add at most
+    3 max|B_ij| * 2.3e-308 to the residual of B q = u, and they change an
+    entry y_j - s q_j of the solution only when |y_j| is below about
+    1e16 * |s| * 2.3e-308."""
+    tiny = np.finfo(float).tiny
+    re = np.where(np.abs(q.real) < tiny, 0.0, q.real)
+    im = np.where(np.abs(q.imag) < tiny, 0.0, q.imag)
+    return re + 1j * im
 
 
 def _apply_cyclic_tridiagonal(lower, diag, upper, corner_ul, corner_lr, x):
@@ -364,101 +449,131 @@ class _CyclicTridiag:
         return _apply_cyclic_tridiagonal(self.lower, self.diag, self.upper,
                                          self.corner_ul, self.corner_lr, x)
 
-    def solve(self, rhs):
+    def solve(self, rhs, column=None):
         return solve_cyclic_tridiagonal(self.lower, self.diag, self.upper,
-                                        self.corner_ul, self.corner_lr, rhs)
+                                        self.corner_ul, self.corner_lr, rhs, column)
 
 
-def _divergence_bands(c_face, dz):
-    """Bands of the positive divergence-form operator K with face
-    coefficients c_face[j] = c(z_j + dz/2), periodic."""
-    c_left = np.roll(c_face, 1)
-    diag = (c_face + c_left) / dz**2
-    upper = -c_face / dz**2                      # couples j -> j+1
-    lower = -c_left / dz**2                      # couples j -> j-1
-    corner_ul = -c_left[0] / dz**2               # (0, N-1)
-    corner_lr = -c_face[-1] / dz**2              # (N-1, 0)
-    return lower, diag, upper, corner_ul, corner_lr
+def _band_rows(rows, a_face, a_pts, v_eff, dz, adjoint):
+    """Rows ``rows`` of the periodic bands of the 1-D spatial operator.
 
+    ``a_face[j]`` is g^{11} at the face z_j + dz/2, ``a_pts[j]`` is g^{11}
+    at z_j and ``v_eff`` the effective potential.  Returns complex
+    (lower, diag, upper) at those rows, where lower[0] is the (0, N-1) corner
+    and upper[N-1] the (N-1, 0) corner.  The divergence-form operator K has
+    face coefficients c = sqrt(g^{11}).
 
-def _hamiltonian_bands_forward(spec, grid, t_mid, compensated):
-    """Bands of the symmetrized spatial operator + potential at t_mid.
-
-    The field propagated is the half-density conjugate v = |g|^{1/4} u, whose
-    generator is w K w + V_eff with w = (g^{11})^{1/4}; this is exactly
+    Forward: w K w + V_eff with w = (g^{11})^{1/4}.  The field propagated is
+    the half-density conjugate v = |g|^{1/4} u, and this generator is exactly
     symmetric, so Crank-Nicolson conserves the discrete norm whenever V_eff
     is real.
+
+    Adjoint: K M_s + V_eff with s = sqrt(g^{11}) = 1 / sqrt(det g), the
+    plain-measure adjoint of the direct divergence-form discretization,
+    built independently of the forward scheme.  The caller passes the
+    conjugate potential.
     """
-    pts = grid.axis_z()[:, None]
-    faces = (grid.axis_z() + 0.5 * grid.dz)[:, None]
-    a_face = spec.inverse_metric_field(faces, t_mid)[:, 0, 0]
-    a_pts = spec.inverse_metric_field(pts, t_mid)[:, 0, 0]
-    c_face = np.sqrt(a_face)
-    w = a_pts**0.25
-
-    lower, diag, upper, cul, clr = _divergence_bands(c_face, grid.dz)
-    lower = w * lower * np.roll(w, 1)
-    upper = w * upper * np.roll(w, -1)
-    diag = w * diag * w
-    cul = w[0] * cul * w[-1]
-    clr = w[-1] * clr * w[0]
-
-    v_eff = spec.potential_field(pts, t_mid).astype(complex)
-    if not compensated:
-        v_eff = v_eff + 0.25j * spec.dt_log_det_metric_field(pts, t_mid)
-    diag = diag.astype(complex) + v_eff
-    return _CyclicTridiag(lower.astype(complex), diag, upper.astype(complex),
-                          complex(cul), complex(clr))
+    N = a_pts.size
+    prev, succ = (rows - 1) % N, (rows + 1) % N
+    c_face, c_left = np.sqrt(a_face[rows]), np.sqrt(a_face[prev])
+    diag = (c_face + c_left) / dz**2
+    upper = -c_face / dz**2
+    lower = -c_left / dz**2
+    if adjoint:
+        # (K M_s): column scaling
+        lower = lower * np.sqrt(a_pts[prev])
+        upper = upper * np.sqrt(a_pts[succ])
+        diag = diag * np.sqrt(a_pts[rows])
+    else:
+        w = a_pts[rows] ** 0.25
+        lower = w * lower * a_pts[prev] ** 0.25
+        upper = w * upper * a_pts[succ] ** 0.25
+        diag = w * diag * w
+    diag = diag.astype(complex) + v_eff[rows]
+    return lower.astype(complex), diag, upper.astype(complex)
 
 
-def _hamiltonian_bands_adjoint(spec, grid, t_mid, compensated):
-    """Bands of the adjoint operator K M_{1/sqrt|g|} + conj(V_eff) at t_mid.
+def _support_indices(spec, x):
+    """Indices of the box coordinates x inside some term's spatial support.
 
-    This is the plain-measure adjoint of the direct divergence-form
-    discretization of the spatial operator, built independently of the
-    forward scheme.
+    The radii are inflated by ACTIVE_MARGIN, so rounding can only add
+    points, at which the fields evaluate to their flat values."""
+    inside = np.zeros(x.size, dtype=bool)
+    for term in spec.terms():
+        inside |= np.abs(x - term.center_z[0]) < term.radius_z * (1.0 + ACTIVE_MARGIN)
+    return np.flatnonzero(inside)
+
+
+class _FootprintBands:
+    """Hamiltonian bands of one 1-D march, assembled on the footprint.
+
+    The fields of ``symbols`` are bit-exactly flat outside the terms'
+    spatial supports, so a band row whose stencil reads no support point or
+    face equals the free stencil.  Those rows are built once per march; each
+    step evaluates the fields on the support only and rebuilds the rows that
+    read it, with the same arithmetic as a build over the whole grid.
     """
-    pts = grid.axis_z()[:, None]
-    faces = (grid.axis_z() + 0.5 * grid.dz)[:, None]
-    a_face = spec.inverse_metric_field(faces, t_mid)[:, 0, 0]
-    a_pts = spec.inverse_metric_field(pts, t_mid)[:, 0, 0]
-    c_face = np.sqrt(a_face)
-    s = np.sqrt(a_pts)    # 1 / sqrt(det g) in one dimension
 
-    lower, diag, upper, cul, clr = _divergence_bands(c_face, grid.dz)
-    # (K M_s): column scaling
-    lower = lower * np.roll(s, 1)
-    upper = upper * np.roll(s, -1)
-    diag = diag * s
-    cul = cul * s[-1]
-    clr = clr * s[0]
+    def __init__(self, spec, grid, compensated, adjoint):
+        N, dz = grid.N, grid.dz
+        z = grid.axis_z()
+        self.spec, self.dz = spec, dz
+        self.compensated, self.adjoint = compensated, adjoint
+        self.pts = _support_indices(spec, z)
+        self.faces = _support_indices(spec, z + 0.5 * dz)
+        self.z_pts = z[self.pts, None]
+        self.z_faces = (z + 0.5 * dz)[self.faces, None]
+        self.rows = np.unique(np.concatenate([
+            self.faces, self.faces + 1, self.pts - 1, self.pts, self.pts + 1]) % N)
+        self.a_face = np.ones(N)
+        self.a_pts = np.ones(N)
+        self.v_eff = np.zeros(N, dtype=complex)
+        self.free = _band_rows(np.arange(N), self.a_face, self.a_pts, self.v_eff,
+                               dz, adjoint)
 
-    v_eff = spec.potential_field(pts, t_mid).astype(complex)
-    if compensated:
-        v_eff = v_eff - 0.25j * spec.dt_log_det_metric_field(pts, t_mid)
-    diag = diag.astype(complex) + np.conj(v_eff)
-    return _CyclicTridiag(lower.astype(complex), diag, upper.astype(complex),
-                          complex(cul), complex(clr))
+    def _v_eff(self, t):
+        spec, pts = self.spec, self.z_pts
+        v_eff = spec.potential_field(pts, t).astype(complex)
+        if self.adjoint:
+            # the plain adjoint carries the conjugate of the physical potential
+            if self.compensated:
+                v_eff = v_eff - 0.25j * spec.dt_log_det_metric_field(pts, t)
+            return np.conj(v_eff)
+        if not self.compensated:
+            v_eff = v_eff + 0.25j * spec.dt_log_det_metric_field(pts, t)
+        return v_eff
+
+    def at(self, t) -> _CyclicTridiag:
+        """The spatial operator at time t."""
+        self.a_face[self.faces] = self.spec.inverse_metric_field(self.z_faces, t)[:, 0, 0]
+        self.a_pts[self.pts] = self.spec.inverse_metric_field(self.z_pts, t)[:, 0, 0]
+        self.v_eff[self.pts] = self._v_eff(t)
+        lower, diag, upper = (band.copy() for band in self.free)
+        lower[self.rows], diag[self.rows], upper[self.rows] = _band_rows(
+            self.rows, self.a_face, self.a_pts, self.v_eff, self.dz, self.adjoint)
+        return _CyclicTridiag(lower, diag, upper, complex(lower[0]), complex(upper[-1]))
 
 
 def _cn_march_1d(spec, grid, values, t0, t1, dt, compensated, adjoint=False):
-    """Crank-Nicolson march of an active interval; handles either direction."""
+    """Crank-Nicolson march of an active interval; handles either direction.
+
+    The steps of one march share one footprint band assembly and one
+    Sherman-Morrison column."""
     span = t1 - t0
     m = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
     step = span / m
+    c = 0.5j * step
+    bands = _FootprintBands(spec, grid, compensated, adjoint)
+    column = ShermanMorrisonColumn()
     v = values.copy()
     for k in range(m):
         t_mid = t0 + (k + 0.5) * step
-        if adjoint:
-            ham = _hamiltonian_bands_adjoint(spec, grid, t_mid, compensated)
-        else:
-            ham = _hamiltonian_bands_forward(spec, grid, t_mid, compensated)
-        c = 0.5j * step
+        ham = bands.at(t_mid)
         rhs = v - c * ham.apply(v)
         plus = _CyclicTridiag(c * ham.lower, 1.0 + c * ham.diag, c * ham.upper,
                               c * ham.corner_ul, c * ham.corner_lr)
         try:
-            v = plus.solve(rhs)
+            v = plus.solve(rhs, column)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"implicit step at t={t_mid:.6g} failed: "
                                      f"{exc}") from exc
@@ -635,18 +750,19 @@ def propagate_window(spec: PerturbationSpec, u: WaveField, t_from: float,
             vals = _strang_march_2d(spec, field.grid, field.values, lo, hi, dt,
                                     params.measure_compensated, params.pert_substeps)
         field = WaveField(grid=field.grid, values=vals, time=hi)
-        leak = field.boundary_leak_fraction()
-        if leak > params.leak_threshold:
-            raise BoundaryLeak(f"outer-shell mass fraction {leak:.3e} exceeds "
-                               f"{params.leak_threshold:.1e} at t={hi:.4g}")
+        _check_leak(field, params)
         cursor = hi
     if cursor < t_to:
         field = free_propagate(field, t_to - cursor)
+    _check_leak(field, params)
+    return field
+
+
+def _check_leak(field: WaveField, params: SolverParams):
     leak = field.boundary_leak_fraction()
     if leak > params.leak_threshold:
         raise BoundaryLeak(f"outer-shell mass fraction {leak:.3e} exceeds "
-                           f"{params.leak_threshold:.1e} at t={t_to:.4g}")
-    return field
+                           f"{params.leak_threshold:.1e} at t={field.time:.4g}")
 
 
 def _window_span(spec: PerturbationSpec, params: SolverParams):
@@ -689,7 +805,8 @@ def adjoint_scattering_map(spec: PerturbationSpec, g_plus: SpectralData,
                            params: SolverParams | None = None) -> SpectralData:
     """Backward propagation of the adjoint equation: outgoing adjoint data
     g_plus to incoming data g_minus.  Uses the plain-measure adjoint of the
-    discretized spatial operator and the conjugate potential."""
+    discretized spatial operator and the conjugate potential.  Raises
+    BoundaryLeak at the same points as :func:`propagate_window`."""
     params = params or SolverParams()
     check_band_limited(g_plus)
     span = _window_span(spec, params)
@@ -712,9 +829,11 @@ def adjoint_scattering_map(spec: PerturbationSpec, g_plus: SpectralData,
                                     params.measure_compensated, params.pert_substeps,
                                     adjoint=True)
         field = WaveField(grid=field.grid, values=vals, time=lo)
+        _check_leak(field, params)
         cursor = lo
     if cursor > -span:
         field = free_propagate(field, -span - cursor)
+    _check_leak(field, params)
     return extract_asymptotic(field, spec)
 
 

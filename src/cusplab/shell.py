@@ -369,7 +369,8 @@ def run(sc: Scenario, only=None, out_root: str = "out", tol_scale: float = 1.0,
         jobs: int = 1):
     """Run the scenario's jobs; returns (exit_code, reports).
 
-    Exit code 0 iff every non-control check passes."""
+    Exit code 0 iff every report is satisfied: checks pass and controls
+    fail."""
     selected = [(i, job) for i, job in enumerate(sc.jobs)
                 if only is None or job["check"] in only]
     if jobs > 1 and len(selected) > 1:
@@ -381,7 +382,7 @@ def run(sc: Scenario, only=None, out_root: str = "out", tol_scale: float = 1.0,
             reports = [f.result() for f in futures]
     else:
         reports = [run_job(sc, job, out_root, i, tol_scale) for i, job in selected]
-    exit_code = 0 if all(r.status == "pass" for r in reports if not r.control) else 1
+    exit_code = 0 if all(r.satisfied for r in reports) else 1
     return exit_code, reports
 
 

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cusplab import quantum
 from cusplab.errors import (
     BoundaryLeak,
     InsideWindow,
@@ -210,23 +213,120 @@ def test_propagate_window_boundary_leak_detected():
         propagate_window(spec, u, -1.2, 1.2, 2e-3, SolverParams(dt=2e-3))
 
 
-def test_cyclic_tridiagonal_solver_matches_dense():
-    rng = np.random.default_rng(4)
-    N = 64
-    lower = rng.normal(size=N) + 1j * rng.normal(size=N)
-    upper = rng.normal(size=N) + 1j * rng.normal(size=N)
-    diag = 4.0 + rng.normal(size=N) + 1j * rng.normal(size=N)
-    cul = 0.3 + 0.1j
-    clr = -0.2 + 0.5j
-    rhs = rng.normal(size=N) + 1j * rng.normal(size=N)
+def test_adjoint_map_boundary_leak_detected():
+    spec = _potential_spec(0.3)
+    grid = Grid(n=1, N=256, L=8.0)
+    g = coherent_data(grid, 2.0, 0.0, 0.5)
+    with pytest.raises(BoundaryLeak):
+        adjoint_scattering_map(spec, g, SolverParams(dt=2e-3))
+
+
+def _random_cyclic(rng, N, coupling):
+    def cplx(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    lower, upper = coupling * cplx(N), coupling * cplx(N)
+    diag = 4.0 + cplx(N)
+    cul, clr = coupling * cplx(2)
+    return lower, diag, upper, cul, clr
+
+
+def _dense(lower, diag, upper, cul, clr):
+    N = diag.size
     dense = np.zeros((N, N), dtype=complex)
     dense[np.arange(N), np.arange(N)] = diag
     dense[np.arange(1, N), np.arange(N - 1)] = lower[1:]
     dense[np.arange(N - 1), np.arange(1, N)] = upper[:-1]
     dense[0, -1] = cul
     dense[-1, 0] = clr
-    x = solve_cyclic_tridiagonal(lower, diag, upper, cul, clr, rhs)
-    assert np.max(np.abs(dense @ x - rhs)) < 1e-10
+    return dense
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(N=st.integers(4, 160), coupling=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_cyclic_tridiagonal_solver_matches_dense(N, coupling, seed):
+    rng = np.random.default_rng(seed)
+    bands = _random_cyclic(rng, N, coupling)
+    dense = _dense(*bands)
+    rhs = rng.normal(size=N) + 1j * rng.normal(size=N)
+    x = solve_cyclic_tridiagonal(*bands, rhs)
+    scale = np.max(np.abs(dense)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
+    assert np.max(np.abs(dense @ x - rhs)) < 1e-12 * scale
+
+    # a second matrix of the same march, changed in its interior: the cached
+    # column either passes the reuse guard or is solved again, and both
+    # solves still match the dense solves
+    column = quantum.ShermanMorrisonColumn()
+    lower, diag, upper, cul, clr = bands
+    diag2 = diag.copy()
+    diag2[1:-1] += rng.normal(size=N - 2)
+    for d in (diag, diag2):
+        x = solve_cyclic_tridiagonal(lower, d, upper, cul, clr, rhs, column)
+        dense = _dense(lower, d, upper, cul, clr)
+        scale = np.max(np.abs(dense)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
+        assert np.max(np.abs(dense @ x - rhs)) < 1e-12 * scale
+
+
+CN_GRID = Grid(n=1, N=4096, L=40.0)
+
+
+def _bump_and_potential(center):
+    # centred off t = 0, so that no two steps of a march meet equal fields
+    return PerturbationSpec(
+        n=1,
+        bumps=(MetricBump(amplitude=0.2, center_z=[center], center_t=0.5,
+                          radius_z=6.0, radius_t=1.0, pattern=[[1.0]]),),
+        potential_terms=(PotentialTerm(amplitude=1.0 - 0.1j, center_z=[center],
+                                       center_t=0.5, radius_z=6.0, radius_t=1.0),))
+
+
+def _cn_marches(spec, monkeypatch, fresh):
+    """Forward and adjoint 10-step marches (compensated or not), and the
+    number of right-hand sides of every banded solve they made."""
+    widths = []
+    solve_banded = quantum.solve_banded
+    solve_cyclic = quantum.solve_cyclic_tridiagonal
+
+    def counted(lu, ab, b):
+        widths.append(1 if b.ndim == 1 else b.shape[1])
+        return solve_banded(lu, ab, b)
+
+    monkeypatch.setattr(quantum, "solve_banded", counted)
+    if fresh:           # drop the column cache: q is solved at every step
+        monkeypatch.setattr(quantum, "solve_cyclic_tridiagonal",
+                            lambda *args: solve_cyclic(*args[:6]))
+    f = coherent_data(CN_GRID, 1.0, 0.3, 0.2)
+    v = poisson_free(f, -0.01).values
+    outs = []
+    for compensated in (True, False):
+        outs.append(quantum._cn_march_1d(spec, CN_GRID, v, -0.01, 0.01, 2e-3,
+                                         compensated))
+        outs.append(quantum._cn_march_1d(spec, CN_GRID, v, 0.01, -0.01, 2e-3,
+                                         compensated, adjoint=True))
+    monkeypatch.undo()
+    return outs, widths
+
+
+def test_cn_march_column_reuse_is_bit_identical_to_fresh_solves(monkeypatch):
+    spec = _bump_and_potential(0.0)
+    cached, widths = _cn_marches(spec, monkeypatch, fresh=False)
+    fresh, fresh_widths = _cn_marches(spec, monkeypatch, fresh=True)
+    # each of the four marches solves q once, at its first step
+    assert widths == ([2] + [1] * 9) * 4
+    assert fresh_widths == [2] * 40
+    for a, b in zip(cached, fresh):
+        assert np.array_equal(a, b)
+
+
+def test_cn_march_corner_support_solves_column_every_step(monkeypatch):
+    # negative control: the support covers the box corner z = -L, so gamma
+    # changes at every step and the reuse guard must fail every time
+    spec = _bump_and_potential(-CN_GRID.L + 2.0)
+    cached, widths = _cn_marches(spec, monkeypatch, fresh=False)
+    fresh, _ = _cn_marches(spec, monkeypatch, fresh=True)
+    assert widths == [2] * 40
+    for a, b in zip(cached, fresh):
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,16 @@ def test_run_flat_scenario_exit_zero(tmp_path):
     assert out.exists()
 
 
+def test_run_fails_when_a_control_passes(tmp_path):
+    # a control that fails to fail is unsatisfied, and so is the run
+    doc = _minimal(jobs=[{"check": "free-identity", "params": {"span": 1.0},
+                          "control": True}])
+    sc = load_scenario(_write(tmp_path, doc))
+    code, reports = run(sc, out_root=str(tmp_path))
+    assert reports[0].status == "pass" and not reports[0].satisfied
+    assert code == 1
+
+
 def test_run_captures_boundary_leak_and_fails(tmp_path):
     # deliberately cramped box: the pairing check's packets reach the
     # outer-shell monitor during the window
