@@ -11,7 +11,10 @@ solution with data f is u(., t) = invFT[e^{-i t |Z|^2} f].
 
 The propagator splits time into perturbation-free gaps, handled by the exact
 spectral multiplier, and active windows, handled by Crank-Nicolson (n = 1,
-cyclic tridiagonal solves) or Strang splitting (n = 2, best effort).
+cyclic tridiagonal solves) or Strang splitting (n = 2, best effort).  One
+walk serves the scattering map S and its adjoint S*: the direction of time
+selects the scheme, the forward one when time increases and the plain
+adjoint one, with the conjugate potential, when it decreases.
 
 Each Crank-Nicolson step in n = 1 costs one single-column banded solve plus
 work on the perturbation footprint:
@@ -152,19 +155,8 @@ class WaveField:
 
     def boundary_leak_fraction(self) -> float:
         """Mass fraction in the outer 5% shell of the box."""
-        z = np.abs(self.grid.axis_z())
-        edge = (1.0 - SHELL_FRACTION) * self.grid.L
-        mask1d = z >= edge
-        w = np.abs(self.values) ** 2
-        total = float(np.sum(w))
-        if total == 0.0:
-            return 0.0
-        if self.grid.n == 1:
-            shell = float(np.sum(w[mask1d]))
-        else:
-            m = mask1d[:, None] | mask1d[None, :]
-            shell = float(np.sum(w[m]))
-        return shell / total
+        return _outer_mass_fraction(self.values, self.grid.axis_z(),
+                                    (1.0 - SHELL_FRACTION) * self.grid.L)
 
 
 @dataclass(frozen=True)
@@ -189,19 +181,20 @@ class SpectralData:
 
     def outer_band_fraction(self, fraction: float = 0.25) -> float:
         """Mass fraction carried by the outer ``fraction`` of frequencies."""
-        Zs = np.abs(self.grid.axis_Z())
-        cut = (1.0 - fraction) * self.grid.z_max
-        mask1d = Zs >= cut
-        w = np.abs(self.values) ** 2
-        total = float(np.sum(w))
-        if total == 0.0:
-            return 0.0
-        if self.grid.n == 1:
-            outer = float(np.sum(w[mask1d]))
-        else:
-            m = mask1d[:, None] | mask1d[None, :]
-            outer = float(np.sum(w[m]))
-        return outer / total
+        return _outer_mass_fraction(self.values, self.grid.axis_Z(),
+                                    (1.0 - fraction) * self.grid.z_max)
+
+
+def _outer_mass_fraction(values, axis, cut) -> float:
+    """Fraction of sum |values|^2 at the grid points where some coordinate,
+    taken from ``axis`` per array axis, has modulus >= cut."""
+    mask1d = np.abs(axis) >= cut
+    w = np.abs(values) ** 2
+    total = float(np.sum(w))
+    if total == 0.0:
+        return 0.0
+    mask = mask1d if values.ndim == 1 else mask1d[:, None] | mask1d[None, :]
+    return float(np.sum(w[mask])) / total
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +422,6 @@ def _flush_subnormal(q):
     return re + 1j * im
 
 
-def _apply_cyclic_tridiagonal(lower, diag, upper, corner_ul, corner_lr, x):
-    out = diag * x
-    out[1:] += lower[1:] * x[:-1]
-    out[:-1] += upper[:-1] * x[1:]
-    out[0] += corner_ul * x[-1]
-    out[-1] += corner_lr * x[0]
-    return out
-
-
 class _CyclicTridiag:
     """Cyclic tridiagonal operator with apply and solve."""
 
@@ -446,8 +430,12 @@ class _CyclicTridiag:
         self.corner_ul, self.corner_lr = corner_ul, corner_lr
 
     def apply(self, x):
-        return _apply_cyclic_tridiagonal(self.lower, self.diag, self.upper,
-                                         self.corner_ul, self.corner_lr, x)
+        out = self.diag * x
+        out[1:] += self.lower[1:] * x[:-1]
+        out[:-1] += self.upper[:-1] * x[1:]
+        out[0] += self.corner_ul * x[-1]
+        out[-1] += self.corner_lr * x[0]
+        return out
 
     def solve(self, rhs, column=None):
         return solve_cyclic_tridiagonal(self.lower, self.diag, self.upper,
@@ -493,6 +481,20 @@ def _band_rows(rows, a_face, a_pts, v_eff, dz, adjoint):
     return lower.astype(complex), diag, upper.astype(complex)
 
 
+def _effective_potential(spec, pts, t, compensated, adjoint):
+    """V_eff at an (m, n) array of points at time t.  The forward generator of
+    the half-density conjugate keeps the measure term unless the compensator
+    eats it; the plain adjoint carries the conjugate potential."""
+    v_eff = spec.potential_field(pts, t).astype(complex)
+    if adjoint:
+        if compensated:
+            v_eff = v_eff - 0.25j * spec.dt_log_det_metric_field(pts, t)
+        return np.conj(v_eff)
+    if not compensated:
+        v_eff = v_eff + 0.25j * spec.dt_log_det_metric_field(pts, t)
+    return v_eff
+
+
 def _support_indices(spec, x):
     """Indices of the box coordinates x inside some term's spatial support.
 
@@ -531,39 +533,29 @@ class _FootprintBands:
         self.free = _band_rows(np.arange(N), self.a_face, self.a_pts, self.v_eff,
                                dz, adjoint)
 
-    def _v_eff(self, t):
-        spec, pts = self.spec, self.z_pts
-        v_eff = spec.potential_field(pts, t).astype(complex)
-        if self.adjoint:
-            # the plain adjoint carries the conjugate of the physical potential
-            if self.compensated:
-                v_eff = v_eff - 0.25j * spec.dt_log_det_metric_field(pts, t)
-            return np.conj(v_eff)
-        if not self.compensated:
-            v_eff = v_eff + 0.25j * spec.dt_log_det_metric_field(pts, t)
-        return v_eff
-
     def at(self, t) -> _CyclicTridiag:
         """The spatial operator at time t."""
         self.a_face[self.faces] = self.spec.inverse_metric_field(self.z_faces, t)[:, 0, 0]
         self.a_pts[self.pts] = self.spec.inverse_metric_field(self.z_pts, t)[:, 0, 0]
-        self.v_eff[self.pts] = self._v_eff(t)
+        self.v_eff[self.pts] = _effective_potential(self.spec, self.z_pts, t,
+                                                    self.compensated, self.adjoint)
         lower, diag, upper = (band.copy() for band in self.free)
         lower[self.rows], diag[self.rows], upper[self.rows] = _band_rows(
             self.rows, self.a_face, self.a_pts, self.v_eff, self.dz, self.adjoint)
         return _CyclicTridiag(lower, diag, upper, complex(lower[0]), complex(upper[-1]))
 
 
-def _cn_march_1d(spec, grid, values, t0, t1, dt, compensated, adjoint=False):
-    """Crank-Nicolson march of an active interval; handles either direction.
+def _cn_march_1d(spec, grid, values, t0, t1, params):
+    """Crank-Nicolson march of an active interval from t0 to t1: the forward
+    scheme when t1 > t0, the adjoint scheme when t1 < t0.
 
     The steps of one march share one footprint band assembly and one
     Sherman-Morrison column."""
     span = t1 - t0
-    m = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
+    m = max(1, int(np.ceil(abs(span) / params.dt - 1e-12)))
     step = span / m
     c = 0.5j * step
-    bands = _FootprintBands(spec, grid, compensated, adjoint)
+    bands = _FootprintBands(spec, grid, params.measure_compensated, adjoint=t1 < t0)
     column = ShermanMorrisonColumn()
     v = values.copy()
     for k in range(m):
@@ -587,7 +579,7 @@ def _cn_march_1d(spec, grid, values, t0, t1, dt, compensated, adjoint=False):
 # Strang splitting with sparse remainder (n = 2)
 
 
-def _remainder_matrix_2d(spec, grid, t, compensated, adjoint=False):
+def _remainder_matrix_2d(spec, grid, t, compensated, adjoint):
     """Sparse remainder (Delta_g - Delta_0 + V_eff) at time t (n = 2).
 
     Centred differences of the expanded divergence form
@@ -604,16 +596,7 @@ def _remainder_matrix_2d(spec, grid, t, compensated, adjoint=False):
     pts = grid.points_z()
     g, dgdz = spec.inverse_metric_jet_field(pts, t)
     dev = g - np.eye(2)
-    v_eff = spec.potential_field(pts, t).astype(complex)
-    if adjoint:
-        # plain adjoint carries the conjugate of the physical potential
-        if compensated:
-            v_eff = v_eff - 0.25j * spec.dt_log_det_metric_field(pts, t)
-        v_eff = np.conj(v_eff)
-    elif not compensated:
-        # the propagated field is the half-density conjugate, whose
-        # generator keeps the measure term unless the compensator eats it
-        v_eff = v_eff + 0.25j * spec.dt_log_det_metric_field(pts, t)
+    v_eff = _effective_potential(spec, pts, t, compensated, adjoint)
 
     size = N * N
     active = np.abs(dev).sum(axis=(1, 2)) + np.abs(v_eff)
@@ -675,14 +658,14 @@ def _remainder_matrix_2d(spec, grid, t, compensated, adjoint=False):
     return mat, footprint
 
 
-def _strang_march_2d(spec, grid, values, t0, t1, dt, compensated, substeps,
-                     adjoint=False):
-    """Strang splitting march over an active interval (n = 2)."""
+def _strang_march_2d(spec, grid, values, t0, t1, params):
+    """Strang splitting march over an active interval from t0 to t1 (n = 2):
+    the forward scheme when t1 > t0, the adjoint scheme when t1 < t0."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     span = t1 - t0
-    m = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
+    m = max(1, int(np.ceil(abs(span) / params.dt - 1e-12)))
     step = span / m
     v = values.copy()
     phase_half = np.exp(-0.5j * step * grid.dual_norm_sq())
@@ -695,11 +678,11 @@ def _strang_march_2d(spec, grid, values, t0, t1, dt, compensated, substeps,
         t_a = t0 + k * step
         v = free_half(v)
         flat = v.ravel()
-        sub = step / substeps
-        for q in range(substeps):
+        sub = step / params.pert_substeps
+        for q in range(params.pert_substeps):
             t_mid = t_a + (q + 0.5) * sub
-            mat, footprint = _remainder_matrix_2d(spec, grid, t_mid, compensated,
-                                                  adjoint=adjoint)
+            mat, footprint = _remainder_matrix_2d(spec, grid, t_mid,
+                                                  params.measure_compensated, t1 < t0)
             if not np.any(footprint):
                 continue
             ids = np.nonzero(footprint)[0]
@@ -722,37 +705,29 @@ def _strang_march_2d(spec, grid, values, t0, t1, dt, compensated, substeps,
 # the window propagator and scattering maps
 
 
-def propagate_window(spec: PerturbationSpec, u: WaveField, t_from: float,
-                     t_to: float, dt: float | None = None,
+def propagate_window(spec: PerturbationSpec, u: WaveField, t_to: float,
                      params: SolverParams | None = None) -> WaveField:
-    """Propagate across [t_from, t_to]: exact multiplier on perturbation-free
-    gaps, Crank-Nicolson (n = 1) or Strang splitting (n = 2) on active
-    windows.  Raises BoundaryLeak when outer-shell mass exceeds the
-    threshold."""
+    """Propagate u from its time u.time to t_to: the exact multiplier on
+    perturbation-free gaps, Crank-Nicolson (n = 1) or Strang splitting
+    (n = 2) on active intervals.  The direction selects the scheme: forward
+    when t_to > u.time, the plain adjoint with the conjugate potential when
+    t_to < u.time.  Raises BoundaryLeak when the outer-shell mass exceeds the
+    threshold after an active interval or at t_to."""
     params = params or SolverParams()
-    if dt is None:
-        dt = params.dt
-    if abs(u.time - t_from) > 1e-9:
-        raise ValueError(f"field time {u.time} does not match t_from={t_from}")
-    if t_to <= t_from:
-        raise ValueError("t_to must exceed t_from")
-
-    intervals = _active_intervals(spec, t_from, t_to)
+    march = _cn_march_1d if spec.n == 1 else _strang_march_2d
+    intervals = _active_intervals(spec, min(u.time, t_to), max(u.time, t_to))
+    if t_to < u.time:
+        intervals = [(hi, lo) for lo, hi in reversed(intervals)]
     field = u
-    cursor = t_from
-    for lo, hi in intervals:
-        if lo > cursor:
-            field = free_propagate(field, lo - cursor)
-        if spec.n == 1:
-            vals = _cn_march_1d(spec, field.grid, field.values, lo, hi, dt,
-                                params.measure_compensated)
-        else:
-            vals = _strang_march_2d(spec, field.grid, field.values, lo, hi, dt,
-                                    params.measure_compensated, params.pert_substeps)
-        field = WaveField(grid=field.grid, values=vals, time=hi)
+    cursor = u.time
+    for start, stop in intervals:
+        if start != cursor:
+            field = free_propagate(field, start - cursor)
+        vals = march(spec, field.grid, field.values, start, stop, params)
+        field = WaveField(grid=field.grid, values=vals, time=stop)
         _check_leak(field, params)
-        cursor = hi
-    if cursor < t_to:
+        cursor = stop
+    if cursor != t_to:
         field = free_propagate(field, t_to - cursor)
     _check_leak(field, params)
     return field
@@ -765,12 +740,12 @@ def _check_leak(field: WaveField, params: SolverParams):
                            f"{params.leak_threshold:.1e} at t={field.time:.4g}")
 
 
-def _window_span(spec: PerturbationSpec, params: SolverParams):
-    window = spec.time_window()
-    if window is None:
-        return None
-    edge = max(abs(window[0]), abs(window[1]))
-    return edge + params.margin
+def window_span(spec: PerturbationSpec, params: SolverParams) -> float:
+    """Half-length T of the maps' horizon [-T, T]: the largest |t| of the
+    perturbation's time window plus ``params.margin`` (the margin alone for
+    the flat operator)."""
+    window = spec.time_window() or (0.0, 0.0)
+    return max(abs(window[0]), abs(window[1])) + params.margin
 
 
 def check_band_limited(f: SpectralData, threshold: float = 1e-10):
@@ -782,6 +757,19 @@ def check_band_limited(f: SpectralData, threshold: float = 1e-10):
             invariant="band-limited-input")
 
 
+def _map(spec: PerturbationSpec, data: SpectralData, params: SolverParams | None,
+         direction: float) -> SpectralData:
+    """Free solution with ``data`` at -direction T, propagated to
+    direction T, read off as asymptotic data (T from :func:`window_span`)."""
+    params = params or SolverParams()
+    check_band_limited(data)
+    if spec.is_flat:
+        return extract_asymptotic(poisson_free(data, 0.0), spec)
+    span = window_span(spec, params)
+    u = poisson_free(data, -direction * span)
+    return extract_asymptotic(propagate_window(spec, u, direction * span, params), spec)
+
+
 def scattering_map(spec: PerturbationSpec, f_minus: SpectralData,
                    params: SolverParams | None = None) -> SpectralData:
     """The scattering map: incoming asymptotic data to outgoing data.
@@ -790,51 +778,15 @@ def scattering_map(spec: PerturbationSpec, f_minus: SpectralData,
     data f_minus before the window, propagate across the window, read off
     outgoing data.  The flat operator returns its input to machine
     precision (pure multiplier path)."""
-    params = params or SolverParams()
-    check_band_limited(f_minus)
-    span = _window_span(spec, params)
-    if span is None:
-        u = poisson_free(f_minus, 0.0)
-        return extract_asymptotic(u, spec)
-    u = poisson_free(f_minus, -span)
-    u = propagate_window(spec, u, -span, span, params.dt, params)
-    return extract_asymptotic(u, spec)
+    return _map(spec, f_minus, params, 1.0)
 
 
 def adjoint_scattering_map(spec: PerturbationSpec, g_plus: SpectralData,
                            params: SolverParams | None = None) -> SpectralData:
     """Backward propagation of the adjoint equation: outgoing adjoint data
     g_plus to incoming data g_minus.  Uses the plain-measure adjoint of the
-    discretized spatial operator and the conjugate potential.  Raises
-    BoundaryLeak at the same points as :func:`propagate_window`."""
-    params = params or SolverParams()
-    check_band_limited(g_plus)
-    span = _window_span(spec, params)
-    if span is None:
-        w = poisson_free(g_plus, 0.0)
-        return extract_asymptotic(w, spec)
-    w = poisson_free(g_plus, span)
-
-    intervals = _active_intervals(spec, -span, span)
-    field = w
-    cursor = span
-    for lo, hi in reversed(intervals):
-        if hi < cursor:
-            field = free_propagate(field, hi - cursor)
-        if spec.n == 1:
-            vals = _cn_march_1d(spec, field.grid, field.values, hi, lo, params.dt,
-                                params.measure_compensated, adjoint=True)
-        else:
-            vals = _strang_march_2d(spec, field.grid, field.values, hi, lo, params.dt,
-                                    params.measure_compensated, params.pert_substeps,
-                                    adjoint=True)
-        field = WaveField(grid=field.grid, values=vals, time=lo)
-        _check_leak(field, params)
-        cursor = lo
-    if cursor > -span:
-        field = free_propagate(field, -span - cursor)
-    _check_leak(field, params)
-    return extract_asymptotic(field, spec)
+    discretized spatial operator and the conjugate potential."""
+    return _map(spec, g_plus, params, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ from .quantum import (
     poisson_free,
     propagate_window,
     scattering_map,
+    window_span,
 )
 from .symbols import MetricBump, PerturbationSpec, PotentialTerm
 
@@ -56,12 +58,6 @@ class Scenario:
     seed: int
     jobs: tuple
 
-    def job_named(self, check: str):
-        for job in self.jobs:
-            if job["check"] == check:
-                return job
-        return None
-
 
 def _require(mapping, key, kind, where):
     if key not in mapping:
@@ -80,53 +76,61 @@ def _require(mapping, key, kind, where):
     return value
 
 
+@contextmanager
+def _fields(where, keys=None):
+    """Turn a constructor's ValueError or TypeError into a ParseError naming
+    the field at fault: ``keys`` maps the message's first word, the parameter
+    at fault, to its key in section ``where``; otherwise the section."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        key = (keys or {}).get(str(exc).split(" ", 1)[0])
+        raise ParseError(str(exc), field=f"{where}.{key}" if key else where) from exc
+
+
 def _parse_perturbation(doc, n):
     bumps = []
     for i, b in enumerate(doc.get("bumps", [])):
         where = f"perturbation.bumps[{i}]"
-        bumps.append(MetricBump(
-            amplitude=_require(b, "amplitude", float, where),
-            center_z=_require(b, "center_z", list, where),
-            center_t=_require(b, "center_t", float, where),
-            radius_z=_require(b, "radius_z", float, where),
-            radius_t=_require(b, "radius_t", float, where),
-            pattern=np.asarray(_require(b, "pattern", list, where), dtype=float),
-        ))
+        with _fields(where):
+            bumps.append(MetricBump(
+                amplitude=_require(b, "amplitude", float, where),
+                center_z=_require(b, "center_z", list, where),
+                center_t=_require(b, "center_t", float, where),
+                radius_z=_require(b, "radius_z", float, where),
+                radius_t=_require(b, "radius_t", float, where),
+                pattern=np.asarray(_require(b, "pattern", list, where), dtype=float),
+            ))
     pots = []
     for i, p in enumerate(doc.get("potential_terms", [])):
         where = f"perturbation.potential_terms[{i}]"
         amp = _require(p, "amplitude", list, where)
         if len(amp) != 2:
             raise ParseError("amplitude must be [re, im]", field=f"{where}.amplitude")
-        pots.append(PotentialTerm(
-            amplitude=complex(amp[0], amp[1]),
-            center_z=_require(p, "center_z", list, where),
-            center_t=_require(p, "center_t", float, where),
-            radius_z=_require(p, "radius_z", float, where),
-            radius_t=_require(p, "radius_t", float, where),
-        ))
-    try:
-        return PerturbationSpec(n=n, bumps=tuple(bumps), potential_terms=tuple(pots))
-    except NotPositiveDefinite as exc:
-        raise ValidationError(str(exc), invariant="NotPositiveDefinite") from exc
-
-
-def _packet_sigma(h, t):
-    return float(np.sqrt((1.0 + 4.0 * h**2 * t**2) / (2.0 * h)))
+        with _fields(where):
+            pots.append(PotentialTerm(
+                amplitude=complex(amp[0], amp[1]),
+                center_z=_require(p, "center_z", list, where),
+                center_t=_require(p, "center_t", float, where),
+                radius_z=_require(p, "radius_z", float, where),
+                radius_t=_require(p, "radius_t", float, where),
+            ))
+    with _fields("perturbation"):
+        try:
+            return PerturbationSpec(n=n, bumps=tuple(bumps), potential_terms=tuple(pots))
+        except NotPositiveDefinite as exc:
+            raise ValidationError(str(exc), invariant="NotPositiveDefinite") from exc
 
 
 def _validate_scenario(sc: Scenario):
-    if sc.grid is not None and not sc.spec.is_flat:
-        if sc.spec.spatial_extent() > 0.8 * sc.grid.L:
-            raise ValidationError(
-                f"perturbation support (extent {sc.spec.spatial_extent():.3g}) "
-                f"exceeds 80% of the spatial box (L = {sc.grid.L})",
-                invariant="support-inside-box")
     if sc.grid is None:
         return
-    window = sc.spec.time_window()
-    edge = 0.0 if window is None else max(abs(window[0]), abs(window[1]))
-    horizon = edge + sc.solver.margin
+    if sc.spec.spatial_extent() > 0.8 * sc.grid.L:
+        raise ValidationError(
+            f"perturbation support (extent {sc.spec.spatial_extent():.3g}) "
+            f"exceeds 80% of the spatial box (L = {sc.grid.L})",
+            invariant="support-inside-box")
+    horizon = window_span(sc.spec, sc.solver)
     for job in sc.jobs:
         params = job.get("params", {})
         hs = []
@@ -143,7 +147,7 @@ def _validate_scenario(sc: Scenario):
                 continue
             off = np.max(np.abs(np.atleast_1d(frak)))
             for h in hs:
-                extent = 2.0 * horizon * Z0 + off + 6.0 * _packet_sigma(h, horizon)
+                extent = 2.0 * horizon * Z0 + off + 6.0 * verify._packet_width(h, horizon)
                 if extent > 0.95 * sc.grid.L:
                     raise ValidationError(
                         f"job '{job['check']}' needs extent {extent:.3g} "
@@ -176,16 +180,18 @@ def load_scenario(path) -> Scenario:
     grid = None
     if doc.get("grid") is not None:
         gdoc = doc["grid"]
-        grid = Grid(n=n, N=_require(gdoc, "points", int, "grid"),
-                    L=_require(gdoc, "half_width", float, "grid"))
+        with _fields("grid", {"N": "points", "L": "half_width"}):
+            grid = Grid(n=n, N=_require(gdoc, "points", int, "grid"),
+                        L=_require(gdoc, "half_width", float, "grid"))
 
     sdoc = doc.get("solver", {})
-    solver = SolverParams(
-        dt=float(sdoc.get("dt", 1e-3)),
-        margin=float(sdoc.get("margin", 0.25)),
-        measure_compensated=bool(sdoc.get("measure_compensated", True)),
-    )
-    flow_tol = float(sdoc.get("flow_tol", 1e-11))
+    with _fields("solver", {"dt": "dt", "margin": "margin"}):
+        solver = SolverParams(
+            dt=float(sdoc.get("dt", 1e-3)),
+            margin=float(sdoc.get("margin", 0.25)),
+            measure_compensated=bool(sdoc.get("measure_compensated", True)),
+        )
+        flow_tol = float(sdoc.get("flow_tol", 1e-11))
     seed = int(doc.get("seed", 0))
 
     jobs = []
@@ -233,33 +239,34 @@ def _needs_grid(sc):
     return sc.grid
 
 
-def _job_free_identity(sc, params, tol_scale, out_dir):
+def _job_free_identity(sc, params, control, tol_scale, out_dir):
     return verify.check_free_identity(
         _needs_grid(sc), sc.solver,
         tol=params.get("tol", 1e-6) * tol_scale,
         span=params.get("span", 1.0),
-        mutate_sign=params.get("mutate_sign", False),
+        mutate_sign=control,
         out_dir=out_dir)
 
 
-def _job_unitarity(sc, params, tol_scale, out_dir):
+def _job_unitarity(sc, params, control, tol_scale, out_dir):
     return verify.check_unitarity(
         sc.spec, _needs_grid(sc), sc.solver,
         tol=params.get("tol", 1e-6) * tol_scale,
-        control=params.get("control", False),
+        control=control,
         out_dir=out_dir)
 
 
-def _job_pairing(sc, params, tol_scale, out_dir):
+def _job_pairing(sc, params, control, tol_scale, out_dir):
     return verify.check_pairing(
         sc.spec, _needs_grid(sc), sc.solver,
         tol=params.get("tol", 5e-4) * tol_scale,
         refine=params.get("refine", False),
         refine_factor=params.get("refine_factor", 3.0),
+        control=control,
         out_dir=out_dir)
 
 
-def _job_symplectic(sc, params, tol_scale, out_dir):
+def _job_symplectic(sc, params, control, tol_scale, out_dir):
     return verify.check_symplectic(
         sc.spec,
         samples=params.get("samples", 20),
@@ -268,10 +275,11 @@ def _job_symplectic(sc, params, tol_scale, out_dir):
         tol=params.get("tol", 1e-6) * tol_scale,
         seed=params.get("seed", sc.seed),
         beam_scale=params.get("beam_scale", 1.0),
+        mutate=control,
         out_dir=out_dir)
 
 
-def _job_radial(sc, params, tol_scale, out_dir):
+def _job_radial(sc, params, control, tol_scale, out_dir):
     c_in = CuspData(Z=params.get("Z0", [1.0] * sc.n),
                     frak=params.get("frak0", [0.3] * sc.n))
     return verify.check_radial(
@@ -280,10 +288,11 @@ def _job_radial(sc, params, tol_scale, out_dir):
         tol_flow=sc.flow_tol,
         exponent_tol=params.get("exponent_tol", 0.01) * tol_scale,
         limit_tol=params.get("limit_tol", 1e-8) * tol_scale,
+        mutate=control,
         out_dir=out_dir)
 
 
-def _job_egorov(sc, params, tol_scale, out_dir):
+def _job_egorov(sc, params, control, tol_scale, out_dir):
     return verify.check_egorov(
         sc.spec, _needs_grid(sc),
         params.get("Z0", [1.5] * sc.n), params.get("frak0", [0.0] * sc.n),
@@ -291,10 +300,11 @@ def _job_egorov(sc, params, tol_scale, out_dir):
         sc.solver,
         rel_cap=params.get("rel_cap", 0.05) * tol_scale,
         tol_flow=min(sc.flow_tol, 1e-12),
+        mutate_target=control,
         out_dir=out_dir)
 
 
-def _job_eikonal(sc, params, tol_scale, out_dir):
+def _job_eikonal(sc, params, control, tol_scale, out_dir):
     return verify.check_eikonal_phase(
         sc.spec, _needs_grid(sc),
         params.get("Z0", [1.0] * sc.n), params.get("frak0", [0.0] * sc.n),
@@ -303,10 +313,11 @@ def _job_eikonal(sc, params, tol_scale, out_dir):
         rel_tol=params.get("rel_tol", 0.05) * tol_scale,
         abs_tol=params.get("abs_tol", 0.01) * tol_scale,
         linearity_tol=params.get("linearity_tol", 0.1) * tol_scale,
+        mutate_sign=control,
         out_dir=out_dir)
 
 
-def _job_highfreq(sc, params, tol_scale, out_dir):
+def _job_highfreq(sc, params, control, tol_scale, out_dir):
     return verify.check_highfreq_identity(
         sc.spec, _needs_grid(sc),
         params.get("Z0", [1.0] * sc.n),
@@ -319,14 +330,14 @@ def _job_highfreq(sc, params, tol_scale, out_dir):
         out_dir=out_dir)
 
 
-def _job_noncompact(sc, params, tol_scale, out_dir):
+def _job_noncompact(sc, params, control, tol_scale, out_dir):
     return verify.check_noncompactness(
         sc.spec, _needs_grid(sc),
         params.get("Z0", [1.5] * sc.n), params.get("frak0", [0.0] * sc.n),
         h_list=params.get("h_list", [0.1, 0.05, 0.02, 0.01]),
         params=sc.solver,
         c_floor=params.get("c_floor"),
-        control=params.get("control", False),
+        control=control,
         out_dir=out_dir)
 
 
@@ -349,18 +360,20 @@ def _job_out_dir(out_root, scenario_name, check, index):
 
 def run_job(sc: Scenario, job: dict, out_root: str, index: int,
             tol_scale: float = 1.0):
-    """Execute one job; errors are captured in the report."""
+    """Execute one job; errors are captured in the report.  A job marked
+    ``"control"`` runs its check's negative control, where the check has one."""
     out_dir = _job_out_dir(out_root, sc.name, job["check"], index)
     os.makedirs(out_dir, exist_ok=True)
+    control = job.get("control", False)
     try:
-        report = JOB_DISPATCH[job["check"]](sc, job.get("params", {}),
+        report = JOB_DISPATCH[job["check"]](sc, job.get("params", {}), control,
                                             tol_scale, out_dir)
     except CuspLabError as exc:
         report = verify.CheckReport(
             name=job["check"],
             measured=[verify.Measurement("error-free-execution", float("inf"), 0.0)],
             note=f"{type(exc).__name__}: {exc}")
-    report.control = report.control or job.get("control", False)
+    report.control = report.control or control
     report.write(out_dir)
     return report
 
@@ -408,28 +421,20 @@ def _out_root(args):
     return args.out or os.environ.get(OUT_ENV_VAR, "out")
 
 
-def _cmd_check(args, names):
-    sc = resolve_scenario(args.scenario)
-    only = set(names if isinstance(names, (list, tuple)) else [names])
-    if args.only:
-        only &= set(args.only.split(","))
-    code, reports = run(sc, only=only, out_root=_out_root(args),
-                        tol_scale=args.tol_scale, jobs=args.jobs)
-    for r in reports:
-        _print_report(r)
-    if not reports:
-        print(f"scenario '{sc.name}' declares no matching jobs")
-        return 1
-    return code
-
-
-def _cmd_all(args):
+def _cmd_run(args):
+    """``all`` runs every job; a check subcommand runs that check's jobs and
+    fails when the scenario declares none.  ``--only`` narrows either."""
     sc = resolve_scenario(args.scenario)
     only = set(args.only.split(",")) if args.only else None
+    if args.check is not None:
+        only = {args.check} if only is None else only & {args.check}
     code, reports = run(sc, only=only, out_root=_out_root(args),
                         tol_scale=args.tol_scale, jobs=args.jobs)
     for r in reports:
         _print_report(r)
+    if args.check is not None and not reports:
+        print(f"scenario '{sc.name}' declares no matching jobs")
+        return 1
     return code
 
 
@@ -503,15 +508,10 @@ def _cmd_radial_op(args):
 
 def _cmd_propagate(args):
     sc = resolve_scenario(args.scenario)
-    grid = sc.grid
-    if grid is None:
-        raise ValidationError("scenario has no grid", invariant="job-requires-grid")
+    grid = _needs_grid(sc)
     f = coherent_data(grid, _parse_vector(args.Z), _parse_vector(args.frak), args.h)
-    window = sc.spec.time_window()
-    edge = 0.0 if window is None else max(abs(window[0]), abs(window[1]))
-    span = edge + sc.solver.margin
-    u = poisson_free(f, -span)
-    u = propagate_window(sc.spec, u, -span, span, sc.solver.dt, sc.solver)
+    span = window_span(sc.spec, sc.solver)
+    u = propagate_window(sc.spec, poisson_free(f, -span), span, sc.solver)
     out = os.path.join(_out_root(args), sc.name, "propagate")
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "field.field")
@@ -523,9 +523,7 @@ def _cmd_propagate(args):
 
 def _cmd_scatter(args):
     sc = resolve_scenario(args.scenario)
-    grid = sc.grid
-    if grid is None:
-        raise ValidationError("scenario has no grid", invariant="job-requires-grid")
+    grid = _needs_grid(sc)
     f = coherent_data(grid, _parse_vector(args.Z), _parse_vector(args.frak), args.h)
     fp = scattering_map(sc.spec, f, sc.solver)
     out = os.path.join(_out_root(args), sc.name, "scatter")
@@ -553,9 +551,13 @@ def main(argv=None):
                         help="global tolerance multiplier (acceptance requires 1.0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_scenario(p):
-        p.add_argument("--scenario", required=True,
-                       help="scenario file path or bundled name")
+    def command(name, func, summary, scenario=True, **defaults):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func, **defaults)
+        if scenario:
+            p.add_argument("--scenario", required=True,
+                           help="scenario file path or bundled name")
+        return p
 
     def add_beam(p, with_h=False):
         p.add_argument("--Z", required=True, help="comma-separated Z components")
@@ -563,69 +565,44 @@ def main(argv=None):
         if with_h:
             p.add_argument("--h", type=float, default=0.25, help="packet width")
 
-    p = sub.add_parser("flow", help="integrate one bicharacteristic, export CSV")
-    add_scenario(p)
+    p = command("flow", _cmd_flow, "integrate one bicharacteristic, export CSV")
     add_beam(p)
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--stride", type=float, default=0.01)
 
-    p = sub.add_parser("classical-map", help="classical scattering of one beam")
-    add_scenario(p)
+    p = command("classical-map", _cmd_classical_map, "classical scattering of one beam")
     add_beam(p)
 
-    p = sub.add_parser("jacobian", help="scattering-map Jacobian and symplectic defect")
-    add_scenario(p)
+    p = command("jacobian", _cmd_jacobian,
+                "scattering-map Jacobian and symplectic defect")
     add_beam(p)
     p.add_argument("--h-fd", type=float, default=1e-4, dest="h_fd")
 
-    p = sub.add_parser("radial", help="radial-set convergence of one beam")
-    add_scenario(p)
+    p = command("radial", _cmd_radial_op, "radial-set convergence of one beam")
     add_beam(p)
     p.add_argument("--horizon", type=float, default=1e6)
 
-    p = sub.add_parser("propagate", help="propagate a packet across the window")
-    add_scenario(p)
+    p = command("propagate", _cmd_propagate, "propagate a packet across the window")
     add_beam(p, with_h=True)
 
-    p = sub.add_parser("scatter", help="apply the scattering map to a packet")
-    add_scenario(p)
+    p = command("scatter", _cmd_scatter, "apply the scattering map to a packet")
     add_beam(p, with_h=True)
 
     for name in ("egorov", "pairing", "unitarity", "eikonal", "highfreq",
                  "noncompact", "symplectic"):
-        p = sub.add_parser(name, help=f"run the scenario's '{name}' jobs")
-        add_scenario(p)
+        command(name, _cmd_run, f"run the scenario's '{name}' jobs", check=name)
+    command("all", _cmd_run, "run every job declared by the scenario", check=None)
 
-    p = sub.add_parser("all", help="run every job declared by the scenario")
-    add_scenario(p)
-
-    p = sub.add_parser("report", help="summarize reports under the output directory")
+    p = command("report", _cmd_report, "summarize reports under the output directory",
+                scenario=False)
     p.add_argument("scenario_name")
 
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
-        if args.command == "flow":
-            return _cmd_flow(args)
-        if args.command == "classical-map":
-            return _cmd_classical_map(args)
-        if args.command == "jacobian":
-            return _cmd_jacobian(args)
-        if args.command == "radial":
-            return _cmd_radial_op(args)
-        if args.command == "propagate":
-            return _cmd_propagate(args)
-        if args.command == "scatter":
-            return _cmd_scatter(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "all":
-            return _cmd_all(args)
-        return _cmd_check(args, {
-            "egorov": "egorov", "pairing": "pairing", "unitarity": "unitarity",
-            "eikonal": "eikonal", "highfreq": "highfreq",
-            "noncompact": "noncompact", "symplectic": "symplectic",
-        }[args.command])
+        return args.func(args)
     except CuspLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -380,8 +380,3 @@ def symbol_jet(spec: PerturbationSpec, p: PhasePoint) -> SymbolJet:
     dp_dt = float(p.zeta @ dgdt @ p.zeta)
     dp_dzeta = 2.0 * g @ p.zeta
     return SymbolJet(p=value, dp_dz=dp_dz, dp_dt=dp_dt, dp_dzeta=dp_dzeta)
-
-
-def potential(spec: PerturbationSpec, z, t) -> complex:
-    """The windowed complex potential at (z, t)."""
-    return spec.potential(z, t)

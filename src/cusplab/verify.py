@@ -112,7 +112,7 @@ def check_free_identity(grid: _q.Grid, params: _q.SolverParams | None = None,
     rows = []
     for k, f in enumerate(_default_inputs(grid)):
         u = _q.poisson_free(f, -span)
-        u = _q.propagate_window(spec, u, -span, span, params.dt, params)
+        u = _q.propagate_window(spec, u, span, params)
         if mutate_sign:
             bad = np.exp(-1j * u.time * grid.dual_norm_sq()) * _q.forward_ft(grid, u.values)
             f_out = _q.SpectralData(grid=grid, values=bad)
@@ -388,7 +388,7 @@ def check_eikonal_phase(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
     return rep
 
 
-def _packet_width(grid, h, t):
+def _packet_width(h, t):
     """Physical 1-sigma width of the coherent packet at time t."""
     return float(np.sqrt((1.0 + 4.0 * h**2 * t**2) / (2.0 * h)))
 
@@ -407,7 +407,7 @@ def check_highfreq_identity(spec: PerturbationSpec, grid: _q.Grid, Z0,
 
     if window is not None:
         # precondition: the beam must miss the support by >= 5 packet widths
-        width = _packet_width(grid, h, max(abs(window[0]), abs(window[1])))
+        width = _packet_width(h, max(abs(window[0]), abs(window[1])))
         min_dist = np.inf
         for term in spec.terms():
             ts = np.linspace(term.center_t - term.radius_t,

@@ -171,7 +171,7 @@ def test_propagate_window_flat_equals_free_exactly():
     spec = flat_spec(1)
     f = coherent_data(GRID, 1.0, 0.3, 0.2)
     u = poisson_free(f, -0.5)
-    w = propagate_window(spec, u, -0.5, 0.5, 1e-3, PARAMS)
+    w = propagate_window(spec, u, 0.5, PARAMS)
     v = free_propagate(u, 1.0)
     assert np.max(np.abs(w.values - v.values)) == 0.0
 
@@ -180,7 +180,7 @@ def test_propagate_window_mass_conservation_real_potential():
     spec = _potential_spec(0.5)
     f = coherent_data(GRID, 1.0, 0.3, 0.2)
     u = poisson_free(f, -1.2)
-    w = propagate_window(spec, u, -1.2, 1.2, 1e-3, PARAMS)
+    w = propagate_window(spec, u, 1.2, PARAMS)
     assert abs(w.norm() - u.norm()) / u.norm() < 1e-10 * 2.4
 
 
@@ -191,8 +191,7 @@ def test_propagate_window_refinement_second_order():
         grid = Grid(n=1, N=512 * 2**k, L=30.0)
         f = coherent_data(grid, 1.0, 0.3, 0.2)
         u = poisson_free(f, -1.2)
-        w = propagate_window(spec, u, -1.2, 1.2, 4e-3 / 2**k,
-                             SolverParams(dt=4e-3 / 2**k))
+        w = propagate_window(spec, u, 1.2, SolverParams(dt=4e-3 / 2**k))
         levels.append(extract_asymptotic(w, spec))
     # common dual modes: the coarse grid is the centred block of the fine one
     def restrict(f_fine, n_coarse):
@@ -210,7 +209,7 @@ def test_propagate_window_boundary_leak_detected():
     f = coherent_data(grid, 2.0, 0.0, 0.5)
     u = poisson_free(f, -1.2)
     with pytest.raises(BoundaryLeak):
-        propagate_window(spec, u, -1.2, 1.2, 2e-3, SolverParams(dt=2e-3))
+        propagate_window(spec, u, 1.2, SolverParams(dt=2e-3))
 
 
 def test_adjoint_map_boundary_leak_detected():
@@ -299,10 +298,9 @@ def _cn_marches(spec, monkeypatch, fresh):
     v = poisson_free(f, -0.01).values
     outs = []
     for compensated in (True, False):
-        outs.append(quantum._cn_march_1d(spec, CN_GRID, v, -0.01, 0.01, 2e-3,
-                                         compensated))
-        outs.append(quantum._cn_march_1d(spec, CN_GRID, v, 0.01, -0.01, 2e-3,
-                                         compensated, adjoint=True))
+        params = SolverParams(dt=2e-3, measure_compensated=compensated)
+        outs.append(quantum._cn_march_1d(spec, CN_GRID, v, -0.01, 0.01, params))
+        outs.append(quantum._cn_march_1d(spec, CN_GRID, v, 0.01, -0.01, params))
     monkeypatch.undo()
     return outs, widths
 

@@ -104,6 +104,33 @@ def test_scenario_support_must_fit_in_box(tmp_path):
     assert err.value.invariant == "support-inside-box"
 
 
+_BAD_BUMP = {"bumps": [{"amplitude": 0.05, "center_z": [0.0], "center_t": 0.0,
+                        "radius_z": 0.0, "radius_t": 1.0, "pattern": [[1.0]]}]}
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"grid": {"points": 1000, "half_width": 20.0}}, "grid.points"),
+    ({"solver": {"dt": -1}}, "solver.dt"),
+    ({"perturbation": _BAD_BUMP}, "perturbation.bumps[0]"),
+], ids=["points", "dt", "bump"])
+def test_scenario_bad_values_are_parse_errors(tmp_path, capsys, overrides, field):
+    path = _write(tmp_path, _minimal(**overrides))
+    with pytest.raises(ParseError) as err:
+        load_scenario(path)
+    assert err.value.field == field
+    assert main(["--out", str(tmp_path), "all", "--scenario", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "--jobs", jobs, "all", "--scenario", "flat"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "flat").exists()
+
+
 def test_scenario_grid_must_accommodate_packets(tmp_path):
     doc = _minimal(jobs=[{
         "check": "highfreq",
@@ -123,13 +150,51 @@ def test_run_flat_scenario_exit_zero(tmp_path):
 
 
 def test_run_fails_when_a_control_passes(tmp_path):
-    # a control that fails to fail is unsatisfied, and so is the run
-    doc = _minimal(jobs=[{"check": "free-identity", "params": {"span": 1.0},
-                          "control": True}])
+    # a control that fails to fail is unsatisfied, and so is the run;
+    # highfreq has no negative-control mode, so its control job passes
+    doc = _minimal(
+        grid={"points": 2048, "half_width": 32.0},
+        perturbation={"bumps": [
+            {"amplitude": 0.5, "center_z": [0.0], "center_t": 0.0,
+             "radius_z": 1.0, "radius_t": 0.5, "pattern": [[1.0]]}]},
+        jobs=[{"check": "highfreq", "control": True,
+               "params": {"Z0": [1.0], "frak_far": [16.0], "h": 0.5}}])
     sc = load_scenario(_write(tmp_path, doc))
     code, reports = run(sc, out_root=str(tmp_path))
     assert reports[0].status == "pass" and not reports[0].satisfied
     assert code == 1
+
+
+_WEAK_POTENTIAL = {"potential_terms": [
+    {"amplitude": [0.08, 0.0], "center_z": [0.0], "center_t": 0.0,
+     "radius_z": 8.0, "radius_t": 0.5}]}
+_METRIC_BUMP = {"bumps": [
+    {"amplitude": 0.05, "center_z": [0.0], "center_t": 0.0,
+     "radius_z": 4.0, "radius_t": 1.0, "pattern": [[1.0]]}]}
+
+
+@pytest.mark.parametrize("check, perturbation, params", [
+    ("pairing", _WEAK_POTENTIAL, {}),
+    ("eikonal", _WEAK_POTENTIAL, {"Z0": [1.0], "frak0": [0.0], "h": 0.25}),
+    ("symplectic", _METRIC_BUMP, {"samples": 1}),
+    ("radial", _METRIC_BUMP, {"Z0": [1.0], "frak0": [0.3], "horizon": 1e3}),
+    # one h and a loose cap: this grid is too coarse for the Egorov rate,
+    # and the control must fail through its reflected classical target
+    ("egorov", _METRIC_BUMP, {"Z0": [1.5], "frak0": [0.0], "h_list": [0.1],
+                              "rel_cap": 1.0}),
+], ids=["pairing", "eikonal", "symplectic", "radial", "egorov"])
+def test_control_job_runs_the_checks_negative_control(tmp_path, check,
+                                                      perturbation, params):
+    # the same job passes plain and fails as a control, so the run exits 0
+    doc = _minimal(grid={"points": 512, "half_width": 30.0},
+                   perturbation=perturbation,
+                   jobs=[{"check": check, "params": params, "control": control}
+                         for control in (False, True)])
+    sc = load_scenario(_write(tmp_path, doc))
+    code, (plain, control) = run(sc, out_root=str(tmp_path))
+    assert plain.status == "pass" and not plain.control
+    assert control.status == "fail" and control.control and control.satisfied
+    assert code == 0
 
 
 def test_run_captures_boundary_leak_and_fails(tmp_path):

@@ -13,7 +13,6 @@ from cusplab.symbols import (
     bump,
     bump_derivative,
     flat_spec,
-    potential,
     principal_symbol,
     symbol_jet,
 )
@@ -127,9 +126,9 @@ def test_potential_examples():
     spec = PerturbationSpec(n=1, potential_terms=(PotentialTerm(
         amplitude=0.3 - 0.1j, center_z=[0.5], center_t=0.0,
         radius_z=1.0, radius_t=1.0),))
-    assert potential(spec, [5.0], 0.0) == 0.0
-    assert potential(spec, [0.5], 5.0) == 0.0
-    assert abs(potential(spec, [0.5], 0.0) - (0.3 - 0.1j)) < 1e-15
+    assert spec.potential([5.0], 0.0) == 0.0
+    assert spec.potential([0.5], 5.0) == 0.0
+    assert abs(spec.potential([0.5], 0.0) - (0.3 - 0.1j)) < 1e-15
 
 
 def test_potential_quadrature_along_beam_matches_adaptive_oracle():
