@@ -284,7 +284,8 @@ class ScatterResult:
 
 
 def _gauss_panels(f, t0, t1, n_panels=24, order=10):
-    """Composite Gauss-Legendre quadrature of a smooth callable on [t0, t1]."""
+    """Composite Gauss-Legendre quadrature of a smooth real or complex callable
+    on [t0, t1]."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     total = 0.0
     edges = np.linspace(t0, t1, n_panels + 1)
@@ -327,15 +328,11 @@ def classical_scatter(spec: PerturbationSpec, c_in: CuspData,
     c_out = cusp_from_bichar(endpoint, spec, tol=char_tol)
 
     spans = traj.numeric_spans()
-    phase = 0.0 + 0.0j
-    for t0, t1 in spans:
-        def v_real(ts):
-            return np.array([spec.potential(traj.dense(t).z, t).real for t in ts])
 
-        def v_imag(ts):
-            return np.array([spec.potential(traj.dense(t).z, t).imag for t in ts])
+    def v_beam(ts):
+        return np.array([spec.potential(traj.dense(t).z, t) for t in ts])
 
-        phase += _gauss_panels(v_real, t0, t1) + 1j * _gauss_panels(v_imag, t0, t1)
+    phase = sum(_gauss_panels(v_beam, t0, t1) for t0, t1 in spans)
 
     e_in = float(c_in.Z @ c_in.Z)
     action = 0.0

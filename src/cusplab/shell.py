@@ -122,7 +122,27 @@ def _parse_perturbation(doc, n):
             raise ValidationError(str(exc), invariant="NotPositiveDefinite") from exc
 
 
+def _positive_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0.0 < value < np.inf)
+
+
+def _job_hs(params, where):
+    """The job's semiclassical parameters: its h, or else its h_list.  Each
+    must be a positive number; a ParseError names the entry that is not."""
+    if "h" in params and not _positive_number(params["h"]):
+        raise ParseError("entry 'h' must be a positive number", field=f"{where}.h")
+    hs = params.get("h_list", [])
+    if "h_list" in params and not (isinstance(hs, list) and hs
+                                   and all(map(_positive_number, hs))):
+        raise ParseError("entry 'h_list' must be a non-empty list of positive numbers",
+                         field=f"{where}.h_list")
+    return [params["h"]] if "h" in params else hs
+
+
 def _validate_scenario(sc: Scenario):
+    hs_of_job = [_job_hs(job["params"], f"jobs[{i}].params")
+                 for i, job in enumerate(sc.jobs)]
     if sc.grid is None:
         return
     if sc.spec.spatial_extent() > 0.8 * sc.grid.L:
@@ -131,13 +151,8 @@ def _validate_scenario(sc: Scenario):
             f"exceeds 80% of the spatial box (L = {sc.grid.L})",
             invariant="support-inside-box")
     horizon = window_span(sc.spec, sc.solver)
-    for job in sc.jobs:
-        params = job.get("params", {})
-        hs = []
-        if "h" in params:
-            hs = [params["h"]]
-        elif "h_list" in params:
-            hs = list(params["h_list"])
+    for job, hs in zip(sc.jobs, hs_of_job):
+        params = job["params"]
         if not hs or "Z0" not in params:
             continue
         Z0 = np.max(np.abs(np.atleast_1d(params["Z0"])))

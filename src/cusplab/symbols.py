@@ -9,6 +9,10 @@ exact compact support, and s_b is a fixed symmetric pattern matrix.  The
 potential is a sum of windowed complex amplitudes.  Everything evaluates to
 the flat values bit-exactly outside the declared supports, which is what
 makes the free/perturbed propagator split exact.
+
+One loop over the bumps and one over the potential terms serve every
+evaluator: a field evaluator reads them at an (m, n) array of grid points,
+and a pointwise evaluator is the m = 1 row of the same loop.
 """
 
 from __future__ import annotations
@@ -21,51 +25,46 @@ from .errors import NotPositiveDefinite
 from .phasespace import PhasePoint
 
 
+def _mollifier(d, radius):
+    """bump(d / radius) and k with d/dd bump(d / radius) = k * d.
+
+    One exp serves both, for scalars and arrays alike.  For |d| >= radius
+    the factor 1 - r^2 <= 0 is raised to a floor far below any value it
+    takes inside the support (at least 2^-53), so the exp underflows and
+    both results are exactly 0, with no division by zero.
+    """
+    r = d / radius
+    s = np.maximum(1.0 - r * r, 1e-100)
+    w = np.exp(1.0 - 1.0 / s)
+    return w, w * -2.0 / (radius**2 * s**2)
+
+
 def bump(r):
     """Smooth mollifier exp(1 - 1/(1 - r^2)) for |r| < 1, zero outside.
 
     Normalized to 1 at r = 0; all derivatives vanish at |r| = 1.
     Accepts scalars or arrays.
     """
-    r = np.asarray(r, dtype=float)
-    inside = np.abs(r) < 1.0
-    out = np.zeros_like(r)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        val = np.exp(1.0 - 1.0 / (1.0 - r**2))
-    out = np.where(inside, val, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    w, _ = _mollifier(np.asarray(r, dtype=float), 1.0)
+    return w if w.ndim else float(w)
 
 
 def bump_derivative(r):
     """Analytic derivative of :func:`bump`; zero outside the support."""
     r = np.asarray(r, dtype=float)
-    inside = np.abs(r) < 1.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        val = np.exp(1.0 - 1.0 / (1.0 - r**2)) * (-2.0 * r) / (1.0 - r**2) ** 2
-    out = np.where(inside, val, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    slope = _mollifier(r, 1.0)[1] * r
+    return slope if slope.ndim else float(slope)
 
 
-def _window_scale(d, radius):
-    """bump(d / radius) evaluated with exact support |d| < radius."""
-    return bump(np.asarray(d, dtype=float) / radius)
-
-
-def _window_scale_derivative(d, radius):
-    """d/dd of bump(d / radius): -2 d / radius^2 / (1 - (d/radius)^2)^2 * bump."""
-    d = np.asarray(d, dtype=float)
-    r = d / radius
-    inside = np.abs(r) < 1.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        val = bump(r) * (-2.0 * d) / (radius**2 * (1.0 - r**2) ** 2)
-    out = np.where(inside, val, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+def _coerce_window(term, kind, number):
+    """Store a term's amplitude as a ``number``, its centres and radii as
+    floats, and check the radii."""
+    object.__setattr__(term, "amplitude", number(term.amplitude))
+    object.__setattr__(term, "center_z", np.atleast_1d(np.asarray(term.center_z, dtype=float)))
+    for name in ("center_t", "radius_z", "radius_t"):
+        object.__setattr__(term, name, float(getattr(term, name)))
+    if term.radius_z <= 0 or term.radius_t <= 0:
+        raise ValueError(f"{kind} radii must be positive")
 
 
 @dataclass(frozen=True)
@@ -80,19 +79,12 @@ class MetricBump:
     pattern: np.ndarray  # symmetric n x n
 
     def __post_init__(self):
-        cz = np.atleast_1d(np.asarray(self.center_z, dtype=float))
+        _coerce_window(self, "bump", float)
         pat = np.asarray(self.pattern, dtype=float)
         if pat.ndim == 0:
             pat = pat.reshape(1, 1)
-        object.__setattr__(self, "center_z", cz)
         object.__setattr__(self, "pattern", pat)
-        object.__setattr__(self, "amplitude", float(self.amplitude))
-        object.__setattr__(self, "center_t", float(self.center_t))
-        object.__setattr__(self, "radius_z", float(self.radius_z))
-        object.__setattr__(self, "radius_t", float(self.radius_t))
-        if self.radius_z <= 0 or self.radius_t <= 0:
-            raise ValueError("bump radii must be positive")
-        if pat.shape != (cz.size, cz.size):
+        if pat.shape != (self.center_z.size, self.center_z.size):
             raise ValueError("pattern must be n x n")
         if not np.allclose(pat, pat.T):
             raise ValueError("pattern must be symmetric")
@@ -109,14 +101,7 @@ class PotentialTerm:
     radius_t: float
 
     def __post_init__(self):
-        cz = np.atleast_1d(np.asarray(self.center_z, dtype=float))
-        object.__setattr__(self, "center_z", cz)
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
-        object.__setattr__(self, "center_t", float(self.center_t))
-        object.__setattr__(self, "radius_z", float(self.radius_z))
-        object.__setattr__(self, "radius_t", float(self.radius_t))
-        if self.radius_z <= 0 or self.radius_t <= 0:
-            raise ValueError("potential radii must be positive")
+        _coerce_window(self, "potential", complex)
 
 
 @dataclass(frozen=True)
@@ -136,12 +121,9 @@ class PerturbationSpec:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "bumps", tuple(self.bumps))
         object.__setattr__(self, "potential_terms", tuple(self.potential_terms))
-        for b in self.bumps:
-            if b.center_z.size != self.n:
-                raise ValueError("bump dimension mismatch")
-        for p in self.potential_terms:
-            if p.center_z.size != self.n:
-                raise ValueError("potential dimension mismatch")
+        for kind, terms in (("bump", self.bumps), ("potential", self.potential_terms)):
+            if any(term.center_z.size != self.n for term in terms):
+                raise ValueError(f"{kind} dimension mismatch")
         self._validate_positive_definite()
 
     # -- support geometry ------------------------------------------------
@@ -190,80 +172,58 @@ class PerturbationSpec:
         return any(abs(t - term.center_t) < term.radius_t * (1.0 + margin)
                    for term in self.terms())
 
-    # -- pointwise evaluation ---------------------------------------------
+    # -- evaluation: one loop over the bumps, one over the potential terms --
 
-    def inverse_metric(self, z, t) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        g = np.eye(self.n)
+    def _metric(self, pts, t, dz=False, dt=False):
+        """(g, dgdz, dgdt) at an (m, n) array of points: g^{jk} is (m, n, n),
+        dgdz[m, j, k, l] = d g^{jk} / d z_l and dgdt = d g^{jk} / d t, each
+        derivative None unless asked for."""
+        m, n = pts.shape
+        g = np.repeat(np.eye(n)[None], m, axis=0)
+        dgdz = np.zeros((m, n, n, n)) if dz else None
+        dgdt = np.zeros((m, n, n)) if dt else None
         for b in self.bumps:
-            wt = _window_scale(t - b.center_t, b.radius_t)
+            wt, kt = _mollifier(t - b.center_t, b.radius_t)
             if wt == 0.0:
                 continue
-            wz = _window_scale(np.linalg.norm(z - b.center_z), b.radius_z)
-            if wz == 0.0:
-                continue
-            g = g + b.amplitude * wz * wt * b.pattern
-        return g
-
-    def inverse_metric_jet(self, z, t):
-        """(g_inv, dgdz, dgdt): analytic derivatives of the inverse metric.
-
-        dgdz[j, k, l] = d g^{jk} / d z_l.
-        """
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        n = self.n
-        g = np.eye(n)
-        dgdz = np.zeros((n, n, n))
-        dgdt = np.zeros((n, n))
-        for b in self.bumps:
-            wt = _window_scale(t - b.center_t, b.radius_t)
-            dwt = _window_scale_derivative(t - b.center_t, b.radius_t)
-            d = z - b.center_z
-            rho = np.linalg.norm(d)
-            wz = _window_scale(rho, b.radius_z)
-            if wt == 0.0 and dwt == 0.0:
-                continue
-            if wz == 0.0:
-                continue
-            g = g + b.amplitude * wz * wt * b.pattern
-            # d/dz_l bump(|d|/R) = -2 d_l / R^2 / (1 - (|d|/R)^2)^2 * bump
-            r = rho / b.radius_z
-            if r < 1.0:
-                dwz = bump(r) * (-2.0 * d) / (b.radius_z**2 * (1.0 - r**2) ** 2)
-            else:
-                dwz = np.zeros(n)
-            dgdz += b.amplitude * wt * np.einsum("jk,l->jkl", b.pattern, dwz)
-            dgdt += b.amplitude * wz * dwt * b.pattern
+            d = pts - b.center_z
+            wz, kz = _mollifier(np.sqrt(np.add.reduce(d * d, axis=-1)), b.radius_z)
+            g += (b.amplitude * wt) * wz[:, None, None] * b.pattern
+            if dz:
+                dwz = kz[:, None] * d
+                dgdz += (b.amplitude * wt) * (b.pattern[:, :, None] * dwz[:, None, None, :])
+            if dt:
+                dwt = kt * (t - b.center_t)
+                dgdt += (b.amplitude * dwt) * wz[:, None, None] * b.pattern
         return g, dgdz, dgdt
 
-    def potential(self, z, t) -> complex:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        v = 0.0 + 0.0j
+    def _potential(self, pts, t):
+        """V at an (m, n) array of points; complex (m,)."""
+        v = np.zeros(pts.shape[0], dtype=complex)
         for p in self.potential_terms:
-            wt = _window_scale(t - p.center_t, p.radius_t)
+            wt, _ = _mollifier(t - p.center_t, p.radius_t)
             if wt == 0.0:
                 continue
-            wz = _window_scale(np.linalg.norm(z - p.center_z), p.radius_z)
-            if wz == 0.0:
-                continue
-            v += p.amplitude * wz * wt
+            d = pts - p.center_z
+            wz, _ = _mollifier(np.sqrt(np.add.reduce(d * d, axis=-1)), p.radius_z)
+            v += (p.amplitude * wt) * wz
         return v
 
-    # -- vectorized field evaluation (used by the grid propagators) -------
+    def inverse_metric(self, z, t) -> np.ndarray:
+        """g^{jk} at one point z; the m = 1 row of the field evaluation."""
+        return self._metric(np.reshape(z, (1, self.n)), t)[0][0]
+
+    def inverse_metric_jet(self, z, t):
+        """(g, dgdz, dgdt) at one point z, as :meth:`_metric` gives them."""
+        g, dgdz, dgdt = self._metric(np.reshape(z, (1, self.n)), t, dz=True, dt=True)
+        return g[0], dgdz[0], dgdt[0]
+
+    def potential(self, z, t) -> complex:
+        return complex(self._potential(np.reshape(z, (1, self.n)), t)[0])
 
     def inverse_metric_field(self, points: np.ndarray, t: float) -> np.ndarray:
         """g^{jk} at an (m, n) array of spatial points; returns (m, n, n)."""
-        pts = np.asarray(points, dtype=float)
-        m = pts.shape[0]
-        g = np.broadcast_to(np.eye(self.n), (m, self.n, self.n)).copy()
-        for b in self.bumps:
-            wt = _window_scale(t - b.center_t, b.radius_t)
-            if wt == 0.0:
-                continue
-            rho = np.linalg.norm(pts - b.center_z, axis=-1)
-            wz = _window_scale(rho, b.radius_z)
-            g += (b.amplitude * wt) * wz[:, None, None] * b.pattern
-        return g
+        return self._metric(np.asarray(points, dtype=float), t)[0]
 
     def dt_log_det_metric_field(self, points: np.ndarray, t: float) -> np.ndarray:
         """d/dt log det g at an (m, n) array of points.
@@ -271,58 +231,22 @@ class PerturbationSpec:
         det g = 1 / det(g_inv), so d/dt log det g = -tr(g_inv^{-1} d_t g_inv).
         """
         pts = np.asarray(points, dtype=float)
-        m = pts.shape[0]
         if self.metric_is_flat:
-            return np.zeros(m)
-        ginv = self.inverse_metric_field(pts, t)
-        dt_ginv = np.zeros_like(ginv)
-        for b in self.bumps:
-            dwt = _window_scale_derivative(t - b.center_t, b.radius_t)
-            if dwt == 0.0:
-                continue
-            rho = np.linalg.norm(pts - b.center_z, axis=-1)
-            wz = _window_scale(rho, b.radius_z)
-            dt_ginv += (b.amplitude * dwt) * wz[:, None, None] * b.pattern
-        sol = np.linalg.solve(ginv, dt_ginv)
-        return -np.trace(sol, axis1=-2, axis2=-1)
+            return np.zeros(pts.shape[0])
+        ginv, _, dt_ginv = self._metric(pts, t, dt=True)
+        if self.n == 1:
+            return -dt_ginv[:, 0, 0] / ginv[:, 0, 0]
+        return -np.trace(np.linalg.solve(ginv, dt_ginv), axis1=-2, axis2=-1)
 
     def inverse_metric_jet_field(self, points: np.ndarray, t: float):
         """(g, dgdz) at an (m, n) array of points; dgdz[m, j, k, l] is the
         z_l-derivative of g^{jk}.  Vectorized analytic evaluation."""
-        pts = np.asarray(points, dtype=float)
-        m = pts.shape[0]
-        g = np.broadcast_to(np.eye(self.n), (m, self.n, self.n)).copy()
-        dgdz = np.zeros((m, self.n, self.n, self.n))
-        for b in self.bumps:
-            wt = _window_scale(t - b.center_t, b.radius_t)
-            if wt == 0.0:
-                continue
-            d = pts - b.center_z
-            rho = np.linalg.norm(d, axis=-1)
-            r = rho / b.radius_z
-            wz = bump(r)
-            g += (b.amplitude * wt) * wz[:, None, None] * b.pattern
-            inside = r < 1.0
-            dwz = np.zeros_like(d)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                factor = np.where(inside,
-                                  wz * (-2.0) / (b.radius_z**2 * (1.0 - r**2) ** 2),
-                                  0.0)
-            dwz = factor[:, None] * d
-            dgdz += (b.amplitude * wt) * np.einsum("jk,ml->mjkl", b.pattern, dwz)
+        g, dgdz, _ = self._metric(np.asarray(points, dtype=float), t, dz=True)
         return g, dgdz
 
     def potential_field(self, points: np.ndarray, t: float) -> np.ndarray:
         """V at an (m, n) array of spatial points; returns complex (m,)."""
-        pts = np.asarray(points, dtype=float)
-        v = np.zeros(pts.shape[0], dtype=complex)
-        for p in self.potential_terms:
-            wt = _window_scale(t - p.center_t, p.radius_t)
-            if wt == 0.0:
-                continue
-            rho = np.linalg.norm(pts - p.center_z, axis=-1)
-            v += (p.amplitude * wt) * _window_scale(rho, p.radius_z)
-        return v
+        return self._potential(np.asarray(points, dtype=float), t)
 
     # -- validation --------------------------------------------------------
 
@@ -330,21 +254,15 @@ class PerturbationSpec:
         if not self.bumps:
             return
         per_axis = 64 if self.n <= 2 else 16
-        lo = np.array([min(b.center_z[i] - b.radius_z for b in self.bumps)
-                       for i in range(self.n)])
-        hi = np.array([max(b.center_z[i] + b.radius_z for b in self.bumps)
-                       for i in range(self.n)])
+        lo = np.min([b.center_z - b.radius_z for b in self.bumps], axis=0)
+        hi = np.max([b.center_z + b.radius_z for b in self.bumps], axis=0)
         t_lo = min(b.center_t - b.radius_t for b in self.bumps)
         t_hi = max(b.center_t + b.radius_t for b in self.bumps)
-        axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(self.n)]
+        axes = [np.linspace(a, b, per_axis) for a, b in zip(lo, hi)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         for t in np.linspace(t_lo, t_hi, 32):
-            g = self.inverse_metric_field(pts, t)
-            if self.n == 1:
-                min_eig = float(np.min(g))
-            else:
-                min_eig = float(np.min(np.linalg.eigvalsh(g)))
+            min_eig = float(np.min(np.linalg.eigvalsh(self.inverse_metric_field(pts, t))))
             if min_eig <= 0.0:
                 raise NotPositiveDefinite(
                     f"inverse metric has eigenvalue {min_eig:.3e} <= 0 at t={t:.4g}")

@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cusplab
 from cusplab.errors import ParseError, ValidationError
 from cusplab.shell import (
     Scenario,
@@ -108,11 +112,18 @@ _BAD_BUMP = {"bumps": [{"amplitude": 0.05, "center_z": [0.0], "center_t": 0.0,
                         "radius_z": 0.0, "radius_t": 1.0, "pattern": [[1.0]]}]}
 
 
+_BAD_H = [{"check": "eikonal", "params": {"Z0": [1.0], "frak0": [0.0], "h": -1}}]
+_BAD_H_LIST = [{"check": "egorov", "params": {"Z0": [1.0], "frak0": [0.0],
+                                              "h_list": [0.1, 0.0]}}]
+
+
 @pytest.mark.parametrize("overrides, field", [
     ({"grid": {"points": 1000, "half_width": 20.0}}, "grid.points"),
     ({"solver": {"dt": -1}}, "solver.dt"),
     ({"perturbation": _BAD_BUMP}, "perturbation.bumps[0]"),
-], ids=["points", "dt", "bump"])
+    ({"jobs": _BAD_H}, "jobs[0].params.h"),
+    ({"jobs": _BAD_H_LIST}, "jobs[0].params.h_list"),
+], ids=["points", "dt", "bump", "h", "h_list"])
 def test_scenario_bad_values_are_parse_errors(tmp_path, capsys, overrides, field):
     path = _write(tmp_path, _minimal(**overrides))
     with pytest.raises(ParseError) as err:
@@ -129,6 +140,17 @@ def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
     assert not (tmp_path / "flat").exists()
+
+
+def test_module_cli_imports_shell_once():
+    # `python -m cusplab.shell` warns when the package has already imported
+    # the module it is asked to run as __main__
+    src = str(Path(cusplab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cusplab.shell", "--help"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_scenario_grid_must_accommodate_packets(tmp_path):

@@ -1,7 +1,11 @@
 """Operator model: mollifier, metric assembly, analytic derivatives."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cusplab.errors import NotPositiveDefinite
@@ -170,3 +174,84 @@ def test_dt_log_det_metric_field():
         a_m = spec.inverse_metric(z, 0.2 - h)[0, 0]
         fd = -(np.log(a_p) - np.log(a_m)) / (2 * h)   # det g = 1 / g^{11}
         assert abs(vals[i] - fd) < 1e-7
+
+
+def _dyadic(rng, lo, hi, size=None):
+    """Multiples of 1/32 in [lo, hi].  Their sums, differences and squares
+    are exact, so a drawn point can sit exactly on a support boundary."""
+    return rng.integers(round(lo * 32), round(hi * 32) + 1, size) / 32
+
+
+def _random_window(rng, n):
+    # radius_z = 5j/32, so that (3j/32, 4j/32) is an exact boundary offset
+    return dict(center_z=_dyadic(rng, -1.0, 1.0, n), center_t=float(_dyadic(rng, -1.0, 1.0)),
+                radius_z=5 * int(rng.integers(2, 10)) / 32,
+                radius_t=float(_dyadic(rng, 0.25, 1.0)))
+
+
+def _boundary_points(term, n):
+    j = round(term.radius_z * 32 / 5)
+    offsets = [(5 * j,), (-5 * j,)] if n == 1 else [(3 * j, 4 * j), (-4 * j, -3 * j), (0, 5 * j)]
+    return [term.center_z + np.array(off) / 32 for off in offsets] + [term.center_z]
+
+
+def _outside(terms, z, t):
+    """True on or outside every support, in exact arithmetic (dyadic inputs)."""
+    return all(float(np.sum((z - term.center_z) ** 2)) >= term.radius_z ** 2
+               or abs(t - term.center_t) >= term.radius_t for term in terms)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.sampled_from([1, 2]), n_bumps=st.integers(1, 3), n_pots=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_pointwise_rows_flat_support_and_jet_field(n, n_bumps, n_pots, seed):
+    rng = np.random.default_rng(seed)
+    bumps = []
+    for _ in range(n_bumps):
+        a = rng.uniform(-0.5, 0.5, (n, n))
+        # |amplitude| * |eigenvalues| <= 0.3 per bump keeps three bumps definite
+        bumps.append(MetricBump(amplitude=rng.uniform(-0.3, 0.3), pattern=(a + a.T) / 2,
+                                **_random_window(rng, n)))
+    pots = [PotentialTerm(amplitude=complex(*rng.uniform(-1.0, 1.0, 2)), **_random_window(rng, n))
+            for _ in range(n_pots)]
+    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        spec = PerturbationSpec(n=n, bumps=tuple(bumps), potential_terms=tuple(pots))
+        points = [_dyadic(rng, -3.0, 3.0, n) for _ in range(6)]
+        times = [float(_dyadic(rng, -2.0, 2.0))]
+        for term in spec.terms():
+            points += _boundary_points(term, n)
+            times += [term.center_t - term.radius_t, term.center_t + term.radius_t]
+        pts = np.array(points)
+        for t in times:
+            g = spec.inverse_metric_field(pts, t)
+            g_jet, dgdz = spec.inverse_metric_jet_field(pts, t)
+            v = spec.potential_field(pts, t)
+            assert _bits(g_jet) == _bits(g)
+            for i, z in enumerate(pts):
+                assert _bits(spec.inverse_metric(z, t)) == _bits(g[i])
+                g_i, dgdz_i, dgdt_i = spec.inverse_metric_jet(z, t)
+                assert _bits(g_i) == _bits(g[i]) and _bits(dgdz_i) == _bits(dgdz[i])
+                assert _bits(spec.potential(z, t)) == _bits(v[i])
+                if _outside(spec.bumps, z, t):
+                    assert np.array_equal(g_i, np.eye(n))
+                    assert np.all(dgdz_i == 0.0) and np.all(dgdt_i == 0.0)
+                if _outside(spec.potential_terms, z, t):
+                    assert v[i] == 0.0
+
+            # the jet field against central differences of the field
+            h = 1e-6
+            for axis in range(n):
+                dz = np.zeros(n)
+                dz[axis] = h
+                fd = (spec.inverse_metric_field(pts + dz, t)
+                      - spec.inverse_metric_field(pts - dz, t)) / (2 * h)
+                assert np.max(np.abs(fd - dgdz[..., axis])) < 1e-7
+            fd_t = (spec.inverse_metric_field(pts, t + h)
+                    - spec.inverse_metric_field(pts, t - h)) / (2 * h)
+            dgdt = np.array([spec.inverse_metric_jet(z, t)[2] for z in pts])
+            assert np.max(np.abs(fd_t - dgdt)) < 1e-7
