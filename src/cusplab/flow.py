@@ -284,15 +284,15 @@ class ScatterResult:
 
 
 def _gauss_panels(f, t0, t1, n_panels=24, order=10):
-    """Composite Gauss-Legendre quadrature of a smooth real or complex callable
-    on [t0, t1]."""
+    """Composite Gauss-Legendre quadrature on [t0, t1] of the smooth real or
+    complex integrands whose values at the nodes ts are the rows of f(ts)."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     total = 0.0
     edges = np.linspace(t0, t1, n_panels + 1)
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         ts = mid + half * nodes
-        total += half * np.sum(weights * f(ts))
+        total = total + half * np.array([np.sum(weights * y) for y in f(ts)])
     return total
 
 
@@ -327,30 +327,27 @@ def classical_scatter(spec: PerturbationSpec, c_in: CuspData,
     char_tol = max(1e-9, 100.0 * tol * abs(t_out - t_in))
     c_out = cusp_from_bichar(endpoint, spec, tol=char_tol)
 
-    spans = traj.numeric_spans()
+    def beam(ts):
+        """V and zeta.g.zeta at each node, from one dense evaluation."""
+        v, kinetic = np.zeros(len(ts), dtype=complex), np.empty(len(ts))
+        for i, t in enumerate(ts):
+            p = traj.dense(t)
+            if spec.potential_terms:
+                v[i] = spec.potential(p.z, t)
+            kinetic[i] = float(p.zeta @ spec.inverse_metric(p.z, t) @ p.zeta)
+        return v, kinetic
 
-    def v_beam(ts):
-        return np.array([spec.potential(traj.dense(t).z, t) for t in ts])
-
-    phase = sum(_gauss_panels(v_beam, t0, t1) for t0, t1 in spans)
-
-    e_in = float(c_in.Z @ c_in.Z)
-    action = 0.0
+    phase = action = 0.0
     for seg in traj.segments:
         if seg.kind == "free":
-            zz = float(seg.anchor.zeta @ seg.anchor.zeta)
-            action += zz * (seg.t_hi - seg.t_lo)
+            action += float(seg.anchor.zeta @ seg.anchor.zeta) * (seg.t_hi - seg.t_lo)
         else:
-            def kinetic(ts):
-                out = np.empty(len(ts))
-                for i, t in enumerate(ts):
-                    p = traj.dense(t)
-                    out[i] = float(p.zeta @ spec.inverse_metric(p.z, t) @ p.zeta)
-                return out
+            v, kinetic = _gauss_panels(beam, seg.t_lo, seg.t_hi)
+            phase += v
+            action += kinetic.real
+    action -= float(c_in.Z @ c_in.Z) * (t_out - t_in)
 
-            action += _gauss_panels(kinetic, seg.t_lo, seg.t_hi)
-    action -= e_in * (t_out - t_in)
-
+    spans = traj.numeric_spans()
     transit = (min(s[0] for s in spans), max(s[1] for s in spans)) if spans else None
     return ScatterResult(c_in=c_in, c_out=c_out,
                          potential_phase=float(phase.real),

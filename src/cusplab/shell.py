@@ -9,6 +9,7 @@ the CLI only parses arguments and forwards them.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -43,6 +44,7 @@ from .symbols import MetricBump, PerturbationSpec, PotentialTerm
 
 SCHEMA_VERSION = 1
 OUT_ENV_VAR = "CUSPLAB_OUT"
+SOLVER_KEYS = ("dt", "margin", "measure_compensated", "flow_tol")
 
 
 @dataclass(frozen=True)
@@ -59,21 +61,30 @@ class Scenario:
     jobs: tuple
 
 
-def _require(mapping, key, kind, where):
-    if key not in mapping:
-        raise ParseError(f"missing required entry '{key}'", field=f"{where}.{key}")
-    value = mapping[key]
+def _real(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and bool(np.isfinite(value)))
+
+
+def _is(value, kind):
+    """JSON type test: a float is any finite real number; an int or a bool
+    must be exactly that."""
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ParseError(f"entry '{key}' must be a number", field=f"{where}.{key}")
-        return float(value)
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ParseError(f"entry '{key}' must be an integer", field=f"{where}.{key}")
-        return value
-    if not isinstance(value, kind):
-        raise ParseError(f"entry '{key}' has the wrong type", field=f"{where}.{key}")
-    return value
+        return _real(value)
+    return type(value) is kind if kind in (int, bool) else isinstance(value, kind)
+
+
+def _require(mapping, key, kind, where, default=None):
+    """``mapping[key]``, which must have JSON type ``kind``; ``default`` when
+    the entry is absent, if a default is given."""
+    if key not in mapping:
+        if default is not None:
+            return default
+        raise ParseError(f"missing required entry '{key}'", field=f"{where}.{key}")
+    if not _is(mapping[key], kind):
+        raise ParseError(f"entry '{key}' must be of type {kind.__name__}",
+                         field=f"{where}.{key}")
+    return float(mapping[key]) if kind is float else mapping[key]
 
 
 @contextmanager
@@ -123,8 +134,7 @@ def _parse_perturbation(doc, n):
 
 
 def _positive_number(value):
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0.0 < value < np.inf)
+    return _real(value) and value > 0
 
 
 def _job_hs(params, where):
@@ -153,21 +163,18 @@ def _validate_scenario(sc: Scenario):
     horizon = window_span(sc.spec, sc.solver)
     for job, hs in zip(sc.jobs, hs_of_job):
         params = job["params"]
-        if not hs or "Z0" not in params:
+        offsets = [np.max(np.abs(params[key]))
+                   for key in ("frak0", "frak_far", "frak_through")
+                   if params.get(key) is not None]
+        if not hs or "Z0" not in params or not offsets:
             continue
-        Z0 = np.max(np.abs(np.atleast_1d(params["Z0"])))
-        fraks = [params.get(key) for key in ("frak0", "frak_far", "frak_through")]
-        for frak in fraks:
-            if frak is None:
-                continue
-            off = np.max(np.abs(np.atleast_1d(frak)))
-            for h in hs:
-                extent = 2.0 * horizon * Z0 + off + 6.0 * verify._packet_width(h, horizon)
-                if extent > 0.95 * sc.grid.L:
-                    raise ValidationError(
-                        f"job '{job['check']}' needs extent {extent:.3g} "
-                        f"> 95% of the box (L = {sc.grid.L})",
-                        invariant="grid-accommodates-jobs")
+        # the widest packet, at the largest offset, over the whole horizon
+        extent = (2.0 * horizon * np.max(np.abs(params["Z0"])) + max(offsets)
+                  + 6.0 * max(verify._packet_width(h, horizon) for h in hs))
+        if extent > 0.95 * sc.grid.L:
+            raise ValidationError(f"job '{job['check']}' needs extent {extent:.3g} "
+                                  f"> 95% of the box (L = {sc.grid.L})",
+                                  invariant="grid-accommodates-jobs")
 
 
 def load_scenario(path) -> Scenario:
@@ -200,24 +207,29 @@ def load_scenario(path) -> Scenario:
                         L=_require(gdoc, "half_width", float, "grid"))
 
     sdoc = doc.get("solver", {})
+    for key in sdoc:
+        if key not in SOLVER_KEYS:
+            raise ParseError(f"unknown entry '{key}' (allowed: {', '.join(SOLVER_KEYS)})",
+                             field=f"solver.{key}")
     with _fields("solver", {"dt": "dt", "margin": "margin"}):
         solver = SolverParams(
-            dt=float(sdoc.get("dt", 1e-3)),
-            margin=float(sdoc.get("margin", 0.25)),
-            measure_compensated=bool(sdoc.get("measure_compensated", True)),
-        )
-        flow_tol = float(sdoc.get("flow_tol", 1e-11))
-    seed = int(doc.get("seed", 0))
+            dt=_require(sdoc, "dt", float, "solver", 1e-3),
+            margin=_require(sdoc, "margin", float, "solver", 0.25),
+            measure_compensated=_require(sdoc, "measure_compensated", bool, "solver", True))
+    flow_tol = _require(sdoc, "flow_tol", float, "solver", 1e-11)
+    seed = _require(doc, "seed", int, "scenario", 0)
 
     jobs = []
     for i, job in enumerate(doc.get("jobs", [])):
         where = f"jobs[{i}]"
         check = _require(job, "check", str, where)
-        if check not in JOB_DISPATCH:
+        if check not in JOB_CHECKS:
             raise ParseError(f"unknown check '{check}'", field=f"{where}.check")
+        params = _require(job, "params", dict, where, {})
+        _validate_job(check, params, n, f"{where}.params")
         jobs.append({"check": check,
-                     "params": dict(job.get("params", {})),
-                     "control": bool(job.get("control", False))})
+                     "params": dict(params),
+                     "control": _require(job, "control", bool, where, False)})
 
     sc = Scenario(name=name, n=n, spec=spec, grid=grid, solver=solver,
                   flow_tol=flow_tol, seed=seed, jobs=tuple(jobs))
@@ -254,135 +266,83 @@ def _needs_grid(sc):
     return sc.grid
 
 
-def _job_free_identity(sc, params, control, tol_scale, out_dir):
-    return verify.check_free_identity(
-        _needs_grid(sc), sc.solver,
-        tol=params.get("tol", 1e-6) * tol_scale,
-        span=params.get("span", 1.0),
-        mutate_sign=control,
-        out_dir=out_dir)
-
-
-def _job_unitarity(sc, params, control, tol_scale, out_dir):
-    return verify.check_unitarity(
-        sc.spec, _needs_grid(sc), sc.solver,
-        tol=params.get("tol", 1e-6) * tol_scale,
-        control=control,
-        out_dir=out_dir)
-
-
-def _job_pairing(sc, params, control, tol_scale, out_dir):
-    return verify.check_pairing(
-        sc.spec, _needs_grid(sc), sc.solver,
-        tol=params.get("tol", 5e-4) * tol_scale,
-        refine=params.get("refine", False),
-        refine_factor=params.get("refine_factor", 3.0),
-        control=control,
-        out_dir=out_dir)
-
-
-def _job_symplectic(sc, params, control, tol_scale, out_dir):
-    return verify.check_symplectic(
-        sc.spec,
-        samples=params.get("samples", 20),
-        h_fd=params.get("h_fd", 1e-4),
-        tol_flow=sc.flow_tol,
-        tol=params.get("tol", 1e-6) * tol_scale,
-        seed=params.get("seed", sc.seed),
-        beam_scale=params.get("beam_scale", 1.0),
-        mutate=control,
-        out_dir=out_dir)
-
-
-def _job_radial(sc, params, control, tol_scale, out_dir):
-    c_in = CuspData(Z=params.get("Z0", [1.0] * sc.n),
-                    frak=params.get("frak0", [0.3] * sc.n))
-    return verify.check_radial(
-        sc.spec, c_in,
-        horizon=params.get("horizon", 1e6),
-        tol_flow=sc.flow_tol,
-        exponent_tol=params.get("exponent_tol", 0.01) * tol_scale,
-        limit_tol=params.get("limit_tol", 1e-8) * tol_scale,
-        mutate=control,
-        out_dir=out_dir)
-
-
-def _job_egorov(sc, params, control, tol_scale, out_dir):
-    return verify.check_egorov(
-        sc.spec, _needs_grid(sc),
-        params.get("Z0", [1.5] * sc.n), params.get("frak0", [0.0] * sc.n),
-        params.get("h_list", [0.1, 0.03, 0.01]),
-        sc.solver,
-        rel_cap=params.get("rel_cap", 0.05) * tol_scale,
-        tol_flow=min(sc.flow_tol, 1e-12),
-        mutate_target=control,
-        out_dir=out_dir)
-
-
-def _job_eikonal(sc, params, control, tol_scale, out_dir):
-    return verify.check_eikonal_phase(
-        sc.spec, _needs_grid(sc),
-        params.get("Z0", [1.0] * sc.n), params.get("frak0", [0.0] * sc.n),
-        h=params.get("h", 0.25),
-        params=sc.solver,
-        rel_tol=params.get("rel_tol", 0.05) * tol_scale,
-        abs_tol=params.get("abs_tol", 0.01) * tol_scale,
-        linearity_tol=params.get("linearity_tol", 0.1) * tol_scale,
-        mutate_sign=control,
-        out_dir=out_dir)
-
-
-def _job_highfreq(sc, params, control, tol_scale, out_dir):
-    return verify.check_highfreq_identity(
-        sc.spec, _needs_grid(sc),
-        params.get("Z0", [1.0] * sc.n),
-        params["frak_far"],
-        frak_through=params.get("frak_through"),
-        h=params.get("h", 0.5),
-        params=sc.solver,
-        tol=params.get("tol", 1e-3) * tol_scale,
-        control_floor=params.get("control_floor", 1e-1),
-        out_dir=out_dir)
-
-
-def _job_noncompact(sc, params, control, tol_scale, out_dir):
-    return verify.check_noncompactness(
-        sc.spec, _needs_grid(sc),
-        params.get("Z0", [1.5] * sc.n), params.get("frak0", [0.0] * sc.n),
-        h_list=params.get("h_list", [0.1, 0.05, 0.02, 0.01]),
-        params=sc.solver,
-        c_floor=params.get("c_floor"),
-        control=control,
-        out_dir=out_dir)
-
-
-JOB_DISPATCH = {
-    "free-identity": _job_free_identity,
-    "unitarity": _job_unitarity,
-    "pairing": _job_pairing,
-    "symplectic": _job_symplectic,
-    "radial": _job_radial,
-    "egorov": _job_egorov,
-    "eikonal": _job_eikonal,
-    "highfreq": _job_highfreq,
-    "noncompact": _job_noncompact,
+# job name -> name of its verify check.  The check's keyword arguments are
+# the job's parameters; it is looked up at call time, so a wrapper installed
+# on a verify function sees the call.
+JOB_CHECKS = {
+    "free-identity": "check_free_identity",
+    "unitarity": "check_unitarity",
+    "pairing": "check_pairing",
+    "symplectic": "check_symplectic",
+    "radial": "check_radial",
+    "egorov": "check_egorov",
+    "eikonal": "check_eikonal_phase",
+    "highfreq": "check_highfreq_identity",
+    "noncompact": "check_noncompactness",
 }
+# check arguments the scenario fills, not the job
+SCENARIO_ARGS = ("spec", "grid", "params", "tol_flow", "control", "out_dir")
+# tolerances multiplied by --tol-scale, given or defaulted
+TOL_ARGS = ("tol", "rel_cap", "exponent_tol", "limit_tol", "rel_tol", "abs_tol",
+            "linearity_tol")
+# beam vectors: lists of `dimension` finite numbers
+VECTOR_ARGS = ("Z0", "frak0", "frak_far", "frak_through")
 
 
-def _job_out_dir(out_root, scenario_name, check, index):
-    return os.path.join(out_root, scenario_name, f"{index:02d}_{check}")
+def _valid_arg(key, value, default, n):
+    """Beam vectors have n finite entries; a number, or an optional number
+    (default None), has its default's type."""
+    if value is None and default is None:
+        return True
+    if key in VECTOR_ARGS:
+        return isinstance(value, list) and len(value) == n and all(map(_real, value))
+    kind = float if default is None else type(default)
+    return _is(value, kind) if kind in (float, int, bool) else True
+
+
+def _validate_job(check, params, n, where):
+    """A job's params must be keyword arguments of its check that the
+    scenario does not fill, typed like their defaults, and must include every
+    argument the check requires."""
+    args = inspect.signature(getattr(verify, JOB_CHECKS[check])).parameters
+    for key, value in params.items():
+        if key not in args or key in SCENARIO_ARGS:
+            allowed = [a for a in args if a not in SCENARIO_ARGS]
+            raise ParseError(f"check '{check}' takes no parameter '{key}' "
+                             f"(it takes {', '.join(allowed)})", field=f"{where}.{key}")
+        if not _valid_arg(key, value, args[key].default, n):
+            raise ParseError(f"entry '{key}' has the wrong type or length",
+                             field=f"{where}.{key}")
+    for key, arg in args.items():
+        if arg.default is arg.empty and key not in SCENARIO_ARGS and key not in params:
+            raise ParseError(f"missing required entry '{key}'", field=f"{where}.{key}")
+
+
+def _run_check(sc, job, tol_scale, out_dir):
+    """Call the job's check with the scenario's and the job's arguments."""
+    check = getattr(verify, JOB_CHECKS[job["check"]])
+    args = inspect.signature(check).parameters
+    given = {"spec": sc.spec, "params": sc.solver, "tol_flow": sc.flow_tol,
+             "control": job.get("control", False), "out_dir": out_dir,
+             "seed": sc.seed, **job.get("params", {})}
+    kwargs = {key: value for key, value in given.items() if key in args}
+    if "grid" in args:
+        kwargs["grid"] = _needs_grid(sc)
+    for key in TOL_ARGS:
+        if key in args:
+            kwargs[key] = kwargs.get(key, args[key].default) * tol_scale
+    return check(**kwargs)
 
 
 def run_job(sc: Scenario, job: dict, out_root: str, index: int,
             tol_scale: float = 1.0):
     """Execute one job; errors are captured in the report.  A job marked
     ``"control"`` runs its check's negative control, where the check has one."""
-    out_dir = _job_out_dir(out_root, sc.name, job["check"], index)
+    out_dir = os.path.join(out_root, sc.name, f"{index:02d}_{job['check']}")
     os.makedirs(out_dir, exist_ok=True)
     control = job.get("control", False)
     try:
-        report = JOB_DISPATCH[job["check"]](sc, job.get("params", {}), control,
-                                            tol_scale, out_dir)
+        report = _run_check(sc, job, tol_scale, out_dir)
     except CuspLabError as exc:
         report = verify.CheckReport(
             name=job["check"],

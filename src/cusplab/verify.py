@@ -23,6 +23,9 @@ from .errors import ValidationError
 from .phasespace import CuspData, bichar_from_cusp
 from .symbols import PerturbationSpec, flat_spec
 
+# egorov: classical scatter and radial limit must agree to this
+CROSSCHECK_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Measurement:
@@ -77,15 +80,16 @@ class CheckReport:
 
 
 def _write_csv(out_dir, name, header, rows):
+    """Write one CSV series; returns the report's artifact list."""
     if out_dir is None:
-        return None
+        return []
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return path
+    return [path]
 
 
 def _default_inputs(grid):
@@ -98,22 +102,21 @@ def _default_inputs(grid):
 # ---------------------------------------------------------------------------
 
 
-def check_free_identity(grid: _q.Grid, params: _q.SolverParams | None = None,
+def check_free_identity(grid: _q.Grid, params: _q.SolverParams = _q.SolverParams(),
                         tol: float = 1e-6, span: float = 1.0,
-                        mutate_sign: bool = False, out_dir=None) -> CheckReport:
+                        control: bool = False, out_dir=None) -> CheckReport:
     """The flat operator's map must return its input.
 
     Runs the full pipeline (data -> field before the window -> propagate ->
-    data) over [-span, span].  ``mutate_sign`` flips the extraction
-    multiplier (negative control: must fail)."""
-    params = params or _q.SolverParams()
+    data) over [-span, span].  ``control`` flips the extraction multiplier
+    (negative control: must fail)."""
     spec = flat_spec(grid.n)
     measured = []
     rows = []
     for k, f in enumerate(_default_inputs(grid)):
         u = _q.poisson_free(f, -span)
         u = _q.propagate_window(spec, u, span, params)
-        if mutate_sign:
+        if control:
             bad = np.exp(-1j * u.time * grid.dual_norm_sq()) * _q.forward_ft(grid, u.values)
             f_out = _q.SpectralData(grid=grid, values=bad)
         else:
@@ -121,28 +124,23 @@ def check_free_identity(grid: _q.Grid, params: _q.SolverParams | None = None,
         err = np.linalg.norm(f_out.values - f.values) / np.linalg.norm(f.values)
         measured.append(Measurement(f"identity-defect-{k}", float(err), tol))
         rows.append((k, err))
-    art = _write_csv(out_dir, "identity_defects.csv", ["input", "rel_error"], rows)
-    rep = CheckReport(name="free-identity", measured=measured, control=mutate_sign)
-    if art:
-        rep.artifacts.append(art)
-    return rep
+    return CheckReport(name="free-identity", measured=measured, control=control,
+                       artifacts=_write_csv(out_dir, "identity_defects.csv",
+                                            ["input", "rel_error"], rows))
 
 
 def check_unitarity(spec: PerturbationSpec, grid: _q.Grid,
-                    params: _q.SolverParams | None = None,
+                    params: _q.SolverParams = _q.SolverParams(),
                     tol: float = 1e-6, control: bool = False,
                     out_dir=None) -> CheckReport:
     """Norm preservation of the map for flat metric and real potential.
 
     With ``control`` the potential is made dissipative (Im V < 0), losing
     mass; the resulting report must fail."""
-    params = params or _q.SolverParams()
     if control:
-        spec = PerturbationSpec(
-            n=spec.n, bumps=spec.bumps,
-            potential_terms=tuple(
-                replace(p, amplitude=p.amplitude.real - 0.3j * abs(p.amplitude))
-                for p in spec.potential_terms))
+        spec = replace(spec, potential_terms=tuple(
+            replace(p, amplitude=p.amplitude.real - 0.3j * abs(p.amplitude))
+            for p in spec.potential_terms))
     else:
         if not spec.metric_is_flat:
             raise ValidationError("unitarity check requires a flat metric",
@@ -157,15 +155,13 @@ def check_unitarity(spec: PerturbationSpec, grid: _q.Grid,
         defect = abs(fp.norm() - f.norm()) / f.norm()
         measured.append(Measurement(f"norm-defect-{k}", float(defect), tol))
         rows.append((k, defect))
-    art = _write_csv(out_dir, "norm_defects.csv", ["input", "rel_defect"], rows)
-    rep = CheckReport(name="unitarity", measured=measured, control=control)
-    if art:
-        rep.artifacts.append(art)
-    return rep
+    return CheckReport(name="unitarity", measured=measured, control=control,
+                       artifacts=_write_csv(out_dir, "norm_defects.csv",
+                                            ["input", "rel_defect"], rows))
 
 
 def check_pairing(spec: PerturbationSpec, grid: _q.Grid,
-                  params: _q.SolverParams | None = None,
+                  params: _q.SolverParams = _q.SolverParams(),
                   tol: float = 5e-4, refine: bool = False,
                   refine_factor: float = 3.0, control: bool = False,
                   out_dir=None) -> CheckReport:
@@ -174,7 +170,6 @@ def check_pairing(spec: PerturbationSpec, grid: _q.Grid,
     With ``refine`` the run is repeated at (dt/2, 2N) and the residual must
     shrink by at least ``refine_factor``.  The ``control`` variant replaces
     the adjoint route by the plain map (a broken adjoint) and must fail."""
-    params = params or _q.SolverParams()
 
     def residual(g_, p_):
         f = _q.coherent_data(g_, [1.0] * g_.n, [0.3] * g_.n, 0.2)
@@ -197,20 +192,18 @@ def check_pairing(spec: PerturbationSpec, grid: _q.Grid,
         # refinement must shrink the residual by >= refine_factor
         measured.append(Measurement("refinement-shrink",
                                     float(refine_factor - r0 / max(r1, 1e-300)), 0.0))
-    art = _write_csv(out_dir, "pairing_residuals.csv", ["N", "dt", "residual"], rows)
-    rep = CheckReport(name="pairing", measured=measured, control=control)
-    if art:
-        rep.artifacts.append(art)
-    return rep
+    return CheckReport(name="pairing", measured=measured, control=control,
+                       artifacts=_write_csv(out_dir, "pairing_residuals.csv",
+                                            ["N", "dt", "residual"], rows))
 
 
 def check_symplectic(spec: PerturbationSpec, samples: int = 20,
                      h_fd: float = 1e-4, tol_flow: float = 1e-11,
                      tol: float = 1e-6, seed: int = 2, beam_scale: float = 1.0,
-                     mutate: bool = False, out_dir=None) -> CheckReport:
+                     control: bool = False, out_dir=None) -> CheckReport:
     """J^T Omega J = Omega for the scattering-map Jacobian over random beams.
 
-    ``mutate`` scales one Jacobian row (a non-symplectic matrix), verifying
+    ``control`` scales one Jacobian row (a non-symplectic matrix), verifying
     the defect metric is discriminating; that control must fail."""
     rng = np.random.default_rng(seed)
     rows = []
@@ -220,33 +213,32 @@ def check_symplectic(spec: PerturbationSpec, samples: int = 20,
         frak = rng.uniform(-beam_scale, beam_scale, spec.n)
         jac = _flow.scatter_jacobian(spec, CuspData(Z=Z, frak=frak),
                                      h_fd=h_fd, tol=tol_flow)
-        if mutate:
+        if control:
             jac = jac.copy()
             jac[0, :] *= 1.05
         defect = _flow.symplectic_defect(jac)
         worst = max(worst, defect)
         rows.append((k, defect))
-    art = _write_csv(out_dir, "symplectic_defects.csv", ["beam", "defect"], rows)
-    rep = CheckReport(name="symplectic", control=mutate,
-                      measured=[Measurement("max-symplectic-defect", worst, tol)])
-    if art:
-        rep.artifacts.append(art)
-    return rep
+    return CheckReport(name="symplectic", control=control,
+                       measured=[Measurement("max-symplectic-defect", worst, tol)],
+                       artifacts=_write_csv(out_dir, "symplectic_defects.csv",
+                                            ["beam", "defect"], rows))
 
 
-def check_radial(spec: PerturbationSpec, c_in: CuspData, horizon: float = 1e6,
+def check_radial(spec: PerturbationSpec, Z0, frak0, horizon: float = 1e6,
                  tol_flow: float = 1e-11, exponent_tol: float = 0.01,
-                 limit_tol: float = 1e-8, mutate: bool = False,
+                 limit_tol: float = 1e-8, control: bool = False,
                  out_dir=None) -> CheckReport:
     """Radial-set convergence: |z/(2t) - zeta| decays like 1/|t| and its
     limits reproduce the scattering map computed independently.
 
-    ``mutate`` offsets the scattering target (broken cross-check; must fail)."""
+    ``control`` offsets the scattering target (broken cross-check; must fail)."""
+    c_in = CuspData(Z=Z0, frak=frak0)
     seed_t = (spec.time_window() or (-1.0, 1.0))[0] - 2.0
     p0 = bichar_from_cusp(c_in, seed_t)
     report = _flow.radial_convergence(spec, p0, horizon=horizon, tol=tol_flow)
     scatter = _flow.classical_scatter(spec, c_in, tol=tol_flow)
-    target = scatter.c_out.pair() + (0.1 if mutate else 0.0)
+    target = scatter.c_out.pair() + (0.1 if control else 0.0)
     fwd_err = float(np.max(np.abs(report.limit_forward.pair() - target)))
     bwd_err = float(np.max(np.abs(report.limit_backward.pair() - c_in.pair())))
     measured = [
@@ -257,18 +249,16 @@ def check_radial(spec: PerturbationSpec, c_in: CuspData, horizon: float = 1e6,
     ]
     rows = [(t, w, +1) for t, w in report.samples_forward]
     rows += [(t, w, -1) for t, w in report.samples_backward]
-    art = _write_csv(out_dir, "radial_decay.csv", ["t", "abs_w", "direction"], rows)
-    rep = CheckReport(name="radial", measured=measured, control=mutate)
-    if art:
-        rep.artifacts.append(art)
-    return rep
+    return CheckReport(name="radial", measured=measured, control=control,
+                       artifacts=_write_csv(out_dir, "radial_decay.csv",
+                                            ["t", "abs_w", "direction"], rows))
 
 
 def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
-                 params: _q.SolverParams | None = None,
+                 params: _q.SolverParams = _q.SolverParams(),
                  rel_cap: float = 0.05, abs_cap: float = 1e-6,
-                 tol_flow: float = 1e-12, crosscheck_tol: float = 1e-8,
-                 mutate_target: bool = False, out_dir=None) -> CheckReport:
+                 tol_flow: float = 1e-12, control: bool = False,
+                 out_dir=None) -> CheckReport:
     """Wavepacket moments of the quantum map track the classical map.
 
     e(h) must decrease along the (decreasing) h list and the final error
@@ -276,8 +266,10 @@ def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
     classical map leaves the beam fixed (flat or pure-potential control
     runs), the absolute errors are capped by ``abs_cap`` instead and no
     trend is required.  The classical prediction is cross-validated against
-    the radial-convergence diagnostic (an independent code path)."""
-    params = params or _q.SolverParams()
+    the radial-convergence diagnostic (an independent code path), with the
+    flow tolerance capped at 1e-12.  ``control`` reflects the classical
+    target (a broken prediction: must fail)."""
+    tol_flow = min(tol_flow, 1e-12)
     h_list = list(h_list)
     if len(h_list) > 1 and not all(h_list[i] > h_list[i + 1] for i in range(len(h_list) - 1)):
         raise ValidationError("h_list must be strictly decreasing",
@@ -286,8 +278,7 @@ def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
     scatter = _flow.classical_scatter(spec, c_in, tol=tol_flow)
     target = scatter.c_out.pair()
     displacement = scatter.displacement
-    if mutate_target:
-        # reflected classical image: the broken prediction must fail
+    if control:
         target = 2.0 * c_in.pair() - target
 
     window = spec.time_window() or (-1.0, 1.0)
@@ -304,7 +295,7 @@ def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
         e = float(np.linalg.norm(np.concatenate([zbar, frakbar]) - target))
         errors.append(e)
         rows.append((h, e, e / displacement if displacement else np.nan))
-    measured = [Measurement("classical-crosscheck", cross, crosscheck_tol)]
+    measured = [Measurement("classical-crosscheck", cross, CROSSCHECK_TOL)]
     if displacement > 0.0:
         trend = max((errors[i + 1] - errors[i] for i in range(len(errors) - 1)),
                     default=-1.0)
@@ -314,26 +305,23 @@ def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
     else:
         measured.append(Measurement("max-absolute-moment-drift",
                                     float(max(errors)), abs_cap))
-    art = _write_csv(out_dir, "egorov_errors.csv", ["h", "error", "relative"], rows)
-    rep = CheckReport(name="egorov", measured=measured, control=mutate_target,
-                      note=f"classical displacement {displacement:.6g}")
-    if art:
-        rep.artifacts.append(art)
-    return rep
+    return CheckReport(name="egorov", measured=measured, control=control,
+                       note=f"classical displacement {displacement:.6g}",
+                       artifacts=_write_csv(out_dir, "egorov_errors.csv",
+                                            ["h", "error", "relative"], rows))
 
 
 def check_eikonal_phase(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
-                        h: float = 0.25, params: _q.SolverParams | None = None,
+                        h: float = 0.25, params: _q.SolverParams = _q.SolverParams(),
                         rel_tol: float = 0.05, abs_tol: float = 0.01,
-                        linearity_tol: float = 0.1, mutate_sign: bool = False,
+                        linearity_tol: float = 0.1, control: bool = False,
                         out_dir=None) -> CheckReport:
     """arg<Sf, f> equals minus the potential integral along the straight beam.
 
     The classical side is computed by adaptive quadrature; the perturbation
     must have a flat metric and a weak real potential.  Doubling the
     amplitude must double the measured phase within ``linearity_tol``.
-    ``mutate_sign`` compares against the sign-flipped integral (must fail)."""
-    params = params or _q.SolverParams()
+    ``control`` compares against the sign-flipped integral (must fail)."""
     if not spec.metric_is_flat:
         raise ValidationError("eikonal check requires a flat metric",
                               invariant="eikonal-flat-metric")
@@ -361,31 +349,24 @@ def check_eikonal_phase(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
         return float(np.angle(fp.inner(f)))
 
     phi_cl = classical_phase(spec)
-    if mutate_sign:
+    if control:
         phi_cl = -phi_cl
     phi_num = numeric_phase(spec)
     measured = [Measurement("phase-mismatch", abs(phi_num - phi_cl),
                             rel_tol * abs(phi_cl) + abs_tol)]
     phi_num2 = None
     if abs(phi_num) > 1e-6:      # linearity ratio is meaningful
-        doubled = PerturbationSpec(
-            n=spec.n,
-            bumps=spec.bumps,
-            potential_terms=tuple(replace(p, amplitude=2.0 * p.amplitude)
-                                  for p in spec.potential_terms),
-        )
-        phi_num2 = numeric_phase(doubled)
+        phi_num2 = numeric_phase(replace(spec, potential_terms=tuple(
+            replace(p, amplitude=2.0 * p.amplitude) for p in spec.potential_terms)))
         lin = abs(phi_num2 / (2.0 * phi_num) - 1.0)
         measured.append(Measurement("amplitude-linearity", float(lin), linearity_tol))
-    art = _write_csv(out_dir, "eikonal_phase.csv",
-                     ["phi_numeric", "phi_classical", "phi_doubled"],
-                     [(phi_num, phi_cl,
-                       phi_num2 if phi_num2 is not None else float("nan"))])
-    rep = CheckReport(name="eikonal", measured=measured, control=mutate_sign,
-                      note=f"phi_num={phi_num:.6g} phi_cl={phi_cl:.6g}")
-    if art:
-        rep.artifacts.append(art)
-    return rep
+    return CheckReport(name="eikonal", measured=measured, control=control,
+                       note=f"phi_num={phi_num:.6g} phi_cl={phi_cl:.6g}",
+                       artifacts=_write_csv(
+                           out_dir, "eikonal_phase.csv",
+                           ["phi_numeric", "phi_classical", "phi_doubled"],
+                           [(phi_num, phi_cl,
+                             phi_num2 if phi_num2 is not None else float("nan"))]))
 
 
 def _packet_width(h, t):
@@ -395,12 +376,11 @@ def _packet_width(h, t):
 
 def check_highfreq_identity(spec: PerturbationSpec, grid: _q.Grid, Z0,
                             frak_far, frak_through=None, h: float = 0.5,
-                            params: _q.SolverParams | None = None,
+                            params: _q.SolverParams = _q.SolverParams(),
                             tol: float = 1e-3, control_floor: float = 1e-1,
                             out_dir=None) -> CheckReport:
     """Beams offset far (in the 1-cusp frequency) from the perturbation are
     scattered trivially; a beam through it is not (positive control)."""
-    params = params or _q.SolverParams()
     Z0 = np.atleast_1d(np.asarray(Z0, dtype=float))
     frak_far = np.atleast_1d(np.asarray(frak_far, dtype=float))
     window = spec.time_window()
@@ -433,11 +413,9 @@ def check_highfreq_identity(spec: PerturbationSpec, grid: _q.Grid, Z0,
         measured.append(Measurement("control-discriminates",
                                     float(control_floor - through), 0.0))
         rows.append((float(np.linalg.norm(np.atleast_1d(frak_through))), through))
-    art = _write_csv(out_dir, "highfreq_defects.csv", ["frak_offset", "defect"], rows)
-    rep = CheckReport(name="highfreq", measured=measured)
-    if art:
-        rep.artifacts.append(art)
-    return rep
+    return CheckReport(name="highfreq", measured=measured,
+                       artifacts=_write_csv(out_dir, "highfreq_defects.csv",
+                                            ["frak_offset", "defect"], rows))
 
 
 def _noncompact_test_functions(grid):
@@ -454,7 +432,7 @@ def _noncompact_test_functions(grid):
 
 def check_noncompactness(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
                          h_list=(0.1, 0.05, 0.02, 0.01),
-                         params: _q.SolverParams | None = None,
+                         params: _q.SolverParams = _q.SolverParams(),
                          c_floor: float | None = None,
                          control: bool = False, out_dir=None) -> CheckReport:
     """A weakly-null coherent family keeps ||(S - Id) f_k|| bounded below.
@@ -464,7 +442,6 @@ def check_noncompactness(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
     degenerates to zero) pass an explicit positive floor the family must
     fail to clear.  Weak nullity is proxied by |<f_k, phi>| decreasing for
     three fixed test functions."""
-    params = params or _q.SolverParams()
     Z0 = np.atleast_1d(np.asarray(Z0, dtype=float))
     frak0 = np.atleast_1d(np.asarray(frak0, dtype=float))
     h_list = list(h_list)
@@ -491,10 +468,8 @@ def check_noncompactness(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
         Measurement("difference-norm-floor", float(c_floor - min(norms)), 0.0),
         Measurement("difference-norm-ceiling", float(max(norms)), 2.0 + 1e-9),
     ]
-    art = _write_csv(out_dir, "noncompact_family.csv",
-                     ["h", "diff_norm", "overlap_1", "overlap_2", "overlap_3"], rows)
-    rep = CheckReport(name="noncompact", measured=measured, control=control,
-                      note=f"floor c = {c_floor:.6g}")
-    if art:
-        rep.artifacts.append(art)
-    return rep
+    return CheckReport(name="noncompact", measured=measured, control=control,
+                       note=f"floor c = {c_floor:.6g}",
+                       artifacts=_write_csv(out_dir, "noncompact_family.csv",
+                                            ["h", "diff_norm", "overlap_1", "overlap_2",
+                                             "overlap_3"], rows))

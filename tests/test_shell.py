@@ -117,13 +117,31 @@ _BAD_H_LIST = [{"check": "egorov", "params": {"Z0": [1.0], "frak0": [0.0],
                                               "h_list": [0.1, 0.0]}}]
 
 
+_BEAM = {"Z0": [1.0], "frak0": [0.0]}
+
+
 @pytest.mark.parametrize("overrides, field", [
     ({"grid": {"points": 1000, "half_width": 20.0}}, "grid.points"),
     ({"solver": {"dt": -1}}, "solver.dt"),
     ({"perturbation": _BAD_BUMP}, "perturbation.bumps[0]"),
     ({"jobs": _BAD_H}, "jobs[0].params.h"),
     ({"jobs": _BAD_H_LIST}, "jobs[0].params.h_list"),
-], ids=["points", "dt", "bump", "h", "h_list"])
+    ({"jobs": [{"check": "pairing", "params": {"tolx": 5}}]}, "jobs[0].params.tolx"),
+    ({"jobs": [{"check": "pairing", "params": {"out_dir": "x"}}]},
+     "jobs[0].params.out_dir"),
+    ({"jobs": [{"check": "highfreq", "params": {"Z0": [1.0], "h": 0.5}}]},
+     "jobs[0].params.frak_far"),
+    ({"jobs": [{"check": "pairing", "params": {"tol": "x"}}]}, "jobs[0].params.tol"),
+    ({"jobs": [{"check": "symplectic", "params": {"samples": 2.0}}]},
+     "jobs[0].params.samples"),
+    ({"jobs": [{"check": "eikonal", "params": {**_BEAM, "Z0": [1.0, 0.0]}}]},
+     "jobs[0].params.Z0"),
+    ({"solver": {"dt": 2e-3, "dtt": 1e-3}}, "solver.dtt"),
+    ({"solver": {"measure_compensated": "false"}}, "solver.measure_compensated"),
+    ({"jobs": [{"check": "pairing", "control": "false"}]}, "jobs[0].control"),
+], ids=["points", "dt", "bump", "h", "h_list", "unknown-key", "scenario-key",
+        "missing-frak_far", "tol-string", "samples-float", "Z0-length",
+        "unknown-solver-key", "compensated-string", "control-string"])
 def test_scenario_bad_values_are_parse_errors(tmp_path, capsys, overrides, field):
     path = _write(tmp_path, _minimal(**overrides))
     with pytest.raises(ParseError) as err:

@@ -6,7 +6,10 @@ it here makes a deleted or renamed binding fail this unit test, not only a
 benchmark run."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+from cusplab import shell
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -34,3 +37,24 @@ def test_tracer_installs_and_restores_every_binding():
         tracer.restore()
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, (owner, attr)
+
+
+def test_tracer_records_the_check_a_job_runs(tmp_path):
+    # the shell looks each check up on verify when the job runs, so the
+    # check's span nests inside the job's
+    doc = {"schema_version": 1, "name": "traced", "dimension": 1, "grid": None,
+           "perturbation": {"bumps": [{
+               "amplitude": 0.05, "center_z": [0.0], "center_t": 0.0,
+               "radius_z": 4.0, "radius_t": 1.0, "pattern": [[1.0]]}]},
+           "jobs": [{"check": "radial",
+                     "params": {"Z0": [1.0], "frak0": [0.3], "horizon": 1e3}}]}
+    path = tmp_path / "traced.scn"
+    path.write_text(json.dumps(doc))
+    tracer = _load_tracer().Tracer()
+    with tracer:
+        code, _ = shell.run(shell.load_scenario(str(path)), out_root=str(tmp_path))
+    assert code == 0
+    names = [span[1] for span in tracer.spans]
+    checks = [span for span in tracer.spans if span[1] == "verify.check_radial"]
+    assert len(checks) == 1
+    assert names[checks[0][0]] == "shell.run_job"

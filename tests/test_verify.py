@@ -54,7 +54,7 @@ def test_free_identity_passes_and_mutated_control_fails():
     report = check_free_identity(GRID, PARAMS, tol=1e-6, span=1.0)
     assert report.status == "pass"
     assert all(m.value < 1e-12 for m in report.measured)
-    control = check_free_identity(GRID, PARAMS, tol=1e-6, span=1.0, mutate_sign=True)
+    control = check_free_identity(GRID, PARAMS, tol=1e-6, span=1.0, control=True)
     assert control.status == "fail" and control.control and control.satisfied
 
 
@@ -91,9 +91,7 @@ def test_symplectic_check_on_2d_bump():
 
 
 def test_radial_check_bump():
-    from cusplab.phasespace import CuspData
-
-    report = check_radial(_metric_spec(0.05), CuspData(Z=[1.0], frak=[0.3]))
+    report = check_radial(_metric_spec(0.05), [1.0], [0.3])
     assert report.status == "pass"
 
 
@@ -191,20 +189,15 @@ def test_every_check_ships_a_failing_negative_control():
         amplitude=0.05, center_z=[0.0], center_t=0.0, radius_z=18.0,
         radius_t=1.0, pattern=np.eye(1)),))
     grid48 = Grid(n=1, N=2048, L=48.0)
-    from cusplab.phasespace import CuspData
-
     controls = [
-        check_free_identity(GRID, PARAMS, span=1.0, mutate_sign=True),
+        check_free_identity(GRID, PARAMS, span=1.0, control=True),
         check_unitarity(_potential_spec(0.5), GRID, PARAMS, control=True),
         check_pairing(_potential_spec(0.3 - 0.1j), GRID, PARAMS, control=True),
-        check_symplectic(_metric_spec(0.05), samples=1, seed=3, mutate=True),
-        check_radial(_metric_spec(0.05), CuspData(Z=[1.0], frak=[0.3]),
-                     mutate=True),
-        check_egorov(wide, grid48, [1.5], [0.0], [0.1], PARAMS,
-                     mutate_target=True),
+        check_symplectic(_metric_spec(0.05), samples=1, seed=3, control=True),
+        check_radial(_metric_spec(0.05), [1.0], [0.3], control=True),
+        check_egorov(wide, grid48, [1.5], [0.0], [0.1], PARAMS, control=True),
         check_eikonal_phase(_potential_spec(0.05, radius_z=8.0), GRID,
-                            [1.0], [0.0], h=0.25, params=PARAMS,
-                            mutate_sign=True),
+                            [1.0], [0.0], h=0.25, params=PARAMS, control=True),
         check_noncompactness(flat_spec(1), GRID, [1.0], [0.0],
                              h_list=[0.1, 0.05], params=PARAMS,
                              c_floor=0.05, control=True),
