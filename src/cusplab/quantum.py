@@ -10,31 +10,21 @@ f(Z) = e^{+i t |Z|^2} FT(u)(Z) at any time t on the free side, and the free
 solution with data f is u(., t) = invFT[e^{-i t |Z|^2} f].
 
 The propagator splits time into perturbation-free gaps, handled by the exact
-spectral multiplier, and active windows, handled by Crank-Nicolson (n = 1,
-cyclic tridiagonal solves) or Strang splitting (n = 2, best effort).  One
-walk serves the scattering map S and its adjoint S*: the direction of time
-selects the scheme, the forward one when time increases and the plain
+spectral multiplier, and active intervals, handled by Strang splitting in
+any dimension (Strang, SIAM J. Numer. Anal. 5, 1968): each step applies the
+exact free multiplier for half the step, one Crank-Nicolson step of the
+remainder R = H - K_0 at the step midpoint, and the free half-step again.
+H is the finite-difference spatial operator and K_0 its free stencil.  The
+fields of ``symbols`` are bit-exactly flat outside the terms' declared
+supports, so R vanishes off the perturbation footprint, the support points
+and their stencil neighbours, and the remainder step is assembled and
+solved there only: a cyclic tridiagonal solve in n = 1, a sparse LU in
+n = 2.  A beam that never meets the perturbation sees the exact multiplier
+alone.
+
+One walk serves the scattering map S and its adjoint S*: the direction of
+time selects the scheme, the forward one when time increases and the plain
 adjoint one, with the conjugate potential, when it decreases.
-
-Each Crank-Nicolson step in n = 1 costs one single-column banded solve plus
-work on the perturbation footprint:
-
-* The cyclic system is solved by Sherman-Morrison, which needs a second
-  column q = B^{-1} u besides the solution for the right-hand side.  u is
-  nonzero only at the box corners, and q decays away from them into the
-  subnormal range and then to exact zeros, so changes of B on a footprint
-  away from the corners leave q a solution.  One march therefore solves q
-  once and reuses it while an exact guard holds: the corner data are
-  bitwise equal, and the backward error of the reuse, summed over the
-  matrix columns that changed, is at most REUSE_TOLERANCE * eps * |gamma|.
-  Otherwise q is solved afresh with the step.  Subnormal parts of q are
-  flushed to zero, because arithmetic on them runs far slower than on
-  normal numbers.
-* The fields of ``symbols`` are bit-exactly flat outside the terms'
-  declared supports, so the bands equal the free stencil there.  They are
-  built once per march, and each step evaluates the metric, potential and
-  measure fields only at the points and faces inside some support and
-  rebuilds only the band rows that read them.
 """
 
 from __future__ import annotations
@@ -58,7 +48,6 @@ from .symbols import PerturbationSpec
 ACTIVE_MARGIN = 1e-9   # relative inflation of term time-windows
 LEAK_THRESHOLD = 1e-6
 SHELL_FRACTION = 0.05
-REUSE_TOLERANCE = 1e-3   # Sherman-Morrison column reuse, in units of eps |gamma|
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +286,6 @@ class SolverParams:
     dt: float = 1e-3
     margin: float = 0.25
     measure_compensated: bool = True
-    leak_threshold: float = LEAK_THRESHOLD
-    pert_substeps: int = 4     # n = 2 remainder substeps per Strang step
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -327,11 +314,10 @@ def _active_intervals(spec: PerturbationSpec, t_from: float, t_to: float):
 
 
 # ---------------------------------------------------------------------------
-# cyclic tridiagonal Crank-Nicolson (n = 1)
+# the remainder on the perturbation footprint
 
 
-def solve_cyclic_tridiagonal(lower, diag, upper, corner_ul, corner_lr, rhs,
-                             column=None):
+def solve_cyclic_tridiagonal(lower, diag, upper, corner_ul, corner_lr, rhs):
     """Solve a cyclic tridiagonal system by Sherman-Morrison.
 
     ``lower[j]`` couples row j to j-1, ``upper[j]`` couples row j to j+1,
@@ -340,12 +326,8 @@ def solve_cyclic_tridiagonal(lower, diag, upper, corner_ul, corner_lr, rhs,
     With gamma = -diag[0], the cyclic matrix is B + u v^T, where B is
     tridiagonal, u = gamma e_0 + corner_lr e_{N-1} and
     v = e_0 + (corner_ul / gamma) e_{N-1} (Numerical Recipes, section 2.7).
-    The solution is x = y - (v.y / (1 + v.q)) q with B y = rhs and B q = u.
-
-    ``column`` is an optional :class:`ShermanMorrisonColumn`, shared by the
-    steps of one Crank-Nicolson march.  When its guard holds, q is taken from
-    it and B is solved for ``rhs`` alone; otherwise q is solved here together
-    with y and stored in ``column``.
+    The solution is x = y - (v.y / (1 + v.q)) q with B y = rhs and B q = u,
+    both from one banded solve.
     """
     N = diag.size
     gamma = -diag[0]
@@ -355,91 +337,14 @@ def solve_cyclic_tridiagonal(lower, diag, upper, corner_ul, corner_lr, rhs,
     ab[1, 0] -= gamma
     ab[1, -1] -= corner_ul * corner_lr / gamma
     ab[2, :-1] = lower[1:]
-
-    key = np.array([gamma, corner_ul, corner_lr], dtype=complex).tobytes()
-    if column is not None and column.fits(key, gamma, ab):
-        y, q = solve_banded((1, 1), ab, rhs), column.q
-    else:
-        u = np.zeros(N, dtype=complex)
-        u[0] = gamma
-        u[-1] = corner_lr
-        stacked = solve_banded((1, 1), ab, np.column_stack([rhs, u]))
-        y, q = stacked[:, 0], _flush_subnormal(stacked[:, 1])
-        if column is not None:
-            column.key, column.ab, column.q = key, ab, q
+    u = np.zeros(N, dtype=complex)
+    u[0] = gamma
+    u[-1] = corner_lr
+    stacked = solve_banded((1, 1), ab, np.column_stack([rhs, u]))
+    y, q = stacked[:, 0], stacked[:, 1]
     vy = y[0] + corner_ul / gamma * y[-1]
     vq = q[0] + corner_ul / gamma * q[-1]
     return y - vy / (1.0 + vq) * q
-
-
-class ShermanMorrisonColumn:
-    """The Sherman-Morrison column q of one Crank-Nicolson march.
-
-    q solves B q = gamma e_0 + corner_lr e_{N-1} (see
-    :func:`solve_cyclic_tridiagonal`).  It decays from the box corners into
-    the subnormal range and is exactly zero across a perturbation footprint
-    far from the corners, so the q solved at one step serves the later steps
-    of the march.  Reuse is guarded exactly by :meth:`fits`.
-    """
-
-    def __init__(self):
-        self.key = None     # bytes of (gamma, corner_ul, corner_lr) of q
-        self.ab = None      # the banded B that q was solved for
-        self.q = None
-
-    def fits(self, key, gamma, ab) -> bool:
-        """True when q may stand for the solution with the banded matrix ab.
-
-        gamma and both corners must be bitwise equal to those of q, and the
-        backward error of the reuse, sum_j max_i |dB_ij| |q_j| over the
-        columns j where ab differs from the cached matrix, must be at most
-        REUSE_TOLERANCE * eps * |gamma|, far below the backward error of a
-        fresh solve.  Columns where q is zero add nothing; a non-finite
-        difference in any other column fails the guard."""
-        if key != self.key:
-            return False
-        changed = np.flatnonzero(np.any(ab != self.ab, axis=0))
-        live = changed[self.q[changed] != 0]
-        if live.size == 0:
-            return True
-        delta = np.abs(np.take(ab, live, axis=1) - np.take(self.ab, live, axis=1))
-        backward = float(np.max(delta, axis=0) @ np.abs(self.q[live]))
-        return backward <= REUSE_TOLERANCE * np.finfo(float).eps * abs(gamma)
-
-
-def _flush_subnormal(q):
-    """q with every subnormal real or imaginary part set to zero.
-
-    Arithmetic on subnormal operands runs far slower than on normal ones,
-    and 31 % of the components of q are subnormal on the 8192-point grid of
-    the benchmark.  The flushed parts are below 2.3e-308: they add at most
-    3 max|B_ij| * 2.3e-308 to the residual of B q = u, and they change an
-    entry y_j - s q_j of the solution only when |y_j| is below about
-    1e16 * |s| * 2.3e-308."""
-    tiny = np.finfo(float).tiny
-    re = np.where(np.abs(q.real) < tiny, 0.0, q.real)
-    im = np.where(np.abs(q.imag) < tiny, 0.0, q.imag)
-    return re + 1j * im
-
-
-class _CyclicTridiag:
-    """Cyclic tridiagonal operator with apply and solve."""
-
-    def __init__(self, lower, diag, upper, corner_ul, corner_lr):
-        self.lower, self.diag, self.upper = lower, diag, upper
-        self.corner_ul, self.corner_lr = corner_ul, corner_lr
-
-    def apply(self, x):
-        out = self.diag * x
-        out[1:] += self.lower[1:] * x[:-1]
-        out[:-1] += self.upper[:-1] * x[1:]
-        out[0] += self.corner_ul * x[-1]
-        out[-1] += self.corner_lr * x[0]
-        return out
-
-    def solve(self, rhs, column=None):
-        return solve_cyclic_tridiagonal(self.lower, self.diag, self.upper,
-                                        self.corner_ul, self.corner_lr, rhs, column)
 
 
 def _band_rows(rows, a_face, a_pts, v_eff, dz, adjoint):
@@ -453,8 +358,8 @@ def _band_rows(rows, a_face, a_pts, v_eff, dz, adjoint):
 
     Forward: w K w + V_eff with w = (g^{11})^{1/4}.  The field propagated is
     the half-density conjugate v = |g|^{1/4} u, and this generator is exactly
-    symmetric, so Crank-Nicolson conserves the discrete norm whenever V_eff
-    is real.
+    symmetric, so the remainder step conserves the discrete norm whenever
+    V_eff is real.
 
     Adjoint: K M_s + V_eff with s = sqrt(g^{11}) = 1 / sqrt(det g), the
     plain-measure adjoint of the direct divergence-form discretization,
@@ -495,209 +400,169 @@ def _effective_potential(spec, pts, t, compensated, adjoint):
     return v_eff
 
 
-def _support_indices(spec, x):
-    """Indices of the box coordinates x inside some term's spatial support.
+def _support_indices(spec, pts):
+    """Indices of the rows of the (m, n) point array ``pts`` inside some
+    term's spatial support.
 
     The radii are inflated by ACTIVE_MARGIN, so rounding can only add
     points, at which the fields evaluate to their flat values."""
-    inside = np.zeros(x.size, dtype=bool)
+    inside = np.zeros(len(pts), dtype=bool)
     for term in spec.terms():
-        inside |= np.abs(x - term.center_z[0]) < term.radius_z * (1.0 + ACTIVE_MARGIN)
+        d = pts - term.center_z
+        inside |= np.sqrt(np.add.reduce(d * d, axis=-1)) < term.radius_z * (1.0 + ACTIVE_MARGIN)
     return np.flatnonzero(inside)
 
 
-class _FootprintBands:
-    """Hamiltonian bands of one 1-D march, assembled on the footprint.
-
-    The fields of ``symbols`` are bit-exactly flat outside the terms'
-    spatial supports, so a band row whose stencil reads no support point or
-    face equals the free stencil.  Those rows are built once per march; each
-    step evaluates the fields on the support only and rebuilds the rows that
-    read it, with the same arithmetic as a build over the whole grid.
-    """
-
-    def __init__(self, spec, grid, compensated, adjoint):
-        N, dz = grid.N, grid.dz
-        z = grid.axis_z()
-        self.spec, self.dz = spec, dz
-        self.compensated, self.adjoint = compensated, adjoint
-        self.pts = _support_indices(spec, z)
-        self.faces = _support_indices(spec, z + 0.5 * dz)
-        self.z_pts = z[self.pts, None]
-        self.z_faces = (z + 0.5 * dz)[self.faces, None]
-        self.rows = np.unique(np.concatenate([
-            self.faces, self.faces + 1, self.pts - 1, self.pts, self.pts + 1]) % N)
-        self.a_face = np.ones(N)
-        self.a_pts = np.ones(N)
-        self.v_eff = np.zeros(N, dtype=complex)
-        self.free = _band_rows(np.arange(N), self.a_face, self.a_pts, self.v_eff,
-                               dz, adjoint)
-
-    def at(self, t) -> _CyclicTridiag:
-        """The spatial operator at time t."""
-        self.a_face[self.faces] = self.spec.inverse_metric_field(self.z_faces, t)[:, 0, 0]
-        self.a_pts[self.pts] = self.spec.inverse_metric_field(self.z_pts, t)[:, 0, 0]
-        self.v_eff[self.pts] = _effective_potential(self.spec, self.z_pts, t,
-                                                    self.compensated, self.adjoint)
-        lower, diag, upper = (band.copy() for band in self.free)
-        lower[self.rows], diag[self.rows], upper[self.rows] = _band_rows(
-            self.rows, self.a_face, self.a_pts, self.v_eff, self.dz, self.adjoint)
-        return _CyclicTridiag(lower, diag, upper, complex(lower[0]), complex(upper[-1]))
+# offsets (di, dj) of the 9-point stencil in n = 2, the centre first
+_STENCIL = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
+                     (1, 1), (-1, -1), (1, -1), (-1, 1)])
 
 
-def _cn_march_1d(spec, grid, values, t0, t1, params):
-    """Crank-Nicolson march of an active interval from t0 to t1: the forward
-    scheme when t1 > t0, the adjoint scheme when t1 < t0.
+class _Footprint:
+    """The remainder R = H - K_0 of one march, on the perturbation footprint.
 
-    The steps of one march share one footprint band assembly and one
-    Sherman-Morrison column."""
-    span = t1 - t0
-    m = max(1, int(np.ceil(abs(span) / params.dt - 1e-12)))
-    step = span / m
-    c = 0.5j * step
-    bands = _FootprintBands(spec, grid, params.measure_compensated, adjoint=t1 < t0)
-    column = ShermanMorrisonColumn()
-    v = values.copy()
-    for k in range(m):
-        t_mid = t0 + (k + 0.5) * step
-        ham = bands.at(t_mid)
-        rhs = v - c * ham.apply(v)
-        plus = _CyclicTridiag(c * ham.lower, 1.0 + c * ham.diag, c * ham.upper,
-                              c * ham.corner_ul, c * ham.corner_lr)
-        try:
-            v = plus.solve(rhs, column)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"implicit step at t={t_mid:.6g} failed: "
-                                     f"{exc}") from exc
-        if not np.all(np.isfinite(v)):
-            raise ConvergenceFailure(f"implicit step at t={t_mid:.6g} produced "
-                                     "non-finite values")
-    return v
+    R vanishes outside the rows and columns of the support points and their
+    stencil neighbours: the footprint, with sorted flat grid indices
+    ``ids``, found once per march.  Each step evaluates the fields on the
+    support only, with the same arithmetic as a build with every grid point
+    as support.
 
+    n = 1: R is three bands on the footprint rows.  ``lower[k]`` and
+    ``upper[k]`` couple row ids[k] to ids[k] -/+ 1 modulo N and vanish
+    unless that neighbour is a footprint row, so the rows form a cyclic
+    tridiagonal system whose corners are nonzero only when the footprint
+    wraps the seam of the box.
 
-# ---------------------------------------------------------------------------
-# Strang splitting with sparse remainder (n = 2)
-
-
-def _remainder_matrix_2d(spec, grid, t, compensated, adjoint):
-    """Sparse remainder (Delta_g - Delta_0 + V_eff) at time t (n = 2).
-
-    Centred differences of the expanded divergence form
+    n = 2: R fills a fixed CSC pattern of the 9-point stencil,
 
         Delta_g - Delta_0 = -(g^{jk} - d^{jk}) d_j d_k - b_k d_k,
         b_k = sum_j [d_j g^{jk} + g^{jk} d_j log sqrt(det g)],
 
-    with analytic coefficient fields.  The metric part is symmetrized for
-    the forward scheme; the adjoint scheme uses its transpose with the
-    conjugate potential.  Rows and columns vanish off the footprint."""
-    import scipy.sparse as sp
+    in centred differences with analytic coefficient fields.  The metric
+    part is symmetrized for the forward scheme; the adjoint scheme uses its
+    transpose with the conjugate potential.
+    """
 
-    N, dz = grid.N, grid.dz
-    pts = grid.points_z()
-    g, dgdz = spec.inverse_metric_jet_field(pts, t)
-    dev = g - np.eye(2)
-    v_eff = _effective_potential(spec, pts, t, compensated, adjoint)
+    def __init__(self, spec, grid, compensated, adjoint):
+        self.spec, self.dz, self.n = spec, grid.dz, grid.n
+        self.compensated, self.adjoint = compensated, adjoint
+        N = grid.N
+        pts = grid.points_z()
+        self.support = _support_indices(spec, pts)
+        self.x = pts[self.support]
+        if self.n == 1:
+            self.faces = _support_indices(spec, pts + 0.5 * self.dz)
+            self.x_faces = pts[self.faces] + 0.5 * self.dz
+            self.ids = np.unique(np.concatenate([
+                self.faces, self.faces + 1,
+                self.support - 1, self.support, self.support + 1]) % N)
+            self.a_face, self.a_pts = np.ones(N), np.ones(N)
+            self.v_eff = np.zeros(N, dtype=complex)
+            self.free = _band_rows(self.ids, self.a_face, self.a_pts, self.v_eff,
+                                   self.dz, adjoint)
+            return
+        i, j = np.divmod(self.support, N)
+        # (9, support) flat indices of each support point's stencil
+        nbrs = ((i + _STENCIL[:, :1]) % N) * N + (j + _STENCIL[:, 1:]) % N
+        self.ids = np.unique(nbrs)
+        m = self.ids.size
+        cols = np.searchsorted(self.ids, nbrs).ravel()
+        centre = cols[:self.support.size]
+        rows = np.tile(centre, len(_STENCIL))
+        # entries of M^T (adjoint) or of M and M^T (forward), then of V_eff
+        pairs = [(cols, rows)] if adjoint else [(rows, cols), (cols, rows)]
+        rows, cols = (np.concatenate([*part, centre]) for part in zip(*pairs))
+        # one slot per CSC entry, the whole diagonal included for I + cR
+        keys, self.slot = np.unique(np.concatenate([cols * m + rows, np.arange(m) * (m + 1)]),
+                                    return_inverse=True)
+        self.slot, self.diag_slot = self.slot[:rows.size], self.slot[rows.size:]
+        self.indices = keys % m
+        self.indptr = np.searchsorted(keys, np.arange(m + 1) * m)
 
-    size = N * N
-    active = np.abs(dev).sum(axis=(1, 2)) + np.abs(v_eff)
-    mask = active > 1e-14
-    if not np.any(mask):
-        return sp.csr_matrix((size, size), dtype=complex), np.zeros(size, dtype=bool)
+    def remainder(self, t):
+        """R at time t on the footprint: (lower, diag, upper) in n = 1, a CSC
+        matrix in n = 2."""
+        v_eff = _effective_potential(self.spec, self.x, t, self.compensated, self.adjoint)
+        if self.n == 1:
+            self.a_face[self.faces] = self.spec.inverse_metric_field(self.x_faces, t)[:, 0, 0]
+            self.a_pts[self.support] = self.spec.inverse_metric_field(self.x, t)[:, 0, 0]
+            self.v_eff[self.support] = v_eff
+            bands = _band_rows(self.ids, self.a_face, self.a_pts, self.v_eff,
+                               self.dz, self.adjoint)
+            return tuple(band - free for band, free in zip(bands, self.free))
+        import scipy.sparse as sp
 
-    # d_j log sqrt(det g) = -1/2 tr(ginv^{-1} d_j ginv)
-    ginv_inv = np.linalg.inv(g)
-    dlog_half = np.empty((size, 2))
-    for j in range(2):
-        dlog_half[:, j] = -0.5 * np.einsum("mab,mba->m", ginv_inv, dgdz[:, :, :, j])
-    b = np.empty((size, 2))
-    for k in range(2):
-        b[:, k] = dgdz[:, 0, k, 0] + dgdz[:, 1, k, 1]
-        b[:, k] += g[:, 0, k] * dlog_half[:, 0] + g[:, 1, k] * dlog_half[:, 1]
-
-    def idx(i, j):
-        return (i % N) * N + (j % N)
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    for fid in np.nonzero(mask)[0]:
-        fid = int(fid)
-        i, j = divmod(fid, N)
-        d00, d11, d01 = dev[fid, 0, 0], dev[fid, 1, 1], dev[fid, 0, 1]
-        # -(g - I)^{jk} d_j d_k, centred
-        add(fid, idx(i + 1, j), -d00 / dz**2)
-        add(fid, idx(i - 1, j), -d00 / dz**2)
-        add(fid, idx(i, j + 1), -d11 / dz**2)
-        add(fid, idx(i, j - 1), -d11 / dz**2)
-        add(fid, fid, 2.0 * (d00 + d11) / dz**2)
+        dz = self.dz
+        g, dgdz = self.spec.inverse_metric_jet_field(self.x, t)
+        d00, d11, d01 = g[:, 0, 0] - 1.0, g[:, 1, 1] - 1.0, g[:, 0, 1]
+        # d_j log sqrt(det g) = -1/2 tr(g^{-1} d_j g), g^{-1} = adj(g) / det(g)
+        det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+        dlog_half = -0.5 * (g[:, 1, 1, None] * dgdz[:, 0, 0] - g[:, 0, 1, None] * dgdz[:, 1, 0]
+                            - g[:, 1, 0, None] * dgdz[:, 0, 1]
+                            + g[:, 0, 0, None] * dgdz[:, 1, 1]) / det[:, None]
+        b = (dgdz[:, 0, :, 0] + dgdz[:, 1, :, 1]
+             + g[:, 0, :] * dlog_half[:, :1] + g[:, 1, :] * dlog_half[:, 1:])
         cross = -2.0 * d01 / (4.0 * dz**2)
-        add(fid, idx(i + 1, j + 1), cross)
-        add(fid, idx(i - 1, j - 1), cross)
-        add(fid, idx(i + 1, j - 1), -cross)
-        add(fid, idx(i - 1, j + 1), -cross)
-        # -b_k d_k, centred
-        add(fid, idx(i + 1, j), -b[fid, 0] / (2.0 * dz))
-        add(fid, idx(i - 1, j), b[fid, 0] / (2.0 * dz))
-        add(fid, idx(i, j + 1), -b[fid, 1] / (2.0 * dz))
-        add(fid, idx(i, j - 1), b[fid, 1] / (2.0 * dz))
+        stencil = np.concatenate([           # rows of M, in _STENCIL order
+            2.0 * (d00 + d11) / dz**2,
+            -d00 / dz**2 - b[:, 0] / (2.0 * dz), -d00 / dz**2 + b[:, 0] / (2.0 * dz),
+            -d11 / dz**2 - b[:, 1] / (2.0 * dz), -d11 / dz**2 + b[:, 1] / (2.0 * dz),
+            cross, cross, -cross, -cross])
+        parts = [stencil, v_eff] if self.adjoint else [0.5 * stencil, 0.5 * stencil, v_eff]
+        weights, nnz = np.concatenate(parts), self.indices.size
+        data = (np.bincount(self.slot, weights.real, nnz)
+                + 1j * np.bincount(self.slot, weights.imag, nnz))
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.ids.size,) * 2)
 
-    metric = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
-    if adjoint:
-        metric = metric.T.tocsr()
-    else:
-        metric = (0.5 * (metric + metric.T)).tocsr()
-    mat = (metric + sp.diags(np.where(mask, v_eff, 0.0), format="csr")).tocsr()
+    def step(self, x, t, c):
+        """One Crank-Nicolson step (1 + cR)^{-1} (1 - cR) x of the remainder
+        at time t, for x on the footprint."""
+        r = self.remainder(t)
+        if self.n == 1:
+            lower, diag, upper = r
+            rhs = x - c * (diag * x + lower * np.roll(x, 1) + upper * np.roll(x, -1))
+            return solve_cyclic_tridiagonal(c * lower, 1.0 + c * diag, c * upper,
+                                            c * lower[0], c * upper[-1], rhs)
+        import scipy.sparse.linalg as spla
 
-    footprint = np.zeros(size, dtype=bool)
-    footprint[mat.nonzero()[0]] = True
-    footprint[mat.nonzero()[1]] = True
-    return mat, footprint
+        plus = c * r                # same pattern, which holds the diagonal
+        plus.data[self.diag_slot] += 1.0
+        return spla.splu(plus).solve(x - c * (r @ x))
 
 
-def _strang_march_2d(spec, grid, values, t0, t1, params):
-    """Strang splitting march over an active interval from t0 to t1 (n = 2):
-    the forward scheme when t1 > t0, the adjoint scheme when t1 < t0."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+def _strang_march(spec, grid, values, t0, t1, params):
+    """Strang splitting march over an active interval from t0 to t1: the
+    forward scheme when t1 > t0, the adjoint scheme when t1 < t0.
 
+    Each step is an exact free half-step, one Crank-Nicolson step of the
+    remainder at the step midpoint, on the footprint, and a second free
+    half-step.  Adjacent half-steps are fused, so m steps make m + 1
+    transforms.  The multiplier is kept in FFT order: for even N the
+    fftshift pairs of forward_ft and inverse_ft cancel."""
     span = t1 - t0
     m = max(1, int(np.ceil(abs(span) / params.dt - 1e-12)))
     step = span / m
-    v = values.copy()
-    phase_half = np.exp(-0.5j * step * grid.dual_norm_sq())
-
-    def free_half(arr):
-        f_hat = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(arr)))
-        return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(phase_half * f_hat)))
-
+    c = 0.5j * step
+    axes = tuple(range(-grid.n, 0))
+    norm_sq = np.fft.ifftshift(grid.dual_norm_sq())
+    half, full = np.exp(-0.5j * step * norm_sq), np.exp(-1j * step * norm_sq)
+    footprint = _Footprint(spec, grid, params.measure_compensated, adjoint=t1 < t0)
+    ids = footprint.ids
+    v = np.fft.ifftn(half * np.fft.fftn(values, axes=axes), axes=axes)
     for k in range(m):
-        t_a = t0 + k * step
-        v = free_half(v)
-        flat = v.ravel()
-        sub = step / params.pert_substeps
-        for q in range(params.pert_substeps):
-            t_mid = t_a + (q + 0.5) * sub
-            mat, footprint = _remainder_matrix_2d(spec, grid, t_mid,
-                                                  params.measure_compensated, t1 < t0)
-            if not np.any(footprint):
-                continue
-            ids = np.nonzero(footprint)[0]
-            sub_mat = mat[ids][:, ids]
-            eye = sp.identity(len(ids), format="csc", dtype=complex)
-            c = 0.5j * sub
-            rhs = flat[ids] - c * (sub_mat @ flat[ids])
+        t_mid = t0 + (k + 0.5) * step
+        flat = v.reshape(-1)
+        if ids.size:
             try:
-                lu = spla.splu((eye + c * sub_mat).tocsc())
-                flat[ids] = lu.solve(rhs)
-            except RuntimeError as exc:
-                raise ConvergenceFailure(f"remainder solve at t={t_mid:.6g} "
-                                         f"failed: {exc}") from exc
-        v = flat.reshape(grid.shape())
-        v = free_half(v)
+                flat[ids] = footprint.step(flat[ids], t_mid, c)
+            except (np.linalg.LinAlgError, RuntimeError) as exc:
+                raise ConvergenceFailure(f"remainder step at t={t_mid:.6g} failed: "
+                                         f"{exc}") from exc
+            if not np.all(np.isfinite(flat[ids])):
+                raise ConvergenceFailure(f"remainder step at t={t_mid:.6g} produced "
+                                         "non-finite values")
+        mult = full if k < m - 1 else half
+        v = np.fft.ifftn(mult * np.fft.fftn(flat.reshape(grid.shape()), axes=axes), axes=axes)
     return v
 
 
@@ -708,13 +573,13 @@ def _strang_march_2d(spec, grid, values, t0, t1, params):
 def propagate_window(spec: PerturbationSpec, u: WaveField, t_to: float,
                      params: SolverParams | None = None) -> WaveField:
     """Propagate u from its time u.time to t_to: the exact multiplier on
-    perturbation-free gaps, Crank-Nicolson (n = 1) or Strang splitting
-    (n = 2) on active intervals.  The direction selects the scheme: forward
-    when t_to > u.time, the plain adjoint with the conjugate potential when
-    t_to < u.time.  Raises BoundaryLeak when the outer-shell mass exceeds the
-    threshold after an active interval or at t_to."""
+    perturbation-free gaps and Strang splitting with the remainder on the
+    footprint on active intervals, in any dimension.  The direction selects
+    the scheme: forward when t_to > u.time, the plain adjoint with the
+    conjugate potential when t_to < u.time.  Raises BoundaryLeak when the
+    outer-shell mass fraction exceeds LEAK_THRESHOLD after an active
+    interval or at t_to."""
     params = params or SolverParams()
-    march = _cn_march_1d if spec.n == 1 else _strang_march_2d
     intervals = _active_intervals(spec, min(u.time, t_to), max(u.time, t_to))
     if t_to < u.time:
         intervals = [(hi, lo) for lo, hi in reversed(intervals)]
@@ -723,21 +588,21 @@ def propagate_window(spec: PerturbationSpec, u: WaveField, t_to: float,
     for start, stop in intervals:
         if start != cursor:
             field = free_propagate(field, start - cursor)
-        vals = march(spec, field.grid, field.values, start, stop, params)
+        vals = _strang_march(spec, field.grid, field.values, start, stop, params)
         field = WaveField(grid=field.grid, values=vals, time=stop)
-        _check_leak(field, params)
+        _check_leak(field)
         cursor = stop
     if cursor != t_to:
         field = free_propagate(field, t_to - cursor)
-    _check_leak(field, params)
+    _check_leak(field)
     return field
 
 
-def _check_leak(field: WaveField, params: SolverParams):
+def _check_leak(field: WaveField):
     leak = field.boundary_leak_fraction()
-    if leak > params.leak_threshold:
+    if leak > LEAK_THRESHOLD:
         raise BoundaryLeak(f"outer-shell mass fraction {leak:.3e} exceeds "
-                           f"{params.leak_threshold:.1e} at t={field.time:.4g}")
+                           f"{LEAK_THRESHOLD:.1e} at t={field.time:.4g}")
 
 
 def window_span(spec: PerturbationSpec, params: SolverParams) -> float:

@@ -45,6 +45,9 @@ from .symbols import MetricBump, PerturbationSpec, PotentialTerm
 SCHEMA_VERSION = 1
 OUT_ENV_VAR = "CUSPLAB_OUT"
 SOLVER_KEYS = ("dt", "margin", "measure_compensated", "flow_tol")
+SCENARIO_KEYS = ("schema_version", "name", "dimension", "perturbation", "grid",
+                 "solver", "seed", "jobs")
+TERM_KEYS = ("amplitude", "center_z", "center_t", "radius_z", "radius_t")
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,18 @@ def _require(mapping, key, kind, where, default=None):
     return float(mapping[key]) if kind is float else mapping[key]
 
 
+def _known(mapping, keys, where):
+    """``mapping``, which must be a JSON object holding no entry outside
+    ``keys``; a ParseError names the section or the entry at fault."""
+    if not isinstance(mapping, dict):
+        raise ParseError("section must be a JSON object", field=where)
+    for key in mapping:
+        if key not in keys:
+            raise ParseError(f"unknown entry '{key}' (allowed: {', '.join(keys)})",
+                             field=f"{where}.{key}")
+    return mapping
+
+
 @contextmanager
 def _fields(where, keys=None):
     """Turn a constructor's ValueError or TypeError into a ParseError naming
@@ -100,9 +115,11 @@ def _fields(where, keys=None):
 
 
 def _parse_perturbation(doc, n):
+    _known(doc, ("bumps", "potential_terms"), "perturbation")
     bumps = []
     for i, b in enumerate(doc.get("bumps", [])):
         where = f"perturbation.bumps[{i}]"
+        _known(b, TERM_KEYS + ("pattern",), where)
         with _fields(where):
             bumps.append(MetricBump(
                 amplitude=_require(b, "amplitude", float, where),
@@ -115,6 +132,7 @@ def _parse_perturbation(doc, n):
     pots = []
     for i, p in enumerate(doc.get("potential_terms", [])):
         where = f"perturbation.potential_terms[{i}]"
+        _known(p, TERM_KEYS, where)
         amp = _require(p, "amplitude", list, where)
         if len(amp) != 2:
             raise ParseError("amplitude must be [re, im]", field=f"{where}.amplitude")
@@ -191,6 +209,7 @@ def load_scenario(path) -> Scenario:
                          f"{exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError("scenario must be a JSON object")
+    _known(doc, SCENARIO_KEYS, "scenario")
     version = _require(doc, "schema_version", int, "scenario")
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version}",
@@ -201,16 +220,12 @@ def load_scenario(path) -> Scenario:
 
     grid = None
     if doc.get("grid") is not None:
-        gdoc = doc["grid"]
+        gdoc = _known(doc["grid"], ("points", "half_width"), "grid")
         with _fields("grid", {"N": "points", "L": "half_width"}):
             grid = Grid(n=n, N=_require(gdoc, "points", int, "grid"),
                         L=_require(gdoc, "half_width", float, "grid"))
 
-    sdoc = doc.get("solver", {})
-    for key in sdoc:
-        if key not in SOLVER_KEYS:
-            raise ParseError(f"unknown entry '{key}' (allowed: {', '.join(SOLVER_KEYS)})",
-                             field=f"solver.{key}")
+    sdoc = _known(doc.get("solver", {}), SOLVER_KEYS, "solver")
     with _fields("solver", {"dt": "dt", "margin": "margin"}):
         solver = SolverParams(
             dt=_require(sdoc, "dt", float, "solver", 1e-3),
@@ -222,6 +237,7 @@ def load_scenario(path) -> Scenario:
     jobs = []
     for i, job in enumerate(doc.get("jobs", [])):
         where = f"jobs[{i}]"
+        _known(job, ("check", "params", "control"), where)
         check = _require(job, "check", str, where)
         if check not in JOB_CHECKS:
             raise ParseError(f"unknown check '{check}'", field=f"{where}.check")
@@ -291,19 +307,24 @@ VECTOR_ARGS = ("Z0", "frak0", "frak_far", "frak_through")
 
 def _valid_arg(key, value, default, n):
     """Beam vectors have n finite entries; a number, or an optional number
-    (default None), has its default's type."""
+    (default None), has its default's type.  A number whose default is a
+    positive float (a tolerance, a step, a horizon, a scale) and
+    ``samples`` must be positive."""
     if value is None and default is None:
         return True
     if key in VECTOR_ARGS:
         return isinstance(value, list) and len(value) == n and all(map(_real, value))
     kind = float if default is None else type(default)
-    return _is(value, kind) if kind in (float, int, bool) else True
+    if kind not in (float, int, bool):
+        return True
+    positive = key == "samples" or (kind is float and default is not None and default > 0)
+    return _is(value, kind) and not (positive and value <= 0)
 
 
 def _validate_job(check, params, n, where):
     """A job's params must be keyword arguments of its check that the
-    scenario does not fill, typed like their defaults, and must include every
-    argument the check requires."""
+    scenario does not fill, typed like their defaults and in range, and must
+    include every argument the check requires."""
     args = inspect.signature(getattr(verify, JOB_CHECKS[check])).parameters
     for key, value in params.items():
         if key not in args or key in SCENARIO_ARGS:
@@ -311,7 +332,7 @@ def _validate_job(check, params, n, where):
             raise ParseError(f"check '{check}' takes no parameter '{key}' "
                              f"(it takes {', '.join(allowed)})", field=f"{where}.{key}")
         if not _valid_arg(key, value, args[key].default, n):
-            raise ParseError(f"entry '{key}' has the wrong type or length",
+            raise ParseError(f"entry '{key}' has the wrong type, length or sign",
                              field=f"{where}.{key}")
     for key, arg in args.items():
         if arg.default is arg.empty and key not in SCENARIO_ARGS and key not in params:
@@ -378,8 +399,20 @@ def run(sc: Scenario, only=None, out_root: str = "out", tol_scale: float = 1.0,
 # CLI
 
 
-def _parse_vector(text):
-    return [float(v) for v in text.split(",")]
+def _beam(args, sc):
+    """(Z, frak) from ``--Z`` and ``--frak``: each a comma-separated list of
+    ``sc.n`` finite numbers, or a ParseError naming the flag."""
+    beam = []
+    for flag, text in (("--Z", args.Z), ("--frak", args.frak)):
+        try:
+            vector = [float(v) for v in text.split(",")]
+        except ValueError:
+            vector = []
+        if len(vector) != sc.n or not all(map(_real, vector)):
+            raise ParseError(f"expected {sc.n} comma-separated finite numbers, "
+                             f"got '{text}'", field=flag)
+        beam.append(vector)
+    return beam
 
 
 def _print_report(report):
@@ -433,7 +466,7 @@ def _cmd_report(args):
 
 def _cmd_flow(args):
     sc = resolve_scenario(args.scenario)
-    c_in = CuspData(Z=_parse_vector(args.Z), frak=_parse_vector(args.frak))
+    c_in = CuspData(*_beam(args, sc))
     p0 = bichar_from_cusp(c_in, args.t0)
     traj = integrate(sc.spec, p0, args.t1, tol=sc.flow_tol)
     out = os.path.join(_out_root(args), sc.name, "flow")
@@ -447,7 +480,7 @@ def _cmd_flow(args):
 
 def _cmd_classical_map(args):
     sc = resolve_scenario(args.scenario)
-    c_in = CuspData(Z=_parse_vector(args.Z), frak=_parse_vector(args.frak))
+    c_in = CuspData(*_beam(args, sc))
     res = classical_scatter(sc.spec, c_in, tol=sc.flow_tol)
     print("Z_out    =", res.c_out.Z)
     print("frak_out =", res.c_out.frak)
@@ -460,7 +493,7 @@ def _cmd_classical_map(args):
 
 def _cmd_jacobian(args):
     sc = resolve_scenario(args.scenario)
-    c_in = CuspData(Z=_parse_vector(args.Z), frak=_parse_vector(args.frak))
+    c_in = CuspData(*_beam(args, sc))
     jac = scatter_jacobian(sc.spec, c_in, h_fd=args.h_fd, tol=sc.flow_tol)
     np.set_printoptions(precision=10, suppress=False)
     print(jac)
@@ -470,7 +503,7 @@ def _cmd_jacobian(args):
 
 def _cmd_radial_op(args):
     sc = resolve_scenario(args.scenario)
-    c_in = CuspData(Z=_parse_vector(args.Z), frak=_parse_vector(args.frak))
+    c_in = CuspData(*_beam(args, sc))
     window = sc.spec.time_window() or (-1.0, 1.0)
     p0 = bichar_from_cusp(c_in, window[0] - 2.0)
     rep = radial_convergence(sc.spec, p0, horizon=args.horizon, tol=sc.flow_tol)
@@ -484,7 +517,7 @@ def _cmd_radial_op(args):
 def _cmd_propagate(args):
     sc = resolve_scenario(args.scenario)
     grid = _needs_grid(sc)
-    f = coherent_data(grid, _parse_vector(args.Z), _parse_vector(args.frak), args.h)
+    f = coherent_data(grid, *_beam(args, sc), args.h)
     span = window_span(sc.spec, sc.solver)
     u = propagate_window(sc.spec, poisson_free(f, -span), span, sc.solver)
     out = os.path.join(_out_root(args), sc.name, "propagate")
@@ -499,7 +532,7 @@ def _cmd_propagate(args):
 def _cmd_scatter(args):
     sc = resolve_scenario(args.scenario)
     grid = _needs_grid(sc)
-    f = coherent_data(grid, _parse_vector(args.Z), _parse_vector(args.frak), args.h)
+    f = coherent_data(grid, *_beam(args, sc), args.h)
     fp = scattering_map(sc.spec, f, sc.solver)
     out = os.path.join(_out_root(args), sc.name, "scatter")
     os.makedirs(out, exist_ok=True)

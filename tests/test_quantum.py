@@ -252,79 +252,63 @@ def test_cyclic_tridiagonal_solver_matches_dense(N, coupling, seed):
     scale = np.max(np.abs(dense)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
     assert np.max(np.abs(dense @ x - rhs)) < 1e-12 * scale
 
-    # a second matrix of the same march, changed in its interior: the cached
-    # column either passes the reuse guard or is solved again, and both
-    # solves still match the dense solves
-    column = quantum.ShermanMorrisonColumn()
-    lower, diag, upper, cul, clr = bands
-    diag2 = diag.copy()
-    diag2[1:-1] += rng.normal(size=N - 2)
-    for d in (diag, diag2):
-        x = solve_cyclic_tridiagonal(lower, d, upper, cul, clr, rhs, column)
-        dense = _dense(lower, d, upper, cul, clr)
-        scale = np.max(np.abs(dense)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
-        assert np.max(np.abs(dense @ x - rhs)) < 1e-12 * scale
 
-
-CN_GRID = Grid(n=1, N=4096, L=40.0)
-
-
-def _bump_and_potential(center):
-    # centred off t = 0, so that no two steps of a march meet equal fields
+def _bump_and_potential(center, n=1):
+    # a sheared metric and a complex potential, active at t = 0.3
     return PerturbationSpec(
-        n=1,
-        bumps=(MetricBump(amplitude=0.2, center_z=[center], center_t=0.5,
-                          radius_z=6.0, radius_t=1.0, pattern=[[1.0]]),),
-        potential_terms=(PotentialTerm(amplitude=1.0 - 0.1j, center_z=[center],
-                                       center_t=0.5, radius_z=6.0, radius_t=1.0),))
+        n=n,
+        bumps=(MetricBump(amplitude=0.2, center_z=center, center_t=0.5,
+                          radius_z=3.0, radius_t=1.0,
+                          pattern=np.eye(n) + 0.3 * (1 - np.eye(n))),),
+        potential_terms=(PotentialTerm(amplitude=1.0 - 0.1j, center_z=center,
+                                       center_t=0.5, radius_z=3.0, radius_t=1.0),))
 
 
-def _cn_marches(spec, monkeypatch, fresh):
-    """Forward and adjoint 10-step marches (compensated or not), and the
-    number of right-hand sides of every banded solve they made."""
-    widths = []
-    solve_banded = quantum.solve_banded
-    solve_cyclic = quantum.solve_cyclic_tridiagonal
-
-    def counted(lu, ab, b):
-        widths.append(1 if b.ndim == 1 else b.shape[1])
-        return solve_banded(lu, ab, b)
-
-    monkeypatch.setattr(quantum, "solve_banded", counted)
-    if fresh:           # drop the column cache: q is solved at every step
-        monkeypatch.setattr(quantum, "solve_cyclic_tridiagonal",
-                            lambda *args: solve_cyclic(*args[:6]))
-    f = coherent_data(CN_GRID, 1.0, 0.3, 0.2)
-    v = poisson_free(f, -0.01).values
-    outs = []
-    for compensated in (True, False):
-        params = SolverParams(dt=2e-3, measure_compensated=compensated)
-        outs.append(quantum._cn_march_1d(spec, CN_GRID, v, -0.01, 0.01, params))
-        outs.append(quantum._cn_march_1d(spec, CN_GRID, v, 0.01, -0.01, params))
-    monkeypatch.undo()
-    return outs, widths
+def _embedded(footprint, remainder, size):
+    """The footprint remainder as a dense matrix on the whole grid."""
+    ids = footprint.ids
+    dense = np.zeros((size, size), dtype=complex)
+    if footprint.n == 1:
+        lower, diag, upper = remainder
+        dense[ids, ids] = diag
+        dense[ids, (ids - 1) % size] += lower
+        dense[ids, (ids + 1) % size] += upper
+    else:
+        dense[np.ix_(ids, ids)] = remainder.toarray()
+    return dense
 
 
-def test_cn_march_column_reuse_is_bit_identical_to_fresh_solves(monkeypatch):
-    spec = _bump_and_potential(0.0)
-    cached, widths = _cn_marches(spec, monkeypatch, fresh=False)
-    fresh, fresh_widths = _cn_marches(spec, monkeypatch, fresh=True)
-    # each of the four marches solves q once, at its first step
-    assert widths == ([2] + [1] * 9) * 4
-    assert fresh_widths == [2] * 40
-    for a, b in zip(cached, fresh):
-        assert np.array_equal(a, b)
-
-
-def test_cn_march_corner_support_solves_column_every_step(monkeypatch):
-    # negative control: the support covers the box corner z = -L, so gamma
-    # changes at every step and the reuse guard must fail every time
-    spec = _bump_and_potential(-CN_GRID.L + 2.0)
-    cached, widths = _cn_marches(spec, monkeypatch, fresh=False)
-    fresh, _ = _cn_marches(spec, monkeypatch, fresh=True)
-    assert widths == [2] * 40
-    for a, b in zip(cached, fresh):
-        assert np.array_equal(a, b)
+@pytest.mark.parametrize("where", ["inside", "corner"])
+@pytest.mark.parametrize("n", [1, 2], ids=["n=1", "n=2"])
+def test_footprint_remainder_equals_whole_grid(monkeypatch, n, where):
+    grid = Grid(n=n, N=256 if n == 1 else 32, L=10.0)
+    # "corner": the support covers z = -L, so the footprint wraps the seam
+    center = np.zeros(n) if where == "inside" else np.full(n, 1.0 - grid.L)
+    spec = _bump_and_potential(center, n)
+    size = grid.N**n
+    rng = np.random.default_rng(3)
+    for adjoint in (False, True):
+        for compensated in (True, False):
+            part = quantum._Footprint(spec, grid, compensated, adjoint)
+            with monkeypatch.context() as every_point_supported:
+                every_point_supported.setattr(quantum, "_support_indices",
+                                              lambda spec, pts: np.arange(len(pts)))
+                whole = quantum._Footprint(spec, grid, compensated, adjoint)
+            assert part.ids.size < size and whole.ids.size == size
+            assert (part.ids[0] == 0 and part.ids[-1] == size - 1) == (where == "corner")
+            r_part = _embedded(part, part.remainder(0.3), size)
+            r_whole = _embedded(whole, whole.remainder(0.3), size)
+            assert np.max(np.abs(r_whole)) > 1.0
+            assert np.max(np.abs(r_part - r_whole)) <= 1e-13 * np.max(np.abs(r_whole))
+            # the footprint step solves the embedded Crank-Nicolson system
+            c = 0.5j * 5e-3
+            x = rng.normal(size=part.ids.size) + 1j * rng.normal(size=part.ids.size)
+            full = np.zeros(size, dtype=complex)
+            full[part.ids] = x
+            eye = np.eye(size)
+            expect = np.linalg.solve(eye + c * r_whole, (eye - c * r_whole) @ full)
+            assert np.max(np.abs(part.step(x, 0.3, c) - expect[part.ids])) < 1e-12
+            assert np.max(np.abs(np.delete(expect, part.ids))) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -139,9 +139,18 @@ _BEAM = {"Z0": [1.0], "frak0": [0.0]}
     ({"solver": {"dt": 2e-3, "dtt": 1e-3}}, "solver.dtt"),
     ({"solver": {"measure_compensated": "false"}}, "solver.measure_compensated"),
     ({"jobs": [{"check": "pairing", "control": "false"}]}, "jobs[0].control"),
+    ({"seeed": 3}, "scenario.seeed"),
+    ({"jobs": [{"check": "free-identity", "parms": {"tol": 1e-300}}]}, "jobs[0].parms"),
+    ({"perturbation": {"bump": []}}, "perturbation.bump"),
+    ({"grid": {"points": 256, "half_width": 20.0, "dz": 0.1}}, "grid.dz"),
+    ({"jobs": [{"check": "symplectic", "params": {"h_fd": 0}}]}, "jobs[0].params.h_fd"),
+    ({"jobs": [{"check": "symplectic", "params": {"samples": 0}}]},
+     "jobs[0].params.samples"),
 ], ids=["points", "dt", "bump", "h", "h_list", "unknown-key", "scenario-key",
         "missing-frak_far", "tol-string", "samples-float", "Z0-length",
-        "unknown-solver-key", "compensated-string", "control-string"])
+        "unknown-solver-key", "compensated-string", "control-string",
+        "unknown-scenario-key", "unknown-job-key", "unknown-perturbation-key",
+        "unknown-grid-key", "h_fd-zero", "samples-zero"])
 def test_scenario_bad_values_are_parse_errors(tmp_path, capsys, overrides, field):
     path = _write(tmp_path, _minimal(**overrides))
     with pytest.raises(ParseError) as err:
@@ -338,6 +347,19 @@ def test_cli_check_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "eikonal" in out
+
+
+@pytest.mark.parametrize("command, scenario", [("classical-map", "bump_metric"),
+                                               ("scatter", "eikonal")])
+@pytest.mark.parametrize("flag", ["--Z", "--frak"])
+def test_cli_beam_of_wrong_dimension_is_an_error(tmp_path, capsys, command, scenario, flag):
+    beam = {"--Z": "1.0", "--frak": "0.3"}
+    beam[flag] = "1.0,0.0"
+    code = main(["--out", str(tmp_path), command, "--scenario", scenario,
+                 "--Z", beam["--Z"], "--frak", beam["--frak"]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"(field: {flag})" in err
 
 
 def test_cli_bad_scenario_returns_error(capsys):
