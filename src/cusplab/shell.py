@@ -151,26 +151,7 @@ def _parse_perturbation(doc, n):
             raise ValidationError(str(exc), invariant="NotPositiveDefinite") from exc
 
 
-def _positive_number(value):
-    return _real(value) and value > 0
-
-
-def _job_hs(params, where):
-    """The job's semiclassical parameters: its h, or else its h_list.  Each
-    must be a positive number; a ParseError names the entry that is not."""
-    if "h" in params and not _positive_number(params["h"]):
-        raise ParseError("entry 'h' must be a positive number", field=f"{where}.h")
-    hs = params.get("h_list", [])
-    if "h_list" in params and not (isinstance(hs, list) and hs
-                                   and all(map(_positive_number, hs))):
-        raise ParseError("entry 'h_list' must be a non-empty list of positive numbers",
-                         field=f"{where}.h_list")
-    return [params["h"]] if "h" in params else hs
-
-
 def _validate_scenario(sc: Scenario):
-    hs_of_job = [_job_hs(job["params"], f"jobs[{i}].params")
-                 for i, job in enumerate(sc.jobs)]
     if sc.grid is None:
         return
     if sc.spec.spatial_extent() > 0.8 * sc.grid.L:
@@ -179,8 +160,10 @@ def _validate_scenario(sc: Scenario):
             f"exceeds 80% of the spatial box (L = {sc.grid.L})",
             invariant="support-inside-box")
     horizon = window_span(sc.spec, sc.solver)
-    for job, hs in zip(sc.jobs, hs_of_job):
+    for job in sc.jobs:
         params = job["params"]
+        # the job's semiclassical parameters: its h, or else its h_list
+        hs = [params["h"]] if "h" in params else params.get("h_list", [])
         offsets = [np.max(np.abs(params[key]))
                    for key in ("frak0", "frak_far", "frak_through")
                    if params.get(key) is not None]
@@ -306,14 +289,18 @@ VECTOR_ARGS = ("Z0", "frak0", "frak_far", "frak_through")
 
 
 def _valid_arg(key, value, default, n):
-    """Beam vectors have n finite entries; a number, or an optional number
-    (default None), has its default's type.  A number whose default is a
-    positive float (a tolerance, a step, a horizon, a scale) and
-    ``samples`` must be positive."""
+    """Beam vectors have n finite entries and ``h_list`` is a non-empty list
+    of positive numbers; a number, or an optional number (default None), has
+    its default's type.  A number whose default is a positive float (a
+    tolerance, a step, a horizon, a scale) and ``samples`` must be
+    positive."""
     if value is None and default is None:
         return True
     if key in VECTOR_ARGS:
         return isinstance(value, list) and len(value) == n and all(map(_real, value))
+    if key == "h_list":
+        return (isinstance(value, list) and bool(value)
+                and all(_real(h) and h > 0 for h in value))
     kind = float if default is None else type(default)
     if kind not in (float, int, bool):
         return True
@@ -415,6 +402,22 @@ def _beam(args, sc):
     return beam
 
 
+def _finite(text, low=-np.inf):
+    """argparse type of the number flags: a finite number above ``low``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not low < value < np.inf:
+        kind = "positive finite" if low == 0.0 else "finite"
+        raise argparse.ArgumentTypeError(f"expected a {kind} number, got '{text}'")
+    return value
+
+
+def _positive(text):
+    return _finite(text, low=0.0)
+
+
 def _print_report(report):
     print(f"[{report.status.upper():4s}] {report.name}"
           + ("  (control: expected to fail)" if report.control else ""))
@@ -467,6 +470,8 @@ def _cmd_report(args):
 def _cmd_flow(args):
     sc = resolve_scenario(args.scenario)
     c_in = CuspData(*_beam(args, sc))
+    if args.t1 == args.t0:
+        raise ParseError("the flow needs --t1 different from --t0", field="--t1")
     p0 = bichar_from_cusp(c_in, args.t0)
     traj = integrate(sc.spec, p0, args.t1, tol=sc.flow_tol)
     out = os.path.join(_out_root(args), sc.name, "flow")
@@ -555,7 +560,7 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int, default=1, help="parallel job count")
     parser.add_argument("--only", default=None,
                         help="comma-separated job filter")
-    parser.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale",
+    parser.add_argument("--tol-scale", type=_positive, default=1.0, dest="tol_scale",
                         help="global tolerance multiplier (acceptance requires 1.0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -571,13 +576,13 @@ def main(argv=None):
         p.add_argument("--Z", required=True, help="comma-separated Z components")
         p.add_argument("--frak", required=True, help="comma-separated frak components")
         if with_h:
-            p.add_argument("--h", type=float, default=0.25, help="packet width")
+            p.add_argument("--h", type=_positive, default=0.25, help="packet width")
 
     p = command("flow", _cmd_flow, "integrate one bicharacteristic, export CSV")
     add_beam(p)
-    p.add_argument("--t0", type=float, required=True)
-    p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--stride", type=float, default=0.01)
+    p.add_argument("--t0", type=_finite, required=True)
+    p.add_argument("--t1", type=_finite, required=True)
+    p.add_argument("--stride", type=_positive, default=0.01)
 
     p = command("classical-map", _cmd_classical_map, "classical scattering of one beam")
     add_beam(p)
@@ -585,11 +590,11 @@ def main(argv=None):
     p = command("jacobian", _cmd_jacobian,
                 "scattering-map Jacobian and symplectic defect")
     add_beam(p)
-    p.add_argument("--h-fd", type=float, default=1e-4, dest="h_fd")
+    p.add_argument("--h-fd", type=_positive, default=1e-4, dest="h_fd")
 
     p = command("radial", _cmd_radial_op, "radial-set convergence of one beam")
     add_beam(p)
-    p.add_argument("--horizon", type=float, default=1e6)
+    p.add_argument("--horizon", type=_positive, default=1e6)
 
     p = command("propagate", _cmd_propagate, "propagate a packet across the window")
     add_beam(p, with_h=True)

@@ -140,14 +140,14 @@ class PerturbationSpec:
         """All support-carrying terms (bumps then potentials)."""
         return list(self.bumps) + list(self.potential_terms)
 
-    def time_window(self, margin: float = 0.0):
+    def time_window(self):
         """(t_min, t_max) covering every term's time support, or None."""
         ts = self.terms()
         if not ts:
             return None
         lo = min(t.center_t - t.radius_t for t in ts)
         hi = max(t.center_t + t.radius_t for t in ts)
-        return (lo - margin, hi + margin)
+        return (lo, hi)
 
     def spatial_extent(self) -> float:
         """max over terms of |center_z| + radius_z (0 if flat)."""
@@ -156,20 +156,18 @@ class PerturbationSpec:
             return 0.0
         return max(float(np.linalg.norm(t.center_z)) + t.radius_z for t in ts)
 
-    def contains(self, z, t, margin: float = 0.0) -> bool:
-        """True if (z, t) lies inside any (inflated) term support."""
+    def contains(self, z, t) -> bool:
+        """True if (z, t) lies inside any term support."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
         for term in self.terms():
-            rz = term.radius_z * (1.0 + margin)
-            rt = term.radius_t * (1.0 + margin)
-            if (abs(t - term.center_t) < rt
-                    and np.linalg.norm(z - term.center_z) < rz):
+            if (abs(t - term.center_t) < term.radius_t
+                    and np.linalg.norm(z - term.center_z) < term.radius_z):
                 return True
         return False
 
-    def time_active(self, t, margin: float = 0.0) -> bool:
+    def time_active(self, t) -> bool:
         """True if any term's time window contains t."""
-        return any(abs(t - term.center_t) < term.radius_t * (1.0 + margin)
+        return any(abs(t - term.center_t) < term.radius_t
                    for term in self.terms())
 
     # -- evaluation: one loop over the bumps, one over the potential terms --

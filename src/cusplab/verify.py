@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import flow as _flow
 from . import quantum as _q
@@ -314,14 +313,15 @@ def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
 def check_eikonal_phase(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
                         h: float = 0.25, params: _q.SolverParams = _q.SolverParams(),
                         rel_tol: float = 0.05, abs_tol: float = 0.01,
-                        linearity_tol: float = 0.1, control: bool = False,
-                        out_dir=None) -> CheckReport:
+                        linearity_tol: float = 0.1, tol_flow: float = 1e-11,
+                        control: bool = False, out_dir=None) -> CheckReport:
     """arg<Sf, f> equals minus the potential integral along the straight beam.
 
-    The classical side is computed by adaptive quadrature; the perturbation
-    must have a flat metric and a weak real potential.  Doubling the
-    amplitude must double the measured phase within ``linearity_tol``.
-    ``control`` compares against the sign-flipped integral (must fail)."""
+    The classical side is the potential phase of the classical scattering
+    map; the perturbation must have a flat metric, so the beam is straight,
+    and a weak real potential.  Doubling the amplitude must double the
+    measured phase within ``linearity_tol``.  ``control`` compares against
+    the sign-flipped integral (must fail)."""
     if not spec.metric_is_flat:
         raise ValidationError("eikonal check requires a flat metric",
                               invariant="eikonal-flat-metric")
@@ -329,28 +329,14 @@ def check_eikonal_phase(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
     if sup > 0.1 + 1e-12:
         raise ValidationError("eikonal check requires ||V|| <= 0.1",
                               invariant="eikonal-weak-potential")
-    Z0 = np.atleast_1d(np.asarray(Z0, dtype=float))
-    frak0 = np.atleast_1d(np.asarray(frak0, dtype=float))
-
-    def classical_phase(s):
-        window = s.time_window()
-        if window is None:
-            return 0.0
-
-        def v_on_beam(t):
-            return s.potential(2.0 * t * Z0 - frak0, t).real
-
-        val, _ = quad(v_on_beam, window[0], window[1], epsabs=1e-12, limit=200)
-        return -val
 
     def numeric_phase(s):
         f = _q.coherent_data(grid, Z0, frak0, h)
         fp = _q.scattering_map(s, f, params)
         return float(np.angle(fp.inner(f)))
 
-    phi_cl = classical_phase(spec)
-    if control:
-        phi_cl = -phi_cl
+    phase = _flow.classical_scatter(spec, CuspData(Z0, frak0), tol=tol_flow).potential_phase
+    phi_cl = phase if control else -phase
     phi_num = numeric_phase(spec)
     measured = [Measurement("phase-mismatch", abs(phi_num - phi_cl),
                             rel_tol * abs(phi_cl) + abs_tol)]

@@ -146,11 +146,8 @@ def test_asymptotic_profile_branch_regression():
     t = 150.0
     u = poisson_free(f, t)
     j0 = grid.N // 2
-    from cusplab.quantum import _trig_interp_axis_coeffs, _trig_interp_matrix
-
-    coeffs = _trig_interp_axis_coeffs(grid, f.values)
-    interp = (_trig_interp_matrix(grid, np.array([0.0])) @ coeffs)[0]
-    amp = np.abs(4 * np.pi * t) ** -0.5 * interp
+    # z = 0 maps to the node Z = 0, where the interpolant is exact
+    amp = np.abs(4 * np.pi * t) ** -0.5 * f.values[j0]
     stated = np.angle(u.values[j0] / (amp * np.exp(-1j * np.pi / 4)))
     flipped = np.angle(u.values[j0] / (amp * np.exp(+1j * np.pi / 4)))
     assert abs(stated) < 1e-2
@@ -161,6 +158,16 @@ def test_asymptotic_profile_negative_time_branch():
     grid = Grid(n=1, N=4096, L=800.0)
     f = coherent_data(grid, 0.0, 0.0, 0.08)
     assert asymptotic_profile_error(f, -200.0) <= 2e-2
+
+
+def test_asymptotic_profile_error_decays_in_2d():
+    grid = Grid(n=2, N=128, L=60.0)
+    f = coherent_data(grid, [0.0, 0.0], [0.0, 0.0], 0.05)
+    e1 = asymptotic_profile_error(f, 20.0)
+    e2 = asymptotic_profile_error(f, 40.0)
+    assert e1 <= 0.4
+    assert e1 / e2 > 1.5
+    assert asymptotic_profile_error(f, -20.0) == pytest.approx(e1, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +465,21 @@ def test_spectrum_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "Z,abs2,arg"
     assert len(lines) == GRID.N + 1
+
+
+def test_spectrum_csv_export_2d(tmp_path):
+    grid = Grid(n=2, N=16, L=4.0)
+    f = coherent_data(grid, [0.5, -0.3], [0.2, 0.1], 0.3)
+    path = tmp_path / "spectrum.csv"
+    export_spectrum_csv(path, f)
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "Z1,Z2,abs2,arg"
+    assert len(lines) == grid.N**2 + 1
+    # row-major: the second coordinate runs fastest
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    Z1, Z2 = grid.mesh_Z()
+    assert np.array_equal(rows[:, 0], Z1.ravel()) and np.array_equal(rows[:, 1], Z2.ravel())
+    assert np.array_equal(rows[:, 2], [abs(v) ** 2 for v in f.values.ravel()])
 
 
 # ---------------------------------------------------------------------------

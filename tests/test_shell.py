@@ -11,6 +11,15 @@ import pytest
 
 import cusplab
 from cusplab.errors import ParseError, ValidationError
+from cusplab.flow import classical_scatter
+from cusplab.phasespace import CuspData
+from cusplab.quantum import (
+    WaveField,
+    coherent_data,
+    extract_asymptotic,
+    load_field,
+    scattering_map,
+)
 from cusplab.shell import (
     Scenario,
     bundled_scenario_path,
@@ -330,6 +339,37 @@ def test_cli_jacobian(capsys):
     assert "symplectic defect" in out
 
 
+def test_cli_radial_prints_exponents_and_limits(capsys):
+    code = main(["radial", "--scenario", "bump_metric", "--Z", "1.0", "--frak", "0.3"])
+    assert code == 0
+    out = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines())
+    for key in ("exponent forward ", "exponent backward"):
+        assert abs(float(out[key]) - 1.0) < 0.01
+    sc = resolve_scenario("bump_metric")
+    c_out = classical_scatter(sc.spec, CuspData([1.0], [0.3]), tol=sc.flow_tol).c_out
+    for key, (Z, frak) in (("limit forward    ", (c_out.Z[0], c_out.frak[0])),
+                           ("limit backward   ", (1.0, 0.3))):
+        limit = [float(v) for v in out[key].replace("[", " ").replace("]", " ").split()]
+        assert np.allclose(limit, [Z, frak], atol=1e-6)
+
+
+def test_cli_propagate_writes_a_loadable_field(tmp_path, capsys):
+    code = main(["--out", str(tmp_path), "propagate", "--scenario", "potential",
+                 "--Z", "1.0", "--frak", "0.0", "--h", "0.25"])
+    assert code == 0
+    path = tmp_path / "potential" / "propagate" / "field.field"
+    u = load_field(path)
+    assert isinstance(u, WaveField) and u.time == 1.25
+    assert f"norm = {u.norm():.12g}" in capsys.readouterr().out
+    # a real potential: the field keeps the norm (2 pi)^{-1/2} of unit data
+    assert abs(u.norm() - (2.0 * np.pi) ** -0.5) < 1e-9
+    # the field read back is the map's outgoing field, bit for bit
+    sc = resolve_scenario("potential")
+    f = coherent_data(sc.grid, [1.0], [0.0], 0.25)
+    assert np.array_equal(extract_asymptotic(u, sc.spec).values,
+                          scattering_map(sc.spec, f, sc.solver).values)
+
+
 def test_cli_scatter_and_report(tmp_path, capsys):
     code = main(["--out", str(tmp_path), "scatter", "--scenario", "eikonal",
                  "--Z", "1.0", "--frak", "0.0", "--h", "0.25"])
@@ -360,6 +400,35 @@ def test_cli_beam_of_wrong_dimension_is_an_error(tmp_path, capsys, command, scen
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"(field: {flag})" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["scatter", "--scenario", "eikonal", "--Z", "1.0", "--frak", "0.0", "--h", "0"], "--h"),
+    (["propagate", "--scenario", "eikonal", "--Z", "1.0", "--frak", "0.0", "--h", "0"],
+     "--h"),
+    (["jacobian", "--scenario", "classical2d", "--Z", "1.0,0.0", "--frak", "0.0,0.3",
+      "--h-fd", "0"], "--h-fd"),
+    (["radial", "--scenario", "bump_metric", "--Z", "1.0", "--frak", "0.3",
+      "--horizon", "-1"], "--horizon"),
+    (["flow", "--scenario", "bump_metric", "--Z", "1.0", "--frak", "0.3",
+      "--t0", "-2", "--t1", "2", "--stride", "0"], "--stride"),
+    (["flow", "--scenario", "bump_metric", "--Z", "1.0", "--frak", "0.3",
+      "--t0", "-2", "--t1", "-2"], "--t1"),
+    (["flow", "--scenario", "bump_metric", "--Z", "1.0", "--frak", "0.3",
+      "--t0", "nan", "--t1", "2"], "--t0"),
+    (["--tol-scale", "nan", "all", "--scenario", "flat"], "--tol-scale"),
+    (["--tol-scale", "-1", "all", "--scenario", "flat"], "--tol-scale"),
+], ids=["scatter-h", "propagate-h", "h-fd", "horizon", "stride", "t1-equals-t0",
+        "t0-nan", "tol-scale-nan", "tol-scale-negative"])
+def test_cli_bad_number_flags_are_errors(tmp_path, capsys, argv, flag):
+    try:
+        code = main(["--out", str(tmp_path)] + argv)
+    except SystemExit as exc:       # argparse rejects the flag's value
+        code = exc.code
+    assert code == 2
+    error = [line for line in capsys.readouterr().err.splitlines() if "error: " in line]
+    assert len(error) == 1 and flag in error[0]
+    assert not os.listdir(tmp_path)
 
 
 def test_cli_bad_scenario_returns_error(capsys):
