@@ -5,11 +5,15 @@ support of the perturbation the flow is the closed-form free flight, applied
 exactly; inside, an adaptive embedded Runge-Kutta 5(4) scheme with dense
 output is used.  This makes the identity regimes (beams missing the
 perturbation) hold to machine precision rather than solver tolerance.
+
+The classical scattering map computes only the outgoing data; the integrals
+along the beam are evaluated on first read of its `ScatterResult`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -54,8 +58,7 @@ def _outsideness(spec: PerturbationSpec, z: np.ndarray, t: float) -> float:
     best = np.inf
     for term in spec.terms():
         cz, ct, rz, rt = _inflated(term)
-        val = max(float(np.linalg.norm(z - cz)) - rz, abs(t - ct) - rt)
-        best = min(best, val)
+        best = min(best, max(float(np.linalg.norm(z - cz)) - rz, abs(t - ct) - rt))
     return best
 
 
@@ -98,14 +101,8 @@ def _free_entry_time(spec, z0, t0, zeta, t_limit):
 
 def _support_diameter(spec: PerturbationSpec) -> float:
     ts = spec.terms()
-    if not ts:
-        return 0.0
-    diam = 0.0
-    for a in ts:
-        for b in ts:
-            d = float(np.linalg.norm(a.center_z - b.center_z)) + a.radius_z + b.radius_z
-            diam = max(diam, d)
-    return diam
+    return max((float(np.linalg.norm(a.center_z - b.center_z)) + a.radius_z + b.radius_z
+                for a in ts for b in ts), default=0.0)
 
 
 def _transit_budget(spec: PerturbationSpec, zeta: np.ndarray) -> float:
@@ -198,8 +195,7 @@ def integrate(spec: PerturbationSpec, p0: PhasePoint, t_final: float,
         return hamilton_rhs(spec, PhasePoint.from_state(x))
 
     def exit_event(t, x):
-        n = p0.n
-        return _outsideness(spec, x[:n], t) - EXIT_SHELL
+        return _outsideness(spec, x[:p0.n], t) - EXIT_SHELL
 
     exit_event.terminal = True
     exit_event.direction = 1.0
@@ -237,8 +233,7 @@ def integrate(spec: PerturbationSpec, p0: PhasePoint, t_final: float,
             segments.append(_Segment(t_lo=min(res.t[0], res.t[-1]),
                                      t_hi=max(res.t[0], res.t[-1]),
                                      kind="numeric", sol=res.sol))
-            for tk, xk in zip(res.t[1:], res.y.T[1:]):
-                samples.append(PhasePoint.from_state(xk))
+            samples.extend(PhasePoint.from_state(xk) for xk in res.y.T[1:])
             current = samples[-1]
             n_steps += len(res.t) - 1
             n_fev += res.nfev
@@ -266,21 +261,69 @@ def integrate(spec: PerturbationSpec, p0: PhasePoint, t_final: float,
 # classical scattering map
 
 
+def _beam_times(window: tuple, c_in: CuspData) -> tuple:
+    """Seed and exit times of the beam: one time unit, plus the time the
+    beam needs to cover its offset, outside the perturbation window."""
+    slack = float(np.linalg.norm(c_in.frak)) / (2.0 * max(float(np.linalg.norm(c_in.Z)), 0.1))
+    return window[0] - 1.0 - slack, window[1] + 1.0 + slack
+
+
 @dataclass(frozen=True)
 class ScatterResult:
-    """Outcome of scattering one asymptotic beam through the perturbation."""
+    """Outcome of scattering one asymptotic beam through the perturbation.
+
+    The beam integrals, potential phase and action difference, are evaluated
+    on first read, in one quadrature pass over the numeric segments, and
+    cached; the transit is read off the trajectory.  A beam that misses the
+    support has no trajectory: it reads zero integrals and no transit."""
 
     c_in: CuspData
     c_out: CuspData
-    potential_phase: float
-    potential_phase_imag: float
-    action_diff: float
-    transit: tuple | None
     trajectory: Trajectory | None
 
     @property
     def displacement(self) -> float:
         return float(np.linalg.norm(self.c_out.pair() - self.c_in.pair()))
+
+    @cached_property
+    def _integrals(self) -> tuple:
+        """(int V dt, int zeta.g.zeta dt - |Z|^2 (t_out - t_in)) along the beam."""
+        traj = self.trajectory
+        if traj is None:
+            return 0.0, 0.0
+        spec = traj.spec
+
+        def beam(ts):
+            """V and zeta.g.zeta at each node, from one dense evaluation."""
+            v, kinetic = np.zeros(len(ts), dtype=complex), np.empty(len(ts))
+            for i, t in enumerate(ts):
+                p = traj.dense(t)
+                if spec.potential_terms:
+                    v[i] = spec.potential(p.z, t)
+                kinetic[i] = float(p.zeta @ spec.inverse_metric(p.z, t) @ p.zeta)
+            return v, kinetic
+
+        phase = action = 0.0
+        for seg in traj.segments:
+            if seg.kind == "free":
+                action += float(seg.anchor.zeta @ seg.anchor.zeta) * (seg.t_hi - seg.t_lo)
+            else:
+                v, kinetic = _gauss_panels(beam, seg.t_lo, seg.t_hi)
+                phase += v
+                action += kinetic.real
+        t_in, t_out = _beam_times(spec.time_window(), self.c_in)
+        action -= float(self.c_in.Z @ self.c_in.Z) * (t_out - t_in)
+        return phase, action
+
+    potential_phase = property(lambda self: float(self._integrals[0].real))
+    potential_phase_imag = property(lambda self: float(self._integrals[0].imag))
+    action_diff = property(lambda self: float(self._integrals[1]))
+
+    @property
+    def transit(self) -> tuple | None:
+        """(first entry, last exit) time of the numeric segments, or None."""
+        spans = self.trajectory.numeric_spans() if self.trajectory is not None else []
+        return (min(s[0] for s in spans), max(s[1] for s in spans)) if spans else None
 
 
 def _gauss_panels(f, t0, t1, n_panels=24, order=10):
@@ -305,55 +348,19 @@ def classical_scatter(spec: PerturbationSpec, c_in: CuspData,
     extension misses the support return their input unchanged, exactly.
     """
     window = spec.time_window()
-    slack = float(np.linalg.norm(c_in.frak)) / (2.0 * max(float(np.linalg.norm(c_in.Z)), 0.1))
     if window is None:
-        return ScatterResult(c_in=c_in, c_out=c_in, potential_phase=0.0,
-                             potential_phase_imag=0.0, action_diff=0.0,
-                             transit=None, trajectory=None)
-    t_in = window[0] - 1.0 - slack
-    t_out = window[1] + 1.0 + slack
+        return ScatterResult(c_in, c_in, None)
+    t_in, t_out = _beam_times(window, c_in)
 
     seed = bichar_from_cusp(c_in, t_in)
     if spec.contains(seed.z, seed.t):
         raise BeamSeedInsideSupport("no valid seed time before the window")
-
     if _free_entry_time(spec, seed.z, seed.t, seed.zeta, t_out) is None:
-        return ScatterResult(c_in=c_in, c_out=c_in, potential_phase=0.0,
-                             potential_phase_imag=0.0, action_diff=0.0,
-                             transit=None, trajectory=None)
+        return ScatterResult(c_in, c_in, None)
 
     traj = integrate(spec, seed, t_out, tol=tol)
-    endpoint = traj.samples[-1]
     char_tol = max(1e-9, 100.0 * tol * abs(t_out - t_in))
-    c_out = cusp_from_bichar(endpoint, spec, tol=char_tol)
-
-    def beam(ts):
-        """V and zeta.g.zeta at each node, from one dense evaluation."""
-        v, kinetic = np.zeros(len(ts), dtype=complex), np.empty(len(ts))
-        for i, t in enumerate(ts):
-            p = traj.dense(t)
-            if spec.potential_terms:
-                v[i] = spec.potential(p.z, t)
-            kinetic[i] = float(p.zeta @ spec.inverse_metric(p.z, t) @ p.zeta)
-        return v, kinetic
-
-    phase = action = 0.0
-    for seg in traj.segments:
-        if seg.kind == "free":
-            action += float(seg.anchor.zeta @ seg.anchor.zeta) * (seg.t_hi - seg.t_lo)
-        else:
-            v, kinetic = _gauss_panels(beam, seg.t_lo, seg.t_hi)
-            phase += v
-            action += kinetic.real
-    action -= float(c_in.Z @ c_in.Z) * (t_out - t_in)
-
-    spans = traj.numeric_spans()
-    transit = (min(s[0] for s in spans), max(s[1] for s in spans)) if spans else None
-    return ScatterResult(c_in=c_in, c_out=c_out,
-                         potential_phase=float(phase.real),
-                         potential_phase_imag=float(phase.imag),
-                         action_diff=float(action),
-                         transit=transit, trajectory=traj)
+    return ScatterResult(c_in, cusp_from_bichar(traj.samples[-1], spec, tol=char_tol), traj)
 
 
 def scatter_jacobian(spec: PerturbationSpec, c_in: CuspData,
@@ -410,17 +417,14 @@ def _fit_exponent(ts, ws):
         return float("nan")
     x = np.log(1.0 / np.abs(ts[mask]))
     y = np.log(ws[mask])
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
+    return float(np.polyfit(x, y, 1)[0])
 
 
 def radial_convergence(spec: PerturbationSpec, p0: PhasePoint,
                        horizon: float = 1e6, tol: float = 1e-11) -> RadialReport:
     """Sample w(t) = z/(2t) - zeta at log-spaced |t| in both directions and
     fit the decay exponent of |w| against 1/|t| (expected slope 1)."""
-    window = spec.time_window()
-    if window is None:
-        window = (p0.t - 1.0, p0.t + 1.0)
+    window = spec.time_window() or (p0.t - 1.0, p0.t + 1.0)
 
     results = {}
     for direction in (+1.0, -1.0):
@@ -439,20 +443,12 @@ def radial_convergence(spec: PerturbationSpec, p0: PhasePoint,
         limit = CuspData(Z=far.zeta, frak=galilean_invariant(far))
         results[direction] = (_fit_exponent(ts, ws), limit, np.column_stack([ts, ws]))
 
-    return RadialReport(
-        exponent_forward=results[1.0][0],
-        exponent_backward=results[-1.0][0],
-        limit_forward=results[1.0][1],
-        limit_backward=results[-1.0][1],
-        samples_forward=results[1.0][2],
-        samples_backward=results[-1.0][2],
-    )
+    fwd, bwd = results[1.0], results[-1.0]
+    return RadialReport(fwd[0], bwd[0], fwd[1], bwd[1], fwd[2], bwd[2])
 
 
 def time_reversed_spec(spec: PerturbationSpec) -> PerturbationSpec:
     """The perturbation with t -> -t (metric reflected, potential conjugated)."""
-    from dataclasses import replace
-
     bumps = tuple(replace(b, center_t=-b.center_t) for b in spec.bumps)
     pots = tuple(replace(p, center_t=-p.center_t, amplitude=np.conj(p.amplitude))
                  for p in spec.potential_terms)

@@ -509,9 +509,8 @@ def _cmd_jacobian(args):
 def _cmd_radial_op(args):
     sc = resolve_scenario(args.scenario)
     c_in = CuspData(*_beam(args, sc))
-    window = sc.spec.time_window() or (-1.0, 1.0)
-    p0 = bichar_from_cusp(c_in, window[0] - 2.0)
-    rep = radial_convergence(sc.spec, p0, horizon=args.horizon, tol=sc.flow_tol)
+    rep = radial_convergence(sc.spec, verify.radial_seed(sc.spec, c_in),
+                             horizon=args.horizon, tol=sc.flow_tol)
     print("exponent forward :", rep.exponent_forward)
     print("exponent backward:", rep.exponent_backward)
     print("limit forward    :", rep.limit_forward.Z, rep.limit_forward.frak)

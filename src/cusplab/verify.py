@@ -224,6 +224,12 @@ def check_symplectic(spec: PerturbationSpec, samples: int = 20,
                                             ["beam", "defect"], rows))
 
 
+def radial_seed(spec: PerturbationSpec, c_in: CuspData):
+    """The bicharacteristic of ``c_in`` two time units before the window
+    (before t = -1 without one): where the radial diagnostic starts."""
+    return bichar_from_cusp(c_in, (spec.time_window() or (-1.0, 1.0))[0] - 2.0)
+
+
 def check_radial(spec: PerturbationSpec, Z0, frak0, horizon: float = 1e6,
                  tol_flow: float = 1e-11, exponent_tol: float = 0.01,
                  limit_tol: float = 1e-8, control: bool = False,
@@ -233,9 +239,8 @@ def check_radial(spec: PerturbationSpec, Z0, frak0, horizon: float = 1e6,
 
     ``control`` offsets the scattering target (broken cross-check; must fail)."""
     c_in = CuspData(Z=Z0, frak=frak0)
-    seed_t = (spec.time_window() or (-1.0, 1.0))[0] - 2.0
-    p0 = bichar_from_cusp(c_in, seed_t)
-    report = _flow.radial_convergence(spec, p0, horizon=horizon, tol=tol_flow)
+    report = _flow.radial_convergence(spec, radial_seed(spec, c_in), horizon=horizon,
+                                      tol=tol_flow)
     scatter = _flow.classical_scatter(spec, c_in, tol=tol_flow)
     target = scatter.c_out.pair() + (0.1 if control else 0.0)
     fwd_err = float(np.max(np.abs(report.limit_forward.pair() - target)))
@@ -280,9 +285,8 @@ def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
     if control:
         target = 2.0 * c_in.pair() - target
 
-    window = spec.time_window() or (-1.0, 1.0)
-    radial = _flow.radial_convergence(spec, bichar_from_cusp(c_in, window[0] - 2.0),
-                                      horizon=1e6, tol=tol_flow)
+    radial = _flow.radial_convergence(spec, radial_seed(spec, c_in), horizon=1e6,
+                                      tol=tol_flow)
     cross = float(np.max(np.abs(radial.limit_forward.pair() - target)))
 
     errors = []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cusplab import flow
 from cusplab.errors import TrappingSuspected
 from cusplab.flow import (
     classical_scatter,
@@ -30,10 +31,15 @@ from cusplab.symbols import (
     principal_symbol,
     symbol_jet,
 )
+from cusplab.verify import check_radial, check_symplectic
 
 BUMP2 = PerturbationSpec(n=2, bumps=(MetricBump(
     amplitude=0.05, center_z=[0.0, 0.0], center_t=0.0,
     radius_z=1.0, radius_t=1.0, pattern=np.eye(2)),))
+
+POT2 = PerturbationSpec(n=2, potential_terms=(PotentialTerm(
+    amplitude=0.1, center_z=[0.0, 0.0], center_t=0.0,
+    radius_z=1.0, radius_t=1.0),))
 
 BEAM = CuspData(Z=[1.0, 0.0], frak=[0.0, 0.3])
 
@@ -140,19 +146,46 @@ def test_classical_scatter_flat_is_exact_identity():
 
 
 def test_classical_scatter_pure_potential_identity_and_phase():
-    spec = PerturbationSpec(n=2, potential_terms=(PotentialTerm(
-        amplitude=0.1, center_z=[0.0, 0.0], center_t=0.0,
-        radius_z=1.0, radius_t=1.0),))
-    res = classical_scatter(spec, BEAM, tol=1e-11)
+    res = classical_scatter(POT2, BEAM, tol=1e-11)
     assert np.max(np.abs(res.c_out.pair() - BEAM.pair())) < 1e-12
+    _assert_pure_potential_integrals(res)
 
+
+def _assert_pure_potential_integrals(res):
     def v_beam(t):
-        return spec.potential(2 * t * BEAM.Z - BEAM.frak, t).real
+        return POT2.potential(2 * t * BEAM.Z - BEAM.frak, t).real
 
     oracle, _ = quad(v_beam, -1.1, 1.1, epsabs=1e-13, epsrel=1e-13)
     assert abs(res.potential_phase - oracle) < 1e-8
     assert res.potential_phase_imag == 0.0
     assert abs(res.action_diff) < 1e-10
+
+
+def test_beam_integrals_are_computed_once_on_first_read(monkeypatch):
+    gauss_panels = flow._gauss_panels
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran for a caller that reads only c_out")
+
+    # the map, its Jacobian and the checks built on them need no quadrature
+    monkeypatch.setattr(flow, "_gauss_panels", no_quadrature)
+    scatter_jacobian(BUMP2, BEAM, h_fd=1e-4)
+    assert check_symplectic(BUMP2, samples=1, seed=3).satisfied
+    assert check_radial(BUMP2, BEAM.Z, BEAM.frak).satisfied
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return gauss_panels(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_gauss_panels", counting)
+    res = classical_scatter(POT2, BEAM, tol=1e-11)
+    assert calls == []
+    for _ in range(2):
+        _assert_pure_potential_integrals(res)
+        assert res.transit is not None
+    assert calls == res.trajectory.numeric_spans()
 
 
 def test_classical_scatter_bump_matches_frozen_reference():
@@ -204,10 +237,7 @@ def test_scatter_jacobian_flat_identity():
 
 
 def test_scatter_jacobian_pure_potential_identity():
-    spec = PerturbationSpec(n=2, potential_terms=(PotentialTerm(
-        amplitude=0.1, center_z=[0.0, 0.0], center_t=0.0,
-        radius_z=1.0, radius_t=1.0),))
-    jac = scatter_jacobian(spec, BEAM, h_fd=1e-4)
+    jac = scatter_jacobian(POT2, BEAM, h_fd=1e-4)
     assert np.max(np.abs(jac - np.eye(4))) < 1e-8
 
 

@@ -529,7 +529,11 @@ def test_2d_pairing_conservation():
     fp = scattering_map(met, f, params)
     gm = adjoint_scattering_map(met, g, params)
     res = abs(fp.inner(g) - f.inner(gm)) / (f.norm() * g.norm())
-    assert res < 1e-3           # lower-accuracy splitting, looser bound
+    # 9.4e-5 at dt and at dt / 2, 3.6e-4 at twice the amplitude: an O(eps^2)
+    # floor, not splitting error.  The forward remainder (M + M^T) / 2 lacks
+    # the zeroth-order term g^{jk} d_j phi d_k phi / 4, phi = log sqrt(det g),
+    # of the half-density operator rho^{1/2} Delta_g rho^{-1/2}
+    assert res < 1e-3
     pot = PerturbationSpec(n=2, potential_terms=(PotentialTerm(
         amplitude=0.2 - 0.05j, center_z=[0.0, 0.0], center_t=0.0,
         radius_z=2.0, radius_t=0.5),))
@@ -537,6 +541,24 @@ def test_2d_pairing_conservation():
     gm = adjoint_scattering_map(pot, g, params)
     res = abs(fp.inner(g) - f.inner(gm)) / (f.norm() * g.norm())
     assert res < 1e-10          # diagonal remainder: exact discrete adjoint
+
+
+def test_2d_strang_second_order_in_time():
+    # sheared metric bump plus a potential; error of S against dt = 3.125e-4
+    spec = PerturbationSpec(n=2, bumps=(MetricBump(
+        amplitude=0.1, center_z=[0.0, 0.0], center_t=0.0,
+        radius_z=2.0, radius_t=0.5, pattern=[[1.0, 0.3], [0.3, 0.5]]),),
+        potential_terms=(PotentialTerm(
+            amplitude=0.2, center_z=[0.0, 0.0], center_t=0.0,
+            radius_z=2.0, radius_t=0.5),))
+    grid = Grid(n=2, N=32, L=8.0)
+    f = coherent_data(grid, [0.5, 0.0], [0.3, -0.2], 0.4)
+    ref = scattering_map(spec, f, SolverParams(dt=3.125e-4)).values
+    errors = [np.linalg.norm(scattering_map(spec, f, SolverParams(dt=dt)).values - ref)
+              for dt in (2e-2, 1e-2, 5e-3)]
+    # halving dt must cut the error by about 4 (measured 3.9 and 4.0)
+    assert errors[0] / errors[1] >= 3.0
+    assert errors[1] / errors[2] >= 3.0
 
 
 def test_2d_metric_bump_runs_and_conserves_compensated_mass():
