@@ -11,8 +11,11 @@ the flat values bit-exactly outside the declared supports, which is what
 makes the free/perturbed propagator split exact.
 
 One loop over the bumps and one over the potential terms serve every
-evaluator: a field evaluator reads them at an (m, n) array of grid points,
-and a pointwise evaluator is the m = 1 row of the same loop.
+evaluator of g and V: a field evaluator reads them at an (m, n) array of grid
+points, and a pointwise evaluator is the m = 1 row of the same loop.  The
+Hamilton vector field of the principal symbol has its own loop over the
+bumps, on flat phase-space states: it contracts each pattern with zeta and
+never forms g or its derivatives.
 """
 
 from __future__ import annotations
@@ -195,6 +198,39 @@ class PerturbationSpec:
                 dgdt += (b.amplitude * dwt) * wz[:, None, None] * b.pattern
         return g, dgdz, dgdt
 
+    def hamilton_field(self, t, x):
+        """Hamilton vector field [2 g zeta, 1, -d_z p, -d_t p] of the principal
+        symbol p = tau + zeta.g.zeta at a flat state x = [z, t, zeta, tau],
+        or at each row of an (m, 2n + 2) array of states.
+
+        The time is read from the state; ``t``, an integrator's clock, is not
+        used.  Each bump contracts its symmetric pattern with zeta once,
+        s = P zeta and q = zeta.s, and adds eps w s to g zeta, eps q d_z w to
+        d_z p and eps q d_t w to d_t p.  Outside every support the field is
+        exactly the flat one, (2 zeta, 1, 0, 0).
+        """
+        n = self.n
+        z, tz, zeta = x[..., :n], x[..., n], x[..., n + 1:2 * n + 1]
+        gz, dz, dt = zeta, 0.0, 0.0
+        for b in self.bumps:
+            dtc = tz - b.center_t
+            wt, kt = _mollifier(dtc, b.radius_t)
+            if not np.count_nonzero(wt):
+                continue
+            d = z - b.center_z
+            wz, kz = _mollifier(np.sqrt(np.add.reduce(d * d, axis=-1)), b.radius_z)
+            s = zeta @ b.pattern
+            q = np.add.reduce(zeta * s, axis=-1)
+            gz = gz + (b.amplitude * wt * wz)[..., None] * s
+            dz = dz + (b.amplitude * wt * kz * q)[..., None] * d
+            dt = dt + (b.amplitude * kt * dtc) * wz * q
+        f = np.empty_like(x)
+        f[..., :n] = 2.0 * gz
+        f[..., n] = 1.0
+        f[..., n + 1:2 * n + 1] = -dz
+        f[..., 2 * n + 1] = -dt
+        return f
+
     def _potential(self, pts, t):
         """V at an (m, n) array of points; complex (m,)."""
         v = np.zeros(pts.shape[0], dtype=complex)
@@ -289,10 +325,9 @@ def principal_symbol(spec: PerturbationSpec, p: PhasePoint) -> float:
 
 
 def symbol_jet(spec: PerturbationSpec, p: PhasePoint) -> SymbolJet:
-    """Principal symbol and its gradient in all 2n + 2 coordinates."""
-    g, dgdz, dgdt = spec.inverse_metric_jet(p.z, p.t)
-    value = float(p.tau + p.zeta @ g @ p.zeta)
-    dp_dz = np.einsum("jkl,j,k->l", dgdz, p.zeta, p.zeta)
-    dp_dt = float(p.zeta @ dgdt @ p.zeta)
-    dp_dzeta = 2.0 * g @ p.zeta
-    return SymbolJet(p=value, dp_dz=dp_dz, dp_dt=dp_dt, dp_dzeta=dp_dzeta)
+    """Principal symbol and its gradient in all 2n + 2 coordinates, read off
+    :meth:`PerturbationSpec.hamilton_field`."""
+    n = p.n
+    f = spec.hamilton_field(p.t, p.state())
+    return SymbolJet(p=float(p.tau + 0.5 * (p.zeta @ f[:n])), dp_dz=-f[n + 1:2 * n + 1],
+                     dp_dt=float(-f[2 * n + 1]), dp_dzeta=f[:n])

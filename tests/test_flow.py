@@ -117,6 +117,24 @@ def test_integrate_p_conservation_budget():
     assert traj.stats["max_p_drift"] <= 10 * tol * (2.3 + 2.3) * 10
 
 
+def test_integrate_builds_phase_points_only_for_samples(monkeypatch):
+    # the Runge-Kutta stages run on state vectors; a PhasePoint per stage
+    # would cost more than the field it carries
+    calls = []
+    post_init = PhasePoint.__post_init__
+
+    def counting(self):
+        calls.append(None)
+        post_init(self)
+
+    p0 = bichar_from_cusp(BEAM, -2.3)
+    monkeypatch.setattr(PhasePoint, "__post_init__", counting)
+    traj = integrate(BUMP2, p0, 2.3, tol=1e-11)
+    monkeypatch.undo()
+    assert traj.stats["steps"] > 10
+    assert 0 < len(calls) <= len(traj.samples) + len(traj.segments)
+
+
 def test_integrate_monotone_samples_and_csv(tmp_path):
     p0 = bichar_from_cusp(BEAM, -2.3)
     traj = integrate(BUMP2, p0, 2.3, tol=1e-9)

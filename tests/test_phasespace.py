@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cusplab.errors import (
     CharacteristicViolation,
@@ -56,6 +58,38 @@ def test_cusp_bichar_round_trip_random():
         back = cusp_from_bichar(bichar_from_cusp(c, t0))
         assert np.max(np.abs(back.Z - c.Z)) == 0.0
         assert np.max(np.abs(back.frak - c.frak)) < 1e-13 * (1 + np.max(np.abs(c.frak)))
+
+
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny     # absolute floor for results that underflow
+
+
+def _vectors(n, bound=1e3):
+    return st.lists(st.floats(-bound, bound), min_size=n, max_size=n).map(np.array)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 4), t0=st.floats(-1e3, 1e3))
+def test_cusp_bichar_round_trip_property(data, n, t0):
+    c = CuspData(Z=data.draw(_vectors(n)), frak=data.draw(_vectors(n)))
+    back = cusp_from_bichar(bichar_from_cusp(c, t0))
+    assert np.array_equal(back.Z, c.Z)
+    # frak -> 2 t Z - frak -> 2 t Z - (2 t Z - frak): two roundings
+    scale = np.abs(2.0 * t0 * c.Z) + np.abs(c.frak)
+    assert np.all(np.abs(back.frak - c.frak) <= 2.0 * EPS * scale + TINY)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 4), t=st.floats(-1e3, 1e3),
+       tau=st.floats(-1e3, 1e3), a=st.floats(-1e3, 1e3), b=st.floats(-1e3, 1e3))
+def test_free_flow_group_law_property(data, n, t, tau, a, b):
+    p = PhasePoint(z=data.draw(_vectors(n)), t=t, zeta=data.draw(_vectors(n)), tau=tau)
+    twice, once = free_flow(free_flow(p, a), b), free_flow(p, a + b)
+    assert np.array_equal(twice.zeta, p.zeta) and np.array_equal(once.zeta, p.zeta)
+    assert twice.tau == once.tau == p.tau
+    scale_z = np.abs(p.z) + 2.0 * (abs(a) + abs(b)) * np.abs(p.zeta)
+    assert np.all(np.abs(twice.z - once.z) <= 4.0 * EPS * scale_z + TINY)
+    assert abs(twice.t - once.t) <= 4.0 * EPS * (abs(t) + abs(a) + abs(b)) + TINY
 
 
 def test_cusp_from_bichar_commutes_with_free_flow():
@@ -131,6 +165,17 @@ def test_chart_round_trip_100_random():
         back = from_boundary_chart(to_boundary_chart(c))
         assert np.max(np.abs(back.Z - c.Z)) <= 1e-12 * np.max(np.abs(c.Z))
         assert np.max(np.abs(back.frak - c.frak)) <= 1e-12 * max(1.0, np.max(np.abs(c.frak)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_chart_round_trip_property(data, n):
+    Z, frak = data.draw(_vectors(n)), data.draw(_vectors(n))
+    assume(np.max(np.abs(Z)) >= 1e-3)
+    c = CuspData(Z=Z, frak=frak)
+    back = from_boundary_chart(to_boundary_chart(c))
+    assert np.all(np.abs(back.Z - c.Z) <= 4.0 * EPS * np.max(np.abs(c.Z)))
+    assert np.all(np.abs(back.frak - c.frak) <= 4.0 * n * EPS * np.max(np.abs(c.frak)) + TINY)
 
 
 def test_chart_leading_order_slope():

@@ -1,5 +1,6 @@
 """Scenario parsing/validation, the runner, and the CLI surface."""
 
+import ast
 import json
 import os
 import subprocess
@@ -329,6 +330,26 @@ def test_cli_flow_writes_trajectory(tmp_path, capsys):
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "t,z_1,zeta_1,tau,p_residual"
     assert len(lines) > 5
+
+
+def test_cli_classical_commands_print_plain_numbers(tmp_path, capsys):
+    # transit and the flow statistics print as Python numbers, not as numpy
+    # scalar reprs whose form depends on the numpy version
+    assert main(["classical-map", "--scenario", "bump_metric",
+                 "--Z", "1.0", "--frak", "0.3"]) == 0
+    out = capsys.readouterr().out
+    transit = next(line for line in out.splitlines() if line.startswith("transit ="))
+    assert "np." not in out
+    lo, hi = (float(v) for v in transit.split("=", 1)[1].strip(" ()").split(","))
+    assert lo < hi
+    assert main(["--out", str(tmp_path), "flow", "--scenario", "bump_metric",
+                 "--Z", "1.0", "--frak", "0.3", "--t0", "-3", "--t1", "3"]) == 0
+    out = capsys.readouterr().out
+    stats = next(line for line in out.splitlines() if line.startswith("stats:"))
+    assert "np." not in out
+    values = ast.literal_eval(stats.split(":", 1)[1].strip())
+    assert {type(v) for v in values.values()} <= {int, float}
+    assert values["time_inside_support"] > 0.0
 
 
 def test_cli_jacobian(capsys):

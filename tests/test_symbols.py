@@ -191,7 +191,9 @@ def _random_window(rng, n):
 
 def _boundary_points(term, n):
     j = round(term.radius_z * 32 / 5)
-    offsets = [(5 * j,), (-5 * j,)] if n == 1 else [(3 * j, 4 * j), (-4 * j, -3 * j), (0, 5 * j)]
+    pad = (0,) * (n - 2)
+    offsets = ([(5 * j,), (-5 * j,)] if n == 1
+               else [(3 * j, 4 * j) + pad, (-4 * j, -3 * j) + pad, pad + (0, 5 * j)])
     return [term.center_z + np.array(off) / 32 for off in offsets] + [term.center_z]
 
 
@@ -255,3 +257,45 @@ def test_pointwise_rows_flat_support_and_jet_field(n, n_bumps, n_pots, seed):
                     - spec.inverse_metric_field(pts, t - h)) / (2 * h)
             dgdt = np.array([spec.inverse_metric_jet(z, t)[2] for z in pts])
             assert np.max(np.abs(fd_t - dgdt)) < 1e-7
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.sampled_from([1, 2, 3]), n_bumps=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_hamilton_field_contracts_the_metric_jet(n, n_bumps, seed):
+    rng = np.random.default_rng(seed)
+    bumps = []
+    for _ in range(n_bumps):
+        a = rng.uniform(-0.5, 0.5, (n, n))
+        bumps.append(MetricBump(amplitude=rng.uniform(-0.3, 0.3), pattern=(a + a.T) / 2,
+                                **_random_window(rng, n)))
+    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        spec = PerturbationSpec(n=n, bumps=tuple(bumps))
+        # on, just inside and just outside every boundary, still dyadic
+        points = [_dyadic(rng, -3.0, 3.0, n) for _ in range(6)]
+        times = [float(_dyadic(rng, -2.0, 2.0))]
+        for b in spec.bumps:
+            points += [b.center_z + (z - b.center_z) * s
+                       for z in _boundary_points(b, n) for s in (31 / 32, 1.0, 33 / 32)]
+            times += [b.center_t + s * b.radius_t for s in (-33 / 32, -1.0, -31 / 32,
+                                                            31 / 32, 1.0, 33 / 32)]
+        states = np.array([np.concatenate([z, [t], _dyadic(rng, -2.0, 2.0, n),
+                                           [_dyadic(rng, -2.0, 2.0)]])
+                           for z in points for t in times])
+        field = spec.hamilton_field(None, states)
+        for x, f in zip(states, field):
+            z, t, zeta = x[:n], x[n], x[n + 1:2 * n + 1]
+            # a row of the array evaluation is the single-state field
+            assert _bits(spec.hamilton_field(t, x)) == _bits(f)
+            g, dgdz, dgdt = spec.inverse_metric_jet(z, t)
+            ref = np.concatenate([2.0 * g @ zeta, [1.0],
+                                  -np.einsum("jkl,j,k->l", dgdz, zeta, zeta),
+                                  [-(zeta @ dgdt @ zeta)]])
+            assert np.max(np.abs(f - ref)) <= 1e-14 * np.max(np.abs(ref))
+            if _outside(spec.bumps, z, t):
+                assert np.array_equal(f, np.concatenate([2.0 * zeta, [1.0], np.zeros(n + 1)]))
+        # the point jet reads the same field
+        for x, f in zip(states[::7], field[::7]):
+            jet = symbol_jet(spec, PhasePoint.from_state(x))
+            rhs = np.concatenate([jet.dp_dzeta, [1.0], -jet.dp_dz, [-jet.dp_dt]])
+            assert _bits(rhs) == _bits(f)
