@@ -25,6 +25,14 @@ alone.
 One walk serves the scattering map S and its adjoint S*: the direction of
 time selects the scheme, the forward one when time increases and the plain
 adjoint one, with the conjugate potential, when it decreases.
+
+Samples may carry one leading batch axis: a stack of k inputs, of shape
+(k, *grid.shape()), goes through the same code as one input.  Transforms
+act on the last n axes, and each Strang step assembles the remainder once
+and solves one (m, k) right-hand side for the whole stack.  ``norm``,
+``inner`` and the boundary and band mass fractions reduce over the last n
+axes, one value per input; the leak and band-limit checks raise when any
+input fails them.
 """
 
 from __future__ import annotations
@@ -110,21 +118,36 @@ class Grid:
     def shape(self):
         return (self.N,) * self.n
 
+    @property
+    def axes(self) -> tuple:
+        """The grid axes of a sample array, the last n, with or without a
+        leading batch axis."""
+        return tuple(range(-self.n, 0))
+
 
 def forward_ft(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Discrete FT(u)(Z) on the dual grid (math ordering, origin centred)."""
-    return grid.dz**grid.n * np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(values)))
+    """Discrete FT(u)(Z) on the dual grid (math ordering, origin centred),
+    over the grid axes of one field or of a stack."""
+    axes = grid.axes
+    return grid.dz**grid.n * np.fft.fftshift(
+        np.fft.fftn(np.fft.ifftshift(values, axes), axes=axes), axes)
 
 
 def inverse_ft(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Inverse of :func:`forward_ft` (exact round trip on the grid)."""
-    return grid.dz**(-grid.n) * np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(values)))
+    axes = grid.axes
+    return grid.dz**(-grid.n) * np.fft.fftshift(
+        np.fft.ifftn(np.fft.ifftshift(values, axes), axes=axes), axes)
 
 
 @dataclass(frozen=True)
 class _Samples:
-    """Complex samples on the grid.  ``spacing`` names the grid step, dz or
-    dZ, whose n-th power is the cell volume of ``norm`` and ``inner``."""
+    """Complex samples on the grid: one input of shape ``grid.shape()``, or
+    a stack of k inputs along one leading batch axis.  ``norm``, ``inner``
+    and the mass fractions reduce over the grid axes, so they give a scalar
+    for one input and k values for a stack.  ``spacing`` names the grid
+    step, dz or dZ, whose n-th power is the cell volume of ``norm`` and
+    ``inner``."""
 
     grid: Grid
     values: np.ndarray
@@ -132,18 +155,31 @@ class _Samples:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != self.grid.shape():
-            raise ValueError(f"values must have shape {self.grid.shape()}")
+        n = self.grid.n
+        if vals.ndim not in (n, n + 1) or vals.shape[vals.ndim - n:] != self.grid.shape():
+            raise ValueError(f"values must have shape {self.grid.shape()}, "
+                             "after at most one batch axis")
         object.__setattr__(self, "values", vals)
 
-    def norm(self) -> float:
+    def norm(self):
         cell = getattr(self.grid, self.spacing) ** self.grid.n
-        return float(np.sqrt(cell * np.sum(np.abs(self.values) ** 2)))
+        return np.sqrt(cell * np.sum(np.abs(self.values) ** 2, axis=self.grid.axes))
 
-    def inner(self, other) -> complex:
-        """<f, g> = sum f conj(g) times the cell volume."""
+    def inner(self, other):
+        """<f, g> = sum f conj(g) times the cell volume, per input; a single
+        input on either side pairs with every input of a stack."""
         cell = getattr(self.grid, self.spacing) ** self.grid.n
-        return complex(cell * np.sum(self.values * np.conj(other.values)))
+        conj = np.conj(other.values)    # named: see _strang_march
+        return cell * np.sum(self.values * conj, axis=self.grid.axes)
+
+    def _outer_mass_fraction(self, axis, cut):
+        """Fraction of sum |values|^2 at the grid points where some
+        coordinate, taken from ``axis`` per grid axis, has modulus >= cut."""
+        w = np.abs(self.values) ** 2
+        total = np.sum(w, axis=self.grid.axes)
+        mesh = np.meshgrid(*[np.abs(axis)] * self.grid.n, indexing="ij")
+        outer = np.sum(w[..., np.max(mesh, axis=0) >= cut], axis=-1)
+        return outer / np.where(total == 0.0, 1.0, total)
 
 
 @dataclass(frozen=True)
@@ -156,10 +192,10 @@ class WaveField(_Samples):
         super().__post_init__()
         object.__setattr__(self, "time", float(self.time))
 
-    def boundary_leak_fraction(self) -> float:
+    def boundary_leak_fraction(self):
         """Mass fraction in the outer 5% shell of the box."""
-        return _outer_mass_fraction(self.values, self.grid.axis_z(),
-                                    (1.0 - SHELL_FRACTION) * self.grid.L)
+        return self._outer_mass_fraction(self.grid.axis_z(),
+                                         (1.0 - SHELL_FRACTION) * self.grid.L)
 
 
 @dataclass(frozen=True)
@@ -168,20 +204,9 @@ class SpectralData(_Samples):
 
     spacing = "dZ"
 
-    def outer_band_fraction(self) -> float:
+    def outer_band_fraction(self):
         """Mass fraction carried by the outer quarter of frequencies."""
-        return _outer_mass_fraction(self.values, self.grid.axis_Z(), 0.75 * self.grid.z_max)
-
-
-def _outer_mass_fraction(values, axis, cut) -> float:
-    """Fraction of sum |values|^2 at the grid points where some coordinate,
-    taken from ``axis`` per array axis, has modulus >= cut."""
-    w = np.abs(values) ** 2
-    total = float(np.sum(w))
-    if total == 0.0:
-        return 0.0
-    mesh = np.meshgrid(*[np.abs(axis)] * values.ndim, indexing="ij")
-    return float(np.sum(w[np.max(mesh, axis=0) >= cut])) / total
+        return self._outer_mass_fraction(self.grid.axis_Z(), 0.75 * self.grid.z_max)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +336,8 @@ def solve_cyclic_tridiagonal(lower, diag, upper, corner_ul, corner_lr, rhs):
     tridiagonal, u = gamma e_0 + corner_lr e_{N-1} and
     v = e_0 + (corner_ul / gamma) e_{N-1} (Numerical Recipes, section 2.7).
     The solution is x = y - (v.y / (1 + v.q)) q with B y = rhs and B q = u,
-    both from one banded solve.
+    both from one banded solve.  ``rhs`` is one column of N values or an
+    (N, k) stack of columns, solved together.
     """
     N = diag.size
     gamma = -diag[0]
@@ -325,10 +351,10 @@ def solve_cyclic_tridiagonal(lower, diag, upper, corner_ul, corner_lr, rhs):
     u[0] = gamma
     u[-1] = corner_lr
     stacked = solve_banded((1, 1), ab, np.column_stack([rhs, u]))
-    y, q = stacked[:, 0], stacked[:, 1]
+    y, q = stacked[:, :-1].reshape(rhs.shape), stacked[:, -1]
     vy = y[0] + corner_ul / gamma * y[-1]
     vq = q[0] + corner_ul / gamma * q[-1]
-    return y - vy / (1.0 + vq) * q
+    return y - np.multiply.outer(q, vy / (1.0 + vq))
 
 
 def _band_rows(rows, a_face, a_pts, v_eff, dz, adjoint):
@@ -500,53 +526,68 @@ class _Footprint:
 
     def step(self, x, t, c):
         """One Crank-Nicolson step (1 + cR)^{-1} (1 - cR) x of the remainder
-        at time t, for x on the footprint."""
+        at time t, for x on the footprint: one column of m values, or an
+        (m, k) stack of columns that shares one assembly and one solve."""
         r = self.remainder(t)
         if self.n == 1:
             lower, diag, upper = r
-            rhs = x - c * (diag * x + lower * np.roll(x, 1) + upper * np.roll(x, -1))
+            rows = x.T          # footprint rows along the last axis
+            prev, succ = np.roll(rows, 1, axis=-1), np.roll(rows, -1, axis=-1)
+            r_x = diag * rows + lower * prev + upper * succ
+            rhs = rows - c * r_x
             return solve_cyclic_tridiagonal(c * lower, 1.0 + c * diag, c * upper,
-                                            c * lower[0], c * upper[-1], rhs)
+                                            c * lower[0], c * upper[-1], rhs.T)
         import scipy.sparse.linalg as spla
 
         plus = c * r                # same pattern, which holds the diagonal
         plus.data[self.diag_slot] += 1.0
-        return spla.splu(plus).solve(x - c * (r @ x))
+        r_x = r @ x
+        return spla.splu(plus).solve(x - c * r_x)
 
 
 def _strang_march(spec, grid, values, t0, t1, params):
     """Strang splitting march over an active interval from t0 to t1: the
     forward scheme when t1 > t0, the adjoint scheme when t1 < t0.
+    ``values`` is one field or a stack; the stack shares every remainder
+    assembly and solve.
 
     Each step is an exact free half-step, one Crank-Nicolson step of the
     remainder at the step midpoint, on the footprint, and a second free
     half-step.  Adjacent half-steps are fused, so m steps make m + 1
     transforms.  The multiplier is kept in FFT order: for even N the
-    fftshift pairs of forward_ft and inverse_ft cancel."""
+    fftshift pairs of forward_ft and inverse_ft cancel.
+
+    Complex products here name their array operands.  For operands of one
+    shape and at least 256 KiB numpy evaluates ``a * temporary`` in place
+    as ``temporary * a``, and a complex product rounds differently in the
+    two orders, so an unnamed temporary would let a stack round unlike its
+    slices."""
     span = t1 - t0
     m = max(1, int(np.ceil(abs(span) / params.dt - 1e-12)))
     step = span / m
     c = 0.5j * step
-    axes = tuple(range(-grid.n, 0))
+    axes = grid.axes
     norm_sq = np.fft.ifftshift(grid.dual_norm_sq())
     half, full = np.exp(-0.5j * step * norm_sq), np.exp(-1j * step * norm_sq)
     footprint = _Footprint(spec, grid, params.measure_compensated, adjoint=t1 < t0)
     ids = footprint.ids
-    v = np.fft.ifftn(half * np.fft.fftn(values, axes=axes), axes=axes)
+    spectrum = np.fft.fftn(values, axes=axes)
+    v = np.fft.ifftn(half * spectrum, axes=axes)
     for k in range(m):
         t_mid = t0 + (k + 0.5) * step
-        flat = v.reshape(-1)
+        flat = v.reshape(*v.shape[:v.ndim - grid.n], -1)    # a view of v
         if ids.size:
             try:
-                flat[ids] = footprint.step(flat[ids], t_mid, c)
+                flat[..., ids] = footprint.step(flat[..., ids].T, t_mid, c).T
             except (np.linalg.LinAlgError, RuntimeError) as exc:
                 raise ConvergenceFailure(f"remainder step at t={t_mid:.6g} failed: "
                                          f"{exc}") from exc
-            if not np.all(np.isfinite(flat[ids])):
+            if not np.all(np.isfinite(flat[..., ids])):
                 raise ConvergenceFailure(f"remainder step at t={t_mid:.6g} produced "
                                          "non-finite values")
         mult = full if k < m - 1 else half
-        v = np.fft.ifftn(mult * np.fft.fftn(flat.reshape(grid.shape()), axes=axes), axes=axes)
+        spectrum = np.fft.fftn(v, axes=axes)
+        v = np.fft.ifftn(mult * spectrum, axes=axes)
     return v
 
 
@@ -560,9 +601,10 @@ def propagate_window(spec: PerturbationSpec, u: WaveField, t_to: float,
     perturbation-free gaps and Strang splitting with the remainder on the
     footprint on active intervals, in any dimension.  The direction selects
     the scheme: forward when t_to > u.time, the plain adjoint with the
-    conjugate potential when t_to < u.time.  Raises BoundaryLeak when the
-    outer-shell mass fraction exceeds LEAK_THRESHOLD after an active
-    interval or at t_to."""
+    conjugate potential when t_to < u.time.  ``u`` may be a stack of
+    fields, propagated by one march per interval.  Raises BoundaryLeak when
+    the outer-shell mass fraction of some field exceeds LEAK_THRESHOLD
+    after an active interval or at t_to."""
     params = params or SolverParams()
     intervals = _active_intervals(spec, min(u.time, t_to), max(u.time, t_to))
     if t_to < u.time:
@@ -583,7 +625,7 @@ def propagate_window(spec: PerturbationSpec, u: WaveField, t_to: float,
 
 
 def _check_leak(field: WaveField):
-    leak = field.boundary_leak_fraction()
+    leak = np.max(field.boundary_leak_fraction())
     if leak > LEAK_THRESHOLD:
         raise BoundaryLeak(f"outer-shell mass fraction {leak:.3e} exceeds "
                            f"{LEAK_THRESHOLD:.1e} at t={field.time:.4g}")
@@ -598,7 +640,8 @@ def window_span(spec: PerturbationSpec, params: SolverParams) -> float:
 
 
 def check_band_limited(f: SpectralData):
-    frac = f.outer_band_fraction()
+    """Raise ValidationError when some input of ``f`` is not band-limited."""
+    frac = np.max(f.outer_band_fraction())
     if frac >= 1e-10:
         raise ValidationError(
             f"input carries {frac:.2e} of its mass in the outer 25% of the "
@@ -626,7 +669,11 @@ def scattering_map(spec: PerturbationSpec, f_minus: SpectralData,
     Realized through the final-state problem: build the free solution with
     data f_minus before the window, propagate across the window, read off
     outgoing data.  The flat operator returns its input to machine
-    precision (pure multiplier path)."""
+    precision (pure multiplier path).
+
+    ``f_minus`` may be a stack of k inputs along one leading batch axis: one
+    march maps them all, and slice j of the result is the map of input j.
+    The band-limit and leak checks raise when any input fails them."""
     return _map(spec, f_minus, params, 1.0)
 
 
@@ -634,7 +681,8 @@ def adjoint_scattering_map(spec: PerturbationSpec, g_plus: SpectralData,
                            params: SolverParams | None = None) -> SpectralData:
     """Backward propagation of the adjoint equation: outgoing adjoint data
     g_plus to incoming data g_minus.  Uses the plain-measure adjoint of the
-    discretized spatial operator and the conjugate potential."""
+    discretized spatial operator and the conjugate potential.  ``g_plus``
+    may be a stack, as for :func:`scattering_map`."""
     return _map(spec, g_plus, params, -1.0)
 
 
@@ -701,9 +749,18 @@ def packet_moments(f: SpectralData):
 _CONVENTION_TAG = "ft=int e^{-izZ} u dz; inv=(2pi)^{-n}; data f=e^{+it|Z|^2} FT(u)"
 
 
+def _single(obj):
+    """Raise ValidationError when ``obj`` holds a stack of inputs."""
+    if obj.values.ndim != obj.grid.n:
+        raise ValidationError(f"expected one field, got a stack of {len(obj.values)}",
+                              invariant="single-field")
+
+
 def dump_field(path, obj):
-    """Write a WaveField or SpectralData: one JSON header line, then raw
-    little-endian interleaved (real, imag) float64 in row-major order."""
+    """Write one WaveField or SpectralData, not a stack: one JSON header
+    line, then raw little-endian interleaved (real, imag) float64 in
+    row-major order."""
+    _single(obj)
     header = {
         "n": obj.grid.n,
         "N": obj.grid.N,
@@ -735,7 +792,9 @@ def load_field(path):
 
 def export_spectrum_csv(path, f: SpectralData):
     """CSV of |f(Z)|^2 and arg f(Z) against the dual grid, one row per point
-    in row-major order; the coordinate columns are Z (n = 1) or Z1, Z2."""
+    in row-major order; the coordinate columns are Z (n = 1) or Z1, Z2.
+    ``f`` is one input, not a stack."""
+    _single(f)
     names = ["Z"] if f.grid.n == 1 else ["Z1", "Z2"]
     coords = [m.ravel() for m in f.grid.mesh_Z()]
     with open(path, "w", newline="") as fh:

@@ -91,11 +91,30 @@ def _write_csv(out_dir, name, header, rows):
     return [path]
 
 
+def _stack(packets):
+    """The packets as one SpectralData, stacked along its batch axis, so that
+    one map serves them all."""
+    return _q.SpectralData(grid=packets[0].grid, values=np.stack([p.values for p in packets]))
+
+
+def _relative_defects(out, ref):
+    """||out - ref|| / ||ref|| per input of two stacks."""
+    return [float(np.linalg.norm(a - b) / np.linalg.norm(b))
+            for a, b in zip(out.values, ref.values)]
+
+
+def _check_decreasing(h_list, check):
+    if not all(a > b for a, b in zip(h_list, h_list[1:])):
+        raise ValidationError("h_list must be strictly decreasing",
+                              invariant=f"{check}-h-list-decreasing")
+
+
 def _default_inputs(grid):
-    """Five fixed band-limited packets (centre, frequency, width)."""
+    """Five fixed band-limited packets (centre, frequency, width), stacked."""
     cfg = [(0.0, 0.0, 0.5), (1.0, 0.3, 0.2), (-0.8, 3.0, 0.3),
            (0.5, -2.0, 0.15), (-1.2, 1.0, 0.4)]
-    return [_q.coherent_data(grid, [z] * grid.n, [fr] * grid.n, h) for z, fr, h in cfg]
+    return _stack([_q.coherent_data(grid, [z] * grid.n, [fr] * grid.n, h)
+                   for z, fr, h in cfg])
 
 
 # ---------------------------------------------------------------------------
@@ -110,19 +129,15 @@ def check_free_identity(grid: _q.Grid, params: _q.SolverParams = _q.SolverParams
     data) over [-span, span].  ``control`` flips the extraction multiplier
     (negative control: must fail)."""
     spec = flat_spec(grid.n)
-    measured = []
-    rows = []
-    for k, f in enumerate(_default_inputs(grid)):
-        u = _q.poisson_free(f, -span)
-        u = _q.propagate_window(spec, u, span, params)
-        if control:
-            bad = np.exp(-1j * u.time * grid.dual_norm_sq()) * _q.forward_ft(grid, u.values)
-            f_out = _q.SpectralData(grid=grid, values=bad)
-        else:
-            f_out = _q.extract_asymptotic(u, spec)
-        err = np.linalg.norm(f_out.values - f.values) / np.linalg.norm(f.values)
-        measured.append(Measurement(f"identity-defect-{k}", float(err), tol))
-        rows.append((k, err))
+    f = _default_inputs(grid)
+    u = _q.propagate_window(spec, _q.poisson_free(f, -span), span, params)
+    if control:
+        bad = np.exp(-1j * u.time * grid.dual_norm_sq()) * _q.forward_ft(grid, u.values)
+        f_out = _q.SpectralData(grid=grid, values=bad)
+    else:
+        f_out = _q.extract_asymptotic(u, spec)
+    rows = list(enumerate(_relative_defects(f_out, f)))
+    measured = [Measurement(f"identity-defect-{k}", err, tol) for k, err in rows]
     return CheckReport(name="free-identity", measured=measured, control=control,
                        artifacts=_write_csv(out_dir, "identity_defects.csv",
                                             ["input", "rel_error"], rows))
@@ -147,13 +162,10 @@ def check_unitarity(spec: PerturbationSpec, grid: _q.Grid,
         if any(abs(p.amplitude.imag) > 0 for p in spec.potential_terms):
             raise ValidationError("unitarity check requires a real potential",
                                   invariant="unitarity-real-potential")
-    measured = []
-    rows = []
-    for k, f in enumerate(_default_inputs(grid)):
-        fp = _q.scattering_map(spec, f, params)
-        defect = abs(fp.norm() - f.norm()) / f.norm()
-        measured.append(Measurement(f"norm-defect-{k}", float(defect), tol))
-        rows.append((k, defect))
+    f = _default_inputs(grid)
+    defects = abs(_q.scattering_map(spec, f, params).norm() - f.norm()) / f.norm()
+    rows = list(enumerate(defects))
+    measured = [Measurement(f"norm-defect-{k}", float(defect), tol) for k, defect in rows]
     return CheckReport(name="unitarity", measured=measured, control=control,
                        artifacts=_write_csv(out_dir, "norm_defects.csv",
                                             ["input", "rel_defect"], rows))
@@ -275,9 +287,7 @@ def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
     target (a broken prediction: must fail)."""
     tol_flow = min(tol_flow, 1e-12)
     h_list = list(h_list)
-    if len(h_list) > 1 and not all(h_list[i] > h_list[i + 1] for i in range(len(h_list) - 1)):
-        raise ValidationError("h_list must be strictly decreasing",
-                              invariant="egorov-h-list-decreasing")
+    _check_decreasing(h_list, "egorov")
     c_in = CuspData(Z=np.atleast_1d(Z0), frak=np.atleast_1d(frak0))
     scatter = _flow.classical_scatter(spec, c_in, tol=tol_flow)
     target = scatter.c_out.pair()
@@ -289,12 +299,11 @@ def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
                                       tol=tol_flow)
     cross = float(np.max(np.abs(radial.limit_forward.pair() - target)))
 
+    f = _stack([_q.coherent_data(grid, c_in.Z, c_in.frak, h) for h in h_list])
     errors = []
     rows = []
-    for h in h_list:
-        f = _q.coherent_data(grid, c_in.Z, c_in.frak, h)
-        fp = _q.scattering_map(spec, f, params)
-        zbar, frakbar = _q.packet_moments(fp)
+    for h, values in zip(h_list, _q.scattering_map(spec, f, params).values):
+        zbar, frakbar = _q.packet_moments(_q.SpectralData(grid=grid, values=values))
         e = float(np.linalg.norm(np.concatenate([zbar, frakbar]) - target))
         errors.append(e)
         rows.append((h, e, e / displacement if displacement else np.nan))
@@ -390,16 +399,16 @@ def check_highfreq_identity(spec: PerturbationSpec, grid: _q.Grid, Z0,
                 f"beam misses the support by {min_dist:.3g} < 5 packet widths "
                 f"({5 * width:.3g})", invariant="highfreq-beam-offset")
 
-    def defect(frak):
-        f = _q.coherent_data(grid, Z0, frak, h)
-        fp = _q.scattering_map(spec, f, params)
-        return float(np.linalg.norm(fp.values - f.values) / np.linalg.norm(f.values))
-
-    far = defect(frak_far)
+    fraks = [frak_far]
+    if frak_through is not None:
+        fraks.append(np.atleast_1d(np.asarray(frak_through, dtype=float)))
+    f = _stack([_q.coherent_data(grid, Z0, frak, h) for frak in fraks])
+    defects = _relative_defects(_q.scattering_map(spec, f, params), f)
+    far = defects[0]
     measured = [Measurement("far-beam-defect", far, tol)]
     rows = [(float(np.linalg.norm(frak_far)), far)]
     if frak_through is not None:
-        through = defect(np.atleast_1d(np.asarray(frak_through, dtype=float)))
+        through = defects[1]
         measured.append(Measurement("control-discriminates",
                                     float(control_floor - through), 0.0))
         rows.append((float(np.linalg.norm(np.atleast_1d(frak_through))), through))
@@ -427,36 +436,30 @@ def check_noncompactness(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
                          control: bool = False, out_dir=None) -> CheckReport:
     """A weakly-null coherent family keeps ||(S - Id) f_k|| bounded below.
 
-    The floor c defaults to half the value sqrt(2 - 2 Re<Sf, f>) observed at
-    the largest h; controls (e.g. the flat spec, whose self-derived floor
+    ``h_list`` must be strictly decreasing.  The floor c defaults to half
+    the value sqrt(2 - 2 Re<Sf, f>) observed at the largest h, the first;
+    controls (e.g. the flat spec, whose self-derived floor
     degenerates to zero) pass an explicit positive floor the family must
     fail to clear.  Weak nullity is proxied by |<f_k, phi>| decreasing for
     three fixed test functions."""
     Z0 = np.atleast_1d(np.asarray(Z0, dtype=float))
     frak0 = np.atleast_1d(np.asarray(frak0, dtype=float))
     h_list = list(h_list)
-    phis = _noncompact_test_functions(grid)
-
-    norms = []
-    overlaps = []
-    rows = []
-    for h in h_list:
-        f = _q.coherent_data(grid, Z0, frak0, h)
-        fp = _q.scattering_map(spec, f, params)
-        diff = _q.SpectralData(grid=grid, values=fp.values - f.values)
-        norms.append(diff.norm())
-        if c_floor is None:
-            c_floor = 0.5 * float(np.sqrt(max(2.0 - 2.0 * np.real(fp.inner(f)), 0.0)))
-        ov = [abs(f.inner(phi)) for phi in phis]
-        overlaps.append(ov)
-        rows.append((h, norms[-1], *ov))
-
-    overlaps = np.array(overlaps)
+    _check_decreasing(h_list, "noncompact")
+    f = _stack([_q.coherent_data(grid, Z0, frak0, h) for h in h_list])
+    fp = _q.scattering_map(spec, f, params)
+    norms = _q.SpectralData(grid=grid, values=fp.values - f.values).norm()
+    if c_floor is None:
+        c_floor = 0.5 * float(np.sqrt(max(2.0 - 2.0 * np.real(fp.inner(f)[0]), 0.0)))
+    # |<f_k, phi>|, one row per h; hypot rounds as abs() of one complex
+    inners = np.array([f.inner(phi) for phi in _noncompact_test_functions(grid)]).T
+    overlaps = np.hypot(inners.real, inners.imag)
+    rows = [(h, norm, *ov) for h, norm, ov in zip(h_list, norms, overlaps)]
     weak_trend = float(np.max(np.diff(overlaps, axis=0))) if len(h_list) > 1 else -1.0
     measured = [
         Measurement("weak-null-trend", weak_trend, 0.0),
-        Measurement("difference-norm-floor", float(c_floor - min(norms)), 0.0),
-        Measurement("difference-norm-ceiling", float(max(norms)), 2.0 + 1e-9),
+        Measurement("difference-norm-floor", float(c_floor - np.min(norms)), 0.0),
+        Measurement("difference-norm-ceiling", float(np.max(norms)), 2.0 + 1e-9),
     ]
     return CheckReport(name="noncompact", measured=measured, control=control,
                        note=f"floor c = {c_floor:.6g}",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from cusplab import quantum
 from cusplab.errors import (
@@ -285,13 +286,20 @@ def _embedded(footprint, remainder, size):
     return dense
 
 
+def _footprint_spec(grid, where):
+    """The flat operator, or a perturbation whose footprint lies "inside"
+    the box or, at the "corner", covers z = -L and so wraps the seam."""
+    n = grid.n
+    if where == "flat":
+        return flat_spec(n)
+    return _bump_and_potential(np.zeros(n) if where == "inside" else np.full(n, 1.0 - grid.L), n)
+
+
 @pytest.mark.parametrize("where", ["inside", "corner"])
 @pytest.mark.parametrize("n", [1, 2], ids=["n=1", "n=2"])
 def test_footprint_remainder_equals_whole_grid(monkeypatch, n, where):
     grid = Grid(n=n, N=256 if n == 1 else 32, L=10.0)
-    # "corner": the support covers z = -L, so the footprint wraps the seam
-    center = np.zeros(n) if where == "inside" else np.full(n, 1.0 - grid.L)
-    spec = _bump_and_potential(center, n)
+    spec = _footprint_spec(grid, where)
     size = grid.N**n
     rng = np.random.default_rng(3)
     for adjoint in (False, True):
@@ -316,10 +324,61 @@ def test_footprint_remainder_equals_whole_grid(monkeypatch, n, where):
             expect = np.linalg.solve(eye + c * r_whole, (eye - c * r_whole) @ full)
             assert np.max(np.abs(part.step(x, 0.3, c) - expect[part.ids])) < 1e-12
             assert np.max(np.abs(np.delete(expect, part.ids))) < 1e-12
+            # an (m, 3) stack shares the step: each column as if alone
+            xs = np.column_stack([x, 1j * x[::-1], np.conj(x)])
+            stepped = part.step(xs, 0.3, c)
+            for k in range(3):
+                assert np.array_equal(stepped[:, k], part.step(xs[:, k].copy(), 0.3, c))
+            # the Cayley step (1 + A)^{-1} (1 - A), A = cR, against exp(-2A):
+            # the series differ by sum_{j >= 3} (-1)^j (2 - 2^j / j!) A^j, each
+            # coefficient at most 2 in modulus, so for a = ||A||_2 < 1
+            # ||step x - exp(-2A) x|| <= 2 a^3 / (1 - a) ||x||.  R_whole
+            # vanishes off the footprint, where its exponential is the identity
+            r_fp = r_whole[np.ix_(part.ids, part.ids)]
+            a = abs(c) * np.linalg.norm(r_fp, 2)
+            assert 1e-3 < a < 0.5
+            bound = 2.0 * a**3 / (1.0 - a) * np.linalg.norm(x)
+            exact = expm(-2.0 * c * r_fp) @ x
+            assert np.linalg.norm(part.step(x, 0.3, c) - exact) <= bound
+            # the backward step, c -> -c, is first-order far from exp(-2A)
+            assert np.linalg.norm(part.step(x, 0.3, -c) - exact) > bound
 
 
 # ---------------------------------------------------------------------------
 # the scattering map and its adjoint
+
+
+@pytest.mark.parametrize("where", ["flat", "inside", "corner"])
+# twice the box of the remainder test, so that no packet reaches the shell;
+# at N = 16384 one field has 256 KiB, where numpy starts to reuse temporaries
+@pytest.mark.parametrize("n,N", [(1, 512), (1, 16384), (2, 64)],
+                         ids=["n=1", "n=1-N=16384", "n=2"])
+def test_stacked_map_equals_per_input_maps(n, N, where):
+    grid = Grid(n=n, N=N, L=20.0)
+    spec = _footprint_spec(grid, where)
+    params = SolverParams(dt=2e-2)
+    packets = [coherent_data(grid, [z] * n, [fr] * n, h)
+               for z, fr, h in ((0.3, 0.0, 0.5), (-0.2, 1.0, 0.3), (0.1, -0.5, 0.4))]
+    stack = SpectralData(grid=grid, values=np.stack([p.values for p in packets]))
+    for direction in (scattering_map, adjoint_scattering_map):
+        mapped = direction(spec, stack, params)
+        assert mapped.values.shape == (3, *grid.shape())
+        for k, packet in enumerate(packets):
+            alone = direction(spec, packet, params)
+            assert np.array_equal(mapped.values[k], alone.values)
+            assert mapped.norm()[k] == alone.norm()
+            assert mapped.inner(stack)[k] == alone.inner(packet)
+
+
+def test_stacked_map_raises_when_one_input_leaks():
+    spec = _potential_spec(0.3)
+    inside = coherent_data(GRID, 1.0, 0.0, 0.3)
+    leaking = coherent_data(GRID, 12.0, 0.0, 0.3)   # reaches the shell by t = 1.25
+    scattering_map(spec, inside, PARAMS)
+    stack = SpectralData(grid=GRID, values=np.stack([inside.values, leaking.values,
+                                                      inside.values]))
+    with pytest.raises(BoundaryLeak):
+        scattering_map(spec, stack, PARAMS)
 
 
 def test_scattering_map_flat_identity():
@@ -456,6 +515,15 @@ def test_field_dump_load_round_trip(tmp_path):
     fback = load_field(spath)
     assert isinstance(fback, SpectralData)
     assert np.array_equal(fback.values, f.values)
+
+
+def test_persistence_rejects_a_stack(tmp_path):
+    f = coherent_data(GRID, 1.0, 0.3, 0.2)
+    stack = SpectralData(grid=GRID, values=np.stack([f.values, f.values]))
+    with pytest.raises(ValidationError):
+        dump_field(tmp_path / "stack.field", stack)
+    with pytest.raises(ValidationError):
+        export_spectrum_csv(tmp_path / "stack.csv", stack)
 
 
 def test_spectrum_csv_export(tmp_path):

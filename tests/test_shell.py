@@ -287,6 +287,22 @@ def test_run_captures_precondition_errors(tmp_path):
     assert "ValidationError" in reports[0].note
 
 
+def test_run_reports_a_noncompact_h_list_that_is_not_decreasing(tmp_path):
+    doc = _minimal(
+        grid={"points": 2048, "half_width": 48.0},
+        perturbation={"bumps": [
+            {"amplitude": 0.05, "center_z": [0.0], "center_t": 0.0,
+             "radius_z": 4.0, "radius_t": 1.0, "pattern": [[1.0]]}]},
+        jobs=[{"check": "noncompact",
+               "params": {"Z0": [1.5], "frak0": [0.0], "h_list": [0.02, 0.05, 0.1]}}])
+    sc = load_scenario(_write(tmp_path, doc))
+    code, reports = run(sc, out_root=str(tmp_path))
+    assert code == 1
+    written = json.loads((tmp_path / "case" / "00_noncompact" / "report.json").read_text())
+    assert [m["label"] for m in written["measured"]] == ["error-free-execution"]
+    assert written["note"].startswith("ValidationError: h_list must be strictly decreasing")
+
+
 def test_run_is_deterministic(tmp_path):
     sc = load_scenario(bundled_scenario_path("flat"))
     run(sc, only={"pairing"}, out_root=str(tmp_path / "a"))

@@ -58,3 +58,25 @@ def test_tracer_records_the_check_a_job_runs(tmp_path):
     checks = [span for span in tracer.spans if span[1] == "verify.check_radial"]
     assert len(checks) == 1
     assert names[checks[0][0]] == "shell.run_job"
+
+
+def test_stacked_noncompact_job_maps_its_family_in_one_call(tmp_path):
+    # the three widths share one forward map, which the benchmark still
+    # counts as three inputs
+    doc = {"schema_version": 1, "name": "stacked", "dimension": 1,
+           "grid": {"points": 1024, "half_width": 80.0},
+           "solver": {"dt": 2e-3, "margin": 0.25},
+           "perturbation": {"bumps": [{
+               "amplitude": 0.2, "center_z": [0.0], "center_t": 0.0,
+               "radius_z": 12.0, "radius_t": 0.1, "pattern": [[1.0]]}]},
+           "jobs": [{"check": "noncompact",
+                     "params": {"Z0": [1.5], "frak0": [0.0], "h_list": [0.1, 0.05, 0.02]}}]}
+    path = tmp_path / "stacked.scn"
+    path.write_text(json.dumps(doc))
+    tracer = _load_tracer().Tracer()
+    with tracer:
+        shell.run(shell.load_scenario(str(path)), out_root=str(tmp_path))
+    assert len(tracer._patches) == 0
+    maps = [span for span in tracer.spans if span[1] == "quantum.scattering_map"]
+    assert len(maps) == 1
+    assert tracer.counts["quantum.scattering_map.inputs"] == 3

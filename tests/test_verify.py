@@ -117,6 +117,19 @@ def test_egorov_requires_decreasing_h_list():
         check_egorov(flat_spec(1), GRID, [1.0], [0.0], [0.01, 0.1], PARAMS)
 
 
+@pytest.mark.parametrize("h_list", [[0.02, 0.05, 0.1], [0.05, 0.05]])
+def test_noncompact_requires_decreasing_h_list(h_list):
+    # increasing widths once failed a correct operator (weak-null trend
+    # +0.144); equal widths passed with a family that is not weakly null
+    spec = PerturbationSpec(n=1, bumps=(MetricBump(
+        amplitude=0.05, center_z=[0.0], center_t=0.0, radius_z=18.0,
+        radius_t=1.0, pattern=np.eye(1)),))
+    grid = Grid(n=1, N=2048, L=48.0)
+    with pytest.raises(ValidationError) as err:
+        check_noncompactness(spec, grid, [1.5], [0.0], h_list=h_list, params=PARAMS)
+    assert err.value.invariant == "noncompact-h-list-decreasing"
+
+
 def test_eikonal_zero_potential_gives_zero_phases():
     report = check_eikonal_phase(flat_spec(1), GRID, [1.0], [0.0], h=0.25,
                                  params=PARAMS)
