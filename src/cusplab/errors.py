@@ -35,11 +35,6 @@ class StepFailure(CuspLabError):
     """Adaptive step size underflow or integrator breakdown."""
 
 
-class BeamSeedInsideSupport(CuspLabError):
-    """No valid seed time exists outside the perturbation support
-    (defensive; impossible for compact supports)."""
-
-
 class BoundaryLeak(CuspLabError):
     """Wave-field mass in the outer shell of the periodic box exceeded the
     wrap-around contamination threshold."""

@@ -4,10 +4,13 @@ The integrator is piecewise: outside the (slightly inflated) spacetime
 support of the perturbation the flow is the closed-form free flight, applied
 exactly; inside, an adaptive embedded Runge-Kutta 5(4) scheme with dense
 output is used.  This makes the identity regimes (beams missing the
-perturbation) hold to machine precision rather than solver tolerance.  The
-Runge-Kutta stages call :meth:`PerturbationSpec.hamilton_field` on the flat
-state vector [z, t, zeta, tau]; a `PhasePoint` is built only for the samples
-the integrator returns, and the symbol drift is read off the same field.
+perturbation) hold to machine precision rather than solver tolerance.
+
+A trajectory is its state rows [z, t, zeta, tau], and each segment between
+them carries one dense solution, the free flight or the Runge-Kutta
+interpolant.  Every classical quantity along a beam is read off
+:meth:`PerturbationSpec.hamilton_field` on such rows: the Runge-Kutta stages,
+the symbol drift, and zeta.g.zeta in the beam integrals.
 
 The classical scattering map computes only the outgoing data; the integrals
 along the beam are evaluated on first read of its `ScatterResult`.
@@ -16,12 +19,12 @@ along the beam are evaluated on first read of its `ScatterResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import BeamSeedInsideSupport, StepFailure, TrappingSuspected
+from .errors import StepFailure, TrappingSuspected
 from .phasespace import (
     CuspData,
     PhasePoint,
@@ -30,9 +33,8 @@ from .phasespace import (
     free_flow,
     galilean_invariant,
 )
-from .symbols import PerturbationSpec, principal_symbol, symbol_jet
+from .symbols import SUPPORT_MARGIN, PerturbationSpec, principal_symbol, symbol_jet
 
-SUPPORT_MARGIN = 1e-9  # relative inflation of the support box
 EXIT_SHELL = 1e-10     # absolute shell thickness for the exit event
 
 
@@ -118,52 +120,59 @@ def _transit_budget(spec: PerturbationSpec, zeta: np.ndarray) -> float:
 # trajectories
 
 
+def _free_flight(x0: np.ndarray):
+    """The closed-form free flight through the state row x0, as a function
+    of time; its values are those of :func:`free_flow` from x0."""
+    n = (x0.size - 2) // 2
+
+    def sol(t):
+        dt = t - x0[n]
+        x = x0.copy()
+        x[:n] += 2.0 * dt * x0[n + 1:2 * n + 1]
+        x[n] += dt
+        return x
+
+    return sol
+
+
 @dataclass(frozen=True)
 class _Segment:
     t_lo: float
     t_hi: float
-    kind: str           # "free" or "numeric"
-    anchor: PhasePoint | None = None   # free segments
-    sol: object = None                 # scipy dense output, numeric segments
+    sol: object     # state at time t: the free flight or scipy dense output
+    numeric: bool   # True for a Runge-Kutta segment
 
 
 @dataclass
 class Trajectory:
-    """Piecewise trajectory with dense evaluation and conservation stats."""
+    """Piecewise trajectory with dense evaluation and conservation stats.
+
+    ``states`` holds its rows [z, t, zeta, tau] in increasing t: the seed,
+    the ends of the free hops and the accepted Runge-Kutta steps."""
 
     spec: PerturbationSpec
-    samples: list
+    states: np.ndarray
     segments: list
     stats: dict
-
-    @property
-    def t_start(self) -> float:
-        return self.samples[0].t
-
-    @property
-    def t_end(self) -> float:
-        return self.samples[-1].t
 
     def dense(self, t: float) -> PhasePoint:
         """State at an intermediate time (free segments exact)."""
         t = float(t)
         for seg in self.segments:
             if seg.t_lo - 1e-12 <= t <= seg.t_hi + 1e-12:
-                if seg.kind == "free":
-                    return free_flow(seg.anchor, t - seg.anchor.t)
                 return PhasePoint.from_state(seg.sol(t))
         raise ValueError(f"time {t} outside trajectory range "
                          f"[{self.segments[0].t_lo}, {self.segments[-1].t_hi}]")
 
     def numeric_spans(self):
-        return [(s.t_lo, s.t_hi) for s in self.segments if s.kind == "numeric"]
+        return [(s.t_lo, s.t_hi) for s in self.segments if s.numeric]
 
     def export_csv(self, path, stride: float):
         """Write t, z, zeta, tau, p_residual rows sampled every ``stride``."""
-        t0, t1 = sorted((self.t_start, self.t_end))
+        n = self.spec.n
+        t0, t1 = self.states[0, n], self.states[-1, n]
         times = np.arange(t0, t1 + 0.5 * stride, stride)
         times = times[times <= t1]
-        n = self.samples[0].n
         header = (["t"] + [f"z_{i+1}" for i in range(n)]
                   + [f"zeta_{i+1}" for i in range(n)] + ["tau", "p_residual"])
         with open(path, "w", newline="") as fh:
@@ -189,9 +198,8 @@ def integrate(spec: PerturbationSpec, p0: PhasePoint, t_final: float,
     budget = transit_budget if transit_budget is not None else _transit_budget(spec, p0.zeta)
 
     segments = []
-    samples = [p0]
     states = [p0.state()[None]]
-    current = p0
+    current = p0        # the state at the end of the last segment
     inside_time = 0.0
     n_steps = 0
     n_fev = 0
@@ -218,26 +226,24 @@ def integrate(spec: PerturbationSpec, p0: PhasePoint, t_final: float,
                     if (target - t_final) * direction > 0:
                         target = t_final
             if target != current.t:
-                nxt = free_flow(current, target - current.t)
-                segments.append(_Segment(t_lo=min(current.t, nxt.t),
-                                         t_hi=max(current.t, nxt.t),
-                                         kind="free", anchor=current))
-                samples.append(nxt)
-                states.append(nxt.state()[None])
-                current = nxt
+                sol = _free_flight(states[-1][-1])
+                end = sol(target)
+                t_lo, t_hi = sorted((current.t, float(end[p0.n])))
+                segments.append(_Segment(t_lo, t_hi, sol, numeric=False))
+                states.append(end[None])
+                current = PhasePoint.from_state(end)
             if entry is None:
                 break
         else:
-            res = solve_ivp(spec.hamilton_field, (current.t, t_final), current.state(),
+            res = solve_ivp(spec.hamilton_field, (current.t, t_final), states[-1][-1],
                             method="RK45", rtol=tol, atol=tol,
                             dense_output=True, events=exit_event)
             if res.status == -1:
                 raise StepFailure(res.message)
             t_lo, t_hi = sorted((float(res.t[0]), float(res.t[-1])))
-            segments.append(_Segment(t_lo=t_lo, t_hi=t_hi, kind="numeric", sol=res.sol))
-            samples.extend(PhasePoint.from_state(xk) for xk in res.y.T[1:])
+            segments.append(_Segment(t_lo, t_hi, res.sol, numeric=True))
             states.append(res.y.T[1:])
-            current = samples[-1]
+            current = PhasePoint.from_state(res.y[:, -1])
             n_steps += len(res.t) - 1
             n_fev += res.nfev
             inside_time += t_hi - t_lo
@@ -245,24 +251,18 @@ def integrate(spec: PerturbationSpec, p0: PhasePoint, t_final: float,
                 raise TrappingSuspected(
                     f"time inside support ({inside_time:.3g}) exceeded budget {budget:.3g}")
 
-    if direction < 0:
-        samples = samples[::-1]
-        segments = segments[::-1]
-
-    # |p| = |tau + zeta.g.zeta| at every sample, g zeta being half the
-    # field's z-rate; row 0 is p0
+    # |p| = |tau + zeta.g.zeta| at every state; row 0 is p0
     x = np.concatenate(states)
-    n = p0.n
-    zeta = x[:, n + 1:2 * n + 1]
-    p_res = np.abs(x[:, 2 * n + 1] + 0.5 * np.add.reduce(
-        zeta * spec.hamilton_field(None, x)[:, :n], axis=-1))
+    p_res = np.abs(x[:, 2 * p0.n + 1] + spec.kinetic(x))
     stats = {
         "steps": n_steps,
         "rejected_steps_estimate": max(0, (n_fev - 1) // 6 - n_steps) if n_fev else 0,
         "max_p_drift": float(p_res.max() - p_res[0]),
         "time_inside_support": inside_time,
     }
-    return Trajectory(spec=spec, samples=samples, segments=segments, stats=stats)
+    if direction < 0:
+        x, segments = x[::-1], segments[::-1]
+    return Trajectory(spec=spec, states=x, segments=segments, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +274,13 @@ def _beam_times(window: tuple, c_in: CuspData) -> tuple:
     beam needs to cover its offset, outside the perturbation window."""
     slack = float(np.linalg.norm(c_in.frak)) / (2.0 * max(float(np.linalg.norm(c_in.Z)), 0.1))
     return window[0] - 1.0 - slack, window[1] + 1.0 + slack
+
+
+def _beam_values(spec: PerturbationSpec, sol, ts):
+    """V and zeta.g.zeta at the nodes ts of a numeric segment, from one
+    evaluation of its dense solution."""
+    x = sol(ts).T
+    return spec.potential_field(x[:, :spec.n], ts), spec.kinetic(x)
 
 
 @dataclass(frozen=True)
@@ -299,26 +306,17 @@ class ScatterResult:
         traj = self.trajectory
         if traj is None:
             return 0.0, 0.0
-        spec = traj.spec
-
-        def beam(ts):
-            """V and zeta.g.zeta at each node, from one dense evaluation."""
-            v, kinetic = np.zeros(len(ts), dtype=complex), np.empty(len(ts))
-            for i, t in enumerate(ts):
-                p = traj.dense(t)
-                if spec.potential_terms:
-                    v[i] = spec.potential(p.z, t)
-                kinetic[i] = float(p.zeta @ spec.inverse_metric(p.z, t) @ p.zeta)
-            return v, kinetic
-
+        spec, n = traj.spec, traj.spec.n
         phase = action = 0.0
         for seg in traj.segments:
-            if seg.kind == "free":
-                action += float(seg.anchor.zeta @ seg.anchor.zeta) * (seg.t_hi - seg.t_lo)
-            else:
-                v, kinetic = _gauss_panels(beam, seg.t_lo, seg.t_hi)
+            if seg.numeric:
+                v, kinetic = _gauss_panels(partial(_beam_values, spec, seg.sol),
+                                           seg.t_lo, seg.t_hi)
                 phase += v
                 action += kinetic.real
+            else:
+                zeta = seg.sol(seg.t_lo)[n + 1:2 * n + 1]
+                action += float(zeta @ zeta) * (seg.t_hi - seg.t_lo)
         t_in, t_out = _beam_times(spec.time_window(), self.c_in)
         action -= float(self.c_in.Z @ self.c_in.Z) * (t_out - t_in)
         return phase, action
@@ -361,14 +359,13 @@ def classical_scatter(spec: PerturbationSpec, c_in: CuspData,
     t_in, t_out = _beam_times(window, c_in)
 
     seed = bichar_from_cusp(c_in, t_in)
-    if spec.contains(seed.z, seed.t):
-        raise BeamSeedInsideSupport("no valid seed time before the window")
     if _free_entry_time(spec, seed.z, seed.t, seed.zeta, t_out) is None:
         return ScatterResult(c_in, c_in, None)
 
     traj = integrate(spec, seed, t_out, tol=tol)
     char_tol = max(1e-9, 100.0 * tol * abs(t_out - t_in))
-    return ScatterResult(c_in, cusp_from_bichar(traj.samples[-1], spec, tol=char_tol), traj)
+    end = PhasePoint.from_state(traj.states[-1])
+    return ScatterResult(c_in, cusp_from_bichar(end, spec, tol=char_tol), traj)
 
 
 def scatter_jacobian(spec: PerturbationSpec, c_in: CuspData,
@@ -440,7 +437,7 @@ def radial_convergence(spec: PerturbationSpec, p0: PhasePoint,
         if (t_edge - p0.t) * direction <= 0:
             t_edge = p0.t + direction
         traj = integrate(spec, p0, t_edge, tol=tol)
-        end = traj.samples[-1] if direction > 0 else traj.samples[0]
+        end = PhasePoint.from_state(traj.states[-1 if direction > 0 else 0])
         t_start = max(abs(end.t) * 1.5, 1.0)
         ts = direction * np.geomspace(t_start, horizon, 24)
         ws = np.empty(len(ts))

@@ -51,9 +51,8 @@ from .errors import (
     ValidationError,
     ZeroMass,
 )
-from .symbols import PerturbationSpec
+from .symbols import SUPPORT_MARGIN, PerturbationSpec
 
-ACTIVE_MARGIN = 1e-9   # relative inflation of term time-windows
 LEAK_THRESHOLD = 1e-6
 SHELL_FRACTION = 0.05
 
@@ -307,7 +306,7 @@ def _active_intervals(spec: PerturbationSpec, t_from: float, t_to: float):
     """Merged perturbation-active subintervals of [t_from, t_to]."""
     raw = []
     for term in spec.terms():
-        rt = term.radius_t * (1.0 + ACTIVE_MARGIN)
+        rt = term.radius_t * (1.0 + SUPPORT_MARGIN)
         lo, hi = term.center_t - rt, term.center_t + rt
         lo, hi = max(lo, t_from), min(hi, t_to)
         if lo < hi:
@@ -414,12 +413,12 @@ def _support_indices(spec, pts):
     """Indices of the rows of the (m, n) point array ``pts`` inside some
     term's spatial support.
 
-    The radii are inflated by ACTIVE_MARGIN, so rounding can only add
+    The radii are inflated by SUPPORT_MARGIN, so rounding can only add
     points, at which the fields evaluate to their flat values."""
     inside = np.zeros(len(pts), dtype=bool)
     for term in spec.terms():
         d = pts - term.center_z
-        inside |= np.sqrt(np.add.reduce(d * d, axis=-1)) < term.radius_z * (1.0 + ACTIVE_MARGIN)
+        inside |= np.sqrt(np.add.reduce(d * d, axis=-1)) < term.radius_z * (1.0 + SUPPORT_MARGIN)
     return np.flatnonzero(inside)
 
 

@@ -282,25 +282,26 @@ JOB_CHECKS = {
 # check arguments the scenario fills, not the job
 SCENARIO_ARGS = ("spec", "grid", "params", "tol_flow", "control", "out_dir")
 # tolerances multiplied by --tol-scale, given or defaulted
-TOL_ARGS = ("tol", "rel_cap", "exponent_tol", "limit_tol", "rel_tol", "abs_tol",
-            "linearity_tol")
+TOL_ARGS = ("tol", "rel_cap", "abs_cap", "exponent_tol", "limit_tol", "rel_tol",
+            "abs_tol", "linearity_tol")
 # beam vectors: lists of `dimension` finite numbers
 VECTOR_ARGS = ("Z0", "frak0", "frak_far", "frak_through")
 
 
 def _valid_arg(key, value, default, n):
-    """Beam vectors have n finite entries and ``h_list`` is a non-empty list
-    of positive numbers; a number, or an optional number (default None), has
-    its default's type.  A number whose default is a positive float (a
-    tolerance, a step, a horizon, a scale) and ``samples`` must be
-    positive."""
+    """Beam vectors have n finite entries and ``h_list`` is a non-empty,
+    strictly decreasing list of positive numbers; a number, or an optional
+    number (default None), has its default's type.  A number whose default
+    is a positive float (a tolerance, a step, a horizon, a scale) and
+    ``samples`` must be positive."""
     if value is None and default is None:
         return True
     if key in VECTOR_ARGS:
         return isinstance(value, list) and len(value) == n and all(map(_real, value))
     if key == "h_list":
         return (isinstance(value, list) and bool(value)
-                and all(_real(h) and h > 0 for h in value))
+                and all(_real(h) and h > 0 for h in value)
+                and verify._decreasing(value))
     kind = float if default is None else type(default)
     if kind not in (float, int, bool):
         return True
@@ -319,7 +320,7 @@ def _validate_job(check, params, n, where):
             raise ParseError(f"check '{check}' takes no parameter '{key}' "
                              f"(it takes {', '.join(allowed)})", field=f"{where}.{key}")
         if not _valid_arg(key, value, args[key].default, n):
-            raise ParseError(f"entry '{key}' has the wrong type, length or sign",
+            raise ParseError(f"entry '{key}' has the wrong type, length, sign or order",
                              field=f"{where}.{key}")
     for key, arg in args.items():
         if arg.default is arg.empty and key not in SCENARIO_ARGS and key not in params:

@@ -15,7 +15,8 @@ evaluator of g and V: a field evaluator reads them at an (m, n) array of grid
 points, and a pointwise evaluator is the m = 1 row of the same loop.  The
 Hamilton vector field of the principal symbol has its own loop over the
 bumps, on flat phase-space states: it contracts each pattern with zeta and
-never forms g or its derivatives.
+never forms g or its derivatives.  The principal symbol and zeta.g.zeta are
+read off that field.
 """
 
 from __future__ import annotations
@@ -27,9 +28,15 @@ import numpy as np
 from .errors import NotPositiveDefinite
 from .phasespace import PhasePoint
 
+# Relative inflation of every term's support radii wherever a support is
+# tested: rounding may then only add points, at which the fields are flat.
+SUPPORT_MARGIN = 1e-9
+
 
 def _mollifier(d, radius):
-    """bump(d / radius) and k with d/dd bump(d / radius) = k * d.
+    """The mollifier w = exp(1 - 1/(1 - r^2)), r = d / radius, which is 1
+    at d = 0 and vanishes with all its derivatives for |r| >= 1, and k with
+    dw/dd = k * d.
 
     One exp serves both, for scalars and arrays alike.  For |d| >= radius
     the factor 1 - r^2 <= 0 is raised to a floor far below any value it
@@ -40,23 +47,6 @@ def _mollifier(d, radius):
     s = np.maximum(1.0 - r * r, 1e-100)
     w = np.exp(1.0 - 1.0 / s)
     return w, w * -2.0 / (radius**2 * s**2)
-
-
-def bump(r):
-    """Smooth mollifier exp(1 - 1/(1 - r^2)) for |r| < 1, zero outside.
-
-    Normalized to 1 at r = 0; all derivatives vanish at |r| = 1.
-    Accepts scalars or arrays.
-    """
-    w, _ = _mollifier(np.asarray(r, dtype=float), 1.0)
-    return w if w.ndim else float(w)
-
-
-def bump_derivative(r):
-    """Analytic derivative of :func:`bump`; zero outside the support."""
-    r = np.asarray(r, dtype=float)
-    slope = _mollifier(r, 1.0)[1] * r
-    return slope if slope.ndim else float(slope)
 
 
 def _coerce_window(term, kind, number):
@@ -231,12 +221,20 @@ class PerturbationSpec:
         f[..., 2 * n + 1] = -dt
         return f
 
+    def kinetic(self, x):
+        """zeta.g.zeta at a flat state x, or at each row of an (m, 2n + 2)
+        array of states: g zeta is half the z-rate of :meth:`hamilton_field`."""
+        n = self.n
+        f = self.hamilton_field(None, x)
+        return 0.5 * np.add.reduce(x[..., n + 1:2 * n + 1] * f[..., :n], axis=-1)
+
     def _potential(self, pts, t):
-        """V at an (m, n) array of points; complex (m,)."""
+        """V at an (m, n) array of points, at one time t or at the (m,)
+        times t of the points; complex (m,)."""
         v = np.zeros(pts.shape[0], dtype=complex)
         for p in self.potential_terms:
             wt, _ = _mollifier(t - p.center_t, p.radius_t)
-            if wt == 0.0:
+            if not np.count_nonzero(wt):
                 continue
             d = pts - p.center_z
             wz, _ = _mollifier(np.sqrt(np.add.reduce(d * d, axis=-1)), p.radius_z)
@@ -278,8 +276,9 @@ class PerturbationSpec:
         g, dgdz, _ = self._metric(np.asarray(points, dtype=float), t, dz=True)
         return g, dgdz
 
-    def potential_field(self, points: np.ndarray, t: float) -> np.ndarray:
-        """V at an (m, n) array of spatial points; returns complex (m,)."""
+    def potential_field(self, points: np.ndarray, t) -> np.ndarray:
+        """V at an (m, n) array of spatial points, at one time or at (m,)
+        times; returns complex (m,)."""
         return self._potential(np.asarray(points, dtype=float), t)
 
     # -- validation --------------------------------------------------------
@@ -319,9 +318,9 @@ class SymbolJet:
 
 
 def principal_symbol(spec: PerturbationSpec, p: PhasePoint) -> float:
-    """tau + sum_jk g^{jk}(z, t) zeta_j zeta_k."""
-    g = spec.inverse_metric(p.z, p.t)
-    return float(p.tau + p.zeta @ g @ p.zeta)
+    """tau + sum_jk g^{jk}(z, t) zeta_j zeta_k, read off
+    :meth:`PerturbationSpec.hamilton_field`."""
+    return float(p.tau + spec.kinetic(p.state()))
 
 
 def symbol_jet(spec: PerturbationSpec, p: PhasePoint) -> SymbolJet:
@@ -329,5 +328,5 @@ def symbol_jet(spec: PerturbationSpec, p: PhasePoint) -> SymbolJet:
     :meth:`PerturbationSpec.hamilton_field`."""
     n = p.n
     f = spec.hamilton_field(p.t, p.state())
-    return SymbolJet(p=float(p.tau + 0.5 * (p.zeta @ f[:n])), dp_dz=-f[n + 1:2 * n + 1],
+    return SymbolJet(p=principal_symbol(spec, p), dp_dz=-f[n + 1:2 * n + 1],
                      dp_dt=float(-f[2 * n + 1]), dp_dzeta=f[:n])

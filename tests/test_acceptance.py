@@ -20,8 +20,8 @@ from cusplab.flow import (
 )
 from cusplab.phasespace import (
     CuspData,
+    PhasePoint,
     bichar_from_cusp,
-    free_flow,
     from_boundary_chart,
     galilean_invariant,
     to_boundary_chart,
@@ -73,13 +73,13 @@ def test_acceptance_02_p_conservation_and_galilean_invariance():
         start = time.time()
         traj = integrate(BUMP2, seed, 2.5, tol=tol)
         worst_time = max(worst_time, time.time() - start)
-        worst_p = max(worst_p, max(abs(principal_symbol(BUMP2, s))
-                                   for s in traj.samples))
+        worst_p = max(worst_p, max(abs(principal_symbol(BUMP2, PhasePoint.from_state(x)))
+                                   for x in traj.states))
         for seg in traj.segments:
-            if seg.kind != "free":
+            if seg.numeric:
                 continue
-            a = seg.anchor
-            b = free_flow(a, (seg.t_hi if a.t == seg.t_lo else seg.t_lo) - a.t)
+            a = PhasePoint.from_state(seg.sol(seg.t_lo))
+            b = PhasePoint.from_state(seg.sol(seg.t_hi))
             worst_g = max(worst_g, float(np.max(np.abs(
                 galilean_invariant(a) - galilean_invariant(b)))))
     _verdict(2, "p-conservation <= 1e-9 and Galilean invariance <= 1e-12",

@@ -91,7 +91,7 @@ def test_hamilton_rhs_is_symplectic_gradient():
 def test_integrate_flat_matches_closed_form():
     p0 = PhasePoint(z=[1.0, 2.0], t=0.0, zeta=[0.5, -0.3], tau=-0.34)
     traj = integrate(flat_spec(2), p0, 7.0)
-    end = traj.samples[-1]
+    end = PhasePoint.from_state(traj.states[-1])
     assert np.array_equal(end.z, p0.z + 2.0 * p0.zeta * 7.0)
     assert end.t == 7.0
     mid = traj.dense(3.1)
@@ -102,24 +102,25 @@ def test_integrate_time_reversal_round_trip():
     tol = 1e-11
     p0 = bichar_from_cusp(BEAM, -2.3)
     fwd = integrate(BUMP2, p0, 2.3, tol=tol)
-    end = fwd.samples[-1]
+    end = PhasePoint.from_state(fwd.states[-1])
     back = integrate(BUMP2, end, -2.3, tol=tol)
-    start = back.samples[0]
-    assert np.max(np.abs(start.state() - p0.state())) < 100 * tol * 1e3
+    start = back.states[0]
+    assert np.max(np.abs(start - p0.state())) < 100 * tol * 1e3
 
 
 def test_integrate_p_conservation_budget():
     tol = 1e-11
     p0 = bichar_from_cusp(BEAM, -2.3)
     traj = integrate(BUMP2, p0, 2.3, tol=tol)
-    residuals = [abs(principal_symbol(BUMP2, s)) for s in traj.samples]
+    residuals = [abs(principal_symbol(BUMP2, PhasePoint.from_state(x)))
+                 for x in traj.states]
     assert max(residuals) <= 1e-9
     assert traj.stats["max_p_drift"] <= 10 * tol * (2.3 + 2.3) * 10
 
 
 def test_integrate_builds_phase_points_only_for_samples(monkeypatch):
-    # the Runge-Kutta stages run on state vectors; a PhasePoint per stage
-    # would cost more than the field it carries
+    # the Runge-Kutta stages and the trajectory hold state rows; a
+    # PhasePoint is built only for the state at each segment end
     calls = []
     post_init = PhasePoint.__post_init__
 
@@ -132,13 +133,13 @@ def test_integrate_builds_phase_points_only_for_samples(monkeypatch):
     traj = integrate(BUMP2, p0, 2.3, tol=1e-11)
     monkeypatch.undo()
     assert traj.stats["steps"] > 10
-    assert 0 < len(calls) <= len(traj.samples) + len(traj.segments)
+    assert 0 < len(calls) <= len(traj.segments)
 
 
 def test_integrate_monotone_samples_and_csv(tmp_path):
     p0 = bichar_from_cusp(BEAM, -2.3)
     traj = integrate(BUMP2, p0, 2.3, tol=1e-9)
-    ts = np.array([s.t for s in traj.samples])
+    ts = traj.states[:, 2]
     assert np.all(np.diff(ts) > 0)
     path = tmp_path / "traj.csv"
     traj.export_csv(path, stride=0.25)
@@ -232,11 +233,41 @@ def test_classical_scatter_identity_for_missing_beams():
 def test_classical_scatter_galilean_invariance_on_free_segments():
     res = classical_scatter(BUMP2, BEAM, tol=1e-11)
     for seg in res.trajectory.segments:
-        if seg.kind != "free":
+        if seg.numeric:
             continue
-        a = seg.anchor
-        b = free_flow(a, seg.t_hi - a.t if a.t == seg.t_lo else seg.t_lo - a.t)
+        a = PhasePoint.from_state(seg.sol(seg.t_lo))
+        b = PhasePoint.from_state(seg.sol(seg.t_hi))
         assert np.max(np.abs(galilean_invariant(a) - galilean_invariant(b))) < 1e-12
+
+
+def test_free_segment_solution_is_the_free_flow():
+    # a free segment's dense solution is the closed-form flight through its
+    # start state, a row of the trajectory, in both directions
+    for t0, t1 in ((-2.3, 2.3), (2.3, -2.3)):
+        traj = integrate(BUMP2, bichar_from_cusp(BEAM, t0), t1, tol=1e-11)
+        free = [seg for seg in traj.segments if not seg.numeric]
+        assert len(free) == 2
+        for seg in free:
+            start = seg.sol(seg.t_lo if t1 > t0 else seg.t_hi)
+            assert np.any(np.all(traj.states == start, axis=1))
+            anchor = PhasePoint.from_state(start)
+            for t in np.linspace(seg.t_lo, seg.t_hi, 7)[1:-1]:
+                flown = free_flow(anchor, t - anchor.t).state()
+                assert np.array_equal(seg.sol(t), flown)
+                assert np.array_equal(traj.dense(t).state(), flown)
+
+
+def test_backward_integrate_states_ascend_and_drift_is_relative_to_p0():
+    p0 = bichar_from_cusp(BEAM, 2.3)
+    traj = integrate(BUMP2, p0, -2.3, tol=1e-11)
+    ts = traj.states[:, 2]
+    assert np.all(np.diff(ts) > 0)
+    assert np.array_equal(traj.states[-1], p0.state())
+    assert not traj.segments[0].numeric and traj.segments[0].t_lo == ts[0]
+    p_res = np.abs(traj.states[:, 5] + BUMP2.kinetic(traj.states))
+    assert traj.stats["max_p_drift"] == p_res.max() - p_res[-1]
+    # the drift the per-sample trajectory reported on this beam
+    assert traj.stats["max_p_drift"] == pytest.approx(3.328337605523757e-11, rel=1e-6)
 
 
 def test_classical_scatter_time_reversal_composition():

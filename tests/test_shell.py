@@ -1,6 +1,7 @@
 """Scenario parsing/validation, the runner, and the CLI surface."""
 
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import cusplab
+from cusplab import shell, verify
 from cusplab.errors import ParseError, ValidationError
 from cusplab.flow import classical_scatter
 from cusplab.phasespace import CuspData
@@ -125,6 +127,9 @@ _BAD_BUMP = {"bumps": [{"amplitude": 0.05, "center_z": [0.0], "center_t": 0.0,
 _BAD_H = [{"check": "eikonal", "params": {"Z0": [1.0], "frak0": [0.0], "h": -1}}]
 _BAD_H_LIST = [{"check": "egorov", "params": {"Z0": [1.0], "frak0": [0.0],
                                               "h_list": [0.1, 0.0]}}]
+# both checks take their widths in decreasing order; a list that rises
+# stops at load time, like any other bad value
+_RISING_H_LIST = {"Z0": [1.5], "frak0": [0.0], "h_list": [0.02, 0.05, 0.1]}
 
 
 _BEAM = {"Z0": [1.0], "frak0": [0.0]}
@@ -156,11 +161,16 @@ _BEAM = {"Z0": [1.0], "frak0": [0.0]}
     ({"jobs": [{"check": "symplectic", "params": {"h_fd": 0}}]}, "jobs[0].params.h_fd"),
     ({"jobs": [{"check": "symplectic", "params": {"samples": 0}}]},
      "jobs[0].params.samples"),
+    ({"jobs": [{"check": "noncompact", "params": _RISING_H_LIST}]},
+     "jobs[0].params.h_list"),
+    ({"jobs": [{"check": "egorov", "params": _RISING_H_LIST}]},
+     "jobs[0].params.h_list"),
 ], ids=["points", "dt", "bump", "h", "h_list", "unknown-key", "scenario-key",
         "missing-frak_far", "tol-string", "samples-float", "Z0-length",
         "unknown-solver-key", "compensated-string", "control-string",
         "unknown-scenario-key", "unknown-job-key", "unknown-perturbation-key",
-        "unknown-grid-key", "h_fd-zero", "samples-zero"])
+        "unknown-grid-key", "h_fd-zero", "samples-zero",
+        "h_list-rising-noncompact", "h_list-rising-egorov"])
 def test_scenario_bad_values_are_parse_errors(tmp_path, capsys, overrides, field):
     path = _write(tmp_path, _minimal(**overrides))
     with pytest.raises(ParseError) as err:
@@ -287,20 +297,22 @@ def test_run_captures_precondition_errors(tmp_path):
     assert "ValidationError" in reports[0].note
 
 
-def test_run_reports_a_noncompact_h_list_that_is_not_decreasing(tmp_path):
-    doc = _minimal(
-        grid={"points": 2048, "half_width": 48.0},
-        perturbation={"bumps": [
-            {"amplitude": 0.05, "center_z": [0.0], "center_t": 0.0,
-             "radius_z": 4.0, "radius_t": 1.0, "pattern": [[1.0]]}]},
-        jobs=[{"check": "noncompact",
-               "params": {"Z0": [1.5], "frak0": [0.0], "h_list": [0.02, 0.05, 0.1]}}])
-    sc = load_scenario(_write(tmp_path, doc))
-    code, reports = run(sc, out_root=str(tmp_path))
-    assert code == 1
-    written = json.loads((tmp_path / "case" / "00_noncompact" / "report.json").read_text())
-    assert [m["label"] for m in written["measured"]] == ["error-free-execution"]
-    assert written["note"].startswith("ValidationError: h_list must be strictly decreasing")
+def test_tol_scale_scales_every_keyword_tolerance(tmp_path, monkeypatch):
+    # the bundled egorov job sets rel_cap and leaves abs_cap at its default;
+    # --tol-scale multiplies both
+    seen = {}
+    check = verify.check_egorov
+
+    @functools.wraps(check)
+    def spy(**kwargs):
+        seen.update(kwargs)
+
+    monkeypatch.setattr(verify, "check_egorov", spy)
+    sc = resolve_scenario("egorov")
+    job = next(job for job in sc.jobs if job["check"] == "egorov")
+    shell._run_check(sc, job, 2.0, str(tmp_path))
+    assert seen["rel_cap"] == 0.1
+    assert seen["abs_cap"] == 2e-6
 
 
 def test_run_is_deterministic(tmp_path):

@@ -14,8 +14,7 @@ from cusplab.symbols import (
     MetricBump,
     PerturbationSpec,
     PotentialTerm,
-    bump,
-    bump_derivative,
+    _mollifier,
     flat_spec,
     principal_symbol,
     symbol_jet,
@@ -30,6 +29,9 @@ def _bump_spec(eps=0.05, n=2, pattern=None, radius_z=1.0, radius_t=1.0):
 
 
 def test_bump_normalization_and_support():
+    def bump(r):
+        return _mollifier(r, 1.0)[0]
+
     assert bump(0.0) == 1.0
     assert bump(1.0) == 0.0
     assert bump(-1.0) == 0.0
@@ -41,9 +43,11 @@ def test_bump_normalization_and_support():
 
 
 def test_bump_derivative_matches_finite_differences():
+    # _mollifier's second value k gives the derivative k * r
     h = 1e-6
-    fd = (bump(0.5 + h) - bump(0.5 - h)) / (2 * h)
-    assert abs(fd - bump_derivative(0.5)) < 1e-8
+    w_plus, w_minus = _mollifier(0.5 + h, 1.0)[0], _mollifier(0.5 - h, 1.0)[0]
+    fd = (w_plus - w_minus) / (2 * h)
+    assert abs(fd - _mollifier(0.5, 1.0)[1] * 0.5) < 1e-8
 
 
 def test_inverse_metric_identity_outside_support():
