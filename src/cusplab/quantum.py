@@ -725,8 +725,10 @@ def _spectral_gradient(grid: Grid, values: np.ndarray):
 def packet_moments(f: SpectralData):
     """(Zbar, frakbar): centre of mass in Z and mean conjugate frequency.
 
-    frakbar = Re < f, -i grad f > / ||f||^2, computed spectrally.
+    frakbar = Re < f, -i grad f > / ||f||^2, computed spectrally, for one
+    packet, not a stack.
     """
+    _single(f)
     w = np.abs(f.values) ** 2
     mass = float(np.sum(w)) * f.grid.dZ**f.grid.n
     if mass <= 0.0:

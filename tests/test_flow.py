@@ -136,6 +136,29 @@ def test_integrate_builds_phase_points_only_for_samples(monkeypatch):
     assert 0 < len(calls) <= len(traj.segments)
 
 
+def test_rejected_step_count_is_exact_over_many_segments(monkeypatch):
+    # five bumps on the beam z = 2t: five numeric segments, each its own
+    # solve_ivp call; every call of scipy's RK45 step is one attempt
+    from scipy.integrate._ivp import rk
+
+    attempts = []
+    rk_step = rk.rk_step
+
+    def counting(*args, **kwargs):
+        attempts.append(None)
+        return rk_step(*args, **kwargs)
+
+    spec = PerturbationSpec(n=1, bumps=tuple(MetricBump(
+        amplitude=0.1, center_z=[z], center_t=z / 2, radius_z=0.8, radius_t=0.3,
+        pattern=1.0) for z in (-8.0, -4.0, 0.0, 4.0, 8.0)))
+    p0 = PhasePoint.from_state(np.array([-12.0, -6.0, 1.0, -1.0]))
+    monkeypatch.setattr(rk, "rk_step", counting)
+    traj = integrate(spec, p0, 6.0)
+    monkeypatch.undo()
+    assert sum(seg.numeric for seg in traj.segments) == 5
+    assert traj.stats["rejected_steps_estimate"] == len(attempts) - traj.stats["steps"] > 0
+
+
 def test_integrate_monotone_samples_and_csv(tmp_path):
     p0 = bichar_from_cusp(BEAM, -2.3)
     traj = integrate(BUMP2, p0, 2.3, tol=1e-9)

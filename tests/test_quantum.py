@@ -475,6 +475,16 @@ def test_packet_moments_phase_invariance():
     assert np.max(np.abs(fa - fb)) < 1e-14
 
 
+def test_packet_moments_rejects_a_stack():
+    # pooling the inputs would give one pair for both packets
+    a = coherent_data(GRID, 1.0, 0.5, 0.2)
+    b = coherent_data(GRID, -0.5, -0.3, 0.2)
+    stack = SpectralData(grid=GRID, values=np.stack([a.values, b.values]))
+    with pytest.raises(ValidationError) as err:
+        packet_moments(stack)
+    assert err.value.invariant == "single-field"
+
+
 def test_packet_moments_real_data_has_zero_frequency():
     vals = np.exp(-GRID.axis_Z() ** 2).astype(complex)
     _, frakbar = packet_moments(SpectralData(grid=GRID, values=vals))

@@ -189,15 +189,42 @@ def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert not (tmp_path / "flat").exists()
 
 
+def _fresh_python(*args):
+    """Run a new interpreter that imports this checkout's cusplab."""
+    src = str(Path(cusplab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 def test_module_cli_imports_shell_once():
     # `python -m cusplab.shell` warns when the package has already imported
     # the module it is asked to run as __main__
-    src = str(Path(cusplab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cusplab.shell", "--help"],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = _fresh_python("-W", "error::RuntimeWarning", "-m", "cusplab.shell", "--help")
     assert proc.returncode == 0, proc.stderr
+
+
+_ODE_SOLVER_PROBE = """
+import sys
+from cusplab import flow, shell
+from cusplab.phasespace import PhasePoint
+from cusplab.symbols import MetricBump, PerturbationSpec
+print("import", "scipy.integrate" in sys.modules)
+code, _ = shell.run(shell.load_scenario(shell.bundled_scenario_path("flat")),
+                    only={"pairing"}, out_root=sys.argv[1])
+print("pairing", code, "scipy.integrate" in sys.modules)
+spec = PerturbationSpec(n=1, bumps=(MetricBump(
+    amplitude=0.1, center_z=[0.0], center_t=0.0, radius_z=1.0, radius_t=1.0, pattern=1.0),))
+flow.integrate(spec, PhasePoint(z=[-4.0], t=-2.0, zeta=[1.0], tau=-1.0), 2.0)
+print("flow", "scipy.integrate" in sys.modules)
+"""
+
+
+def test_ode_solver_loads_only_with_the_first_flow(tmp_path):
+    # grid-only work never imports scipy.integrate; flowing a beam does
+    proc = _fresh_python("-c", _ODE_SOLVER_PROBE, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["import False", "pairing 0 False", "flow True"]
 
 
 def test_scenario_grid_must_accommodate_packets(tmp_path):
@@ -324,11 +351,11 @@ def test_run_is_deterministic(tmp_path):
     assert rep_a == rep_b
 
 
-def test_classical_only_scenario_needs_no_grid():
+def test_classical_only_scenario_needs_no_grid(tmp_path):
     sc = resolve_scenario("classical2d")
     assert sc.grid is None
     # the symplectic job runs without any quantum solver being constructed
-    code, reports = run(sc, only={"symplectic"}, out_root="/tmp/cusplab_test_cls",
+    code, reports = run(sc, only={"symplectic"}, out_root=str(tmp_path),
                         tol_scale=1.0)
     assert code == 0 and reports[0].status == "pass"
 
