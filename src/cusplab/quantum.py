@@ -20,7 +20,10 @@ supports, so R vanishes off the perturbation footprint, the support points
 and their stencil neighbours, and the remainder step is assembled and
 solved there only: a cyclic tridiagonal solve in n = 1, a sparse LU in
 n = 2.  A beam that never meets the perturbation sees the exact multiplier
-alone.
+alone.  A march reuses one spectrum and one field buffer for all its
+transforms and evaluates the terms' spatial windows on the footprint once,
+so a step allocates no grid-sized array and evaluates only the time
+factors of the fields.
 
 One walk serves the scattering map S and its adjoint S*: the direction of
 time selects the scheme, the forward one when time increases and the plain
@@ -51,7 +54,7 @@ from .errors import (
     ValidationError,
     ZeroMass,
 )
-from .symbols import SUPPORT_MARGIN, PerturbationSpec
+from .symbols import SUPPORT_MARGIN, FieldPoints, PerturbationSpec
 
 LEAK_THRESHOLD = 1e-6
 SHELL_FRACTION = 0.05
@@ -434,7 +437,9 @@ class _Footprint:
     stencil neighbours: the footprint, with sorted flat grid indices
     ``ids``, found once per march.  Each step evaluates the fields on the
     support only, with the same arithmetic as a build with every grid point
-    as support.
+    as support.  The support points and faces are FieldPoints, so every
+    term's spatial window is evaluated once per march and each step
+    multiplies in the time factors only.
 
     n = 1: R is three bands on the footprint rows.  ``lower[k]`` and
     ``upper[k]`` couple row ids[k] to ids[k] -/+ 1 modulo N and vanish
@@ -458,10 +463,10 @@ class _Footprint:
         N = grid.N
         pts = grid.points_z()
         self.support = _support_indices(spec, pts)
-        self.x = pts[self.support]
+        self.x = FieldPoints(pts[self.support])
         if self.n == 1:
             self.faces = _support_indices(spec, pts + 0.5 * self.dz)
-            self.x_faces = pts[self.faces] + 0.5 * self.dz
+            self.x_faces = FieldPoints(pts[self.faces] + 0.5 * self.dz)
             self.ids = np.unique(np.concatenate([
                 self.faces, self.faces + 1,
                 self.support - 1, self.support, self.support + 1]) % N)
@@ -554,9 +559,13 @@ def _strang_march(spec, grid, values, t0, t1, params):
     remainder at the step midpoint, on the footprint, and a second free
     half-step.  Adjacent half-steps are fused, so m steps make m + 1
     transforms.  The multiplier is kept in FFT order: for even N the
-    fftshift pairs of forward_ft and inverse_ft cancel.
+    fftshift pairs of forward_ft and inverse_ft cancel.  The march keeps one
+    spectrum and one field buffer, which every transform and multiplier
+    writes into, so a step allocates no grid-sized array; the spatial
+    windows of the remainder are evaluated once per march (see _Footprint).
 
-    Complex products here name their array operands.  For operands of one
+    The multiplier is the left operand of every product, and complex
+    products elsewhere name their array operands.  For operands of one
     shape and at least 256 KiB numpy evaluates ``a * temporary`` in place
     as ``temporary * a``, and a complex product rounds differently in the
     two orders, so an unnamed temporary would let a stack round unlike its
@@ -571,22 +580,25 @@ def _strang_march(spec, grid, values, t0, t1, params):
     footprint = _Footprint(spec, grid, params.measure_compensated, adjoint=t1 < t0)
     ids = footprint.ids
     spectrum = np.fft.fftn(values, axes=axes)
-    v = np.fft.ifftn(half * spectrum, axes=axes)
+    v = np.empty_like(spectrum)
+    flat = v.reshape(*v.shape[:v.ndim - grid.n], -1)    # a view of v
+    np.multiply(half, spectrum, out=spectrum)
+    np.fft.ifftn(spectrum, axes=axes, out=v)
     for k in range(m):
         t_mid = t0 + (k + 0.5) * step
-        flat = v.reshape(*v.shape[:v.ndim - grid.n], -1)    # a view of v
         if ids.size:
             try:
-                flat[..., ids] = footprint.step(flat[..., ids].T, t_mid, c).T
+                solved = footprint.step(flat[..., ids].T, t_mid, c).T
             except (np.linalg.LinAlgError, RuntimeError) as exc:
                 raise ConvergenceFailure(f"remainder step at t={t_mid:.6g} failed: "
                                          f"{exc}") from exc
-            if not np.all(np.isfinite(flat[..., ids])):
+            if not np.all(np.isfinite(solved)):
                 raise ConvergenceFailure(f"remainder step at t={t_mid:.6g} produced "
                                          "non-finite values")
-        mult = full if k < m - 1 else half
-        spectrum = np.fft.fftn(v, axes=axes)
-        v = np.fft.ifftn(mult * spectrum, axes=axes)
+            flat[..., ids] = solved
+        np.fft.fftn(v, axes=axes, out=spectrum)
+        np.multiply(full if k < m - 1 else half, spectrum, out=spectrum)
+        np.fft.ifftn(spectrum, axes=axes, out=v)
     return v
 
 

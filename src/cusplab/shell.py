@@ -215,6 +215,8 @@ def load_scenario(path) -> Scenario:
             margin=_require(sdoc, "margin", float, "solver", 0.25),
             measure_compensated=_require(sdoc, "measure_compensated", bool, "solver", True))
     flow_tol = _require(sdoc, "flow_tol", float, "solver", 1e-11)
+    if not flow_tol > 0:
+        raise ParseError("flow_tol must be positive", field="solver.flow_tol")
     seed = _require(doc, "seed", int, "scenario", 0)
 
     jobs = []

@@ -13,6 +13,9 @@ makes the free/perturbed propagator split exact.
 One loop over the bumps and one over the potential terms serve every
 evaluator of g and V: a field evaluator reads them at an (m, n) array of grid
 points, and a pointwise evaluator is the m = 1 row of the same loop.  The
+points may come as :class:`FieldPoints`, which keeps each term's spatial
+window once evaluated, so a caller that evaluates the fields at the same
+points at many times pays for the spatial windows once.  The
 Hamilton vector field of the principal symbol has its own loop over the
 bumps, on flat phase-space states: it contracts each pattern with zeta and
 never forms g or its derivatives.  The principal symbol and zeta.g.zeta are
@@ -47,6 +50,34 @@ def _mollifier(d, radius):
     s = np.maximum(1.0 - r * r, 1e-100)
     w = np.exp(1.0 - 1.0 / s)
     return w, w * -2.0 / (radius**2 * s**2)
+
+
+class FieldPoints:
+    """An (m, n) array of spatial points, ``array``, with each term's spatial
+    window at them, evaluated on first use and then kept: the offsets
+    d = z - center_z and the mollifier pair (wz, kz) of |d|.  A field
+    evaluator given FieldPoints reads the kept windows and multiplies in the
+    time factors only, with the same arithmetic as at the bare array, so its
+    result is bitwise the same."""
+
+    def __init__(self, points):
+        self.array = np.asarray(points, dtype=float)
+        self._windows = {}
+
+    def window(self, term):
+        """(d, wz, kz) of ``term`` at these points."""
+        # the entry holds the term, so its id cannot pass to another object
+        hit = self._windows.get(id(term))
+        if hit is None:
+            d = self.array - term.center_z
+            wz, kz = _mollifier(np.sqrt(np.add.reduce(d * d, axis=-1)), term.radius_z)
+            hit = self._windows[id(term)] = (term, d, wz, kz)
+        return hit[1:]
+
+
+def _at(points):
+    """``points`` as FieldPoints: given ones as they are, an array wrapped."""
+    return points if isinstance(points, FieldPoints) else FieldPoints(points)
 
 
 def _coerce_window(term, kind, number):
@@ -166,10 +197,10 @@ class PerturbationSpec:
     # -- evaluation: one loop over the bumps, one over the potential terms --
 
     def _metric(self, pts, t, dz=False, dt=False):
-        """(g, dgdz, dgdt) at an (m, n) array of points: g^{jk} is (m, n, n),
+        """(g, dgdz, dgdt) at FieldPoints: g^{jk} is (m, n, n),
         dgdz[m, j, k, l] = d g^{jk} / d z_l and dgdt = d g^{jk} / d t, each
         derivative None unless asked for."""
-        m, n = pts.shape
+        m, n = pts.array.shape
         g = np.repeat(np.eye(n)[None], m, axis=0)
         dgdz = np.zeros((m, n, n, n)) if dz else None
         dgdt = np.zeros((m, n, n)) if dt else None
@@ -177,8 +208,7 @@ class PerturbationSpec:
             wt, kt = _mollifier(t - b.center_t, b.radius_t)
             if wt == 0.0:
                 continue
-            d = pts - b.center_z
-            wz, kz = _mollifier(np.sqrt(np.add.reduce(d * d, axis=-1)), b.radius_z)
+            d, wz, kz = pts.window(b)
             g += (b.amplitude * wt) * wz[:, None, None] * b.pattern
             if dz:
                 dwz = kz[:, None] * d
@@ -229,57 +259,59 @@ class PerturbationSpec:
         return 0.5 * np.add.reduce(x[..., n + 1:2 * n + 1] * f[..., :n], axis=-1)
 
     def _potential(self, pts, t):
-        """V at an (m, n) array of points, at one time t or at the (m,)
-        times t of the points; complex (m,)."""
-        v = np.zeros(pts.shape[0], dtype=complex)
+        """V at FieldPoints, at one time t or at the (m,) times t of the
+        points; complex (m,)."""
+        v = np.zeros(pts.array.shape[0], dtype=complex)
         for p in self.potential_terms:
             wt, _ = _mollifier(t - p.center_t, p.radius_t)
             if not np.count_nonzero(wt):
                 continue
-            d = pts - p.center_z
-            wz, _ = _mollifier(np.sqrt(np.add.reduce(d * d, axis=-1)), p.radius_z)
+            _, wz, _ = pts.window(p)
             v += (p.amplitude * wt) * wz
         return v
 
     def inverse_metric(self, z, t) -> np.ndarray:
         """g^{jk} at one point z; the m = 1 row of the field evaluation."""
-        return self._metric(np.reshape(z, (1, self.n)), t)[0][0]
+        return self._metric(FieldPoints(np.reshape(z, (1, self.n))), t)[0][0]
 
     def inverse_metric_jet(self, z, t):
         """(g, dgdz, dgdt) at one point z, as :meth:`_metric` gives them."""
-        g, dgdz, dgdt = self._metric(np.reshape(z, (1, self.n)), t, dz=True, dt=True)
+        g, dgdz, dgdt = self._metric(FieldPoints(np.reshape(z, (1, self.n))), t,
+                                     dz=True, dt=True)
         return g[0], dgdz[0], dgdt[0]
 
     def potential(self, z, t) -> complex:
-        return complex(self._potential(np.reshape(z, (1, self.n)), t)[0])
+        return complex(self._potential(FieldPoints(np.reshape(z, (1, self.n))), t)[0])
 
-    def inverse_metric_field(self, points: np.ndarray, t: float) -> np.ndarray:
-        """g^{jk} at an (m, n) array of spatial points; returns (m, n, n)."""
-        return self._metric(np.asarray(points, dtype=float), t)[0]
+    def inverse_metric_field(self, points, t: float) -> np.ndarray:
+        """g^{jk} at an (m, n) array of spatial points or at FieldPoints;
+        returns (m, n, n)."""
+        return self._metric(_at(points), t)[0]
 
-    def dt_log_det_metric_field(self, points: np.ndarray, t: float) -> np.ndarray:
-        """d/dt log det g at an (m, n) array of points.
+    def dt_log_det_metric_field(self, points, t: float) -> np.ndarray:
+        """d/dt log det g at an (m, n) array of points or at FieldPoints.
 
         det g = 1 / det(g_inv), so d/dt log det g = -tr(g_inv^{-1} d_t g_inv).
         """
-        pts = np.asarray(points, dtype=float)
+        pts = _at(points)
         if self.metric_is_flat:
-            return np.zeros(pts.shape[0])
+            return np.zeros(pts.array.shape[0])
         ginv, _, dt_ginv = self._metric(pts, t, dt=True)
         if self.n == 1:
             return -dt_ginv[:, 0, 0] / ginv[:, 0, 0]
         return -np.trace(np.linalg.solve(ginv, dt_ginv), axis1=-2, axis2=-1)
 
-    def inverse_metric_jet_field(self, points: np.ndarray, t: float):
-        """(g, dgdz) at an (m, n) array of points; dgdz[m, j, k, l] is the
-        z_l-derivative of g^{jk}.  Vectorized analytic evaluation."""
-        g, dgdz, _ = self._metric(np.asarray(points, dtype=float), t, dz=True)
+    def inverse_metric_jet_field(self, points, t: float):
+        """(g, dgdz) at an (m, n) array of points or at FieldPoints;
+        dgdz[m, j, k, l] is the z_l-derivative of g^{jk}.  Vectorized
+        analytic evaluation."""
+        g, dgdz, _ = self._metric(_at(points), t, dz=True)
         return g, dgdz
 
-    def potential_field(self, points: np.ndarray, t) -> np.ndarray:
-        """V at an (m, n) array of spatial points, at one time or at (m,)
-        times; returns complex (m,)."""
-        return self._potential(np.asarray(points, dtype=float), t)
+    def potential_field(self, points, t) -> np.ndarray:
+        """V at an (m, n) array of spatial points or at FieldPoints, at one
+        time or at (m,) times; returns complex (m,)."""
+        return self._potential(_at(points), t)
 
     # -- validation --------------------------------------------------------
 
@@ -293,7 +325,7 @@ class PerturbationSpec:
         t_hi = max(b.center_t + b.radius_t for b in self.bumps)
         axes = [np.linspace(a, b, per_axis) for a, b in zip(lo, hi)]
         mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        pts = FieldPoints(np.stack([m.ravel() for m in mesh], axis=-1))
         for t in np.linspace(t_lo, t_hi, 32):
             min_eig = float(np.min(np.linalg.eigvalsh(self.inverse_metric_field(pts, t))))
             if min_eig <= 0.0:

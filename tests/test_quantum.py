@@ -344,6 +344,79 @@ def test_footprint_remainder_equals_whole_grid(monkeypatch, n, where):
             assert np.linalg.norm(part.step(x, 0.3, -c) - exact) > bound
 
 
+def _two_bumps_and_potential(n):
+    # bump b is active for t in (0.8, 1.6), bump a and the potential for
+    # t in (-0.5, 1.5)
+    a, pot = _bump_and_potential(np.zeros(n), n).terms()
+    b = MetricBump(amplitude=0.1, center_z=np.full(n, 1.0), center_t=1.2,
+                   radius_z=2.0, radius_t=0.4, pattern=np.eye(n))
+    return PerturbationSpec(n=n, bumps=(a, b), potential_terms=(pot,))
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["n=1", "n=2"])
+def test_footprint_windows_do_not_go_stale(n):
+    # one footprint keeps its spatial windows from step to step; at every
+    # time its remainder is bitwise the one built from fresh field calls at
+    # the bare point arrays
+    grid = Grid(n=n, N=256 if n == 1 else 32, L=10.0)
+    spec = _two_bumps_and_potential(n)
+    for adjoint in (False, True):
+        for compensated in (True, False):
+            kept = quantum._Footprint(spec, grid, compensated, adjoint)
+            fresh = quantum._Footprint(spec, grid, compensated, adjoint)
+            fresh.x = fresh.x.array
+            if n == 1:
+                fresh.x_faces = fresh.x_faces.array
+            # bump b is inactive at 0.1, bump a at 1.55
+            for t in (0.9, 0.1, 1.3, 1.55, 0.9):
+                r_kept, r_fresh = kept.remainder(t), fresh.remainder(t)
+                if n == 1:
+                    for band_kept, band_fresh in zip(r_kept, r_fresh):
+                        assert np.array_equal(band_kept, band_fresh)
+                else:
+                    assert np.array_equal(r_kept.indptr, r_fresh.indptr)
+                    assert np.array_equal(r_kept.indices, r_fresh.indices)
+                    assert np.array_equal(r_kept.data, r_fresh.data)
+
+
+def _plain_march(spec, grid, values, t0, t1, params):
+    """The Strang march with a fresh array from every transform and product."""
+    span = t1 - t0
+    m = max(1, int(np.ceil(abs(span) / params.dt - 1e-12)))
+    step = span / m
+    axes = grid.axes
+    norm_sq = np.fft.ifftshift(grid.dual_norm_sq())
+    half, full = np.exp(-0.5j * step * norm_sq), np.exp(-1j * step * norm_sq)
+    footprint = quantum._Footprint(spec, grid, params.measure_compensated, adjoint=t1 < t0)
+    ids = footprint.ids
+    spectrum = np.fft.fftn(values, axes=axes)
+    v = np.fft.ifftn(half * spectrum, axes=axes)
+    for k in range(m):
+        flat = v.reshape(*v.shape[:v.ndim - grid.n], -1)
+        flat[..., ids] = footprint.step(flat[..., ids].T, t0 + (k + 0.5) * step,
+                                        0.5j * step).T
+        spectrum = np.fft.fftn(v, axes=axes)
+        v = np.fft.ifftn((full if k < m - 1 else half) * spectrum, axes=axes)
+    return v
+
+
+# at N = 16384 one field has 256 KiB, where numpy starts to reuse temporaries
+@pytest.mark.parametrize("n,N", [(1, 512), (1, 16384), (2, 64)],
+                         ids=["n=1", "n=1-N=16384", "n=2"])
+def test_buffered_march_equals_plain_march(n, N):
+    grid = Grid(n=n, N=N, L=20.0)
+    spec = _footprint_spec(grid, "inside")
+    params = SolverParams(dt=2e-2)
+    fields = [poisson_free(coherent_data(grid, [z] * n, [fr] * n, h), 0.0).values
+              for z, fr, h in ((0.3, 0.0, 0.5), (-0.2, 1.0, 0.3), (0.1, -0.5, 0.4))]
+    for values in (fields[0], np.stack(fields)):
+        for t0, t1 in ((0.0, 1.0), (1.0, 0.0)):
+            before = values.copy()
+            marched = quantum._strang_march(spec, grid, values, t0, t1, params)
+            assert np.array_equal(values, before)
+            assert np.array_equal(marched, _plain_march(spec, grid, values, t0, t1, params))
+
+
 # ---------------------------------------------------------------------------
 # the scattering map and its adjoint
 

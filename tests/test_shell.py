@@ -165,12 +165,15 @@ _BEAM = {"Z0": [1.0], "frak0": [0.0]}
      "jobs[0].params.h_list"),
     ({"jobs": [{"check": "egorov", "params": _RISING_H_LIST}]},
      "jobs[0].params.h_list"),
+    ({"solver": {"dt": 2e-3, "flow_tol": 0}}, "solver.flow_tol"),
+    ({"solver": {"dt": 2e-3, "flow_tol": -1}}, "solver.flow_tol"),
 ], ids=["points", "dt", "bump", "h", "h_list", "unknown-key", "scenario-key",
         "missing-frak_far", "tol-string", "samples-float", "Z0-length",
         "unknown-solver-key", "compensated-string", "control-string",
         "unknown-scenario-key", "unknown-job-key", "unknown-perturbation-key",
         "unknown-grid-key", "h_fd-zero", "samples-zero",
-        "h_list-rising-noncompact", "h_list-rising-egorov"])
+        "h_list-rising-noncompact", "h_list-rising-egorov", "flow_tol-zero",
+        "flow_tol-negative"])
 def test_scenario_bad_values_are_parse_errors(tmp_path, capsys, overrides, field):
     path = _write(tmp_path, _minimal(**overrides))
     with pytest.raises(ParseError) as err:
