@@ -18,12 +18,13 @@ H is the finite-difference spatial operator and K_0 its free stencil.  The
 fields of ``symbols`` are bit-exactly flat outside the terms' declared
 supports, so R vanishes off the perturbation footprint, the support points
 and their stencil neighbours, and the remainder step is assembled and
-solved there only: a cyclic tridiagonal solve in n = 1, a sparse LU in
-n = 2.  A beam that never meets the perturbation sees the exact multiplier
-alone.  A march reuses one spectrum and one field buffer for all its
-transforms and evaluates the terms' spatial windows on the footprint once,
-so a step allocates no grid-sized array and evaluates only the time
-factors of the fields.
+solved there only, with the LAPACK banded solver in both dimensions: a
+cyclic tridiagonal system in n = 1, a narrow band in n = 2.  A beam that
+never meets the perturbation sees the exact multiplier alone.  A march
+reuses one spectrum and one field buffer for all its transforms and
+evaluates the terms' spatial windows on the footprint once, so a step
+allocates no grid-sized array and evaluates only the time factors of the
+fields.
 
 One walk serves the scattering map S and its adjoint S*: the direction of
 time selects the scheme, the forward one when time increases and the plain
@@ -359,45 +360,6 @@ def solve_cyclic_tridiagonal(lower, diag, upper, corner_ul, corner_lr, rhs):
     return y - np.multiply.outer(q, vy / (1.0 + vq))
 
 
-def _band_rows(rows, a_face, a_pts, v_eff, dz, adjoint):
-    """Rows ``rows`` of the periodic bands of the 1-D spatial operator.
-
-    ``a_face[j]`` is g^{11} at the face z_j + dz/2, ``a_pts[j]`` is g^{11}
-    at z_j and ``v_eff`` the effective potential.  Returns complex
-    (lower, diag, upper) at those rows, where lower[0] is the (0, N-1) corner
-    and upper[N-1] the (N-1, 0) corner.  The divergence-form operator K has
-    face coefficients c = sqrt(g^{11}).
-
-    Forward: w K w + V_eff with w = (g^{11})^{1/4}.  The field propagated is
-    the half-density conjugate v = |g|^{1/4} u, and this generator is exactly
-    symmetric, so the remainder step conserves the discrete norm whenever
-    V_eff is real.
-
-    Adjoint: K M_s + V_eff with s = sqrt(g^{11}) = 1 / sqrt(det g), the
-    plain-measure adjoint of the direct divergence-form discretization,
-    built independently of the forward scheme.  The caller passes the
-    conjugate potential.
-    """
-    N = a_pts.size
-    prev, succ = (rows - 1) % N, (rows + 1) % N
-    c_face, c_left = np.sqrt(a_face[rows]), np.sqrt(a_face[prev])
-    diag = (c_face + c_left) / dz**2
-    upper = -c_face / dz**2
-    lower = -c_left / dz**2
-    if adjoint:
-        # (K M_s): column scaling
-        lower = lower * np.sqrt(a_pts[prev])
-        upper = upper * np.sqrt(a_pts[succ])
-        diag = diag * np.sqrt(a_pts[rows])
-    else:
-        w = a_pts[rows] ** 0.25
-        lower = w * lower * a_pts[prev] ** 0.25
-        upper = w * upper * a_pts[succ] ** 0.25
-        diag = w * diag * w
-    diag = diag.astype(complex) + v_eff[rows]
-    return lower.astype(complex), diag, upper.astype(complex)
-
-
 def _effective_potential(spec, pts, t, compensated, adjoint):
     """V_eff at an (m, n) array of points at time t.  The forward generator of
     the half-density conjugate keeps the measure term unless the compensator
@@ -430,31 +392,49 @@ _STENCIL = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
                      (1, 1), (-1, -1), (1, -1), (-1, 1)])
 
 
+def _seam_shift(coords, N):
+    """The first taken index after the largest cyclic gap in ``coords``,
+    grid indices along one axis: subtracting it modulo N moves that gap to
+    the seam of the box, so the taken indices become one unbroken run
+    whenever some index is free."""
+    taken = np.unique(coords)
+    if not taken.size:
+        return 0
+    gaps = np.diff(taken, prepend=taken[-1] - N)    # the gap before each index
+    return int(taken[np.argmax(gaps)])
+
+
 class _Footprint:
     """The remainder R = H - K_0 of one march, on the perturbation footprint.
 
     R vanishes outside the rows and columns of the support points and their
-    stencil neighbours: the footprint, with sorted flat grid indices
-    ``ids``, found once per march.  Each step evaluates the fields on the
-    support only, with the same arithmetic as a build with every grid point
-    as support.  The support points and faces are FieldPoints, so every
-    term's spatial window is evaluated once per march and each step
-    multiplies in the time factors only.
+    stencil neighbours: the footprint, whose flat grid indices ``ids`` are
+    found once per march, in the order of the solve.  Each step evaluates
+    the fields on the support only, with the same arithmetic as a build with
+    every grid point as support.  The support points and faces are
+    FieldPoints, so every term's spatial window is evaluated once per march
+    and each step multiplies in the time factors only.
 
-    n = 1: R is three bands on the footprint rows.  ``lower[k]`` and
-    ``upper[k]`` couple row ids[k] to ids[k] -/+ 1 modulo N and vanish
-    unless that neighbour is a footprint row, so the rows form a cyclic
-    tridiagonal system whose corners are nonzero only when the footprint
-    wraps the seam of the box.
+    n = 1: R is three bands on the footprint rows, ``ids`` sorted.
+    ``lower[k]`` and ``upper[k]`` couple row ids[k] to ids[k] -/+ 1 modulo
+    N and vanish unless that neighbour is a footprint row, so the rows form
+    a cyclic tridiagonal system whose corners are nonzero only when the
+    footprint wraps the seam of the box.
 
-    n = 2: R fills a fixed CSC pattern of the 9-point stencil,
+    n = 2: R is the 9-point stencil of
 
         Delta_g - Delta_0 = -(g^{jk} - d^{jk}) d_j d_k - b_k d_k,
         b_k = sum_j [d_j g^{jk} + g^{jk} d_j log sqrt(det g)],
 
     in centred differences with analytic coefficient fields.  The metric
     part is symmetrized for the forward scheme; the adjoint scheme uses its
-    transpose with the conjugate potential.
+    transpose with the conjugate potential.  ``ids`` is row-major order
+    after each axis is rotated so that the footprint's largest gap sits at
+    the seam (see _seam_shift), so a footprint that wraps the seam has the
+    narrow band of one in the interior: ``lo`` lower and ``up`` upper
+    diagonals, about the footprint's width.  R is stored as solve_banded
+    takes it, entry (r, c) at ``band[up + r - c, c]``, in a layout fixed
+    once per march.
     """
 
     def __init__(self, spec, grid, compensated, adjoint):
@@ -470,42 +450,81 @@ class _Footprint:
             self.ids = np.unique(np.concatenate([
                 self.faces, self.faces + 1,
                 self.support - 1, self.support, self.support + 1]) % N)
+            # the grid neighbours of each footprint row, for the bands, and
+            # the footprint positions of the previous and next rows, for R x
+            self.ids_prev, self.ids_succ = (self.ids - 1) % N, (self.ids + 1) % N
+            rows = np.arange(self.ids.size)
+            self.prev, self.succ = np.roll(rows, 1), np.roll(rows, -1)
             self.a_face, self.a_pts = np.ones(N), np.ones(N)
             self.v_eff = np.zeros(N, dtype=complex)
-            self.free = _band_rows(self.ids, self.a_face, self.a_pts, self.v_eff,
-                                   self.dz, adjoint)
+            self.free = self._bands()
             return
         i, j = np.divmod(self.support, N)
-        # (9, support) flat indices of each support point's stencil
-        nbrs = ((i + _STENCIL[:, :1]) % N) * N + (j + _STENCIL[:, 1:]) % N
-        self.ids = np.unique(nbrs)
+        i, j = i + _STENCIL[:, :1], j + _STENCIL[:, 1:]
+        si, sj = _seam_shift(i % N, N), _seam_shift(j % N, N)
+        # (9, support) stencil neighbours of the support points, as flat
+        # indices of the rotated box
+        nbrs = ((i - si) % N) * N + (j - sj) % N
+        keys = np.unique(nbrs)
+        self.ids = ((keys // N + si) % N) * N + (keys % N + sj) % N
         m = self.ids.size
-        cols = np.searchsorted(self.ids, nbrs).ravel()
+        cols = np.searchsorted(keys, nbrs).ravel()
         centre = cols[:self.support.size]
         rows = np.tile(centre, len(_STENCIL))
         # entries of M^T (adjoint) or of M and M^T (forward), then of V_eff
         pairs = [(cols, rows)] if adjoint else [(rows, cols), (cols, rows)]
         rows, cols = (np.concatenate([*part, centre]) for part in zip(*pairs))
-        # one slot per CSC entry, the whole diagonal included for I + cR
-        keys, self.slot = np.unique(np.concatenate([cols * m + rows, np.arange(m) * (m + 1)]),
-                                    return_inverse=True)
-        self.slot, self.diag_slot = self.slot[:rows.size], self.slot[rows.size:]
-        self.indices = keys % m
-        self.indptr = np.searchsorted(keys, np.arange(m + 1) * m)
+        self.lo, self.up = (int(np.max(d, initial=0)) for d in (rows - cols, cols - rows))
+        self.shape = (self.lo + self.up + 1, m)
+        self.slot = (self.up + rows - cols) * m + cols
+
+    def _bands(self):
+        """The periodic bands of the 1-D spatial operator at the footprint
+        rows, from the face values ``a_face[j]`` of g^{11} at z_j + dz/2,
+        the point values ``a_pts[j]`` of g^{11} at z_j and the effective
+        potential ``v_eff``.  Returns complex (lower, diag, upper), where
+        lower and upper couple each row to the grid points before and after
+        it, modulo N.  The divergence-form operator K has face coefficients
+        c = sqrt(g^{11}).
+
+        Forward: w K w + V_eff with w = (g^{11})^{1/4}.  The field
+        propagated is the half-density conjugate v = |g|^{1/4} u, and this
+        generator is exactly symmetric, so the remainder step conserves the
+        discrete norm whenever V_eff is real.
+
+        Adjoint: K M_s + V_eff with s = sqrt(g^{11}) = 1 / sqrt(det g), the
+        plain-measure adjoint of the direct divergence-form discretization,
+        built independently of the forward scheme.  The caller passes the
+        conjugate potential.
+        """
+        rows, prev, succ = self.ids, self.ids_prev, self.ids_succ
+        a_face, a_pts, dz = self.a_face, self.a_pts, self.dz
+        c_face, c_left = np.sqrt(a_face[rows]), np.sqrt(a_face[prev])
+        diag = (c_face + c_left) / dz**2
+        upper = -c_face / dz**2
+        lower = -c_left / dz**2
+        if self.adjoint:
+            # (K M_s): column scaling
+            lower = lower * np.sqrt(a_pts[prev])
+            upper = upper * np.sqrt(a_pts[succ])
+            diag = diag * np.sqrt(a_pts[rows])
+        else:
+            w = a_pts[rows] ** 0.25
+            lower = w * lower * a_pts[prev] ** 0.25
+            upper = w * upper * a_pts[succ] ** 0.25
+            diag = w * diag * w
+        diag = diag.astype(complex) + self.v_eff[rows]
+        return lower.astype(complex), diag, upper.astype(complex)
 
     def remainder(self, t):
-        """R at time t on the footprint: (lower, diag, upper) in n = 1, a CSC
-        matrix in n = 2."""
+        """R at time t on the footprint: (lower, diag, upper) in n = 1, the
+        (lo + up + 1, m) band array in n = 2."""
         v_eff = _effective_potential(self.spec, self.x, t, self.compensated, self.adjoint)
         if self.n == 1:
             self.a_face[self.faces] = self.spec.inverse_metric_field(self.x_faces, t)[:, 0, 0]
             self.a_pts[self.support] = self.spec.inverse_metric_field(self.x, t)[:, 0, 0]
             self.v_eff[self.support] = v_eff
-            bands = _band_rows(self.ids, self.a_face, self.a_pts, self.v_eff,
-                               self.dz, self.adjoint)
-            return tuple(band - free for band, free in zip(bands, self.free))
-        import scipy.sparse as sp
-
+            return tuple(band - free for band, free in zip(self._bands(), self.free))
         dz = self.dz
         g, dgdz = self.spec.inverse_metric_jet_field(self.x, t)
         d00, d11, d01 = g[:, 0, 0] - 1.0, g[:, 1, 1] - 1.0, g[:, 0, 1]
@@ -523,10 +542,10 @@ class _Footprint:
             -d11 / dz**2 - b[:, 1] / (2.0 * dz), -d11 / dz**2 + b[:, 1] / (2.0 * dz),
             cross, cross, -cross, -cross])
         parts = [stencil, v_eff] if self.adjoint else [0.5 * stencil, 0.5 * stencil, v_eff]
-        weights, nnz = np.concatenate(parts), self.indices.size
-        data = (np.bincount(self.slot, weights.real, nnz)
-                + 1j * np.bincount(self.slot, weights.imag, nnz))
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.ids.size,) * 2)
+        weights, size = np.concatenate(parts), self.shape[0] * self.shape[1]
+        band = (np.bincount(self.slot, weights.real, size)
+                + 1j * np.bincount(self.slot, weights.imag, size))
+        return band.reshape(self.shape)
 
     def step(self, x, t, c):
         """One Crank-Nicolson step (1 + cR)^{-1} (1 - cR) x of the remainder
@@ -536,17 +555,15 @@ class _Footprint:
         if self.n == 1:
             lower, diag, upper = r
             rows = x.T          # footprint rows along the last axis
-            prev, succ = np.roll(rows, 1, axis=-1), np.roll(rows, -1, axis=-1)
+            prev, succ = np.take(rows, self.prev, axis=-1), np.take(rows, self.succ, axis=-1)
             r_x = diag * rows + lower * prev + upper * succ
             rhs = rows - c * r_x
             return solve_cyclic_tridiagonal(c * lower, 1.0 + c * diag, c * upper,
                                             c * lower[0], c * upper[-1], rhs.T)
-        import scipy.sparse.linalg as spla
-
-        plus = c * r                # same pattern, which holds the diagonal
-        plus.data[self.diag_slot] += 1.0
-        r_x = r @ x
-        return spla.splu(plus).solve(x - c * r_x)
+        # (1 + cR)^{-1} (1 - cR) x = 2 y - x with (1 + cR) y = x
+        plus = c * r
+        plus[self.up] += 1.0
+        return 2.0 * solve_banded((self.lo, self.up), plus, x) - x
 
 
 def _strang_march(spec, grid, values, t0, t1, params):
@@ -557,12 +574,18 @@ def _strang_march(spec, grid, values, t0, t1, params):
 
     Each step is an exact free half-step, one Crank-Nicolson step of the
     remainder at the step midpoint, on the footprint, and a second free
-    half-step.  Adjacent half-steps are fused, so m steps make m + 1
-    transforms.  The multiplier is kept in FFT order: for even N the
-    fftshift pairs of forward_ft and inverse_ft cancel.  The march keeps one
-    spectrum and one field buffer, which every transform and multiplier
-    writes into, so a step allocates no grid-sized array; the spatial
-    windows of the remainder are evaluated once per march (see _Footprint).
+    half-step.  The remainder step is one banded solve in either dimension:
+    the cyclic tridiagonal system in n = 1; in n = 2 the band of 1 + cR, in
+    the seam-rotated footprint order fixed once per march, taken as the
+    Cayley step (1 + cR)^{-1} (1 - cR) x = 2 y - x with (1 + cR) y = x, so
+    no product R x is formed.  A solve that fails, or meets a non-finite
+    remainder, raises ConvergenceFailure.  Adjacent half-steps are fused, so
+    m steps make m + 1 transforms.  The multiplier is kept in FFT order: for
+    even N the fftshift pairs of forward_ft and inverse_ft cancel.  The
+    march keeps one spectrum and one field buffer, which every transform and
+    multiplier writes into, so a step allocates no grid-sized array; the
+    spatial windows of the remainder are evaluated once per march (see
+    _Footprint).
 
     The multiplier is the left operand of every product, and complex
     products elsewhere name their array operands.  For operands of one
@@ -589,7 +612,7 @@ def _strang_march(spec, grid, values, t0, t1, params):
         if ids.size:
             try:
                 solved = footprint.step(flat[..., ids].T, t_mid, c).T
-            except (np.linalg.LinAlgError, RuntimeError) as exc:
+            except ValueError as exc:   # LinAlgError, or a non-finite band
                 raise ConvergenceFailure(f"remainder step at t={t_mid:.6g} failed: "
                                          f"{exc}") from exc
             if not np.all(np.isfinite(solved)):

@@ -230,6 +230,29 @@ def test_ode_solver_loads_only_with_the_first_flow(tmp_path):
     assert proc.stdout.splitlines() == ["import False", "pairing 0 False", "flow True"]
 
 
+_SPARSE_PROBE = """
+import sys
+from cusplab import shell
+code, _ = shell.run(shell.load_scenario(sys.argv[1]), out_root=sys.argv[2])
+print("pairing", code, "scipy.sparse" in sys.modules)
+"""
+
+
+def test_2d_pairing_never_loads_scipy_sparse(tmp_path):
+    # the 2-D remainder is one band of LAPACK's banded solver, no sparse matrix
+    doc = _minimal(
+        dimension=2,
+        perturbation={"bumps": [
+            {"amplitude": 0.05, "center_z": [0.0, 0.0], "center_t": 0.0,
+             "radius_z": 2.0, "radius_t": 0.1, "pattern": [[1.0, 0.0], [0.0, 1.0]]}]},
+        grid={"points": 32, "half_width": 10.0},
+        solver={"dt": 5e-3},
+        jobs=[{"check": "pairing", "params": {"tol": 5e-3}}])
+    proc = _fresh_python("-c", _SPARSE_PROBE, _write(tmp_path, doc), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["pairing 0 False"]
+
+
 def test_scenario_grid_must_accommodate_packets(tmp_path):
     doc = _minimal(jobs=[{
         "check": "highfreq",
