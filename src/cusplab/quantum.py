@@ -435,6 +435,9 @@ class _Footprint:
     diagonals, about the footprint's width.  R is stored as solve_banded
     takes it, entry (r, c) at ``band[up + r - c, c]``, in a layout fixed
     once per march.
+
+    In both dimensions a step is the Cayley step 2 y - x with
+    (1 + cR) y = x: one solve on x, and no product R x.
     """
 
     def __init__(self, spec, grid, compensated, adjoint):
@@ -450,11 +453,8 @@ class _Footprint:
             self.ids = np.unique(np.concatenate([
                 self.faces, self.faces + 1,
                 self.support - 1, self.support, self.support + 1]) % N)
-            # the grid neighbours of each footprint row, for the bands, and
-            # the footprint positions of the previous and next rows, for R x
+            # the grid neighbours of each footprint row, for the bands
             self.ids_prev, self.ids_succ = (self.ids - 1) % N, (self.ids + 1) % N
-            rows = np.arange(self.ids.size)
-            self.prev, self.succ = np.roll(rows, 1), np.roll(rows, -1)
             self.a_face, self.a_pts = np.ones(N), np.ones(N)
             self.v_eff = np.zeros(N, dtype=complex)
             self.free = self._bands()
@@ -550,20 +550,18 @@ class _Footprint:
     def step(self, x, t, c):
         """One Crank-Nicolson step (1 + cR)^{-1} (1 - cR) x of the remainder
         at time t, for x on the footprint: one column of m values, or an
-        (m, k) stack of columns that shares one assembly and one solve."""
+        (m, k) stack of columns that shares one assembly and one solve.  It
+        is taken as 2 y - x with (1 + cR) y = x: the cyclic tridiagonal
+        solve in n = 1, the banded solve in n = 2."""
         r = self.remainder(t)
         if self.n == 1:
-            lower, diag, upper = r
-            rows = x.T          # footprint rows along the last axis
-            prev, succ = np.take(rows, self.prev, axis=-1), np.take(rows, self.succ, axis=-1)
-            r_x = diag * rows + lower * prev + upper * succ
-            rhs = rows - c * r_x
-            return solve_cyclic_tridiagonal(c * lower, 1.0 + c * diag, c * upper,
-                                            c * lower[0], c * upper[-1], rhs.T)
-        # (1 + cR)^{-1} (1 - cR) x = 2 y - x with (1 + cR) y = x
-        plus = c * r
-        plus[self.up] += 1.0
-        return 2.0 * solve_banded((self.lo, self.up), plus, x) - x
+            lower, diag, upper = (c * band for band in r)
+            y = solve_cyclic_tridiagonal(lower, 1.0 + diag, upper, lower[0], upper[-1], x)
+        else:
+            plus = c * r
+            plus[self.up] += 1.0
+            y = solve_banded((self.lo, self.up), plus, x)
+        return 2.0 * y - x
 
 
 def _strang_march(spec, grid, values, t0, t1, params):
@@ -574,12 +572,12 @@ def _strang_march(spec, grid, values, t0, t1, params):
 
     Each step is an exact free half-step, one Crank-Nicolson step of the
     remainder at the step midpoint, on the footprint, and a second free
-    half-step.  The remainder step is one banded solve in either dimension:
-    the cyclic tridiagonal system in n = 1; in n = 2 the band of 1 + cR, in
-    the seam-rotated footprint order fixed once per march, taken as the
-    Cayley step (1 + cR)^{-1} (1 - cR) x = 2 y - x with (1 + cR) y = x, so
-    no product R x is formed.  A solve that fails, or meets a non-finite
-    remainder, raises ConvergenceFailure.  Adjacent half-steps are fused, so
+    half-step.  The remainder step is the Cayley step
+    (1 + cR)^{-1} (1 - cR) x = 2 y - x with (1 + cR) y = x in either
+    dimension, so no product R x is formed: y is one cyclic tridiagonal
+    solve in n = 1, and in n = 2 one banded solve on the band of 1 + cR, in
+    the seam-rotated footprint order fixed once per march.  A solve that
+    fails, or meets a non-finite remainder, raises ConvergenceFailure.  Adjacent half-steps are fused, so
     m steps make m + 1 transforms.  The multiplier is kept in FFT order: for
     even N the fftshift pairs of forward_ft and inverse_ft cancel.  The
     march keeps one spectrum and one field buffer, which every transform and

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,7 +44,10 @@ from .symbols import MetricBump, PerturbationSpec, PotentialTerm
 
 SCHEMA_VERSION = 1
 OUT_ENV_VAR = "CUSPLAB_OUT"
-SOLVER_KEYS = ("dt", "margin", "measure_compensated", "flow_tol")
+# solver keys: the SolverParams fields, read with their defaults and typed
+# like them, and the flow's tolerance
+SOLVER_FIELDS = fields(SolverParams)
+SOLVER_KEYS = tuple(f.name for f in SOLVER_FIELDS) + ("flow_tol",)
 SCENARIO_KEYS = ("schema_version", "name", "dimension", "perturbation", "grid",
                  "solver", "seed", "jobs")
 TERM_KEYS = ("amplitude", "center_z", "center_t", "radius_z", "radius_t")
@@ -67,6 +70,11 @@ class Scenario:
 def _real(value):
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and bool(np.isfinite(value)))
+
+
+def _reals(value, n):
+    """Whether ``value`` is a JSON list of n finite numbers."""
+    return isinstance(value, list) and len(value) == n and all(map(_real, value))
 
 
 def _is(value, kind):
@@ -114,6 +122,18 @@ def _fields(where, keys=None):
         raise ParseError(str(exc), field=f"{where}.{key}" if key else where) from exc
 
 
+def _numbers(mapping, key, shape, where):
+    """``mapping[key]``, which must be a JSON list of ``shape[0]`` finite
+    numbers, or for a ``shape`` (rows, n) a list of ``rows`` such lists of n."""
+    value = _require(mapping, key, list, where)
+    *rows, n = shape
+    if not (_reals(value, n) if not rows else
+            len(value) == rows[0] and all(_reals(row, n) for row in value)):
+        what = f"{rows[0]} lists of {n}" if rows else f"a list of {n}"
+        raise ParseError(f"{key} must be {what} finite numbers", field=f"{where}.{key}")
+    return value
+
+
 def _parse_perturbation(doc, n):
     _known(doc, ("bumps", "potential_terms"), "perturbation")
     bumps = []
@@ -123,23 +143,21 @@ def _parse_perturbation(doc, n):
         with _fields(where):
             bumps.append(MetricBump(
                 amplitude=_require(b, "amplitude", float, where),
-                center_z=_require(b, "center_z", list, where),
+                center_z=_numbers(b, "center_z", (n,), where),
                 center_t=_require(b, "center_t", float, where),
                 radius_z=_require(b, "radius_z", float, where),
                 radius_t=_require(b, "radius_t", float, where),
-                pattern=np.asarray(_require(b, "pattern", list, where), dtype=float),
+                pattern=np.asarray(_numbers(b, "pattern", (n, n), where), dtype=float),
             ))
     pots = []
     for i, p in enumerate(doc.get("potential_terms", [])):
         where = f"perturbation.potential_terms[{i}]"
         _known(p, TERM_KEYS, where)
-        amp = _require(p, "amplitude", list, where)
-        if len(amp) != 2:
-            raise ParseError("amplitude must be [re, im]", field=f"{where}.amplitude")
+        amp = _numbers(p, "amplitude", (2,), where)
         with _fields(where):
             pots.append(PotentialTerm(
                 amplitude=complex(amp[0], amp[1]),
-                center_z=_require(p, "center_z", list, where),
+                center_z=_numbers(p, "center_z", (n,), where),
                 center_t=_require(p, "center_t", float, where),
                 radius_z=_require(p, "radius_z", float, where),
                 radius_t=_require(p, "radius_t", float, where),
@@ -209,15 +227,16 @@ def load_scenario(path) -> Scenario:
                         L=_require(gdoc, "half_width", float, "grid"))
 
     sdoc = _known(doc.get("solver", {}), SOLVER_KEYS, "solver")
-    with _fields("solver", {"dt": "dt", "margin": "margin"}):
-        solver = SolverParams(
-            dt=_require(sdoc, "dt", float, "solver", 1e-3),
-            margin=_require(sdoc, "margin", float, "solver", 0.25),
-            measure_compensated=_require(sdoc, "measure_compensated", bool, "solver", True))
+    with _fields("solver", {f.name: f.name for f in SOLVER_FIELDS}):
+        solver = SolverParams(**{
+            f.name: _require(sdoc, f.name, type(f.default), "solver", f.default)
+            for f in SOLVER_FIELDS})
     flow_tol = _require(sdoc, "flow_tol", float, "solver", 1e-11)
     if not flow_tol > 0:
         raise ParseError("flow_tol must be positive", field="solver.flow_tol")
     seed = _require(doc, "seed", int, "scenario", 0)
+    if seed < 0:
+        raise ParseError("seed must be nonnegative", field="scenario.seed")
 
     jobs = []
     for i, job in enumerate(doc.get("jobs", [])):
@@ -295,11 +314,11 @@ def _valid_arg(key, value, default, n):
     strictly decreasing list of positive numbers; a number, or an optional
     number (default None), has its default's type.  A number whose default
     is a positive float (a tolerance, a step, a horizon, a scale) and
-    ``samples`` must be positive."""
+    ``samples`` must be positive, and ``seed`` nonnegative."""
     if value is None and default is None:
         return True
     if key in VECTOR_ARGS:
-        return isinstance(value, list) and len(value) == n and all(map(_real, value))
+        return _reals(value, n)
     if key == "h_list":
         return (isinstance(value, list) and bool(value)
                 and all(_real(h) and h > 0 for h in value)
@@ -308,7 +327,8 @@ def _valid_arg(key, value, default, n):
     if kind not in (float, int, bool):
         return True
     positive = key == "samples" or (kind is float and default is not None and default > 0)
-    return _is(value, kind) and not (positive and value <= 0)
+    return (_is(value, kind) and not (positive and value <= 0)
+            and not (key == "seed" and value < 0))
 
 
 def _validate_job(check, params, n, where):

@@ -82,11 +82,14 @@ def _at(points):
 
 def _coerce_window(term, kind, number):
     """Store a term's amplitude as a ``number``, its centres and radii as
-    floats, and check the radii."""
+    floats, and check that they are finite and the radii positive."""
     object.__setattr__(term, "amplitude", number(term.amplitude))
     object.__setattr__(term, "center_z", np.atleast_1d(np.asarray(term.center_z, dtype=float)))
     for name in ("center_t", "radius_z", "radius_t"):
         object.__setattr__(term, name, float(getattr(term, name)))
+    if not np.all(np.isfinite([term.amplitude, term.center_t, term.radius_z, term.radius_t,
+                               *term.center_z])):
+        raise ValueError(f"{kind} amplitude, centres and radii must be finite")
     if term.radius_z <= 0 or term.radius_t <= 0:
         raise ValueError(f"{kind} radii must be positive")
 
@@ -110,6 +113,8 @@ class MetricBump:
         object.__setattr__(self, "pattern", pat)
         if pat.shape != (self.center_z.size, self.center_z.size):
             raise ValueError("pattern must be n x n")
+        if not np.all(np.isfinite(pat)):
+            raise ValueError("pattern must be finite")
         if not np.allclose(pat, pat.T):
             raise ValueError("pattern must be symmetric")
 
@@ -327,10 +332,13 @@ class PerturbationSpec:
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = FieldPoints(np.stack([m.ravel() for m in mesh], axis=-1))
         for t in np.linspace(t_lo, t_hi, 32):
-            min_eig = float(np.min(np.linalg.eigvalsh(self.inverse_metric_field(pts, t))))
-            if min_eig <= 0.0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                eigs = np.linalg.eigvalsh(self.inverse_metric_field(pts, t))
+            # false for a NaN, which an overflowed metric gives
+            if not (np.min(eigs) > 0.0 and np.max(eigs) < np.inf):
                 raise NotPositiveDefinite(
-                    f"inverse metric has eigenvalue {min_eig:.3e} <= 0 at t={t:.4g}")
+                    f"inverse metric has eigenvalues in [{np.min(eigs):.3e}, "
+                    f"{np.max(eigs):.3e}], not all finite and positive, at t={t:.4g}")
 
 
 def flat_spec(n: int) -> PerturbationSpec:

@@ -120,8 +120,17 @@ def test_scenario_support_must_fit_in_box(tmp_path):
     assert err.value.invariant == "support-inside-box"
 
 
-_BAD_BUMP = {"bumps": [{"amplitude": 0.05, "center_z": [0.0], "center_t": 0.0,
-                        "radius_z": 0.0, "radius_t": 1.0, "pattern": [[1.0]]}]}
+def _bump(**entries):
+    """A 1-D perturbation of one metric bump, its entries overridden."""
+    return {"bumps": [{"amplitude": 0.05, "center_z": [0.0], "center_t": 0.0,
+                       "radius_z": 1.0, "radius_t": 1.0, "pattern": [[1.0]], **entries}]}
+
+
+def _potential(**entries):
+    """A 1-D perturbation of one potential term, its entries overridden."""
+    return {"potential_terms": [{"amplitude": [0.5, 0.0], "center_z": [0.0],
+                                 "center_t": 0.0, "radius_z": 1.0, "radius_t": 1.0,
+                                 **entries}]}
 
 
 _BAD_H = [{"check": "eikonal", "params": {"Z0": [1.0], "frak0": [0.0], "h": -1}}]
@@ -138,7 +147,7 @@ _BEAM = {"Z0": [1.0], "frak0": [0.0]}
 @pytest.mark.parametrize("overrides, field", [
     ({"grid": {"points": 1000, "half_width": 20.0}}, "grid.points"),
     ({"solver": {"dt": -1}}, "solver.dt"),
-    ({"perturbation": _BAD_BUMP}, "perturbation.bumps[0]"),
+    ({"perturbation": _bump(radius_z=0.0)}, "perturbation.bumps[0]"),
     ({"jobs": _BAD_H}, "jobs[0].params.h"),
     ({"jobs": _BAD_H_LIST}, "jobs[0].params.h_list"),
     ({"jobs": [{"check": "pairing", "params": {"tolx": 5}}]}, "jobs[0].params.tolx"),
@@ -167,13 +176,27 @@ _BEAM = {"Z0": [1.0], "frak0": [0.0]}
      "jobs[0].params.h_list"),
     ({"solver": {"dt": 2e-3, "flow_tol": 0}}, "solver.flow_tol"),
     ({"solver": {"dt": 2e-3, "flow_tol": -1}}, "solver.flow_tol"),
+    ({"perturbation": _bump(center_z=[[0.0]])}, "perturbation.bumps[0].center_z"),
+    ({"perturbation": _bump(center_z=[float("nan")])}, "perturbation.bumps[0].center_z"),
+    ({"perturbation": _bump(center_z=["0.5"])}, "perturbation.bumps[0].center_z"),
+    ({"perturbation": _bump(center_z=[True])}, "perturbation.bumps[0].center_z"),
+    ({"perturbation": _bump(pattern=[[float("nan")]])}, "perturbation.bumps[0].pattern"),
+    ({"perturbation": _bump(pattern=[1.0])}, "perturbation.bumps[0].pattern"),
+    ({"perturbation": _potential(amplitude=[float("nan"), 0.0])},
+     "perturbation.potential_terms[0].amplitude"),
+    ({"perturbation": _potential(center_z=["0.5"])},
+     "perturbation.potential_terms[0].center_z"),
+    ({"seed": -1}, "scenario.seed"),
+    ({"jobs": [{"check": "symplectic", "params": {"seed": -1}}]}, "jobs[0].params.seed"),
 ], ids=["points", "dt", "bump", "h", "h_list", "unknown-key", "scenario-key",
         "missing-frak_far", "tol-string", "samples-float", "Z0-length",
         "unknown-solver-key", "compensated-string", "control-string",
         "unknown-scenario-key", "unknown-job-key", "unknown-perturbation-key",
         "unknown-grid-key", "h_fd-zero", "samples-zero",
         "h_list-rising-noncompact", "h_list-rising-egorov", "flow_tol-zero",
-        "flow_tol-negative"])
+        "flow_tol-negative", "center_z-nested", "center_z-nan", "center_z-string",
+        "center_z-bool", "pattern-nan", "pattern-flat", "amplitude-nan",
+        "potential-center_z-string", "seed-negative", "job-seed-negative"])
 def test_scenario_bad_values_are_parse_errors(tmp_path, capsys, overrides, field):
     path = _write(tmp_path, _minimal(**overrides))
     with pytest.raises(ParseError) as err:

@@ -161,6 +161,25 @@ def test_potential_quadrature_along_beam_matches_adaptive_oracle():
 def test_positive_definiteness_validation():
     with pytest.raises(NotPositiveDefinite):
         _bump_spec(eps=-1.2)
+    # an overflowed metric has NaN or infinite eigenvalues, which pass a
+    # test for <= 0
+    with pytest.raises(NotPositiveDefinite):
+        _bump_spec(eps=1e308, pattern=np.array([[2.0, 1.0], [1.0, 2.0]]))
+    with pytest.raises(NotPositiveDefinite):
+        _bump_spec(eps=10.0, n=1, pattern=[[1e308]])
+    with pytest.raises(ValueError, match="pattern must be finite"):
+        _bump_spec(n=1, pattern=[[-np.inf]])
+
+
+@pytest.mark.parametrize("term", [MetricBump, PotentialTerm])
+@pytest.mark.parametrize("entry", [{"center_z": [np.nan]}, {"radius_z": np.inf},
+                                   {"amplitude": np.nan}])
+def test_terms_reject_non_finite_windows(term, entry):
+    # a NaN centre would silently drop its term from the quantum footprint
+    window = dict(amplitude=0.1, center_z=[0.0], center_t=0.0, radius_z=1.0,
+                  radius_t=1.0, **({"pattern": 1.0} if term is MetricBump else {}))
+    with pytest.raises(ValueError, match="must be finite"):
+        term(**{**window, **entry})
 
 
 def test_positive_definite_lattice_accepts_valid_spec():
