@@ -26,7 +26,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import StepFailure, TrappingSuspected
+from .errors import StepFailure, TrappingSuspected, ValidationError
 from .phasespace import (
     CuspData,
     PhasePoint,
@@ -376,7 +376,10 @@ def classical_scatter(spec: PerturbationSpec, c_in: CuspData,
 
 def scatter_jacobian(spec: PerturbationSpec, c_in: CuspData,
                      h_fd: float = 1e-4, tol: float = 1e-11) -> np.ndarray:
-    """Central-difference Jacobian of (Z, frak) -> classical_scatter output."""
+    """Central-difference Jacobian of (Z, frak) -> classical_scatter output.
+
+    Raises ValidationError naming ``h_fd`` when a shifted beam leaves the
+    finite phase space."""
     if h_fd <= 0:
         raise ValueError("h_fd must be positive")
     q0 = c_in.pair()
@@ -385,8 +388,13 @@ def scatter_jacobian(spec: PerturbationSpec, c_in: CuspData,
     for j in range(m):
         dq = np.zeros(m)
         dq[j] = h_fd
-        f_plus = classical_scatter(spec, CuspData.from_pair(q0 + dq), tol=tol).c_out.pair()
-        f_minus = classical_scatter(spec, CuspData.from_pair(q0 - dq), tol=tol).c_out.pair()
+        try:
+            f_plus = classical_scatter(spec, CuspData.from_pair(q0 + dq), tol=tol).c_out.pair()
+            f_minus = classical_scatter(spec, CuspData.from_pair(q0 - dq), tol=tol).c_out.pair()
+        except ValueError as exc:   # a non-finite phase-space point
+            raise ValidationError(f"h_fd = {h_fd:g} shifts the beam out of the finite "
+                                  f"phase space: {exc}", invariant="h_fd-keeps-beams-finite"
+                                  ) from exc
         jac[:, j] = (f_plus - f_minus) / (2.0 * h_fd)
     return jac
 
@@ -431,30 +439,33 @@ def _fit_exponent(ts, ws):
     return float(np.polyfit(x, y, 1)[0])
 
 
+def _radial_direction(spec: PerturbationSpec, p0: PhasePoint, direction: float,
+                      horizon: float, tol: float):
+    """One direction (+1 forward, -1 backward) of :func:`radial_convergence`:
+    the fitted exponent, the limit cusp data, and the (t, |w|) samples."""
+    window = spec.time_window() or (p0.t - 1.0, p0.t + 1.0)
+    t_edge = window[1] + 1.0 if direction > 0 else window[0] - 1.0
+    if (t_edge - p0.t) * direction <= 0:
+        t_edge = p0.t + direction
+    traj = integrate(spec, p0, t_edge, tol=tol)
+    end = PhasePoint.from_state(traj.states[-1 if direction > 0 else 0])
+    t_start = max(abs(end.t) * 1.5, 1.0)
+    ts = direction * np.geomspace(t_start, horizon, 24)
+    ws = np.empty(len(ts))
+    for i, t in enumerate(ts):
+        p = free_flow(end, t - end.t)
+        ws[i] = float(np.linalg.norm(p.z / (2.0 * t) - p.zeta))
+    far = free_flow(end, ts[-1] - end.t)
+    limit = CuspData(Z=far.zeta, frak=galilean_invariant(far))
+    return _fit_exponent(ts, ws), limit, np.column_stack([ts, ws])
+
+
 def radial_convergence(spec: PerturbationSpec, p0: PhasePoint,
                        horizon: float = 1e6, tol: float = 1e-11) -> RadialReport:
     """Sample w(t) = z/(2t) - zeta at log-spaced |t| in both directions and
     fit the decay exponent of |w| against 1/|t| (expected slope 1)."""
-    window = spec.time_window() or (p0.t - 1.0, p0.t + 1.0)
-
-    results = {}
-    for direction in (+1.0, -1.0):
-        t_edge = window[1] + 1.0 if direction > 0 else window[0] - 1.0
-        if (t_edge - p0.t) * direction <= 0:
-            t_edge = p0.t + direction
-        traj = integrate(spec, p0, t_edge, tol=tol)
-        end = PhasePoint.from_state(traj.states[-1 if direction > 0 else 0])
-        t_start = max(abs(end.t) * 1.5, 1.0)
-        ts = direction * np.geomspace(t_start, horizon, 24)
-        ws = np.empty(len(ts))
-        for i, t in enumerate(ts):
-            p = free_flow(end, t - end.t)
-            ws[i] = float(np.linalg.norm(p.z / (2.0 * t) - p.zeta))
-        far = free_flow(end, ts[-1] - end.t)
-        limit = CuspData(Z=far.zeta, frak=galilean_invariant(far))
-        results[direction] = (_fit_exponent(ts, ws), limit, np.column_stack([ts, ws]))
-
-    fwd, bwd = results[1.0], results[-1.0]
+    fwd, bwd = (_radial_direction(spec, p0, direction, horizon, tol)
+                for direction in (+1.0, -1.0))
     return RadialReport(fwd[0], bwd[0], fwd[1], bwd[1], fwd[2], bwd[2])
 
 

@@ -18,13 +18,14 @@ H is the finite-difference spatial operator and K_0 its free stencil.  The
 fields of ``symbols`` are bit-exactly flat outside the terms' declared
 supports, so R vanishes off the perturbation footprint, the support points
 and their stencil neighbours, and the remainder step is assembled and
-solved there only, with the LAPACK banded solver in both dimensions: a
-cyclic tridiagonal system in n = 1, a narrow band in n = 2.  A beam that
-never meets the perturbation sees the exact multiplier alone.  A march
-reuses one spectrum and one field buffer for all its transforms and
-evaluates the terms' spatial windows on the footprint once, so a step
-allocates no grid-sized array and evaluates only the time factors of the
-fields.
+solved there only, with one LAPACK banded solve.  Every dimension orders
+the footprint the same way and stores R in the same band layout, a
+tridiagonal band in n = 1 and a narrow one in n = 2; only the stencil
+depends on n.  A beam that never meets the perturbation sees the exact
+multiplier alone.  A march reuses one spectrum and one field buffer for
+all its transforms and evaluates the terms' spatial windows on the
+footprint once, so a step allocates no grid-sized array and evaluates only
+the time factors of the fields.
 
 One walk serves the scattering map S and its adjoint S*: the direction of
 time selects the scheme, the forward one when time increases and the plain
@@ -341,6 +342,9 @@ def solve_cyclic_tridiagonal(lower, diag, upper, corner_ul, corner_lr, rhs):
     The solution is x = y - (v.y / (1 + v.q)) q with B y = rhs and B q = u,
     both from one banded solve.  ``rhs`` is one column of N values or an
     (N, k) stack of columns, solved together.
+
+    No march calls it: the remainder step is one solve_banded in every
+    dimension (see _Footprint).  perfbench/tracer.py still wraps this name.
     """
     N = diag.size
     gamma = -diag[0]
@@ -395,9 +399,16 @@ _STENCIL = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
 def _seam_shift(coords, N):
     """The first taken index after the largest cyclic gap in ``coords``,
     grid indices along one axis: subtracting it modulo N moves that gap to
-    the seam of the box, so the taken indices become one unbroken run
-    whenever some index is free."""
+    the seam of the box, so the taken indices become one unbroken run.
+
+    Raises ValidationError when no index is free, before any band exists:
+    no rotation then opens the seam, and the band would span the whole
+    footprint."""
     taken = np.unique(coords)
+    if taken.size == N:
+        raise ValidationError("the perturbation footprint takes every grid index along "
+                              "an axis, so its remainder is not banded",
+                              invariant="footprint-leaves-a-free-index")
     if not taken.size:
         return 0
     gaps = np.diff(taken, prepend=taken[-1] - N)    # the gap before each index
@@ -415,65 +426,74 @@ class _Footprint:
     FieldPoints, so every term's spatial window is evaluated once per march
     and each step multiplies in the time factors only.
 
-    n = 1: R is three bands on the footprint rows, ``ids`` sorted.
-    ``lower[k]`` and ``upper[k]`` couple row ids[k] to ids[k] -/+ 1 modulo
-    N and vanish unless that neighbour is a footprint row, so the rows form
-    a cyclic tridiagonal system whose corners are nonzero only when the
-    footprint wraps the seam of the box.
+    One layout serves every n.  ``ids`` is row-major order after each axis
+    is rotated so that the footprint's largest gap sits at the seam (see
+    _seam_shift), so a footprint that wraps the seam has the narrow band of
+    one in the interior: ``lo`` lower and ``up`` upper diagonals.  R is
+    stored as solve_banded takes it, entry (r, c) at ``band[up + r - c, c]``,
+    and each weight of the stencil goes to a slot fixed once per march.  A
+    footprint with no free index along some axis has no such band and is
+    refused.  Only the stencil depends on the dimension:
 
-    n = 2: R is the 9-point stencil of
+    n = 1: the three bands of the 1-D operator (see _bands) at every
+    footprint row, less the free bands -1, 2, -1 over dz^2, so lo = up = 1.
+
+    n = 2: the 9-point stencil of
 
         Delta_g - Delta_0 = -(g^{jk} - d^{jk}) d_j d_k - b_k d_k,
         b_k = sum_j [d_j g^{jk} + g^{jk} d_j log sqrt(det g)],
 
-    in centred differences with analytic coefficient fields.  The metric
-    part is symmetrized for the forward scheme; the adjoint scheme uses its
-    transpose with the conjugate potential.  ``ids`` is row-major order
-    after each axis is rotated so that the footprint's largest gap sits at
-    the seam (see _seam_shift), so a footprint that wraps the seam has the
-    narrow band of one in the interior: ``lo`` lower and ``up`` upper
-    diagonals, about the footprint's width.  R is stored as solve_banded
-    takes it, entry (r, c) at ``band[up + r - c, c]``, in a layout fixed
-    once per march.
+    at the support points, in centred differences with analytic coefficient
+    fields.  The metric part is symmetrized for the forward scheme; the
+    adjoint scheme uses its transpose with the conjugate potential.  The
+    band is about the footprint's width.
 
-    In both dimensions a step is the Cayley step 2 y - x with
-    (1 + cR) y = x: one solve on x, and no product R x.
+    A step is the Cayley step 2 y - x with (1 + cR) y = x: one banded solve
+    on x, and no product R x.
     """
 
     def __init__(self, spec, grid, compensated, adjoint):
         self.spec, self.dz, self.n = spec, grid.dz, grid.n
         self.compensated, self.adjoint = compensated, adjoint
-        N = grid.N
+        N, shape = grid.N, grid.shape()
         pts = grid.points_z()
         self.support = _support_indices(spec, pts)
         self.x = FieldPoints(pts[self.support])
         if self.n == 1:
             self.faces = _support_indices(spec, pts + 0.5 * self.dz)
             self.x_faces = FieldPoints(pts[self.faces] + 0.5 * self.dz)
-            self.ids = np.unique(np.concatenate([
-                self.faces, self.faces + 1,
-                self.support - 1, self.support, self.support + 1]) % N)
-            # the grid neighbours of each footprint row, for the bands
-            self.ids_prev, self.ids_succ = (self.ids - 1) % N, (self.ids + 1) % N
             self.a_face, self.a_pts = np.ones(N), np.ones(N)
             self.v_eff = np.zeros(N, dtype=complex)
-            self.free = self._bands()
-            return
-        i, j = np.divmod(self.support, N)
-        i, j = i + _STENCIL[:, :1], j + _STENCIL[:, 1:]
-        si, sj = _seam_shift(i % N, N), _seam_shift(j % N, N)
-        # (9, support) stencil neighbours of the support points, as flat
-        # indices of the rotated box
-        nbrs = ((i - si) % N) * N + (j - sj) % N
-        keys = np.unique(nbrs)
-        self.ids = ((keys // N + si) % N) * N + (keys % N + sj) % N
+            # the rows R touches: both ends of every face in a support, and
+            # the support points with their neighbours
+            touched = np.concatenate([self.faces, self.faces + 1, self.support - 1,
+                                      self.support, self.support + 1])
+        else:
+            # the stencil neighbours of the support points, (2, 9, support)
+            i, j = np.divmod(self.support, N)
+            touched = np.stack([i + _STENCIL[:, :1], j + _STENCIL[:, 1:]])
+        touched = touched.reshape(self.n, -1) % N
+        shift = np.array([[_seam_shift(axis, N)] for axis in touched])
+        keys = np.ravel_multi_index(tuple((touched - shift) % N), shape)   # rotated box
+        order = np.unique(keys)
+        self.ids = np.ravel_multi_index(tuple((np.unravel_index(order, shape) + shift) % N),
+                                        shape)
         m = self.ids.size
-        cols = np.searchsorted(keys, nbrs).ravel()
-        centre = cols[:self.support.size]
-        rows = np.tile(centre, len(_STENCIL))
-        # entries of M^T (adjoint) or of M and M^T (forward), then of V_eff
-        pairs = [(cols, rows)] if adjoint else [(rows, cols), (cols, rows)]
-        rows, cols = (np.concatenate([*part, centre]) for part in zip(*pairs))
+        if self.n == 1:
+            # row k couples to the grid neighbours of ids[k]: at rows k -/+ 1
+            # when they are footprint rows, and with a vanishing entry when
+            # not.  The seam lies before row 0 and after row m - 1, so those
+            # two rows' outer entries are dropped
+            self.ids_prev, self.ids_succ = (self.ids - 1) % N, (self.ids + 1) % N
+            k = np.arange(m)
+            rows, cols = np.concatenate([k, k[1:], k[:-1]]), np.concatenate([k, k[:-1], k[1:]])
+        else:
+            cols = np.searchsorted(order, keys)
+            centre = cols[:self.support.size]
+            rows = np.tile(centre, len(_STENCIL))
+            # entries of M^T (adjoint) or of M and M^T (forward), then of V_eff
+            pairs = [(cols, rows)] if adjoint else [(rows, cols), (cols, rows)]
+            rows, cols = (np.concatenate([*part, centre]) for part in zip(*pairs))
         self.lo, self.up = (int(np.max(d, initial=0)) for d in (rows - cols, cols - rows))
         self.shape = (self.lo + self.up + 1, m)
         self.slot = (self.up + rows - cols) * m + cols
@@ -517,31 +537,32 @@ class _Footprint:
         return lower.astype(complex), diag, upper.astype(complex)
 
     def remainder(self, t):
-        """R at time t on the footprint: (lower, diag, upper) in n = 1, the
-        (lo + up + 1, m) band array in n = 2."""
+        """R at time t on the footprint: the (lo + up + 1, m) band array."""
         v_eff = _effective_potential(self.spec, self.x, t, self.compensated, self.adjoint)
+        dz = self.dz
         if self.n == 1:
             self.a_face[self.faces] = self.spec.inverse_metric_field(self.x_faces, t)[:, 0, 0]
             self.a_pts[self.support] = self.spec.inverse_metric_field(self.x, t)[:, 0, 0]
             self.v_eff[self.support] = v_eff
-            return tuple(band - free for band, free in zip(self._bands(), self.free))
-        dz = self.dz
-        g, dgdz = self.spec.inverse_metric_jet_field(self.x, t)
-        d00, d11, d01 = g[:, 0, 0] - 1.0, g[:, 1, 1] - 1.0, g[:, 0, 1]
-        # d_j log sqrt(det g) = -1/2 tr(g^{-1} d_j g), g^{-1} = adj(g) / det(g)
-        det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
-        dlog_half = -0.5 * (g[:, 1, 1, None] * dgdz[:, 0, 0] - g[:, 0, 1, None] * dgdz[:, 1, 0]
-                            - g[:, 1, 0, None] * dgdz[:, 0, 1]
-                            + g[:, 0, 0, None] * dgdz[:, 1, 1]) / det[:, None]
-        b = (dgdz[:, 0, :, 0] + dgdz[:, 1, :, 1]
-             + g[:, 0, :] * dlog_half[:, :1] + g[:, 1, :] * dlog_half[:, 1:])
-        cross = -2.0 * d01 / (4.0 * dz**2)
-        stencil = np.concatenate([           # rows of M, in _STENCIL order
-            2.0 * (d00 + d11) / dz**2,
-            -d00 / dz**2 - b[:, 0] / (2.0 * dz), -d00 / dz**2 + b[:, 0] / (2.0 * dz),
-            -d11 / dz**2 - b[:, 1] / (2.0 * dz), -d11 / dz**2 + b[:, 1] / (2.0 * dz),
-            cross, cross, -cross, -cross])
-        parts = [stencil, v_eff] if self.adjoint else [0.5 * stencil, 0.5 * stencil, v_eff]
+            lower, diag, upper = self._bands()
+            parts = [diag - 2.0 / dz**2, lower[1:] + 1.0 / dz**2, upper[:-1] + 1.0 / dz**2]
+        else:
+            g, dgdz = self.spec.inverse_metric_jet_field(self.x, t)
+            d00, d11, d01 = g[:, 0, 0] - 1.0, g[:, 1, 1] - 1.0, g[:, 0, 1]
+            # d_j log sqrt(det g) = -1/2 tr(g^{-1} d_j g), g^{-1} = adj(g) / det(g)
+            det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+            dlog_half = -0.5 * (g[:, 1, 1, None] * dgdz[:, 0, 0] - g[:, 0, 1, None] * dgdz[:, 1, 0]
+                                - g[:, 1, 0, None] * dgdz[:, 0, 1]
+                                + g[:, 0, 0, None] * dgdz[:, 1, 1]) / det[:, None]
+            b = (dgdz[:, 0, :, 0] + dgdz[:, 1, :, 1]
+                 + g[:, 0, :] * dlog_half[:, :1] + g[:, 1, :] * dlog_half[:, 1:])
+            cross = -2.0 * d01 / (4.0 * dz**2)
+            stencil = np.concatenate([           # rows of M, in _STENCIL order
+                2.0 * (d00 + d11) / dz**2,
+                -d00 / dz**2 - b[:, 0] / (2.0 * dz), -d00 / dz**2 + b[:, 0] / (2.0 * dz),
+                -d11 / dz**2 - b[:, 1] / (2.0 * dz), -d11 / dz**2 + b[:, 1] / (2.0 * dz),
+                cross, cross, -cross, -cross])
+            parts = [stencil, v_eff] if self.adjoint else [0.5 * stencil, 0.5 * stencil, v_eff]
         weights, size = np.concatenate(parts), self.shape[0] * self.shape[1]
         band = (np.bincount(self.slot, weights.real, size)
                 + 1j * np.bincount(self.slot, weights.imag, size))
@@ -551,17 +572,10 @@ class _Footprint:
         """One Crank-Nicolson step (1 + cR)^{-1} (1 - cR) x of the remainder
         at time t, for x on the footprint: one column of m values, or an
         (m, k) stack of columns that shares one assembly and one solve.  It
-        is taken as 2 y - x with (1 + cR) y = x: the cyclic tridiagonal
-        solve in n = 1, the banded solve in n = 2."""
-        r = self.remainder(t)
-        if self.n == 1:
-            lower, diag, upper = (c * band for band in r)
-            y = solve_cyclic_tridiagonal(lower, 1.0 + diag, upper, lower[0], upper[-1], x)
-        else:
-            plus = c * r
-            plus[self.up] += 1.0
-            y = solve_banded((self.lo, self.up), plus, x)
-        return 2.0 * y - x
+        is taken as 2 y - x with (1 + cR) y = x, one banded solve."""
+        plus = c * self.remainder(t)
+        plus[self.up] += 1.0
+        return 2.0 * solve_banded((self.lo, self.up), plus, x) - x
 
 
 def _strang_march(spec, grid, values, t0, t1, params):
@@ -574,10 +588,10 @@ def _strang_march(spec, grid, values, t0, t1, params):
     remainder at the step midpoint, on the footprint, and a second free
     half-step.  The remainder step is the Cayley step
     (1 + cR)^{-1} (1 - cR) x = 2 y - x with (1 + cR) y = x in either
-    dimension, so no product R x is formed: y is one cyclic tridiagonal
-    solve in n = 1, and in n = 2 one banded solve on the band of 1 + cR, in
-    the seam-rotated footprint order fixed once per march.  A solve that
-    fails, or meets a non-finite remainder, raises ConvergenceFailure.  Adjacent half-steps are fused, so
+    dimension, so no product R x is formed: y is one banded solve on the
+    band of 1 + cR, in the seam-rotated footprint order fixed once per
+    march.  A solve that fails, or meets a non-finite remainder, raises
+    ConvergenceFailure.  Adjacent half-steps are fused, so
     m steps make m + 1 transforms.  The multiplier is kept in FFT order: for
     even N the fftshift pairs of forward_ft and inverse_ft cancel.  The
     march keeps one spectrum and one field buffer, which every transform and

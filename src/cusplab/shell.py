@@ -624,10 +624,13 @@ def main(argv=None):
     p = command("scatter", _cmd_scatter, "apply the scattering map to a packet")
     add_beam(p, with_h=True)
 
-    for name in ("egorov", "pairing", "unitarity", "eikonal", "highfreq",
-                 "noncompact", "symplectic"):
-        command(name, _cmd_run, f"run the scenario's '{name}' jobs", check=name)
-    command("all", _cmd_run, "run every job declared by the scenario", check=None)
+    # one subcommand per job family, except where a beam command holds the
+    # name: `--only radial all` runs the radial jobs
+    for name in JOB_CHECKS:
+        if name not in sub.choices:
+            command(name, _cmd_run, f"run the scenario's '{name}' jobs", check=name)
+    command("all", _cmd_run, "run every job declared by the scenario "
+            "('cusplab --only radial all' runs its radial jobs)", check=None)
 
     p = command("report", _cmd_report, "summarize reports under the output directory",
                 scenario=False)

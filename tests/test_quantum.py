@@ -277,19 +277,13 @@ def _embedded(footprint, remainder, size):
     """The footprint remainder as a dense matrix on the whole grid."""
     ids = footprint.ids
     dense = np.zeros((size, size), dtype=complex)
-    if footprint.n == 1:
-        lower, diag, upper = remainder
-        dense[ids, ids] = diag
-        dense[ids, (ids - 1) % size] += lower
-        dense[ids, (ids + 1) % size] += upper
-    else:
-        # band row k holds the entries (c + k - up, c)
-        m, up = ids.size, footprint.up
-        local = np.zeros((m, m), dtype=complex)
-        for k in range(footprint.lo + up + 1):
-            cols = np.arange(max(0, up - k), min(m, m + up - k))
-            local[cols + k - up, cols] = remainder[k, cols]
-        dense[np.ix_(ids, ids)] = local
+    # band row k holds the entries (c + k - up, c)
+    m, up = ids.size, footprint.up
+    local = np.zeros((m, m), dtype=complex)
+    for k in range(footprint.lo + up + 1):
+        cols = np.arange(max(0, up - k), min(m, m + up - k))
+        local[cols + k - up, cols] = remainder[k, cols]
+    dense[np.ix_(ids, ids)] = local
     return dense
 
 
@@ -302,6 +296,18 @@ def _footprint_spec(grid, where):
     return _bump_and_potential(np.zeros(n) if where == "inside" else np.full(n, 1.0 - grid.L), n)
 
 
+def _all_but_opposite(grid, spec):
+    """Every grid point except the three grid lines per axis around the
+    line opposite the perturbation's centre, and that line's flat indices:
+    the footprint of these points leaves exactly that line free."""
+    N = grid.N
+    centre = np.rint((spec.terms()[0].center_z + grid.L) / grid.dz).astype(int)
+    index = np.indices(grid.shape()).reshape(grid.n, -1)
+    offset = (index - (centre[:, None] + N // 2)) % N
+    return (np.flatnonzero(~np.any((offset <= 1) | (offset == N - 1), axis=0)),
+            np.flatnonzero(np.any(offset == 0, axis=0)))
+
+
 @pytest.mark.parametrize("where", ["inside", "corner"])
 @pytest.mark.parametrize("n", [1, 2], ids=["n=1", "n=2"])
 def test_footprint_remainder_equals_whole_grid(monkeypatch, n, where):
@@ -309,17 +315,23 @@ def test_footprint_remainder_equals_whole_grid(monkeypatch, n, where):
     spec = _footprint_spec(grid, where)
     size = grid.N**n
     rng = np.random.default_rng(3)
+    # the reference supports every point but those near the line opposite
+    # the perturbation, where R is exactly 0: a footprint needs a free grid
+    # index per axis, and this one leaves just that line free
+    supported, free = _all_but_opposite(grid, spec)
     for adjoint in (False, True):
         for compensated in (True, False):
             part = quantum._Footprint(spec, grid, compensated, adjoint)
-            with monkeypatch.context() as every_point_supported:
-                every_point_supported.setattr(quantum, "_support_indices",
-                                              lambda spec, pts: np.arange(len(pts)))
+            with monkeypatch.context() as nearly_every_point_supported:
+                nearly_every_point_supported.setattr(quantum, "_support_indices",
+                                                     lambda spec, pts: supported)
                 whole = quantum._Footprint(spec, grid, compensated, adjoint)
-            assert part.ids.size < size and whole.ids.size == size
+            assert part.ids.size < size and whole.ids.size == (grid.N - 1) ** n
+            assert np.array_equal(np.setdiff1d(np.arange(size), whole.ids), free)
             assert (part.ids.min() == 0 and part.ids.max() == size - 1) == (where == "corner")
             r_part = _embedded(part, part.remainder(0.3), size)
             r_whole = _embedded(whole, whole.remainder(0.3), size)
+            assert not np.any(r_part[free]) and not np.any(r_part[:, free])
             assert np.max(np.abs(r_whole)) > 1.0
             assert np.max(np.abs(r_part - r_whole)) <= 1e-13 * np.max(np.abs(r_whole))
             # the footprint step solves the embedded Crank-Nicolson system
@@ -372,6 +384,24 @@ def test_seam_wrapping_footprint_keeps_the_interior_band(monkeypatch, adjoint):
     assert max(corner.lo, corner.up) < corner.ids.size // 4
 
 
+# radius 10 supports every point of the box [-4, 4)^n; radius 4.5 leaves the
+# corners of the 2-D box free, but no index along either axis
+@pytest.mark.parametrize("n,radius", [(1, 10.0), (2, 10.0), (2, 4.5)],
+                         ids=["n=1", "n=2", "n=2-corners-free"])
+def test_footprint_without_a_free_index_is_refused(n, radius):
+    # no seam rotation makes such a footprint one unbroken run, and its band
+    # would span all of it (8.6 GB for the 2-D footprint at N = 128)
+    grid = Grid(n=n, N=16, L=4.0)
+    spec = _metric_spec(radius_z=radius, n=n)
+    for adjoint in (False, True):
+        with pytest.raises(ValidationError) as refused:
+            quantum._Footprint(spec, grid, True, adjoint)
+        assert refused.value.invariant == "footprint-leaves-a-free-index"
+    u = WaveField(grid=grid, values=np.zeros(grid.shape()), time=-2.0)
+    with pytest.raises(ValidationError, match="footprint-leaves-a-free-index"):
+        propagate_window(spec, u, 2.0)
+
+
 @pytest.mark.parametrize("n", [1, 2], ids=["n=1", "n=2"])
 def test_non_finite_remainder_is_a_convergence_failure(monkeypatch, n):
     grid = Grid(n=n, N=256 if n == 1 else 32, L=10.0)
@@ -409,12 +439,7 @@ def test_footprint_windows_do_not_go_stale(n):
                 fresh.x_faces = fresh.x_faces.array
             # bump b is inactive at 0.1, bump a at 1.55
             for t in (0.9, 0.1, 1.3, 1.55, 0.9):
-                r_kept, r_fresh = kept.remainder(t), fresh.remainder(t)
-                if n == 1:
-                    for band_kept, band_fresh in zip(r_kept, r_fresh):
-                        assert np.array_equal(band_kept, band_fresh)
-                else:
-                    assert np.array_equal(r_kept, r_fresh)
+                assert np.array_equal(kept.remainder(t), fresh.remainder(t))
 
 
 def _plain_march(spec, grid, values, t0, t1, params):

@@ -373,6 +373,20 @@ def test_run_captures_precondition_errors(tmp_path):
     assert "ValidationError" in reports[0].note
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_huge_h_fd_is_a_typed_error_naming_it(tmp_path, capsys):
+    # the shifted beams of a 1e300 step have no finite phase-space point
+    doc = json.loads(Path(bundled_scenario_path("classical2d")).read_text())
+    doc["jobs"] = [{"check": "symplectic", "params": {"h_fd": 1e300, "samples": 1}}]
+    code, reports = run(load_scenario(_write(tmp_path, doc)), out_root=str(tmp_path))
+    assert code == 1 and reports[0].status == "fail"
+    assert reports[0].note.startswith("ValidationError: h_fd = 1e+300")
+    code = main(["--out", str(tmp_path), "jacobian", "--scenario", "classical2d",
+                 "--Z", "1.0,0.0", "--frak", "0.0,0.3", "--h-fd", "1e300"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: h_fd = 1e+300")
+
+
 def test_tol_scale_scales_every_keyword_tolerance(tmp_path, monkeypatch):
     # the bundled egorov job sets rel_cap and leaves abs_cap at its default;
     # --tol-scale multiplies both
@@ -512,6 +526,15 @@ def test_cli_check_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "eikonal" in out
+
+
+def test_every_job_family_but_radial_has_a_check_subcommand(tmp_path, capsys):
+    # `radial` is the beam command; `--only radial all` runs the radial jobs
+    assert main(["--out", str(tmp_path), "free-identity", "--scenario", "flat"]) == 0
+    assert "[PASS] free-identity" in capsys.readouterr().out
+    assert main(["--out", str(tmp_path), "--only", "radial", "all",
+                 "--scenario", "bump_metric"]) == 0
+    assert "[PASS] radial" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, scenario", [("classical-map", "bump_metric"),
