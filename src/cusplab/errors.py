@@ -58,7 +58,7 @@ class ZeroMass(CuspLabError):
 
 
 class ParseError(CuspLabError):
-    """A scenario file failed to parse.
+    """A scenario or report file failed to parse.
 
     Carries optional ``field`` context naming the offending entry.
     """

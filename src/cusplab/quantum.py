@@ -38,6 +38,9 @@ and solves one (m, k) right-hand side for the whole stack.  ``norm``,
 ``inner`` and the boundary and band mass fractions reduce over the last n
 axes, one value per input; the leak and band-limit checks raise when any
 input fails them.
+
+`scipy.linalg` is imported by the first banded solve (:func:`solve_banded`),
+not with the package, so work that never steps a remainder never loads it.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     BoundaryLeak,
@@ -328,6 +330,18 @@ def _active_intervals(spec: PerturbationSpec, t_from: float, t_to: float):
 
 # ---------------------------------------------------------------------------
 # the remainder on the perturbation footprint
+
+
+def solve_banded(l_and_u, ab, b):
+    """scipy.linalg.solve_banded, imported by the first call.
+
+    Importing ``scipy.linalg`` costs more than the rest of the package, and
+    only the remainder step needs it, so ``report``, ``--help`` and runs
+    that never step a remainder never load it.  The module-level name is also the
+    binding perfbench/tracer.py wraps to time the banded solves."""
+    from scipy.linalg import solve_banded
+
+    return solve_banded(l_and_u, ab, b)
 
 
 def solve_cyclic_tridiagonal(lower, diag, upper, corner_ul, corner_lr, rhs):

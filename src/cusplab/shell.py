@@ -472,6 +472,20 @@ def _cmd_run(args):
     return code
 
 
+def _read_report(path):
+    """(status, control, satisfied) of one report.json, or a ParseError
+    naming the file."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read report: {exc}", field=path) from exc
+    if not isinstance(doc, dict):
+        raise ParseError("report must be a JSON object", field=path)
+    return tuple(_require(doc, key, kind, path) for key, kind in
+                 (("status", str), ("control", bool), ("satisfied", bool)))
+
+
 def _cmd_report(args):
     root = os.path.join(_out_root(args), args.scenario_name)
     if not os.path.isdir(root):
@@ -481,9 +495,7 @@ def _cmd_report(args):
     for sub in sorted(os.listdir(root)):
         path = os.path.join(root, sub, "report.json")
         if os.path.exists(path):
-            with open(path) as fh:
-                doc = json.load(fh)
-            rows.append((sub, doc["status"], doc["control"], doc["satisfied"]))
+            rows.append((sub, *_read_report(path)))
     for sub, status, control, satisfied in rows:
         tag = "control" if control else "check"
         print(f"{sub:30s} {status:4s} [{tag}] satisfied={satisfied}")

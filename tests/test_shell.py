@@ -253,6 +253,33 @@ def test_ode_solver_loads_only_with_the_first_flow(tmp_path):
     assert proc.stdout.splitlines() == ["import False", "pairing 0 False", "flow True"]
 
 
+_COLD_START_PROBE = """
+import contextlib, io, sys
+from cusplab import quantum, shell
+from cusplab.symbols import MetricBump, PerturbationSpec
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+print("import", scipy_modules())
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [shell.main(["--out", sys.argv[1], "all", "--scenario", "flat"]),
+             shell.main(["--out", sys.argv[1], "report", "flat"])]
+print("flat", codes, scipy_modules())
+spec = PerturbationSpec(n=1, bumps=(MetricBump(
+    amplitude=0.1, center_z=[0.0], center_t=0.0, radius_z=1.0, radius_t=0.1, pattern=1.0),))
+grid = quantum.Grid(n=1, N=256, L=20.0)
+quantum.scattering_map(spec, quantum.coherent_data(grid, [1.0], [0.0], 0.5),
+                       quantum.SolverParams(dt=1e-2))
+print("map", "scipy.linalg" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_with_the_first_banded_solve(tmp_path):
+    # import, a flat run and its report load no scipy; the remainder step does
+    proc = _fresh_python("-c", _COLD_START_PROBE, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["import []", "flat [0, 0] []", "map True"]
+
+
 _SPARSE_PROBE = """
 import sys
 from cusplab import shell
@@ -526,6 +553,18 @@ def test_cli_check_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "eikonal" in out
+
+
+@pytest.mark.parametrize("text", ['{"status": "pass", "contr',
+                                  '{"status": "pass", "satisfied": true}', "[]"],
+                         ids=["truncated", "no-control", "array"])
+def test_report_of_a_malformed_report_json_is_an_error_naming_it(tmp_path, capsys, text):
+    path = tmp_path / "flat" / "00_pairing" / "report.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(text)
+    assert main(["--out", str(tmp_path), "report", "flat"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
 
 
 def test_every_job_family_but_radial_has_a_check_subcommand(tmp_path, capsys):

@@ -80,3 +80,25 @@ def test_stacked_noncompact_job_maps_its_family_in_one_call(tmp_path):
     maps = [span for span in tracer.spans if span[1] == "quantum.scattering_map"]
     assert len(maps) == 1
     assert tracer.counts["quantum.scattering_map.inputs"] == 3
+
+
+def test_tracer_times_the_banded_solves_of_a_grid_job(tmp_path):
+    # quantum imports scipy's solver at its first call, inside the module
+    # function the tracer wraps, so every remainder solve is still timed
+    doc = {"schema_version": 1, "name": "banded", "dimension": 1,
+           "grid": {"points": 256, "half_width": 20.0},
+           "solver": {"dt": 1e-2},
+           "perturbation": {"bumps": [{
+               "amplitude": 0.1, "center_z": [0.0], "center_t": 0.0,
+               "radius_z": 1.0, "radius_t": 0.1, "pattern": [[1.0]]}]},
+           "jobs": [{"check": "pairing", "params": {"tol": 1e-2}}]}
+    path = tmp_path / "banded.scn"
+    path.write_text(json.dumps(doc))
+    tracer = _load_tracer().Tracer()
+    with tracer:
+        shell.run(shell.load_scenario(str(path)), out_root=str(tmp_path))
+    names = [span[1] for span in tracer.spans]
+    solves = [span for span in tracer.spans if span[1] == "quantum.solve_banded"]
+    assert solves
+    assert {names[span[0]] for span in solves} == {"quantum.propagate_window"}
+    assert tracer.counts["quantum.solve_banded.bytes_computed"] > 0
