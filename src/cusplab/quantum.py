@@ -21,8 +21,9 @@ and their stencil neighbours, and the remainder step is assembled and
 solved there only, with one LAPACK banded solve.  Every dimension orders
 the footprint the same way and stores R in the same band layout, a
 tridiagonal band in n = 1 and a narrow one in n = 2; only the stencil
-depends on n.  A beam that never meets the perturbation sees the exact
-multiplier alone.  A march reuses one spectrum and one field buffer for
+depends on n, a 2 x 2 block per face in n = 1 and a 9-point stencil per
+support point in n = 2.  A beam that never meets the perturbation sees the
+exact multiplier alone.  A march reuses one spectrum and one field buffer for
 all its transforms and evaluates the terms' spatial windows on the
 footprint once, so a step allocates no grid-sized array and evaluates only
 the time factors of the fields.
@@ -435,10 +436,11 @@ class _Footprint:
     R vanishes outside the rows and columns of the support points and their
     stencil neighbours: the footprint, whose flat grid indices ``ids`` are
     found once per march, in the order of the solve.  Each step evaluates
-    the fields on the support only, with the same arithmetic as a build with
-    every grid point as support.  The support points and faces are
-    FieldPoints, so every term's spatial window is evaluated once per march
-    and each step multiplies in the time factors only.
+    the fields at ``x`` only, the footprint rows in n = 1 (and ``x_faces``,
+    the faces between them) and the support points in n = 2, with the same
+    arithmetic as at every grid point.  Those points are FieldPoints, so
+    every term's spatial window is evaluated once per march and each step
+    multiplies in the time factors only.
 
     One layout serves every n.  ``ids`` is row-major order after each axis
     is rotated so that the footprint's largest gap sits at the seam (see
@@ -449,8 +451,26 @@ class _Footprint:
     footprint with no free index along some axis has no such band and is
     refused.  Only the stencil depends on the dimension:
 
-    n = 1: the three bands of the 1-D operator (see _bands) at every
-    footprint row, less the free bands -1, 2, -1 over dz^2, so lo = up = 1.
+    n = 1: the divergence-form operator K with face coefficient
+    c = sqrt(g^{11}) at z_j + dz/2, assembled per face.  Each face between
+    footprint rows l and r = l + 1 that are grid neighbours adds its 2 x 2
+    block, less the free block (c = 1), and V_eff goes on the diagonal at
+    every row; g^{11} and V_eff are evaluated at the footprint rows, c at
+    those faces.  Any other face of a footprint row leads to a row outside
+    the footprint; both are flat, so its block is exactly 0.  lo = up = 1.
+
+      forward, W K W + V_eff with w = (g^{11})^{1/4}: (l, r) and (r, l) get
+        (1 - w_l c w_r) / dz^2, (l, l) and (r, r) get (w_l c w_l - 1) / dz^2
+        and (w_r c w_r - 1) / dz^2.  The field propagated is the
+        half-density conjugate v = |g|^{1/4} u, and the block is exactly
+        symmetric, so the remainder step conserves the discrete norm
+        whenever V_eff is real.
+      adjoint, K S + V_eff with s = sqrt(g^{11}) = 1 / sqrt(det g): (l, r)
+        gets (1 - c s_r) / dz^2, (r, l) gets (1 - c s_l) / dz^2, (l, l) and
+        (r, r) get (c s_l - 1) / dz^2 and (c s_r - 1) / dz^2.  This is the
+        plain-measure adjoint of the direct divergence-form discretization,
+        built independently of the forward block, with the conjugate
+        potential.
 
     n = 2: the 9-point stencil of
 
@@ -472,15 +492,11 @@ class _Footprint:
         N, shape = grid.N, grid.shape()
         pts = grid.points_z()
         self.support = _support_indices(spec, pts)
-        self.x = FieldPoints(pts[self.support])
         if self.n == 1:
-            self.faces = _support_indices(spec, pts + 0.5 * self.dz)
-            self.x_faces = FieldPoints(pts[self.faces] + 0.5 * self.dz)
-            self.a_face, self.a_pts = np.ones(N), np.ones(N)
-            self.v_eff = np.zeros(N, dtype=complex)
             # the rows R touches: both ends of every face in a support, and
             # the support points with their neighbours
-            touched = np.concatenate([self.faces, self.faces + 1, self.support - 1,
+            faces = _support_indices(spec, pts + 0.5 * self.dz)
+            touched = np.concatenate([faces, faces + 1, self.support - 1,
                                       self.support, self.support + 1])
         else:
             # the stencil neighbours of the support points, (2, 9, support)
@@ -494,14 +510,17 @@ class _Footprint:
                                         shape)
         m = self.ids.size
         if self.n == 1:
-            # row k couples to the grid neighbours of ids[k]: at rows k -/+ 1
-            # when they are footprint rows, and with a vanishing entry when
-            # not.  The seam lies before row 0 and after row m - 1, so those
-            # two rows' outer entries are dropped
-            self.ids_prev, self.ids_succ = (self.ids - 1) % N, (self.ids + 1) % N
+            # the faces between rows l = left and r = l + 1 that are grid
+            # neighbours; entries (l, l), (r, r), (l, r), (r, l) of their
+            # blocks, then V_eff at every row
+            self.left = l = np.flatnonzero((self.ids[1:] - self.ids[:-1]) % N == 1)
+            self.x = FieldPoints(pts[self.ids])
+            self.x_faces = FieldPoints(pts[self.ids[l]] + 0.5 * self.dz)
             k = np.arange(m)
-            rows, cols = np.concatenate([k, k[1:], k[:-1]]), np.concatenate([k, k[:-1], k[1:]])
+            rows = np.concatenate([l, l + 1, l, l + 1, k])
+            cols = np.concatenate([l, l + 1, l + 1, l, k])
         else:
+            self.x = FieldPoints(pts[self.support])
             cols = np.searchsorted(order, keys)
             centre = cols[:self.support.size]
             rows = np.tile(centre, len(_STENCIL))
@@ -512,54 +531,25 @@ class _Footprint:
         self.shape = (self.lo + self.up + 1, m)
         self.slot = (self.up + rows - cols) * m + cols
 
-    def _bands(self):
-        """The periodic bands of the 1-D spatial operator at the footprint
-        rows, from the face values ``a_face[j]`` of g^{11} at z_j + dz/2,
-        the point values ``a_pts[j]`` of g^{11} at z_j and the effective
-        potential ``v_eff``.  Returns complex (lower, diag, upper), where
-        lower and upper couple each row to the grid points before and after
-        it, modulo N.  The divergence-form operator K has face coefficients
-        c = sqrt(g^{11}).
-
-        Forward: w K w + V_eff with w = (g^{11})^{1/4}.  The field
-        propagated is the half-density conjugate v = |g|^{1/4} u, and this
-        generator is exactly symmetric, so the remainder step conserves the
-        discrete norm whenever V_eff is real.
-
-        Adjoint: K M_s + V_eff with s = sqrt(g^{11}) = 1 / sqrt(det g), the
-        plain-measure adjoint of the direct divergence-form discretization,
-        built independently of the forward scheme.  The caller passes the
-        conjugate potential.
-        """
-        rows, prev, succ = self.ids, self.ids_prev, self.ids_succ
-        a_face, a_pts, dz = self.a_face, self.a_pts, self.dz
-        c_face, c_left = np.sqrt(a_face[rows]), np.sqrt(a_face[prev])
-        diag = (c_face + c_left) / dz**2
-        upper = -c_face / dz**2
-        lower = -c_left / dz**2
-        if self.adjoint:
-            # (K M_s): column scaling
-            lower = lower * np.sqrt(a_pts[prev])
-            upper = upper * np.sqrt(a_pts[succ])
-            diag = diag * np.sqrt(a_pts[rows])
-        else:
-            w = a_pts[rows] ** 0.25
-            lower = w * lower * a_pts[prev] ** 0.25
-            upper = w * upper * a_pts[succ] ** 0.25
-            diag = w * diag * w
-        diag = diag.astype(complex) + self.v_eff[rows]
-        return lower.astype(complex), diag, upper.astype(complex)
-
     def remainder(self, t):
         """R at time t on the footprint: the (lo + up + 1, m) band array."""
         v_eff = _effective_potential(self.spec, self.x, t, self.compensated, self.adjoint)
         dz = self.dz
         if self.n == 1:
-            self.a_face[self.faces] = self.spec.inverse_metric_field(self.x_faces, t)[:, 0, 0]
-            self.a_pts[self.support] = self.spec.inverse_metric_field(self.x, t)[:, 0, 0]
-            self.v_eff[self.support] = v_eff
-            lower, diag, upper = self._bands()
-            parts = [diag - 2.0 / dz**2, lower[1:] + 1.0 / dz**2, upper[:-1] + 1.0 / dz**2]
+            a = self.spec.inverse_metric_field(self.x, t)[:, 0, 0]
+            c = np.sqrt(self.spec.inverse_metric_field(self.x_faces, t)[:, 0, 0])
+            l, r = self.left, self.left + 1
+            if self.adjoint:
+                s = np.sqrt(a)
+                cs_l, cs_r = c * s[l], c * s[r]         # K S: entry (i, j) is c s_j
+                flux = [cs_l, cs_r, cs_r, cs_l]
+            else:
+                w = a**0.25
+                off = w[l] * c * w[r]                   # W K W: one value, so symmetric
+                flux = [w[l] * c * w[l], w[r] * c * w[r], off, off]
+            less_free = (np.concatenate(flux) - 1.0) / dz**2
+            half = less_free.size // 2       # the diagonal entries, then the off-diagonal
+            parts = [less_free[:half], -less_free[half:], v_eff]
         else:
             g, dgdz = self.spec.inverse_metric_jet_field(self.x, t)
             d00, d11, d01 = g[:, 0, 0] - 1.0, g[:, 1, 1] - 1.0, g[:, 0, 1]
@@ -769,25 +759,12 @@ def coherent_data(grid: Grid, Z0, frak0, h: float) -> SpectralData:
     return SpectralData(grid=grid, values=vals)
 
 
-def _spectral_gradient(grid: Grid, values: np.ndarray):
-    """Gradient of dual-grid data by FFT differentiation (per axis)."""
-    shifted = np.fft.ifftshift(values)
-    F = np.fft.fftn(shifted)
-    freqs = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.dZ)
-    grads = []
-    for axis in range(grid.n):
-        shape = [1] * grid.n
-        shape[axis] = grid.N
-        k = freqs.reshape(shape)
-        grads.append(np.fft.fftshift(np.fft.ifftn(1j * k * F)))
-    return grads
-
-
 def packet_moments(f: SpectralData):
     """(Zbar, frakbar): centre of mass in Z and mean conjugate frequency.
 
-    frakbar = Re < f, -i grad f > / ||f||^2, computed spectrally, for one
-    packet, not a stack.
+    frakbar = Re < f, -i grad f > / ||f||^2, which by Parseval is the mean
+    of the conjugate frequency k_j = 2 pi fftfreq(N, dZ) under |F|^2,
+    F = fftn(ifftshift(f)): one transform, for one packet, not a stack.
     """
     _single(f)
     w = np.abs(f.values) ** 2
@@ -796,11 +773,10 @@ def packet_moments(f: SpectralData):
         raise ZeroMass("packet has zero mass")
     mesh = f.grid.mesh_Z()
     zbar = np.array([float(np.sum(m * w)) * f.grid.dZ**f.grid.n / mass for m in mesh])
-    grads = _spectral_gradient(f.grid, f.values)
-    frakbar = np.array([
-        float(np.real(np.sum(np.conj(f.values) * (-1j) * g)) * f.grid.dZ**f.grid.n / mass)
-        for g in grads
-    ])
+    power = np.abs(np.fft.fftn(np.fft.ifftshift(f.values))) ** 2
+    k = 2.0 * np.pi * np.fft.fftfreq(f.grid.N, d=f.grid.dZ)
+    frakbar = np.array([float(np.sum(kj * power) / np.sum(power))
+                        for kj in np.meshgrid(*[k] * f.grid.n, indexing="ij")])
     return zbar, frakbar
 
 

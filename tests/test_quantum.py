@@ -363,6 +363,56 @@ def test_footprint_remainder_equals_whole_grid(monkeypatch, n, where):
             assert np.linalg.norm(part.step(x, 0.3, -c) - exact) > bound
 
 
+def _remainder_by_definition(spec, grid, t, compensated, adjoint):
+    """The 1-D remainder on the whole periodic grid, straight from the field
+    values: W K W (forward) or K S (adjoint), less K_0, plus V_eff.  K has
+    the face coefficient c = sqrt(g^{11}) at z_j + dz/2 between points j and
+    j + 1 (mod N); w = (g^{11})^{1/4} and s = sqrt(g^{11}) at the points."""
+    N, dz = grid.N, grid.dz
+    pts = grid.points_z()
+    a = spec.inverse_metric_field(pts, t)[:, 0, 0]
+    c = np.sqrt(spec.inverse_metric_field(pts + 0.5 * dz, t)[:, 0, 0])
+    diff = np.roll(np.eye(N), 1, axis=1) - np.eye(N)       # (D u)_j = u_{j+1} - u_j
+    K, K0 = (diff.T @ np.diag(face) @ diff / dz**2 for face in (c, np.ones(N)))
+    if adjoint:
+        H = K @ np.diag(np.sqrt(a))
+    else:
+        W = np.diag(a**0.25)
+        H = W @ K @ W
+    potential = spec.potential_field(pts, t).astype(complex)
+    measure = 0.25j * spec.dt_log_det_metric_field(pts, t)
+    if adjoint:
+        v_eff = np.conj(potential - measure if compensated else potential)
+    else:
+        v_eff = potential if compensated else potential + measure
+    return H - K0 + np.diag(v_eff)
+
+
+@pytest.mark.parametrize("where", ["inside", "corner", "apart"])
+def test_1d_footprint_remainder_equals_its_definition(where):
+    # "apart": two bumps whose footprints are separate runs, so some
+    # consecutive footprint rows are not grid neighbours
+    grid = Grid(n=1, N=256, L=10.0)
+    if where == "apart":
+        bump, potential = _bump_and_potential(np.array([-5.0])).terms()
+        spec = PerturbationSpec(n=1, bumps=(bump, MetricBump(
+            amplitude=-0.1, center_z=[4.0], center_t=0.5, radius_z=1.5, radius_t=1.0,
+            pattern=np.eye(1))), potential_terms=(potential,))
+    else:
+        spec = _footprint_spec(grid, where)
+    for adjoint in (False, True):
+        for compensated in (True, False):
+            footprint = quantum._Footprint(spec, grid, compensated, adjoint)
+            gaps = np.count_nonzero(np.diff(footprint.ids) % grid.N != 1)
+            assert gaps == (1 if where == "apart" else 0)
+            r_fp = _embedded(footprint, footprint.remainder(0.3), grid.N)
+            r_def = _remainder_by_definition(spec, grid, 0.3, compensated, adjoint)
+            assert np.max(np.abs(r_def)) > 1.0
+            assert np.max(np.abs(r_fp - r_def)) <= 1e-13 * np.max(np.abs(r_def))
+            # the forward block is exactly symmetric, bit for bit
+            assert adjoint or np.array_equal(r_fp, r_fp.T)
+
+
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
 def test_seam_wrapping_footprint_keeps_the_interior_band(monkeypatch, adjoint):
     # the corner footprint wraps the seam; its support moved by half the box
