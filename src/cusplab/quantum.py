@@ -18,11 +18,13 @@ H is the finite-difference spatial operator and K_0 its free stencil.  The
 fields of ``symbols`` are bit-exactly flat outside the terms' declared
 supports, so R vanishes off the perturbation footprint, the support points
 and their stencil neighbours, and the remainder step is assembled and
-solved there only, with one LAPACK banded solve.  Every dimension orders
-the footprint the same way and stores R in the same band layout, a
-tridiagonal band in n = 1 and a narrow one in n = 2; only the stencil
-depends on n, a 2 x 2 block per face in n = 1 and a 9-point stencil per
-support point in n = 2.  A beam that never meets the perturbation sees the
+solved there only, with one direct LAPACK call: ``zgtsv`` for the
+tridiagonal band of n = 1, ``zgbsv`` for the narrow band of n = 2.  Every
+dimension orders the footprint the same way and stores R in the same band
+layout; only the stencil depends on n, a 2 x 2 block per face in n = 1 and
+a 9-point stencil per support point in n = 2.  The stencil is real, so it
+is scattered as real weights, and the complex V_eff is added on the
+diagonal afterwards.  A beam that never meets the perturbation sees the
 exact multiplier alone.  A march reuses one spectrum and one field buffer for
 all its transforms and evaluates the terms' spatial windows on the
 footprint once, so a step allocates no grid-sized array and evaluates only
@@ -304,10 +306,10 @@ class SolverParams:
     measure_compensated: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.margin < 0:
-            raise ValueError("margin must be nonnegative")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 <= self.margin < np.inf:
+            raise ValueError("margin must be nonnegative and finite")
 
 
 def _active_intervals(spec: PerturbationSpec, t_from: float, t_to: float):
@@ -334,15 +336,41 @@ def _active_intervals(spec: PerturbationSpec, t_from: float, t_to: float):
 
 
 def solve_banded(l_and_u, ab, b):
-    """scipy.linalg.solve_banded, imported by the first call.
+    """Solve a x = b for the band ``ab`` with l lower and u upper diagonals,
+    stored as scipy.linalg.solve_banded takes it: a[i, j] at
+    ``ab[u + i - j, j]``.  ``b`` is one column of m values or an (m, k)
+    stack of columns.
 
-    Importing ``scipy.linalg`` costs more than the rest of the package, and
-    only the remainder step needs it, so ``report``, ``--help`` and runs
-    that never step a remainder never load it.  The module-level name is also the
-    binding perfbench/tracer.py wraps to time the banded solves."""
-    from scipy.linalg import solve_banded
+    It makes the LAPACK call scipy.linalg.solve_banded makes, with the same
+    arguments, so the result is bitwise scipy's: ``?gtsv`` when l = u = 1,
+    otherwise ``?gbsv`` on ``ab`` below l zero rows, the room its LU
+    factorization fills in.  It skips scipy's batch dispatch and validated
+    copies but keeps its checks: a non-finite entry of ``ab`` or ``b``
+    raises ValueError, a singular band numpy.linalg.LinAlgError.
 
-    return solve_banded(l_and_u, ab, b)
+    ``scipy.linalg`` is imported by the first call: it costs more than the
+    rest of the package, and only the remainder step needs it, so
+    ``report``, ``--help`` and runs that never step a remainder never load
+    it.  The module-level name is also the binding perfbench/tracer.py wraps
+    to time the banded solves."""
+    from scipy.linalg import get_lapack_funcs
+
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    lower, upper = l_and_u
+    if lower == upper == 1:
+        gtsv, = get_lapack_funcs(("gtsv",), (ab, b))
+        *_, x, info = gtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    else:
+        gbsv, = get_lapack_funcs(("gbsv",), (ab, b))
+        padded = np.zeros((2 * lower + upper + 1, ab.shape[1]), dtype=gbsv.dtype)
+        padded[lower:] = ab
+        *_, x, info = gbsv(lower, upper, padded, b, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of the LAPACK solve")
+    return x
 
 
 def solve_cyclic_tridiagonal(lower, diag, upper, corner_ul, corner_lr, rhs):
@@ -447,9 +475,13 @@ class _Footprint:
     _seam_shift), so a footprint that wraps the seam has the narrow band of
     one in the interior: ``lo`` lower and ``up`` upper diagonals.  R is
     stored as solve_banded takes it, entry (r, c) at ``band[up + r - c, c]``,
-    and each weight of the stencil goes to a slot fixed once per march.  A
-    footprint with no free index along some axis has no such band and is
-    refused.  Only the stencil depends on the dimension:
+    and each weight of the stencil goes to a slot fixed once per march.  The
+    stencil weights are real and are summed into their slots by one real
+    ``np.bincount``; V_eff, the only complex part of R, is then added on the
+    diagonal, ``band[up, diag]``, at ``diag``, the footprint rows where the
+    fields are evaluated.  A footprint with no free index along some axis
+    has no such band and is refused.  Only the stencil depends on the
+    dimension:
 
     n = 1: the divergence-form operator K with face coefficient
     c = sqrt(g^{11}) at z_j + dz/2, assembled per face.  Each face between
@@ -512,21 +544,21 @@ class _Footprint:
         if self.n == 1:
             # the faces between rows l = left and r = l + 1 that are grid
             # neighbours; entries (l, l), (r, r), (l, r), (r, l) of their
-            # blocks, then V_eff at every row
+            # blocks
             self.left = l = np.flatnonzero((self.ids[1:] - self.ids[:-1]) % N == 1)
             self.x = FieldPoints(pts[self.ids])
             self.x_faces = FieldPoints(pts[self.ids[l]] + 0.5 * self.dz)
-            k = np.arange(m)
-            rows = np.concatenate([l, l + 1, l, l + 1, k])
-            cols = np.concatenate([l, l + 1, l + 1, l, k])
+            self.diag = np.arange(m)
+            rows = np.concatenate([l, l + 1, l, l + 1])
+            cols = np.concatenate([l, l + 1, l + 1, l])
         else:
             self.x = FieldPoints(pts[self.support])
             cols = np.searchsorted(order, keys)
-            centre = cols[:self.support.size]
-            rows = np.tile(centre, len(_STENCIL))
-            # entries of M^T (adjoint) or of M and M^T (forward), then of V_eff
+            self.diag = cols[:self.support.size]
+            rows = np.tile(self.diag, len(_STENCIL))
+            # entries of M^T (adjoint) or of M and M^T (forward)
             pairs = [(cols, rows)] if adjoint else [(rows, cols), (cols, rows)]
-            rows, cols = (np.concatenate([*part, centre]) for part in zip(*pairs))
+            rows, cols = (np.concatenate(part) for part in zip(*pairs))
         self.lo, self.up = (int(np.max(d, initial=0)) for d in (rows - cols, cols - rows))
         self.shape = (self.lo + self.up + 1, m)
         self.slot = (self.up + rows - cols) * m + cols
@@ -549,7 +581,7 @@ class _Footprint:
                 flux = [w[l] * c * w[l], w[r] * c * w[r], off, off]
             less_free = (np.concatenate(flux) - 1.0) / dz**2
             half = less_free.size // 2       # the diagonal entries, then the off-diagonal
-            parts = [less_free[:half], -less_free[half:], v_eff]
+            weights = np.concatenate([less_free[:half], -less_free[half:]])
         else:
             g, dgdz = self.spec.inverse_metric_jet_field(self.x, t)
             d00, d11, d01 = g[:, 0, 0] - 1.0, g[:, 1, 1] - 1.0, g[:, 0, 1]
@@ -566,11 +598,11 @@ class _Footprint:
                 -d00 / dz**2 - b[:, 0] / (2.0 * dz), -d00 / dz**2 + b[:, 0] / (2.0 * dz),
                 -d11 / dz**2 - b[:, 1] / (2.0 * dz), -d11 / dz**2 + b[:, 1] / (2.0 * dz),
                 cross, cross, -cross, -cross])
-            parts = [stencil, v_eff] if self.adjoint else [0.5 * stencil, 0.5 * stencil, v_eff]
-        weights, size = np.concatenate(parts), self.shape[0] * self.shape[1]
-        band = (np.bincount(self.slot, weights.real, size)
-                + 1j * np.bincount(self.slot, weights.imag, size))
-        return band.reshape(self.shape)
+            weights = stencil if self.adjoint else np.concatenate([0.5 * stencil] * 2)
+        band = np.bincount(self.slot, weights, self.shape[0] * self.shape[1])
+        band = band.reshape(self.shape).astype(complex)
+        band[self.up, self.diag] += v_eff
+        return band
 
     def step(self, x, t, c):
         """One Crank-Nicolson step (1 + cR)^{-1} (1 - cR) x of the remainder
@@ -690,9 +722,12 @@ def window_span(spec: PerturbationSpec, params: SolverParams) -> float:
 
 
 def check_band_limited(f: SpectralData):
-    """Raise ValidationError when some input of ``f`` is not band-limited."""
+    """Raise ValidationError when some input of ``f`` has a non-finite
+    sample or is not band-limited."""
+    if not np.all(np.isfinite(f.values)):
+        raise ValidationError("input has a non-finite sample", invariant="finite-input")
     frac = np.max(f.outer_band_fraction())
-    if frac >= 1e-10:
+    if not frac < 1e-10:        # NaN when |f|^2 overflows
         raise ValidationError(
             f"input carries {frac:.2e} of its mass in the outer 25% of the "
             "dual grid (threshold 1e-10)",

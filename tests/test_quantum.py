@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.linalg import solve_banded as scipy_solve_banded
 
 from cusplab import quantum
 from cusplab.errors import (
@@ -262,6 +263,33 @@ def test_cyclic_tridiagonal_solver_matches_dense(N, coupling, seed):
     assert np.max(np.abs(dense @ x - rhs)) < 1e-12 * scale
 
 
+@pytest.mark.parametrize("l_and_u", [(1, 1), (3, 2)], ids=["gtsv", "gbsv"])
+def test_solve_banded_is_bitwise_scipy(l_and_u):
+    rng = np.random.default_rng(5)
+    m, rows = 40, sum(l_and_u) + 1
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    ab = cplx(rows, m)
+    ab[l_and_u[1]] += 6.0                       # diagonally dominant
+    for b in (cplx(m), cplx(m, 3)):
+        x = quantum.solve_banded(l_and_u, ab, b)
+        assert x.shape == b.shape
+        assert np.array_equal(x, scipy_solve_banded(l_and_u, ab, b))
+    real_ab, real_b = ab.real.copy(), rng.normal(size=m)
+    x = quantum.solve_banded(l_and_u, real_ab, real_b)
+    assert x.dtype == np.float64
+    assert np.array_equal(x, scipy_solve_banded(l_and_u, real_ab, real_b))
+    nan_ab, nan_b = ab.copy(), real_b.copy()
+    nan_ab[0, 7] = nan_b[7] = np.nan
+    for bad in ((nan_ab, real_b), (ab, nan_b)):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            quantum.solve_banded(l_and_u, *bad)
+    with pytest.raises(np.linalg.LinAlgError):
+        quantum.solve_banded(l_and_u, np.zeros((rows, m), dtype=complex), cplx(m))
+
+
 def _bump_and_potential(center, n=1):
     # a sheared metric and a complex potential, active at t = 0.3
     return PerturbationSpec(
@@ -411,6 +439,22 @@ def test_1d_footprint_remainder_equals_its_definition(where):
             assert np.max(np.abs(r_fp - r_def)) <= 1e-13 * np.max(np.abs(r_def))
             # the forward block is exactly symmetric, bit for bit
             assert adjoint or np.array_equal(r_fp, r_fp.T)
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["n=1", "n=2"])
+def test_only_the_effective_potential_makes_the_band_complex(n):
+    # the stencil is real; V_eff goes on the diagonal, row ``up`` of the band
+    grid = Grid(n=n, N=256 if n == 1 else 32, L=10.0)
+    spec = _footprint_spec(grid, "inside")
+    for adjoint in (False, True):
+        for compensated in (True, False):
+            footprint = quantum._Footprint(spec, grid, compensated, adjoint)
+            imag = footprint.remainder(0.3).imag
+            v_eff = quantum._effective_potential(spec, grid.points_z()[footprint.ids], 0.3,
+                                                 compensated, adjoint)
+            assert np.any(v_eff.imag)
+            assert np.array_equal(imag[footprint.up], v_eff.imag)
+            assert not np.any(np.delete(imag, footprint.up, axis=0))
 
 
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
@@ -588,6 +632,22 @@ def test_scattering_map_rejects_broadband_input():
     f = SpectralData(grid=GRID, values=vals)
     with pytest.raises(ValidationError):
         scattering_map(_potential_spec(), f, PARAMS)
+
+
+@pytest.mark.parametrize("spec", [flat_spec(1), _potential_spec()], ids=["flat", "potential"])
+def test_scattering_map_rejects_a_non_finite_sample(spec):
+    values = coherent_data(GRID, 0.5, 0.0, 0.5).values
+    values[GRID.N // 2] = np.nan
+    with pytest.raises(ValidationError) as refused:
+        scattering_map(spec, SpectralData(grid=GRID, values=values), PARAMS)
+    assert refused.value.invariant == "finite-input"
+
+
+@pytest.mark.parametrize("field", ["dt", "margin"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_solver_params_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        SolverParams(**{field: value})
 
 
 def test_adjoint_map_flat_identity():
