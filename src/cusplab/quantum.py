@@ -87,8 +87,8 @@ class Grid:
             raise ValueError("grid dimension must be 1 or 2")
         if self.N < 4 or (self.N & (self.N - 1)) != 0:
             raise ValueError("N must be a power of two >= 4")
-        if self.L <= 0:
-            raise ValueError("L must be positive")
+        if not 0 < self.L < np.inf:
+            raise ValueError("L must be positive and finite")
 
     @property
     def dz(self) -> float:
@@ -778,12 +778,15 @@ def adjoint_scattering_map(spec: PerturbationSpec, g_plus: SpectralData,
 def coherent_data(grid: Grid, Z0, frak0, h: float) -> SpectralData:
     """Gaussian packet f(Z) = (pi h)^{-n/4} e^{-|Z-Z0|^2/2h} e^{i frak0.(Z-Z0)},
     unit continuum norm."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError("h must be positive and finite")
     Z0 = np.atleast_1d(np.asarray(Z0, dtype=float))
     frak0 = np.atleast_1d(np.asarray(frak0, dtype=float))
     if Z0.size != grid.n or frak0.size != grid.n:
         raise ValueError("Z0 and frak0 must match the grid dimension")
+    for name, vector in (("Z0", Z0), ("frak0", frak0)):
+        if not np.all(np.isfinite(vector)):
+            raise ValueError(f"{name} must be finite")
     if np.any(np.abs(Z0) + 6.0 * np.sqrt(h) > grid.z_max):
         raise PacketClipped("6 sqrt(h) half-width leaves the dual grid")
 

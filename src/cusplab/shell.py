@@ -4,6 +4,16 @@ A scenario is a JSON document (conventionally ``*.scn``) with a versioned
 schema describing the perturbation, grid, solver parameters, and a list of
 check jobs.  Every CLI subcommand maps one-to-one onto a library operation;
 the CLI only parses arguments and forwards them.
+
+:func:`run` first collects the map requests of the selected jobs' grid
+checks (:func:`verify.plan`) and groups them by operator: spec object,
+grid, solver parameters and direction.  Each group is mapped by one
+:func:`verify.march`, in a process pool with ``jobs`` > 1.  Then every job
+runs its check in this process, which measures from its slices.  A job
+whose requests cannot be planned, or whose input a shared march would
+refuse, stays out of every group, and the jobs of a group whose march
+raises map alone: either way the check maps by itself, so every report is
+the job's solo report.
 """
 
 from __future__ import annotations
@@ -13,12 +23,13 @@ import inspect
 import json
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import verify
+from . import quantum, verify
 from .errors import CuspLabError, NotPositiveDefinite, ParseError, ValidationError
 from .flow import (
     classical_scatter,
@@ -301,7 +312,7 @@ JOB_CHECKS = {
     "noncompact": "check_noncompactness",
 }
 # check arguments the scenario fills, not the job
-SCENARIO_ARGS = ("spec", "grid", "params", "tol_flow", "control", "out_dir")
+SCENARIO_ARGS = ("spec", "grid", "params", "tol_flow", "control", "out_dir", "mapped")
 # tolerances multiplied by --tol-scale, given or defaulted
 TOL_ARGS = ("tol", "rel_cap", "abs_cap", "exponent_tol", "limit_tol", "rel_tol",
             "abs_tol", "linearity_tol")
@@ -349,31 +360,105 @@ def _validate_job(check, params, n, where):
             raise ParseError(f"missing required entry '{key}'", field=f"{where}.{key}")
 
 
-def _run_check(sc, job, tol_scale, out_dir):
-    """Call the job's check with the scenario's and the job's arguments."""
+def _check_args(sc, job, tol_scale, out_dir):
+    """The job's check and every one of its arguments by name: the
+    scenario's and the job's, else the check's defaults."""
     check = getattr(verify, JOB_CHECKS[job["check"]])
     args = inspect.signature(check).parameters
     given = {"spec": sc.spec, "params": sc.solver, "tol_flow": sc.flow_tol,
              "control": job.get("control", False), "out_dir": out_dir,
              "seed": sc.seed, **job.get("params", {})}
-    kwargs = {key: value for key, value in given.items() if key in args}
+    kwargs = {key: given.get(key, arg.default) for key, arg in args.items()
+              if key in given or arg.default is not arg.empty}
     if "grid" in args:
         kwargs["grid"] = _needs_grid(sc)
     for key in TOL_ARGS:
         if key in args:
-            kwargs[key] = kwargs.get(key, args[key].default) * tol_scale
+            kwargs[key] *= tol_scale
+    return check, kwargs
+
+
+def _run_check(sc, job, tol_scale, out_dir, mapped=None):
+    """Call the job's check; ``mapped`` holds its first round's
+    (inputs, outputs) pairs when the scenario marched them."""
+    check, kwargs = _check_args(sc, job, tol_scale, out_dir)
+    if mapped is not None:
+        kwargs["mapped"] = mapped
     return check(**kwargs)
 
 
+def _requests(sc, job, tol_scale):
+    """The job's first-round map requests; none when planning raises, which
+    the check raises again when it maps alone."""
+    try:
+        return verify.plan(job["check"], _check_args(sc, job, tol_scale, None)[1])
+    except Exception:   # whatever it is, the solo run raises it again
+        return []
+
+
+def _operator(request):
+    """What a march shares: the spec object (a control's mutated spec is
+    another), grid, solver parameters and direction."""
+    return id(request.spec), request.grid, request.params, request.direction
+
+
+def _band_limited(request):
+    try:
+        quantum.check_band_limited(request.inputs)
+    except ValidationError:
+        return False
+    return True
+
+
+def _march(group):
+    """The outputs of one group of requests, or None when its march raises:
+    its jobs then map alone, so a failure is charged to the job that caused
+    it, as in its solo run."""
+    try:
+        return verify.march(group)
+    except Exception:   # the solo runs raise it again
+        return None
+
+
+def _mapped(sc, selected, tol_scale, jobs):
+    """{job index: [(inputs, outputs), ...]} for the selected jobs whose
+    first-round requests were all marched, one march per operator."""
+    planned = {i: requests for i, job in selected
+               if (requests := _requests(sc, job, tol_scale))}
+    # an input refused in a shared march would fail the march for every
+    # job in it, so its job maps alone; a march of its own tests it anyway
+    shared = Counter(_operator(r) for requests in planned.values() for r in requests)
+    planned = {i: requests for i, requests in planned.items()
+               if all(shared[_operator(r)] == 1 or _band_limited(r) for r in requests)}
+    groups = {}
+    for requests in planned.values():
+        for r in requests:
+            groups.setdefault(_operator(r), []).append(r)
+    groups = list(groups.values())
+    if jobs > 1 and len(groups) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            marched = list(pool.map(_march, groups))
+    else:
+        marched = [_march(group) for group in groups]
+    outputs = {id(r): out for group, outs in zip(groups, marched) if outs is not None
+               for r, out in zip(group, outs)}
+    return {i: [(r.inputs, outputs[id(r)]) for r in requests]
+            for i, requests in planned.items()
+            if all(id(r) in outputs for r in requests)}
+
+
 def run_job(sc: Scenario, job: dict, out_root: str, index: int,
-            tol_scale: float = 1.0):
+            tol_scale: float = 1.0, mapped=None):
     """Execute one job; errors are captured in the report.  A job marked
-    ``"control"`` runs its check's negative control, where the check has one."""
+    ``"control"`` runs its check's negative control, where the check has one.
+    ``mapped`` is passed on to the check."""
     out_dir = os.path.join(out_root, sc.name, f"{index:02d}_{job['check']}")
     os.makedirs(out_dir, exist_ok=True)
     control = job.get("control", False)
     try:
-        report = _run_check(sc, job, tol_scale, out_dir)
+        report = _run_check(sc, job, tol_scale, out_dir, mapped)
     except CuspLabError as exc:
         report = verify.CheckReport(
             name=job["check"],
@@ -388,19 +473,15 @@ def run(sc: Scenario, only=None, out_root: str = "out", tol_scale: float = 1.0,
         jobs: int = 1):
     """Run the scenario's jobs; returns (exit_code, reports).
 
-    Exit code 0 iff every report is satisfied: checks pass and controls
-    fail."""
+    The jobs' first-round maps are made first, one march per operator; with
+    ``jobs`` > 1 distinct operators march in parallel processes.  The checks
+    then run here, in job order.  Exit code 0 iff every report is satisfied:
+    checks pass and controls fail."""
     selected = [(i, job) for i, job in enumerate(sc.jobs)
                 if only is None or job["check"] in only]
-    if jobs > 1 and len(selected) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_job, sc, job, out_root, i, tol_scale)
-                       for i, job in selected]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [run_job(sc, job, out_root, i, tol_scale) for i, job in selected]
+    mapped = _mapped(sc, selected, tol_scale, jobs)
+    reports = [run_job(sc, job, out_root, i, tol_scale, mapped.get(i))
+               for i, job in selected]
     exit_code = 0 if all(r.satisfied for r in reports) else 1
     return exit_code, reports
 

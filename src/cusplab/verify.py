@@ -6,6 +6,16 @@ Quantities that must *exceed* a threshold are encoded as
 ``threshold - observed`` so the same rule applies.  Checks are deterministic
 given their inputs and seeds, and emit plot-ready CSV artifacts when given
 an output directory.
+
+A grid check is split into what it maps and what it measures.  Its planner
+returns the maps its first round needs as :class:`MapRequest` s (spec, grid,
+solver parameters, direction and inputs); :func:`plan` looks the planner up
+by job name.  The check measures from the (inputs, outputs) pairs in its
+``mapped`` argument, in its planner's order.  A scenario run fills
+``mapped`` from one :func:`march` per operator shared by its jobs; without
+it the check plans and maps by itself, one map per request.  A map whose
+input depends on an earlier output, eikonal's doubled amplitude, stays
+inside its check.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,6 +125,39 @@ def _check_decreasing(h_list, check):
                               invariant=f"{check}-h-list-decreasing")
 
 
+class MapRequest(NamedTuple):
+    """One map a check needs: ``inputs``, one input or a stack, by the
+    scattering map S (``direction`` +1) or its adjoint S* (-1)."""
+
+    spec: PerturbationSpec
+    grid: _q.Grid
+    params: _q.SolverParams
+    direction: float
+    inputs: _q.SpectralData
+
+
+def march(requests):
+    """The outputs of ``requests``, which share spec, grid, params and
+    direction, from one map of all their inputs; one output per request,
+    shaped like its inputs.  A single request is mapped as it is.  The map
+    is looked up on ``quantum`` at call time."""
+    first = requests[0]
+    apply = _q.scattering_map if first.direction > 0 else _q.adjoint_scattering_map
+    if len(requests) == 1:
+        return [apply(first.spec, first.inputs, first.params)]
+    stacks = [np.reshape(r.inputs.values, (-1, *first.grid.shape())) for r in requests]
+    out = apply(first.spec, _q.SpectralData(grid=first.grid, values=np.concatenate(stacks)),
+                first.params)
+    parts = np.split(out.values, np.cumsum([len(s) for s in stacks])[:-1])
+    return [_q.SpectralData(grid=first.grid, values=np.reshape(part, r.inputs.values.shape))
+            for r, part in zip(requests, parts)]
+
+
+def _map_alone(requests):
+    """(inputs, outputs) of each request, one map per request."""
+    return [(r.inputs, march([r])[0]) for r in requests]
+
+
 def _default_inputs(grid):
     """Five fixed band-limited packets (centre, frequency, width), stacked."""
     cfg = [(0.0, 0.0, 0.5), (1.0, 0.3, 0.2), (-0.8, 3.0, 0.3),
@@ -148,14 +192,7 @@ def check_free_identity(grid: _q.Grid, params: _q.SolverParams = _q.SolverParams
                                             ["input", "rel_error"], rows))
 
 
-def check_unitarity(spec: PerturbationSpec, grid: _q.Grid,
-                    params: _q.SolverParams = _q.SolverParams(),
-                    tol: float = 1e-6, control: bool = False,
-                    out_dir=None) -> CheckReport:
-    """Norm preservation of the map for flat metric and real potential.
-
-    With ``control`` the potential is made dissipative (Im V < 0), losing
-    mass; the resulting report must fail."""
+def _unitarity_requests(spec, grid, params, control, **_):
     if control:
         spec = replace(spec, potential_terms=tuple(
             replace(p, amplitude=p.amplitude.real - 0.3j * abs(p.amplitude))
@@ -167,8 +204,19 @@ def check_unitarity(spec: PerturbationSpec, grid: _q.Grid,
         if any(abs(p.amplitude.imag) > 0 for p in spec.potential_terms):
             raise ValidationError("unitarity check requires a real potential",
                                   invariant="unitarity-real-potential")
-    f = _default_inputs(grid)
-    defects = abs(_q.scattering_map(spec, f, params).norm() - f.norm()) / f.norm()
+    return [MapRequest(spec, grid, params, 1.0, _default_inputs(grid))]
+
+
+def check_unitarity(spec: PerturbationSpec, grid: _q.Grid,
+                    params: _q.SolverParams = _q.SolverParams(),
+                    tol: float = 1e-6, control: bool = False,
+                    out_dir=None, mapped=None) -> CheckReport:
+    """Norm preservation of the map for flat metric and real potential.
+
+    With ``control`` the potential is made dissipative (Im V < 0), losing
+    mass; the resulting report must fail."""
+    [(f, fp)] = mapped or _map_alone(_unitarity_requests(spec, grid, params, control))
+    defects = abs(fp.norm() - f.norm()) / f.norm()
     rows = list(enumerate(defects))
     measured = [Measurement(f"norm-defect-{k}", float(defect), tol) for k, defect in rows]
     return CheckReport(name="unitarity", measured=measured, control=control,
@@ -176,35 +224,41 @@ def check_unitarity(spec: PerturbationSpec, grid: _q.Grid,
                                             ["input", "rel_defect"], rows))
 
 
+def _pairing_requests(spec, grid, params, refine, control, **_):
+    """f by S and g by S* (by S for the control), then the same at
+    (dt/2, 2N) with ``refine``."""
+    levels = [(grid, params)]
+    if refine:
+        levels.append((_q.Grid(n=grid.n, N=2 * grid.N, L=grid.L),
+                       replace(params, dt=0.5 * params.dt)))
+    requests = []
+    for g_, p_ in levels:
+        f = _q.coherent_data(g_, [1.0] * g_.n, [0.3] * g_.n, 0.2)
+        g = _q.coherent_data(g_, [0.7] * g_.n, [-0.5] * g_.n, 0.3)
+        requests += [MapRequest(spec, g_, p_, 1.0, f),
+                     MapRequest(spec, g_, p_, 1.0 if control else -1.0, g)]
+    return requests
+
+
 def check_pairing(spec: PerturbationSpec, grid: _q.Grid,
                   params: _q.SolverParams = _q.SolverParams(),
                   tol: float = 5e-4, refine: bool = False,
                   refine_factor: float = 3.0, control: bool = False,
-                  out_dir=None) -> CheckReport:
+                  out_dir=None, mapped=None) -> CheckReport:
     """<f_+, g_+> = <f_-, g_-> for the map and its adjoint.
 
     With ``refine`` the run is repeated at (dt/2, 2N) and the residual must
     shrink by at least ``refine_factor``.  The ``control`` variant replaces
     the adjoint route by the plain map (a broken adjoint) and must fail."""
-
-    def residual(g_, p_):
-        f = _q.coherent_data(g_, [1.0] * g_.n, [0.3] * g_.n, 0.2)
-        g = _q.coherent_data(g_, [0.7] * g_.n, [-0.5] * g_.n, 0.3)
-        fp = _q.scattering_map(spec, f, p_)
-        if control:
-            gm = _q.scattering_map(spec, g, p_)
-        else:
-            gm = _q.adjoint_scattering_map(spec, g, p_)
-        return abs(fp.inner(g) - f.inner(gm)) / (f.norm() * g.norm())
-
-    r0 = residual(grid, params)
+    pairs = mapped or _map_alone(_pairing_requests(spec, grid, params, refine, control))
+    residuals = [abs(fp.inner(g) - f.inner(gm)) / (f.norm() * g.norm())
+                 for (f, fp), (g, gm) in zip(pairs[::2], pairs[1::2])]
+    r0 = residuals[0]
     measured = [Measurement("pairing-residual", float(r0), tol)]
     rows = [(grid.N, params.dt, r0)]
     if refine:
-        fine_grid = _q.Grid(n=grid.n, N=2 * grid.N, L=grid.L)
-        fine = replace(params, dt=0.5 * params.dt)
-        r1 = residual(fine_grid, fine)
-        rows.append((fine_grid.N, fine.dt, r1))
+        r1 = residuals[1]
+        rows.append((2 * grid.N, 0.5 * params.dt, r1))
         # refinement must shrink the residual by >= refine_factor
         measured.append(Measurement("refinement-shrink",
                                     float(refine_factor - r0 / max(r1, 1e-300)), 0.0))
@@ -274,11 +328,17 @@ def check_radial(spec: PerturbationSpec, Z0, frak0, horizon: float = 1e6,
                                             ["t", "abs_w", "direction"], rows))
 
 
+def _egorov_requests(spec, grid, Z0, frak0, h_list, params, **_):
+    c_in = CuspData(Z=np.atleast_1d(Z0), frak=np.atleast_1d(frak0))
+    f = _stack([_q.coherent_data(grid, c_in.Z, c_in.frak, h) for h in h_list])
+    return [MapRequest(spec, grid, params, 1.0, f)]
+
+
 def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
                  params: _q.SolverParams = _q.SolverParams(),
                  rel_cap: float = 0.05, abs_cap: float = 1e-6,
                  tol_flow: float = 1e-12, control: bool = False,
-                 out_dir=None) -> CheckReport:
+                 out_dir=None, mapped=None) -> CheckReport:
     """Wavepacket moments of the quantum map track the classical map.
 
     e(h) must decrease along the (decreasing) h list and the final error
@@ -304,10 +364,10 @@ def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
                                           horizon=1e6, tol=tol_flow)
     cross = float(np.max(np.abs(limit.pair() - target)))
 
-    f = _stack([_q.coherent_data(grid, c_in.Z, c_in.frak, h) for h in h_list])
+    [(_, fp)] = mapped or _map_alone(_egorov_requests(spec, grid, Z0, frak0, h_list, params))
     errors = []
     rows = []
-    for h, values in zip(h_list, _q.scattering_map(spec, f, params).values):
+    for h, values in zip(h_list, fp.values):
         zbar, frakbar = _q.packet_moments(_q.SpectralData(grid=grid, values=values))
         e = float(np.linalg.norm(np.concatenate([zbar, frakbar]) - target))
         errors.append(e)
@@ -328,11 +388,17 @@ def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
                                             ["h", "error", "relative"], rows))
 
 
+def _eikonal_requests(spec, grid, Z0, frak0, h, params, **_):
+    """The first map only: the doubled amplitude's waits for its phase."""
+    return [MapRequest(spec, grid, params, 1.0, _q.coherent_data(grid, Z0, frak0, h))]
+
+
 def check_eikonal_phase(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
                         h: float = 0.25, params: _q.SolverParams = _q.SolverParams(),
                         rel_tol: float = 0.05, abs_tol: float = 0.01,
                         linearity_tol: float = 0.1, tol_flow: float = 1e-11,
-                        control: bool = False, out_dir=None) -> CheckReport:
+                        control: bool = False, out_dir=None,
+                        mapped=None) -> CheckReport:
     """arg<Sf, f> equals minus the potential integral along the straight beam.
 
     The classical side is the potential phase of the classical scattering
@@ -348,20 +414,22 @@ def check_eikonal_phase(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
         raise ValidationError("eikonal check requires ||V|| <= 0.1",
                               invariant="eikonal-weak-potential")
 
-    def numeric_phase(s):
-        f = _q.coherent_data(grid, Z0, frak0, h)
-        fp = _q.scattering_map(s, f, params)
+    def numeric_phase(pairs):
+        [(f, fp)] = pairs
         return float(np.angle(fp.inner(f)))
 
     phase = _flow.classical_scatter(spec, CuspData(Z0, frak0), tol=tol_flow).potential_phase
     phi_cl = phase if control else -phase
-    phi_num = numeric_phase(spec)
+    phi_num = numeric_phase(mapped or _map_alone(
+        _eikonal_requests(spec, grid, Z0, frak0, h, params)))
     measured = [Measurement("phase-mismatch", abs(phi_num - phi_cl),
                             rel_tol * abs(phi_cl) + abs_tol)]
     phi_num2 = None
     if abs(phi_num) > 1e-6:      # linearity ratio is meaningful
-        phi_num2 = numeric_phase(replace(spec, potential_terms=tuple(
-            replace(p, amplitude=2.0 * p.amplitude) for p in spec.potential_terms)))
+        doubled = replace(spec, potential_terms=tuple(
+            replace(p, amplitude=2.0 * p.amplitude) for p in spec.potential_terms))
+        phi_num2 = numeric_phase(_map_alone(
+            _eikonal_requests(doubled, grid, Z0, frak0, h, params)))
         lin = abs(phi_num2 / (2.0 * phi_num) - 1.0)
         measured.append(Measurement("amplitude-linearity", float(lin), linearity_tol))
     return CheckReport(name="eikonal", measured=measured, control=control,
@@ -378,13 +446,7 @@ def _packet_width(h, t):
     return float(np.sqrt((1.0 + 4.0 * h**2 * t**2) / (2.0 * h)))
 
 
-def check_highfreq_identity(spec: PerturbationSpec, grid: _q.Grid, Z0,
-                            frak_far, frak_through=None, h: float = 0.5,
-                            params: _q.SolverParams = _q.SolverParams(),
-                            tol: float = 1e-3, control_floor: float = 1e-1,
-                            out_dir=None) -> CheckReport:
-    """Beams offset far (in the 1-cusp frequency) from the perturbation are
-    scattered trivially; a beam through it is not (positive control)."""
+def _highfreq_requests(spec, grid, Z0, frak_far, frak_through, h, params, **_):
     Z0 = np.atleast_1d(np.asarray(Z0, dtype=float))
     frak_far = np.atleast_1d(np.asarray(frak_far, dtype=float))
     window = spec.time_window()
@@ -407,11 +469,23 @@ def check_highfreq_identity(spec: PerturbationSpec, grid: _q.Grid, Z0,
     fraks = [frak_far]
     if frak_through is not None:
         fraks.append(np.atleast_1d(np.asarray(frak_through, dtype=float)))
-    f = _stack([_q.coherent_data(grid, Z0, frak, h) for frak in fraks])
-    defects = _relative_defects(_q.scattering_map(spec, f, params), f)
+    return [MapRequest(spec, grid, params, 1.0,
+                       _stack([_q.coherent_data(grid, Z0, frak, h) for frak in fraks]))]
+
+
+def check_highfreq_identity(spec: PerturbationSpec, grid: _q.Grid, Z0,
+                            frak_far, frak_through=None, h: float = 0.5,
+                            params: _q.SolverParams = _q.SolverParams(),
+                            tol: float = 1e-3, control_floor: float = 1e-1,
+                            out_dir=None, mapped=None) -> CheckReport:
+    """Beams offset far (in the 1-cusp frequency) from the perturbation are
+    scattered trivially; a beam through it is not (positive control)."""
+    [(f, fp)] = mapped or _map_alone(
+        _highfreq_requests(spec, grid, Z0, frak_far, frak_through, h, params))
+    defects = _relative_defects(fp, f)
     far = defects[0]
     measured = [Measurement("far-beam-defect", far, tol)]
-    rows = [(float(np.linalg.norm(frak_far)), far)]
+    rows = [(float(np.linalg.norm(np.asarray(frak_far, dtype=float))), far)]
     if frak_through is not None:
         through = defects[1]
         measured.append(Measurement("control-discriminates",
@@ -434,11 +508,21 @@ def _noncompact_test_functions(grid):
     return [_q.SpectralData(grid=grid, values=p.astype(complex)) for p in phis]
 
 
+def _noncompact_requests(spec, grid, Z0, frak0, h_list, params, **_):
+    Z0 = np.atleast_1d(np.asarray(Z0, dtype=float))
+    frak0 = np.atleast_1d(np.asarray(frak0, dtype=float))
+    h_list = list(h_list)
+    _check_decreasing(h_list, "noncompact")
+    return [MapRequest(spec, grid, params, 1.0,
+                       _stack([_q.coherent_data(grid, Z0, frak0, h) for h in h_list]))]
+
+
 def check_noncompactness(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
                          h_list=(0.1, 0.05, 0.02, 0.01),
                          params: _q.SolverParams = _q.SolverParams(),
                          c_floor: float | None = None,
-                         control: bool = False, out_dir=None) -> CheckReport:
+                         control: bool = False, out_dir=None,
+                         mapped=None) -> CheckReport:
     """A weakly-null coherent family keeps ||(S - Id) f_k|| bounded below.
 
     ``h_list`` must be strictly decreasing.  The floor c defaults to half
@@ -447,12 +531,9 @@ def check_noncompactness(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
     degenerates to zero) pass an explicit positive floor the family must
     fail to clear.  Weak nullity is proxied by |<f_k, phi>| decreasing for
     three fixed test functions."""
-    Z0 = np.atleast_1d(np.asarray(Z0, dtype=float))
-    frak0 = np.atleast_1d(np.asarray(frak0, dtype=float))
     h_list = list(h_list)
-    _check_decreasing(h_list, "noncompact")
-    f = _stack([_q.coherent_data(grid, Z0, frak0, h) for h in h_list])
-    fp = _q.scattering_map(spec, f, params)
+    [(f, fp)] = mapped or _map_alone(
+        _noncompact_requests(spec, grid, Z0, frak0, h_list, params))
     norms = _q.SpectralData(grid=grid, values=fp.values - f.values).norm()
     if c_floor is None:
         c_floor = 0.5 * float(np.sqrt(max(2.0 - 2.0 * np.real(fp.inner(f)[0]), 0.0)))
@@ -471,3 +552,23 @@ def check_noncompactness(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
                        artifacts=_write_csv(out_dir, "noncompact_family.csv",
                                             ["h", "diff_norm", "overlap_1", "overlap_2",
                                              "overlap_3"], rows))
+
+
+# job name -> planner of its check's first-round maps; a planner takes the
+# check's arguments by name
+_PLANNERS = {
+    "unitarity": _unitarity_requests,
+    "pairing": _pairing_requests,
+    "egorov": _egorov_requests,
+    "eikonal": _eikonal_requests,
+    "highfreq": _highfreq_requests,
+    "noncompact": _noncompact_requests,
+}
+
+
+def plan(job: str, arguments: dict) -> list:
+    """The :class:`MapRequest` s of the first round of job ``job``, given
+    every argument of its check by name; [] for a check that maps nothing
+    up front."""
+    planner = _PLANNERS.get(job)
+    return planner(**arguments) if planner else []

@@ -650,6 +650,21 @@ def test_solver_params_reject_non_finite_values(field, value):
         SolverParams(**{field: value})
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_grid_rejects_a_non_finite_half_width(value):
+    # the parameter comes first, so that a scenario error names grid.half_width
+    with pytest.raises(ValueError, match="^L "):
+        Grid(n=1, N=64, L=value)
+
+
+@pytest.mark.parametrize("field", ["h", "Z0", "frak0"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_coherent_data_rejects_non_finite_values(field, value):
+    args = {"Z0": [0.0], "frak0": [0.0], "h": 0.5, field: value}
+    with pytest.raises(ValueError, match=f"^{field} "):
+        coherent_data(GRID, **args)
+
+
 def test_adjoint_map_flat_identity():
     spec = flat_spec(1)
     g = coherent_data(GRID, 0.7, -0.5, 0.3)

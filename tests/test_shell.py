@@ -4,8 +4,10 @@ import ast
 import functools
 import json
 import os
+import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +155,8 @@ _BEAM = {"Z0": [1.0], "frak0": [0.0]}
     ({"jobs": [{"check": "pairing", "params": {"tolx": 5}}]}, "jobs[0].params.tolx"),
     ({"jobs": [{"check": "pairing", "params": {"out_dir": "x"}}]},
      "jobs[0].params.out_dir"),
+    ({"jobs": [{"check": "noncompact", "params": {**_BEAM, "mapped": []}}]},
+     "jobs[0].params.mapped"),
     ({"jobs": [{"check": "highfreq", "params": {"Z0": [1.0], "h": 0.5}}]},
      "jobs[0].params.frak_far"),
     ({"jobs": [{"check": "pairing", "params": {"tol": "x"}}]}, "jobs[0].params.tol"),
@@ -189,6 +193,7 @@ _BEAM = {"Z0": [1.0], "frak0": [0.0]}
     ({"seed": -1}, "scenario.seed"),
     ({"jobs": [{"check": "symplectic", "params": {"seed": -1}}]}, "jobs[0].params.seed"),
 ], ids=["points", "dt", "bump", "h", "h_list", "unknown-key", "scenario-key",
+        "scenario-key-mapped",
         "missing-frak_far", "tol-string", "samples-float", "Z0-length",
         "unknown-solver-key", "compensated-string", "control-string",
         "unknown-scenario-key", "unknown-job-key", "unknown-perturbation-key",
@@ -450,12 +455,80 @@ def test_classical_only_scenario_needs_no_grid(tmp_path):
     assert code == 0 and reports[0].status == "pass"
 
 
+def _outputs(root):
+    """Every file under ``root``, by relative path, as bytes."""
+    return {path.relative_to(root): path.read_bytes()
+            for path in sorted(Path(root).rglob("*")) if path.is_file()}
+
+
+# a small 1-D scenario whose noncompact family and pairing packet share one
+# forward march
+_SHARED_MARCH = _minimal(
+    perturbation={"bumps": [
+        {"amplitude": 0.05, "center_z": [0.0], "center_t": 0.0,
+         "radius_z": 4.0, "radius_t": 0.5, "pattern": [[1.0]]}]},
+    jobs=[{"check": "noncompact",
+           "params": {"Z0": [1.0], "frak0": [0.0], "h_list": [0.2, 0.1]}},
+          {"check": "pairing", "params": {"tol": 5e-3}}])
+
+
 def test_parallel_job_execution(tmp_path):
-    sc = resolve_scenario("flat")
-    code, reports = run(sc, only={"pairing", "free-identity"},
-                        out_root=str(tmp_path), jobs=2)
-    assert code == 0
-    assert {r.name for r in reports} == {"pairing", "free-identity"}
+    # distinct operators march in parallel, and every file is what one
+    # process writes
+    out = tmp_path / "out"
+    for sc in (resolve_scenario("flat"), load_scenario(_write(tmp_path, _SHARED_MARCH))):
+        written = {}
+        for jobs in (1, 2):
+            shutil.rmtree(out, ignore_errors=True)
+            code, reports = run(sc, out_root=str(out), jobs=jobs)
+            written[jobs] = _outputs(out)
+            assert code == 0
+            assert [r.name for r in reports] == [job["check"] for job in sc.jobs]
+        assert any(path.name == "report.json" for path in written[1])
+        assert written[2] == written[1]
+
+
+def _with_noncompact(sc, **params):
+    """``sc`` with its noncompact job's params updated, past the load-time
+    extent rule."""
+    return replace(sc, jobs=tuple(
+        {**job, "params": {**job["params"], **params}} if job["check"] == "noncompact"
+        else job for job in sc.jobs))
+
+
+@pytest.mark.parametrize("params, note, marches", [
+    # the family and pairing's forward packet march once; S* marches alone
+    ({}, "", [2, 1]),
+    # the family starts near the box edge and leaks: the shared march
+    # raises, and each of its jobs maps alone
+    ({"frak0": [18.0]}, "BoundaryLeak", [2, 1, 1, 1, 1]),
+    # the family sits in the outer band of the dual grid: it is refused
+    # before any march, and pairing's packets march without it
+    ({"Z0": [16.0]}, "ValidationError: input carries", [1, 1, 1]),
+], ids=["shared", "leaking", "refused"])
+def test_each_job_writes_its_solo_outputs(tmp_path, monkeypatch, params, note, marches):
+    sc = _with_noncompact(load_scenario(_write(tmp_path, _SHARED_MARCH)), **params)
+    sizes = []
+    march = verify.march
+
+    def spy(requests):
+        sizes.append(len(requests))
+        return march(requests)
+
+    monkeypatch.setattr(verify, "march", spy)
+    out = tmp_path / "out"
+    code, (noncompact, pairing) = run(sc, out_root=str(out))
+    assert sizes == marches
+    assert pairing.status == "pass" and noncompact.note.startswith(note)
+    assert code == (1 if note else 0)
+    together = _outputs(out)
+    for index, job in enumerate(sc.jobs):
+        shutil.rmtree(out)
+        run(sc, only={job["check"]}, out_root=str(out))
+        alone = _outputs(out)
+        assert {path.parts[1] for path in alone} == {f"{index:02d}_{job['check']}"}
+        assert alone == {path: data for path, data in together.items()
+                         if path.parts[1] == f"{index:02d}_{job['check']}"}
 
 
 def test_cli_classical_map(capsys):

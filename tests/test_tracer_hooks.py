@@ -82,6 +82,36 @@ def test_stacked_noncompact_job_maps_its_family_in_one_call(tmp_path):
     assert tracer.counts["quantum.scattering_map.inputs"] == 3
 
 
+def test_jobs_sharing_an_operator_make_one_march_per_direction(tmp_path):
+    # noncompact's three widths and pairing's forward packet share S; the
+    # pairing packet mapped by S* marches alone
+    doc = {"schema_version": 1, "name": "shared", "dimension": 1,
+           "grid": {"points": 1024, "half_width": 80.0},
+           "solver": {"dt": 2e-3, "margin": 0.25},
+           "perturbation": {"bumps": [{
+               "amplitude": 0.2, "center_z": [0.0], "center_t": 0.0,
+               "radius_z": 12.0, "radius_t": 0.1, "pattern": [[1.0]]}]},
+           "jobs": [{"check": "noncompact",
+                     "params": {"Z0": [1.5], "frak0": [0.0], "h_list": [0.1, 0.05, 0.02]}},
+                    {"check": "pairing", "params": {"tol": 5e-4}}]}
+    path = tmp_path / "shared.scn"
+    path.write_text(json.dumps(doc))
+    tracer = _load_tracer().Tracer()
+    with tracer:
+        code, _ = shell.run(shell.load_scenario(str(path)), out_root=str(tmp_path))
+        assert len(tracer._patches) == BINDINGS
+    assert code == 0
+    names = [span[1] for span in tracer.spans]
+    assert names.count("quantum.scattering_map") == 1
+    assert names.count("quantum.adjoint_scattering_map") == 1
+    assert tracer.counts["quantum.scattering_map.inputs"] == 4
+    assert tracer.counts["quantum.adjoint_scattering_map.inputs"] == 1
+    checks = [span for span in tracer.spans if span[1].startswith("verify.check_")]
+    assert [span[1] for span in checks] == ["verify.check_noncompactness",
+                                            "verify.check_pairing"]
+    assert {names[span[0]] for span in checks} == {"shell.run_job"}
+
+
 def test_tracer_times_the_banded_solves_of_a_grid_job(tmp_path):
     # quantum imports scipy's solver at its first call, inside the module
     # function the tracer wraps, so every remainder solve is still timed
