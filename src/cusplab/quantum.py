@@ -27,8 +27,12 @@ is scattered as real weights, and the complex V_eff is added on the
 diagonal afterwards.  A beam that never meets the perturbation sees the
 exact multiplier alone.  A march reuses one spectrum and one field buffer for
 all its transforms and evaluates the terms' spatial windows on the
-footprint once, so a step allocates no grid-sized array and evaluates only
-the time factors of the fields.
+footprint once, so a step allocates no grid-sized array.  A march also
+knows all its step midpoints before it starts, so it evaluates the fields,
+the real stencil weights and V_eff for a block of steps in one vectorized
+pass, about ``_BLOCK_POINTS`` field points per block, bitwise the values of
+per-step evaluation; the step loop scatters its step's band, makes the one
+banded solve and runs the two transforms.
 
 One walk serves the scattering map S and its adjoint S*: the direction of
 time selects the scheme, the forward one when time increases and the plain
@@ -48,6 +52,7 @@ not with the package, so work that never steps a remainder never loads it.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -181,14 +186,27 @@ class _Samples:
         conj = np.conj(other.values)    # named: see _strang_march
         return cell * np.sum(self.values * conj, axis=self.grid.axes)
 
-    def _outer_mass_fraction(self, axis, cut):
+    def _outer_mass_fraction(self, cut):
         """Fraction of sum |values|^2 at the grid points where some
-        coordinate, taken from ``axis`` per grid axis, has modulus >= cut."""
+        coordinate, on the axis of ``spacing``, has modulus >= cut."""
         w = np.abs(self.values) ** 2
         total = np.sum(w, axis=self.grid.axes)
-        mesh = np.meshgrid(*[np.abs(axis)] * self.grid.n, indexing="ij")
-        outer = np.sum(w[..., np.max(mesh, axis=0) >= cut], axis=-1)
+        outer = np.sum(w[..., _outer_mask(self.grid, self.spacing, cut)], axis=-1)
         return outer / np.where(total == 0.0, 1.0, total)
+
+
+@functools.lru_cache(maxsize=16)
+def _outer_mask(grid, spacing, cut):
+    """The boolean mask, of shape ``grid.shape()``, of the points where some
+    coordinate on the physical (``spacing`` "dz") or dual ("dZ") axis has
+    modulus >= cut.  It is built once per (grid, spacing, cut): every map
+    checks the band limit of its input and the leak of its output with the
+    same few masks.  Read-only, as it is shared."""
+    axis = grid.axis_z() if spacing == "dz" else grid.axis_Z()
+    mesh = np.meshgrid(*[np.abs(axis)] * grid.n, indexing="ij")
+    mask = np.max(mesh, axis=0) >= cut
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass(frozen=True)
@@ -203,8 +221,7 @@ class WaveField(_Samples):
 
     def boundary_leak_fraction(self):
         """Mass fraction in the outer 5% shell of the box."""
-        return self._outer_mass_fraction(self.grid.axis_z(),
-                                         (1.0 - SHELL_FRACTION) * self.grid.L)
+        return self._outer_mass_fraction((1.0 - SHELL_FRACTION) * self.grid.L)
 
 
 @dataclass(frozen=True)
@@ -215,7 +232,7 @@ class SpectralData(_Samples):
 
     def outer_band_fraction(self):
         """Mass fraction carried by the outer quarter of frequencies."""
-        return self._outer_mass_fraction(self.grid.axis_Z(), 0.75 * self.grid.z_max)
+        return self._outer_mass_fraction(0.75 * self.grid.z_max)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +451,11 @@ def _support_indices(spec, pts):
     return np.flatnonzero(inside)
 
 
+# field points per block of Strang steps whose fields one pass evaluates:
+# about 15 steps of a 2-D support of 132 points, 1 step of a 1-D footprint
+# of more than 1000 rows, where each numpy call is already array-bound
+_BLOCK_POINTS = 2048
+
 # offsets (di, dj) of the 9-point stencil in n = 2, the centre first
 _STENCIL = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
                      (1, 1), (-1, -1), (1, -1), (-1, 1)])
@@ -463,12 +485,22 @@ class _Footprint:
 
     R vanishes outside the rows and columns of the support points and their
     stencil neighbours: the footprint, whose flat grid indices ``ids`` are
-    found once per march, in the order of the solve.  Each step evaluates
-    the fields at ``x`` only, the footprint rows in n = 1 (and ``x_faces``,
-    the faces between them) and the support points in n = 2, with the same
-    arithmetic as at every grid point.  Those points are FieldPoints, so
-    every term's spatial window is evaluated once per march and each step
-    multiplies in the time factors only.
+    found once per march, in the order of the solve.  The fields are
+    evaluated at ``x`` only, the footprint rows in n = 1 (the metric at
+    ``x_and_faces``, the rows and the faces right of them, in one call) and
+    the support points in n = 2, with the same arithmetic as at every grid
+    point.  Those points are FieldPoints, so every term's spatial window is
+    evaluated once per march and only the time factors are multiplied in.
+
+    :meth:`fields` gives the real stencil weights and V_eff at one time or,
+    with a leading axis, at a column of times; :meth:`remainders` evaluates
+    them for a block of a march's steps at once, ``_BLOCK_POINTS`` field
+    points per block (about 15 steps of a 2-D support of 132 points, one
+    step of a 1-D footprint of a thousand rows), and scatters each step's
+    band, :meth:`band`, when the step takes it.  Every slice is bitwise the
+    evaluation at its time alone: the element-wise operations are the same
+    and the sums go per slot in the same order; a term inactive at some
+    times of a block adds exact zeros there.
 
     One layout serves every n.  ``ids`` is row-major order after each axis
     is rotated so that the footprint's largest gap sits at the seam (see
@@ -484,12 +516,13 @@ class _Footprint:
     dimension:
 
     n = 1: the divergence-form operator K with face coefficient
-    c = sqrt(g^{11}) at z_j + dz/2, assembled per face.  Each face between
-    footprint rows l and r = l + 1 that are grid neighbours adds its 2 x 2
-    block, less the free block (c = 1), and V_eff goes on the diagonal at
-    every row; g^{11} and V_eff are evaluated at the footprint rows, c at
-    those faces.  Any other face of a footprint row leads to a row outside
-    the footprint; both are flat, so its block is exactly 0.  lo = up = 1.
+    c = sqrt(g^{11}) at z_j + dz/2, assembled per face.  The face right of
+    each footprint row l but the last, between l and r = l + 1, adds its
+    2 x 2 block, less the free block (c = 1), and V_eff goes on the
+    diagonal at every row; g^{11} and V_eff are evaluated at the footprint
+    rows, c at those faces.  Where l and r are not grid neighbours, both
+    rows and the face are flat, so the block is exactly 0, as is the block
+    of any face that leads out of the footprint.  lo = up = 1.
 
       forward, W K W + V_eff with w = (g^{11})^{1/4}: (l, r) and (r, l) get
         (1 - w_l c w_r) / dz^2, (l, l) and (r, r) get (w_l c w_l - 1) / dz^2
@@ -542,13 +575,16 @@ class _Footprint:
                                         shape)
         m = self.ids.size
         if self.n == 1:
-            # the faces between rows l = left and r = l + 1 that are grid
-            # neighbours; entries (l, l), (r, r), (l, r), (r, l) of their
-            # blocks
-            self.left = l = np.flatnonzero((self.ids[1:] - self.ids[:-1]) % N == 1)
-            self.x = FieldPoints(pts[self.ids])
-            self.x_faces = FieldPoints(pts[self.ids[l]] + 0.5 * self.dz)
+            # the faces right of rows l = 0 .. m - 2, between l and r = l + 1,
+            # and entries (l, l), (r, r), (l, r), (r, l) of their blocks.
+            # Where l and r are not grid neighbours, l, r and the face are
+            # outside every support (else l + 1 and r - 1 would be footprint
+            # rows): all flat, so that block is exactly 0
+            rows_z = pts[self.ids]
+            self.x = FieldPoints(rows_z)
+            self.x_and_faces = FieldPoints(np.concatenate([rows_z, rows_z[:-1] + 0.5 * self.dz]))
             self.diag = np.arange(m)
+            l = self.diag[:-1]
             rows = np.concatenate([l, l + 1, l, l + 1])
             cols = np.concatenate([l, l + 1, l + 1, l])
         else:
@@ -563,53 +599,78 @@ class _Footprint:
         self.shape = (self.lo + self.up + 1, m)
         self.slot = (self.up + rows - cols) * m + cols
 
-    def remainder(self, t):
-        """R at time t on the footprint: the (lo + up + 1, m) band array."""
+    def fields(self, t):
+        """The real stencil weights, in the order of ``slot``, and V_eff at
+        the ``diag`` rows, at one time t or, with a leading M axis, at a
+        column (M, 1) of times: one evaluation of every field for a block of
+        steps, slice k bitwise the evaluation at time k alone."""
         v_eff = _effective_potential(self.spec, self.x, t, self.compensated, self.adjoint)
         dz = self.dz
         if self.n == 1:
-            a = self.spec.inverse_metric_field(self.x, t)[:, 0, 0]
-            c = np.sqrt(self.spec.inverse_metric_field(self.x_faces, t)[:, 0, 0])
-            l, r = self.left, self.left + 1
+            g = self.spec.inverse_metric_field(self.x_and_faces, t)[..., 0, 0]
+            m = self.diag.size
+            a, c = g[..., :m], np.sqrt(g[..., m:])
             if self.adjoint:
                 s = np.sqrt(a)
-                cs_l, cs_r = c * s[l], c * s[r]         # K S: entry (i, j) is c s_j
+                cs_l, cs_r = c * s[..., :-1], c * s[..., 1:]   # K S: entry (i, j) is c s_j
                 flux = [cs_l, cs_r, cs_r, cs_l]
             else:
                 w = a**0.25
-                off = w[l] * c * w[r]                   # W K W: one value, so symmetric
-                flux = [w[l] * c * w[l], w[r] * c * w[r], off, off]
-            less_free = (np.concatenate(flux) - 1.0) / dz**2
-            half = less_free.size // 2       # the diagonal entries, then the off-diagonal
-            weights = np.concatenate([less_free[:half], -less_free[half:]])
+                w_l, w_r = w[..., :-1], w[..., 1:]
+                off = w_l * c * w_r                             # W K W: one value, so symmetric
+                flux = [w_l * c * w_l, w_r * c * w_r, off, off]
+            less_free = (np.concatenate(flux, axis=-1) - 1.0) / dz**2
+            half = less_free.shape[-1] // 2  # the diagonal entries, then the off-diagonal
+            weights = np.concatenate([less_free[..., :half], -less_free[..., half:]], axis=-1)
         else:
             g, dgdz = self.spec.inverse_metric_jet_field(self.x, t)
-            d00, d11, d01 = g[:, 0, 0] - 1.0, g[:, 1, 1] - 1.0, g[:, 0, 1]
+            g00, g01, g10, g11 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+            d00, d11, d01 = g00 - 1.0, g11 - 1.0, g01
             # d_j log sqrt(det g) = -1/2 tr(g^{-1} d_j g), g^{-1} = adj(g) / det(g)
-            det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
-            dlog_half = -0.5 * (g[:, 1, 1, None] * dgdz[:, 0, 0] - g[:, 0, 1, None] * dgdz[:, 1, 0]
-                                - g[:, 1, 0, None] * dgdz[:, 0, 1]
-                                + g[:, 0, 0, None] * dgdz[:, 1, 1]) / det[:, None]
-            b = (dgdz[:, 0, :, 0] + dgdz[:, 1, :, 1]
-                 + g[:, 0, :] * dlog_half[:, :1] + g[:, 1, :] * dlog_half[:, 1:])
+            det = g00 * g11 - g01 * g10
+            dlog_half = -0.5 * (g11[..., None] * dgdz[..., 0, 0, :]
+                                - g01[..., None] * dgdz[..., 1, 0, :]
+                                - g10[..., None] * dgdz[..., 0, 1, :]
+                                + g00[..., None] * dgdz[..., 1, 1, :]) / det[..., None]
+            b = (dgdz[..., 0, :, 0] + dgdz[..., 1, :, 1]
+                 + g[..., 0, :] * dlog_half[..., :1] + g[..., 1, :] * dlog_half[..., 1:])
+            b0, b1 = b[..., 0] / (2.0 * dz), b[..., 1] / (2.0 * dz)
             cross = -2.0 * d01 / (4.0 * dz**2)
             stencil = np.concatenate([           # rows of M, in _STENCIL order
                 2.0 * (d00 + d11) / dz**2,
-                -d00 / dz**2 - b[:, 0] / (2.0 * dz), -d00 / dz**2 + b[:, 0] / (2.0 * dz),
-                -d11 / dz**2 - b[:, 1] / (2.0 * dz), -d11 / dz**2 + b[:, 1] / (2.0 * dz),
-                cross, cross, -cross, -cross])
-            weights = stencil if self.adjoint else np.concatenate([0.5 * stencil] * 2)
+                -d00 / dz**2 - b0, -d00 / dz**2 + b0,
+                -d11 / dz**2 - b1, -d11 / dz**2 + b1,
+                cross, cross, -cross, -cross], axis=-1)
+            weights = stencil if self.adjoint else np.concatenate([0.5 * stencil] * 2, axis=-1)
+        return weights, v_eff
+
+    def band(self, weights, v_eff):
+        """R from the fields of one time: the (lo + up + 1, m) band array."""
         band = np.bincount(self.slot, weights, self.shape[0] * self.shape[1])
         band = band.reshape(self.shape).astype(complex)
         band[self.up, self.diag] += v_eff
         return band
 
-    def step(self, x, t, c):
+    def remainder(self, t):
+        """R at time t on the footprint: the (lo + up + 1, m) band array."""
+        return self.band(*self.fields(t))
+
+    def remainders(self, times):
+        """R at each of the (M,) ``times`` in turn, as :meth:`remainder`
+        gives it.  The fields are evaluated for a block of times at once,
+        ``_BLOCK_POINTS`` field points per block, and each band is scattered
+        when it is taken."""
+        block = max(1, _BLOCK_POINTS // max(1, len(self.x.array)))
+        for start in range(0, len(times), block):
+            for fields in zip(*self.fields(times[start:start + block, None])):
+                yield self.band(*fields)
+
+    def step(self, x, remainder, c):
         """One Crank-Nicolson step (1 + cR)^{-1} (1 - cR) x of the remainder
-        at time t, for x on the footprint: one column of m values, or an
-        (m, k) stack of columns that shares one assembly and one solve.  It
-        is taken as 2 y - x with (1 + cR) y = x, one banded solve."""
-        plus = c * self.remainder(t)
+        band R, for x on the footprint: one column of m values, or an
+        (m, k) stack of columns that shares one solve.  It is taken as
+        2 y - x with (1 + cR) y = x, one banded solve."""
+        plus = c * remainder
         plus[self.up] += 1.0
         return 2.0 * solve_banded((self.lo, self.up), plus, x) - x
 
@@ -628,12 +689,14 @@ def _strang_march(spec, grid, values, t0, t1, params):
     band of 1 + cR, in the seam-rotated footprint order fixed once per
     march.  A solve that fails, or meets a non-finite remainder, raises
     ConvergenceFailure.  Adjacent half-steps are fused, so
-    m steps make m + 1 transforms.  The multiplier is kept in FFT order: for
-    even N the fftshift pairs of forward_ft and inverse_ft cancel.  The
-    march keeps one spectrum and one field buffer, which every transform and
-    multiplier writes into, so a step allocates no grid-sized array; the
-    spatial windows of the remainder are evaluated once per march (see
-    _Footprint).
+    m steps make m + 1 multiplier applications, each between a forward and
+    an inverse transform: 2m + 2 transforms.  The multiplier is kept in FFT
+    order: for even N the fftshift pairs of forward_ft and inverse_ft
+    cancel.  The march keeps one spectrum and one field buffer, which every
+    transform and multiplier writes into, so a step allocates no grid-sized
+    array.  The spatial windows of the remainder are evaluated once per
+    march, and its fields once per block of steps at the steps' midpoints
+    (see _Footprint); the blocks are walked as the steps take their bands.
 
     The multiplier is the left operand of every product, and complex
     products elsewhere name their array operands.  For operands of one
@@ -650,16 +713,17 @@ def _strang_march(spec, grid, values, t0, t1, params):
     half, full = np.exp(-0.5j * step * norm_sq), np.exp(-1j * step * norm_sq)
     footprint = _Footprint(spec, grid, params.measure_compensated, adjoint=t1 < t0)
     ids = footprint.ids
+    times = t0 + (np.arange(m) + 0.5) * step
+    remainders = footprint.remainders(times)
     spectrum = np.fft.fftn(values, axes=axes)
     v = np.empty_like(spectrum)
     flat = v.reshape(*v.shape[:v.ndim - grid.n], -1)    # a view of v
     np.multiply(half, spectrum, out=spectrum)
     np.fft.ifftn(spectrum, axes=axes, out=v)
-    for k in range(m):
-        t_mid = t0 + (k + 0.5) * step
+    for k, t_mid in enumerate(times):
         if ids.size:
             try:
-                solved = footprint.step(flat[..., ids].T, t_mid, c).T
+                solved = footprint.step(flat[..., ids].T, next(remainders), c).T
             except ValueError as exc:   # LinAlgError, or a non-finite band
                 raise ConvergenceFailure(f"remainder step at t={t_mid:.6g} failed: "
                                          f"{exc}") from exc
@@ -707,7 +771,15 @@ def propagate_window(spec: PerturbationSpec, u: WaveField, t_to: float,
 
 
 def _check_leak(field: WaveField):
-    leak = np.max(field.boundary_leak_fraction())
+    """Raise BoundaryLeak when some field's outer-shell mass fraction exceeds
+    LEAK_THRESHOLD, and ValidationError when a fraction is NaN: a
+    non-finite sample, or |v|^2 overflowing, leaves no fraction to test."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        leak = np.max(field.boundary_leak_fraction())
+    if np.isnan(leak):
+        raise ValidationError(f"the outer-shell mass fraction at t={field.time:.4g} is NaN: "
+                              "the field has a non-finite sample or |v|^2 overflows",
+                              invariant="finite-leak-fraction")
     if leak > LEAK_THRESHOLD:
         raise BoundaryLeak(f"outer-shell mass fraction {leak:.3e} exceeds "
                            f"{LEAK_THRESHOLD:.1e} at t={field.time:.4g}")

@@ -15,7 +15,9 @@ evaluator of g and V: a field evaluator reads them at an (m, n) array of grid
 points, and a pointwise evaluator is the m = 1 row of the same loop.  The
 points may come as :class:`FieldPoints`, which keeps each term's spatial
 window once evaluated, so a caller that evaluates the fields at the same
-points at many times pays for the spatial windows once.  The
+points at many times pays for the spatial windows once.  The field
+evaluators also take a column (M, 1) of times and return a leading M axis,
+one slice per time, bitwise the slice a single time gives.  The
 Hamilton vector field of the principal symbol has its own loop over the
 bumps, on flat phase-space states: it contracts each pattern with zeta and
 never forms g or its derivatives.  The principal symbol and zeta.g.zeta are
@@ -36,10 +38,10 @@ from .phasespace import PhasePoint
 SUPPORT_MARGIN = 1e-9
 
 
-def _mollifier(d, radius):
+def _mollifier(d, radius, slope=True):
     """The mollifier w = exp(1 - 1/(1 - r^2)), r = d / radius, which is 1
     at d = 0 and vanishes with all its derivatives for |r| >= 1, and k with
-    dw/dd = k * d.
+    dw/dd = k * d, or None when ``slope`` is False.
 
     One exp serves both, for scalars and arrays alike.  For |d| >= radius
     the factor 1 - r^2 <= 0 is raised to a floor far below any value it
@@ -49,7 +51,7 @@ def _mollifier(d, radius):
     r = d / radius
     s = np.maximum(1.0 - r * r, 1e-100)
     w = np.exp(1.0 - 1.0 / s)
-    return w, w * -2.0 / (radius**2 * s**2)
+    return w, (w * -2.0 / (radius**2 * s**2) if slope else None)
 
 
 class FieldPoints:
@@ -202,25 +204,31 @@ class PerturbationSpec:
     # -- evaluation: one loop over the bumps, one over the potential terms --
 
     def _metric(self, pts, t, dz=False, dt=False):
-        """(g, dgdz, dgdt) at FieldPoints: g^{jk} is (m, n, n),
-        dgdz[m, j, k, l] = d g^{jk} / d z_l and dgdt = d g^{jk} / d t, each
-        derivative None unless asked for."""
+        """(g, dgdz, dgdt) at FieldPoints, at one time t or at a column
+        (M, 1) of times: g^{jk} is (m, n, n), dgdz[m, j, k, l] = d g^{jk} /
+        d z_l and dgdt = d g^{jk} / d t, each derivative None unless asked
+        for, and a column of times puts a leading M axis on all three.  A
+        bump inactive at every time is skipped; one inactive at some of
+        them adds exact zeros there."""
         m, n = pts.array.shape
-        g = np.repeat(np.eye(n)[None], m, axis=0)
-        dgdz = np.zeros((m, n, n, n)) if dz else None
-        dgdt = np.zeros((m, n, n)) if dt else None
+        lead = np.shape(t)[:-1] + (m,)
+        g = np.empty(lead + (n, n))
+        g[...] = np.eye(n)
+        dgdz = np.zeros(lead + (n, n, n)) if dz else None
+        dgdt = np.zeros(lead + (n, n)) if dt else None
         for b in self.bumps:
-            wt, kt = _mollifier(t - b.center_t, b.radius_t)
-            if wt == 0.0:
+            wt, kt = _mollifier(t - b.center_t, b.radius_t, slope=dt)
+            if not np.count_nonzero(wt):
                 continue
             d, wz, kz = pts.window(b)
-            g += (b.amplitude * wt) * wz[:, None, None] * b.pattern
+            g += (b.amplitude * wt * wz)[..., None, None] * b.pattern
             if dz:
                 dwz = kz[:, None] * d
-                dgdz += (b.amplitude * wt) * (b.pattern[:, :, None] * dwz[:, None, None, :])
+                dgdz += ((b.amplitude * wt)[..., None, None, None]
+                         * (b.pattern[:, :, None] * dwz[:, None, None, :]))
             if dt:
                 dwt = kt * (t - b.center_t)
-                dgdt += (b.amplitude * dwt) * wz[:, None, None] * b.pattern
+                dgdt += (b.amplitude * dwt * wz)[..., None, None] * b.pattern
         return g, dgdz, dgdt
 
     def hamilton_field(self, t, x):
@@ -264,11 +272,12 @@ class PerturbationSpec:
         return 0.5 * np.add.reduce(x[..., n + 1:2 * n + 1] * f[..., :n], axis=-1)
 
     def _potential(self, pts, t):
-        """V at FieldPoints, at one time t or at the (m,) times t of the
-        points; complex (m,)."""
-        v = np.zeros(pts.array.shape[0], dtype=complex)
+        """V at FieldPoints, at one time t, at the (m,) times t of the
+        points or at a column (M, 1) of times; complex (m,), or (M, m) for
+        a column."""
+        v = np.zeros(np.shape(t)[:-1] + pts.array.shape[:1], dtype=complex)
         for p in self.potential_terms:
-            wt, _ = _mollifier(t - p.center_t, p.radius_t)
+            wt, _ = _mollifier(t - p.center_t, p.radius_t, slope=False)
             if not np.count_nonzero(wt):
                 continue
             _, wz, _ = pts.window(p)
@@ -288,34 +297,38 @@ class PerturbationSpec:
     def potential(self, z, t) -> complex:
         return complex(self._potential(FieldPoints(np.reshape(z, (1, self.n))), t)[0])
 
-    def inverse_metric_field(self, points, t: float) -> np.ndarray:
+    def inverse_metric_field(self, points, t) -> np.ndarray:
         """g^{jk} at an (m, n) array of spatial points or at FieldPoints;
-        returns (m, n, n)."""
+        returns (m, n, n) at one time, (M, m, n, n) at a column (M, 1) of
+        times."""
         return self._metric(_at(points), t)[0]
 
-    def dt_log_det_metric_field(self, points, t: float) -> np.ndarray:
-        """d/dt log det g at an (m, n) array of points or at FieldPoints.
+    def dt_log_det_metric_field(self, points, t) -> np.ndarray:
+        """d/dt log det g at an (m, n) array of points or at FieldPoints;
+        returns (m,) at one time, (M, m) at a column (M, 1) of times.
 
         det g = 1 / det(g_inv), so d/dt log det g = -tr(g_inv^{-1} d_t g_inv).
         """
         pts = _at(points)
         if self.metric_is_flat:
-            return np.zeros(pts.array.shape[0])
+            return np.zeros(np.shape(t)[:-1] + pts.array.shape[:1])
         ginv, _, dt_ginv = self._metric(pts, t, dt=True)
         if self.n == 1:
-            return -dt_ginv[:, 0, 0] / ginv[:, 0, 0]
+            return -dt_ginv[..., 0, 0] / ginv[..., 0, 0]
         return -np.trace(np.linalg.solve(ginv, dt_ginv), axis1=-2, axis2=-1)
 
-    def inverse_metric_jet_field(self, points, t: float):
+    def inverse_metric_jet_field(self, points, t):
         """(g, dgdz) at an (m, n) array of points or at FieldPoints;
-        dgdz[m, j, k, l] is the z_l-derivative of g^{jk}.  Vectorized
-        analytic evaluation."""
+        dgdz[m, j, k, l] is the z_l-derivative of g^{jk}.  A column (M, 1)
+        of times puts a leading M axis on both.  Vectorized analytic
+        evaluation."""
         g, dgdz, _ = self._metric(_at(points), t, dz=True)
         return g, dgdz
 
     def potential_field(self, points, t) -> np.ndarray:
         """V at an (m, n) array of spatial points or at FieldPoints, at one
-        time or at (m,) times; returns complex (m,)."""
+        time or at (m,) times, complex (m,), or at a column (M, 1) of times,
+        complex (M, m)."""
         return self._potential(_at(points), t)
 
     # -- validation --------------------------------------------------------

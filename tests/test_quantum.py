@@ -37,7 +37,7 @@ from cusplab.quantum import (
     scattering_map,
     solve_cyclic_tridiagonal,
 )
-from cusplab.symbols import MetricBump, PerturbationSpec, PotentialTerm, flat_spec
+from cusplab.symbols import FieldPoints, MetricBump, PerturbationSpec, PotentialTerm, flat_spec
 
 GRID = Grid(n=1, N=1024, L=30.0)
 PARAMS = SolverParams(dt=1e-3, margin=0.25)
@@ -230,6 +230,36 @@ def test_adjoint_map_boundary_leak_detected():
         adjoint_scattering_map(spec, g, SolverParams(dt=2e-3))
 
 
+@pytest.mark.parametrize("values", ["nan", "overflow"])
+def test_a_nan_leak_fraction_is_refused(values):
+    # NaN > LEAK_THRESHOLD is False: a field whose leak fraction is NaN,
+    # all-NaN or so large that |v|^2 overflows, must not pass the check
+    grid = Grid(n=1, N=256, L=8.0)
+    if values == "nan":
+        u = WaveField(grid=grid, values=np.full(grid.shape(), np.nan), time=0.0)
+    else:
+        u = WaveField(grid=grid, values=1e200 * poisson_free(coherent_data(grid, 0.0, 0.0, 0.5),
+                                                             0.0).values, time=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(u.boundary_leak_fraction())
+    with pytest.raises(ValidationError) as refused:
+        propagate_window(flat_spec(1), u, 1.0)
+    assert refused.value.invariant == "finite-leak-fraction"
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["n=1", "n=2"])
+def test_cached_outer_mask_equals_the_meshgrid_mask(n):
+    grid = Grid(n=n, N=64, L=8.0)
+    for spacing, axis, cut in (("dz", grid.axis_z(), (1.0 - quantum.SHELL_FRACTION) * grid.L),
+                               ("dZ", grid.axis_Z(), 0.75 * grid.z_max)):
+        mesh = np.meshgrid(*[np.abs(axis)] * n, indexing="ij")
+        mask = quantum._outer_mask(grid, spacing, cut)
+        assert mask.shape == grid.shape() and np.any(mask) and not np.all(mask)
+        assert np.array_equal(mask, np.max(mesh, axis=0) >= cut)
+        assert quantum._outer_mask(Grid(n=n, N=64, L=8.0), spacing, cut) is mask
+        assert not mask.flags.writeable
+
+
 def _random_cyclic(rng, N, coupling):
     def cplx(size):
         return rng.normal(size=size) + 1j * rng.normal(size=size)
@@ -363,19 +393,19 @@ def test_footprint_remainder_equals_whole_grid(monkeypatch, n, where):
             assert np.max(np.abs(r_whole)) > 1.0
             assert np.max(np.abs(r_part - r_whole)) <= 1e-13 * np.max(np.abs(r_whole))
             # the footprint step solves the embedded Crank-Nicolson system
-            c = 0.5j * 5e-3
+            c, r = 0.5j * 5e-3, part.remainder(0.3)
             x = rng.normal(size=part.ids.size) + 1j * rng.normal(size=part.ids.size)
             full = np.zeros(size, dtype=complex)
             full[part.ids] = x
             eye = np.eye(size)
             expect = np.linalg.solve(eye + c * r_whole, (eye - c * r_whole) @ full)
-            assert np.max(np.abs(part.step(x, 0.3, c) - expect[part.ids])) < 1e-12
+            assert np.max(np.abs(part.step(x, r, c) - expect[part.ids])) < 1e-12
             assert np.max(np.abs(np.delete(expect, part.ids))) < 1e-12
             # an (m, 3) stack shares the step: each column as if alone
             xs = np.column_stack([x, 1j * x[::-1], np.conj(x)])
-            stepped = part.step(xs, 0.3, c)
+            stepped = part.step(xs, r, c)
             for k in range(3):
-                assert np.array_equal(stepped[:, k], part.step(xs[:, k].copy(), 0.3, c))
+                assert np.array_equal(stepped[:, k], part.step(xs[:, k].copy(), r, c))
             # the Cayley step (1 + A)^{-1} (1 - A), A = cR, against exp(-2A):
             # the series differ by sum_{j >= 3} (-1)^j (2 - 2^j / j!) A^j, each
             # coefficient at most 2 in modulus, so for a = ||A||_2 < 1
@@ -386,9 +416,9 @@ def test_footprint_remainder_equals_whole_grid(monkeypatch, n, where):
             assert 1e-3 < a < 0.5
             bound = 2.0 * a**3 / (1.0 - a) * np.linalg.norm(x)
             exact = expm(-2.0 * c * r_fp) @ x
-            assert np.linalg.norm(part.step(x, 0.3, c) - exact) <= bound
+            assert np.linalg.norm(part.step(x, r, c) - exact) <= bound
             # the backward step, c -> -c, is first-order far from exp(-2A)
-            assert np.linalg.norm(part.step(x, 0.3, -c) - exact) > bound
+            assert np.linalg.norm(part.step(x, r, -c) - exact) > bound
 
 
 def _remainder_by_definition(spec, grid, t, compensated, adjoint):
@@ -530,14 +560,50 @@ def test_footprint_windows_do_not_go_stale(n):
             fresh = quantum._Footprint(spec, grid, compensated, adjoint)
             fresh.x = fresh.x.array
             if n == 1:
-                fresh.x_faces = fresh.x_faces.array
+                fresh.x_and_faces = fresh.x_and_faces.array
             # bump b is inactive at 0.1, bump a at 1.55
             for t in (0.9, 0.1, 1.3, 1.55, 0.9):
                 assert np.array_equal(kept.remainder(t), fresh.remainder(t))
 
 
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["n=1", "n=2"])
+def test_block_fields_equal_per_time_fields(n):
+    # one block of times straddles the activation of bump b at t = 0.8 and
+    # the end of bump a and the potential at t = 1.5: a term inactive at
+    # some times of the block adds exact zeros there, where a single time
+    # skips it.  Every slice is bit for bit the evaluation at its time alone
+    grid = Grid(n=n, N=256 if n == 1 else 32, L=10.0)
+    spec = _two_bumps_and_potential(n)
+    times = np.array([0.7, 0.85, 1.1, 1.3, 1.49, 1.55])
+    pts = FieldPoints(grid.points_z()[quantum._support_indices(spec, grid.points_z())])
+    evaluators = (spec.inverse_metric_field, spec.potential_field,
+                  spec.dt_log_det_metric_field,
+                  lambda x, t: spec.inverse_metric_jet_field(x, t)[0],
+                  lambda x, t: spec.inverse_metric_jet_field(x, t)[1])
+    for evaluate in evaluators:
+        block = evaluate(pts, times[:, None])
+        assert block.shape[0] == times.size
+        for k, t in enumerate(times):
+            assert _bitwise_equal(block[k], evaluate(pts, t))
+    for adjoint in (False, True):
+        for compensated in (True, False):
+            footprint = quantum._Footprint(spec, grid, compensated, adjoint)
+            weights, v_eff = footprint.fields(times[:, None])
+            bands = list(footprint.remainders(times))
+            for k, t in enumerate(times):
+                alone = footprint.fields(t)
+                assert _bitwise_equal(weights[k], alone[0])
+                assert _bitwise_equal(v_eff[k], alone[1])
+                assert _bitwise_equal(bands[k], footprint.remainder(t))
+
+
 def _plain_march(spec, grid, values, t0, t1, params):
-    """The Strang march with a fresh array from every transform and product."""
+    """The Strang march with a fresh array from every transform and product
+    and a fresh remainder at every step."""
     span = t1 - t0
     m = max(1, int(np.ceil(abs(span) / params.dt - 1e-12)))
     step = span / m
@@ -550,8 +616,8 @@ def _plain_march(spec, grid, values, t0, t1, params):
     v = np.fft.ifftn(half * spectrum, axes=axes)
     for k in range(m):
         flat = v.reshape(*v.shape[:v.ndim - grid.n], -1)
-        flat[..., ids] = footprint.step(flat[..., ids].T, t0 + (k + 0.5) * step,
-                                        0.5j * step).T
+        remainder = footprint.remainder(t0 + (k + 0.5) * step)
+        flat[..., ids] = footprint.step(flat[..., ids].T, remainder, 0.5j * step).T
         spectrum = np.fft.fftn(v, axes=axes)
         v = np.fft.ifftn((full if k < m - 1 else half) * spectrum, axes=axes)
     return v
@@ -560,18 +626,23 @@ def _plain_march(spec, grid, values, t0, t1, params):
 # at N = 16384 one field has 256 KiB, where numpy starts to reuse temporaries
 @pytest.mark.parametrize("n,N", [(1, 512), (1, 16384), (2, 64)],
                          ids=["n=1", "n=1-N=16384", "n=2"])
-def test_buffered_march_equals_plain_march(n, N):
+def test_buffered_march_equals_plain_march(monkeypatch, n, N):
     grid = Grid(n=n, N=N, L=20.0)
     spec = _footprint_spec(grid, "inside")
     params = SolverParams(dt=2e-2)
     fields = [poisson_free(coherent_data(grid, [z] * n, [fr] * n, h), 0.0).values
               for z, fr, h in ((0.3, 0.0, 0.5), (-0.2, 1.0, 0.3), (0.1, -0.5, 0.4))]
-    for values in (fields[0], np.stack(fields)):
-        for t0, t1 in ((0.0, 1.0), (1.0, 0.0)):
-            before = values.copy()
-            marched = quantum._strang_march(spec, grid, values, t0, t1, params)
-            assert np.array_equal(values, before)
-            assert np.array_equal(marched, _plain_march(spec, grid, values, t0, t1, params))
+    points = len(quantum._Footprint(spec, grid, True, False).x.array)
+    # the budget's blocks, then blocks of 3 steps: the 50 steps of a march
+    # span 17 blocks, and the last ends after 2 of its 3 steps
+    for budget in (quantum._BLOCK_POINTS, 3 * points):
+        monkeypatch.setattr(quantum, "_BLOCK_POINTS", budget)
+        for values in (fields[0], np.stack(fields)):
+            for t0, t1 in ((0.0, 1.0), (1.0, 0.0)):
+                before = values.copy()
+                marched = quantum._strang_march(spec, grid, values, t0, t1, params)
+                assert np.array_equal(values, before)
+                assert np.array_equal(marched, _plain_march(spec, grid, values, t0, t1, params))
 
 
 # ---------------------------------------------------------------------------
