@@ -6,6 +6,12 @@ exactly; inside, an adaptive embedded Runge-Kutta 5(4) scheme with dense
 output is used.  This makes the identity regimes (beams missing the
 perturbation) hold to machine precision rather than solver tolerance.
 
+The Runge-Kutta scheme is scipy's RK45 (Dormand-Prince 5(4)), step for step
+and bit for bit, taken by an in-tree loop: the same tableau, first step and
+step control, the exit from the support found as scipy finds a terminal
+event (Brent's method on the step's interpolant), and each step's quartic
+dense interpolant built only when the segment's solution is read there.
+
 A trajectory is its state rows [z, t, zeta, tau], and each segment between
 them carries one dense solution, the free flight or the Runge-Kutta
 interpolant.  Every classical quantity along a beam is read off
@@ -15,12 +21,13 @@ the symbol drift, and zeta.g.zeta in the beam integrals.
 The classical scattering map computes only the outgoing data; the integrals
 along the beam are evaluated on first read of its `ScatterResult`.
 
-`scipy.integrate` is imported by the first call of :func:`integrate`, not
-with the package, so work that never flows a beam never loads it.
+The flow loads no scipy module: `scipy.integrate` (and with it
+`scipy.optimize` and `scipy.sparse`) is never imported.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
@@ -66,7 +73,8 @@ def _outsideness(spec: PerturbationSpec, z: np.ndarray, t: float) -> float:
     best = np.inf
     for term in spec.terms():
         cz, ct, rz, rt = _inflated(term)
-        best = min(best, max(float(np.linalg.norm(z - cz)) - rz, abs(t - ct) - rt))
+        d = z - cz      # |d| with the arithmetic of np.linalg.norm
+        best = min(best, max(math.sqrt(d.dot(d)) - rz, abs(t - ct) - rt))
     return best
 
 
@@ -119,6 +127,278 @@ def _transit_budget(spec: PerturbationSpec, zeta: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Dormand-Prince 5(4) steps, as scipy.integrate's RK45 takes them
+
+_EPS = np.finfo(float).eps
+# the tableau (Dormand & Prince, J. Comput. Appl. Math. 6, 1980) and the
+# dense-output matrix (Shampine, Math. Comp. 46, 1986) of scipy's RK45,
+# written as scipy writes them, so every coefficient has scipy's bits
+_RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+])
+_RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_RK_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+# stage s combines the stages before it with the weights a[:s]
+_RK_STAGES = tuple((s, a[:s], c) for s, (a, c) in enumerate(zip(_RK_A[1:], _RK_C[1:]), start=1))
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5    # -1 / (order of the error estimate + 1)
+
+
+def _rms(x):
+    """Root mean square of x, with the arithmetic of
+    np.linalg.norm(x) / sqrt(x.size)."""
+    x = x.ravel()
+    return np.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+def _initial_step(field, t0, y0, t_bound, f0, direction, rtol, atol):
+    """First step size of the RK 5(4) flow (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.4): scipy's ``select_initial_step``."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = field(t0 + h0 * direction, y0 + h0 * direction * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval_length)
+
+
+def _rk_step(field, t, y, f, h, k):
+    """One RK 5(4) step of size h from (t, y), f the field there: the new
+    state and its field; the seven stages go to the rows of k.  The stage
+    states are scipy's y + np.dot(k[:s].T, a) * h, formed in place."""
+    k[0] = f
+    for s, a, c in _RK_STAGES:
+        x = np.dot(k[:s].T, a)
+        x *= h
+        x += y
+        k[s] = field(t + c * h, x)
+    y_new = np.dot(k[:-1].T, _RK_B)
+    y_new *= h
+    y_new += y
+    f_new = field(t + h, y_new)
+    k[-1] = f_new
+    return y_new, f_new
+
+
+def _interpolate(step, q, t):
+    """The quartic interpolant of ``step`` = (t_old, t_new, y_old, k) at a
+    time or a 1-D array of times (a column each), q = k^T P."""
+    t_old, t_new, y_old, _ = step
+    h = t_new - t_old
+    x = (t - t_old) / h
+    if t.ndim == 0:
+        p = np.cumprod(np.tile(x, 4))
+    else:
+        p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+    y = h * np.dot(q, p)
+    y += y_old[:, None] if y.ndim == 2 else y_old
+    return y
+
+
+class _RKSolution:
+    """Dense output of one Runge-Kutta segment.
+
+    ``ts`` are its step ends in the direction of the flow; the last is the
+    exit time when the segment ends at the exit root inside its last step.
+    Step i spans ts[i] to ts[i + 1] and holds (t_old, t_new, y_old, k): its
+    start, its full end, its start state and its seven stages.  A time picks
+    its step as scipy's ``OdeSolution`` picks it (the lower index at a step
+    end, the first or last step beyond the ends), and a step's interpolant
+    matrix Q = k^T P is built at its first read."""
+
+    def __init__(self, ts, steps):
+        self.ts = np.array(ts)
+        self.steps = steps
+        self._q = [None] * len(steps)
+        self._ascending = bool(self.ts[-1] >= self.ts[0])
+        self._ts_sorted = self.ts if self._ascending else self.ts[::-1]
+        self._side = "left" if self._ascending else "right"
+
+    def _step_at(self, i, t):
+        if self._q[i] is None:
+            self._q[i] = self.steps[i][3].T.dot(_RK_P)
+        return _interpolate(self.steps[i], self._q[i], t)
+
+    def _index(self, ind):
+        last = len(self.steps) - 1
+        i = np.clip(ind - 1, 0, last)
+        return i if self._ascending else last - i
+
+    def __call__(self, t):
+        """The state at a time, or the states (columns) at a 1-D array of
+        times; each run of sorted times in one step is one interpolant call."""
+        t = np.asarray(t)
+        if t.ndim == 0:
+            ind = np.searchsorted(self._ts_sorted, t, side=self._side)
+            return self._step_at(int(self._index(ind)), t)
+        order = np.argsort(t)
+        reverse = np.empty_like(order)
+        reverse[order] = np.arange(order.shape[0])
+        t_sorted = t[order]
+        index = self._index(np.searchsorted(self._ts_sorted, t_sorted, side=self._side))
+        bounds = np.flatnonzero(np.diff(index)) + 1
+        ys = [self._step_at(int(index[a]), t_sorted[a:b])
+              for a, b in zip(np.r_[0, bounds], np.r_[bounds, len(index)])]
+        return np.hstack(ys)[:, reverse]
+
+
+def _brent_root(f, xa, xb):
+    """The root of f between xa and xb, where f changes sign: scipy's
+    ``brentq`` (Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4), iteration for iteration, with xtol = rtol = 4 eps and at most 100
+    iterations, as scipy places an event.  A NaN value of f, a bracket
+    without a sign change, or no convergence is a StepFailure."""
+    def value(x):
+        v = f(x)
+        if v != v:
+            raise StepFailure(f"the exit event is NaN at t = {x!r}")
+        return v
+
+    tol = 4 * _EPS
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise StepFailure(f"the exit event does not change sign on [{xa!r}, {xb!r}]")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + tol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:               # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
+            if 2 * abs(stry) < bound:
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise StepFailure(f"the exit time did not converge in 100 iterations, last t = {xcur!r}")
+
+
+def _rk45(field, t0, y0, t_bound, tol, exit_value):
+    """Flow y0 from t0 toward t_bound in Dormand-Prince 5(4) steps, until
+    t_bound or the first accepted step on which exit_value(t, y) >= 0; the
+    segment then ends at the exit root on that step's interpolant.
+
+    The steps are scipy's RK45 steps under ``solve_ivp(field, (t0, t_bound),
+    y0, method="RK45", rtol=tol, atol=tol, dense_output=True)`` with a
+    terminal rising event, made with the same arithmetic: the first step of
+    ``select_initial_step``, the step control of ``RK45._step_impl`` (a step
+    below ten spacings of t is a StepFailure; after a rejection the step does
+    not grow), the last stage reused as the next first (FSAL), and rtol
+    raised to 100 eps as scipy raises it.  The step size is never NaN, so a
+    field that turns NaN shrinks the step to that failure.  Works on y0 as
+    given, not on a copy.
+
+    Returns (ys, sol, attempts): the states after y0 at the ends of the
+    steps (the last at the exit time), the segment's :class:`_RKSolution`,
+    and the number of steps attempted."""
+    direction = np.sign(t_bound - t0)
+    rtol = max(tol, 100 * _EPS)
+    f = field(t0, y0)
+    h_abs = _initial_step(field, t0, y0, t_bound, f, direction, rtol, tol)
+    t, y, abs_y = t0, y0, np.abs(y0)
+    ts, ys, steps = [t0], [], []
+    attempts = 0
+    k = np.empty((_RK_C.size + 1,) + y0.shape)
+    while True:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise StepFailure("Required step size is less than spacing between numbers.")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            attempts += 1
+            y_new, f_new = _rk_step(field, t, y, f, h, k)
+            # scipy's np.dot(k.T, E) * h / (atol + max(|y|, |y_new|) * rtol)
+            abs_y_new = np.abs(y_new)
+            scale = np.maximum(abs_y, abs_y_new)
+            scale *= rtol
+            scale += tol
+            error = np.dot(k.T, _RK_E)
+            error *= h
+            error /= scale
+            error_norm = _rms(error)
+            if error_norm < 1:
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        factor = (_MAX_FACTOR if error_norm == 0
+                  else min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
+        h_abs *= min(1, factor) if rejected else factor
+        step = (t, t_new, y, k)
+        steps.append(step)
+        k = np.empty_like(k)
+        t, y, f, abs_y = t_new, y_new, f_new, abs_y_new
+        if exit_value(t, y) >= 0:
+            q = step[3].T.dot(_RK_P)
+            t = _brent_root(lambda s: exit_value(s, _interpolate(step, q, np.asarray(s))),
+                            step[0], step[1])
+            if len(ts) > 1 and ts[-1] == t:
+                steps.pop()     # the exit is the last step end
+            else:
+                ts.append(t)
+                ys.append(_interpolate(step, q, np.asarray(t)))
+            break
+        ts.append(t)
+        ys.append(y)
+        if direction * (t - t_bound) >= 0:
+            break
+    return ys, _RKSolution(ts, steps), attempts
+
+
+# ---------------------------------------------------------------------------
 # trajectories
 
 
@@ -141,7 +421,7 @@ def _free_flight(x0: np.ndarray):
 class _Segment:
     t_lo: float
     t_hi: float
-    sol: object     # state at time t: the free flight or scipy dense output
+    sol: object     # state at time t: the free flight or an _RKSolution
     numeric: bool   # True for a Runge-Kutta segment
 
 
@@ -150,7 +430,13 @@ class Trajectory:
     """Piecewise trajectory with dense evaluation and conservation stats.
 
     ``states`` holds its rows [z, t, zeta, tau] in increasing t: the seed,
-    the ends of the free hops and the accepted Runge-Kutta steps."""
+    the ends of the free hops and the accepted Runge-Kutta steps.
+
+    ``stats`` holds ``steps``, the accepted Runge-Kutta steps;
+    ``rejected_steps_estimate``, the rejected step attempts, an exact count
+    (the key keeps its name: the benchmark's tracer reads it);
+    ``max_p_drift``, the largest rise of |p| = |tau + zeta.g.zeta| over the
+    seed's; and ``time_inside_support``, the time in numeric segments."""
 
     spec: PerturbationSpec
     states: np.ndarray
@@ -190,11 +476,19 @@ class Trajectory:
 def integrate(spec: PerturbationSpec, p0: PhasePoint, t_final: float,
               tol: float = 1e-11, transit_budget: float | None = None) -> Trajectory:
     """Flow ``p0`` to ``t_final`` (either direction), splitting exactly into
-    free flights and adaptive RK 5(4) segments through the support."""
-    from scipy.integrate import solve_ivp
+    free flights and adaptive RK 5(4) segments through the support.
 
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    A numeric segment runs from its entry to ``t_final`` or to the exit
+    time, where the beam leaves the inflated support by ``EXIT_SHELL``.  Its
+    steps are scipy's RK45 steps, step for step and bit for bit, under
+    ``solve_ivp(..., method="RK45", rtol=tol, atol=tol, dense_output=True)``
+    with the exit as a terminal event, but taken by an in-tree loop
+    (:func:`_rk45`): the exit is tested once per accepted step, located by a
+    port of scipy's Brent root finder, and a step's dense interpolant is
+    built only when the segment's solution is read there.  ``tol`` must be
+    finite, positive and below 1 (a ValueError otherwise)."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be a finite number in (0, 1), not {tol!r}")
     t_final = float(t_final)
     if t_final == p0.t:
         raise ValueError("t_final must differ from the initial time")
@@ -202,17 +496,14 @@ def integrate(spec: PerturbationSpec, p0: PhasePoint, t_final: float,
     budget = transit_budget if transit_budget is not None else _transit_budget(spec, p0.zeta)
 
     segments = []
-    states = [p0.state()[None]]
+    states = [p0.state()]
     current = p0        # the state at the end of the last segment
     inside_time = 0.0
     n_steps = 0
-    n_rejected = 0
+    n_attempts = 0
 
-    def exit_event(t, x):
+    def exit_value(t, x):
         return _outsideness(spec, x[:p0.n], t) - EXIT_SHELL
-
-    exit_event.terminal = True
-    exit_event.direction = 1.0
 
     while (t_final - current.t) * direction > 0.0:
         if _outsideness(spec, current.z, current.t) > 0.0:
@@ -230,39 +521,34 @@ def integrate(spec: PerturbationSpec, p0: PhasePoint, t_final: float,
                     if (target - t_final) * direction > 0:
                         target = t_final
             if target != current.t:
-                sol = _free_flight(states[-1][-1])
+                sol = _free_flight(states[-1])
                 end = sol(target)
                 t_lo, t_hi = sorted((current.t, float(end[p0.n])))
                 segments.append(_Segment(t_lo, t_hi, sol, numeric=False))
-                states.append(end[None])
+                states.append(end)
                 current = PhasePoint.from_state(end)
             if entry is None:
                 break
         else:
-            res = solve_ivp(spec.hamilton_field, (current.t, t_final), states[-1][-1],
-                            method="RK45", rtol=tol, atol=tol,
-                            dense_output=True, events=exit_event)
-            if res.status == -1:
-                raise StepFailure(res.message)
-            t_lo, t_hi = sorted((float(res.t[0]), float(res.t[-1])))
-            segments.append(_Segment(t_lo, t_hi, res.sol, numeric=True))
-            states.append(res.y.T[1:])
-            current = PhasePoint.from_state(res.y[:, -1])
-            # RK45 spends 2 evaluations before its first step (f0 and the
-            # initial-step probe), then 6 per attempted step
-            n_steps += len(res.t) - 1
-            n_rejected += (res.nfev - 2) // 6 - (len(res.t) - 1)
+            ys, sol, attempts = _rk45(spec.hamilton_field, float(current.t), states[-1],
+                                      t_final, tol, exit_value)
+            t_lo, t_hi = sorted((float(sol.ts[0]), float(sol.ts[-1])))
+            segments.append(_Segment(t_lo, t_hi, sol, numeric=True))
+            states.extend(ys)
+            current = PhasePoint.from_state(states[-1])
+            n_steps += len(sol.ts) - 1
+            n_attempts += attempts
             inside_time += t_hi - t_lo
             if inside_time > budget:
                 raise TrappingSuspected(
                     f"time inside support ({inside_time:.3g}) exceeded budget {budget:.3g}")
 
     # |p| = |tau + zeta.g.zeta| at every state; row 0 is p0
-    x = np.concatenate(states)
+    x = np.array(states)
     p_res = np.abs(x[:, 2 * p0.n + 1] + spec.kinetic(x))
     stats = {
         "steps": n_steps,
-        "rejected_steps_estimate": n_rejected,
+        "rejected_steps_estimate": n_attempts - n_steps,
         "max_p_drift": float(p_res.max() - p_res[0]),
         "time_inside_support": inside_time,
     }

@@ -798,8 +798,11 @@ def check_band_limited(f: SpectralData):
     sample or is not band-limited."""
     if not np.all(np.isfinite(f.values)):
         raise ValidationError("input has a non-finite sample", invariant="finite-input")
-    frac = np.max(f.outer_band_fraction())
-    if not frac < 1e-10:        # NaN when |f|^2 overflows
+    # |f|^2 may overflow: the fraction is then 0 (inf only at the centre)
+    # or NaN, which the test below refuses, so no warning is raised
+    with np.errstate(over="ignore", invalid="ignore"):
+        frac = np.max(f.outer_band_fraction())
+    if not frac < 1e-10:
         raise ValidationError(
             f"input carries {frac:.2e} of its mass in the outer 25% of the "
             "dual grid (threshold 1e-10)",

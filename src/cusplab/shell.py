@@ -242,9 +242,13 @@ def load_scenario(path) -> Scenario:
         solver = SolverParams(**{
             f.name: _require(sdoc, f.name, type(f.default), "solver", f.default)
             for f in SOLVER_FIELDS})
+    # a number out of range, infinities and NaN included, is refused as such
+    # before the type test, which takes only finite numbers
+    flow_tol = sdoc.get("flow_tol", 1e-11)
+    if type(flow_tol) in (int, float) and not 0 < flow_tol < 1:
+        raise ParseError(f"flow_tol must be a finite number in (0, 1), not {flow_tol!r}",
+                         field="solver.flow_tol")
     flow_tol = _require(sdoc, "flow_tol", float, "solver", 1e-11)
-    if not flow_tol > 0:
-        raise ParseError("flow_tol must be positive", field="solver.flow_tol")
     seed = _require(doc, "seed", int, "scenario", 0)
     if seed < 0:
         raise ParseError("seed must be nonnegative", field="scenario.seed")

@@ -1,11 +1,15 @@
 """Bicharacteristic integration, the classical scattering map, diagnostics."""
 
+import math
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from cusplab import flow
-from cusplab.errors import TrappingSuspected
+from cusplab.errors import StepFailure, TrappingSuspected
 from cusplab.flow import (
     classical_scatter,
     hamilton_rhs,
@@ -136,27 +140,158 @@ def test_integrate_builds_phase_points_only_for_samples(monkeypatch):
     assert 0 < len(calls) <= len(traj.segments)
 
 
-def test_rejected_step_count_is_exact_over_many_segments(monkeypatch):
-    # five bumps on the beam z = 2t: five numeric segments, each its own
-    # solve_ivp call; every call of scipy's RK45 step is one attempt
-    from scipy.integrate._ivp import rk
+def _five_bumps():
+    # five bumps on the beam z = 2t: five numeric segments
+    return PerturbationSpec(n=1, bumps=tuple(MetricBump(
+        amplitude=0.1, center_z=[z], center_t=z / 2, radius_z=0.8, radius_t=0.3,
+        pattern=1.0) for z in (-8.0, -4.0, 0.0, 4.0, 8.0)))
 
+
+def test_rejected_step_count_is_exact_over_many_segments(monkeypatch):
+    # every call of the Runge-Kutta step is one attempt
     attempts = []
-    rk_step = rk.rk_step
+    rk_step = flow._rk_step
 
     def counting(*args, **kwargs):
         attempts.append(None)
         return rk_step(*args, **kwargs)
 
-    spec = PerturbationSpec(n=1, bumps=tuple(MetricBump(
-        amplitude=0.1, center_z=[z], center_t=z / 2, radius_z=0.8, radius_t=0.3,
-        pattern=1.0) for z in (-8.0, -4.0, 0.0, 4.0, 8.0)))
     p0 = PhasePoint.from_state(np.array([-12.0, -6.0, 1.0, -1.0]))
-    monkeypatch.setattr(rk, "rk_step", counting)
-    traj = integrate(spec, p0, 6.0)
+    monkeypatch.setattr(flow, "_rk_step", counting)
+    traj = integrate(_five_bumps(), p0, 6.0)
     monkeypatch.undo()
     assert sum(seg.numeric for seg in traj.segments) == 5
     assert traj.stats["rejected_steps_estimate"] == len(attempts) - traj.stats["steps"] > 0
+
+
+BUMP1 = PerturbationSpec(n=1, bumps=(MetricBump(
+    amplitude=0.1, center_z=[0.0], center_t=0.0, radius_z=1.0, radius_t=1.0, pattern=1.0),))
+
+# (spec, seed state, final time, tol, numeric segments forward and
+# backward); each runs forward from the seed and backward from the forward
+# run's end
+_SCIPY_CASES = {
+    "1-D": (BUMP1, [-4.0, -2.0, 1.0, -1.0], 2.0, 1e-11, (1, 1)),
+    "2-D": (BUMP2, bichar_from_cusp(BEAM, -2.3).state(), 2.3, 1e-11, (1, 1)),
+    # forward, the t entry of the last state ends a rounding error short of
+    # 0.3, and a second numeric segment of one step closes the gap
+    "2-D, ends inside": (BUMP2, bichar_from_cusp(BEAM, -2.3).state(), 0.3, 1e-9, (2, 1)),
+    "1-D, five segments": (_five_bumps(), [-12.0, -6.0, 1.0, -1.0], 6.0, 1e-11, (5, 5)),
+}
+
+
+def _scipy_segment(spec, x0, t_final, tol):
+    """solve_ivp's RK45 run of a numeric segment from the state row x0,
+    with the exit from the support as its terminal event."""
+    from scipy.integrate import solve_ivp
+
+    def exit_event(t, x):
+        return flow._outsideness(spec, x[:spec.n], t) - flow.EXIT_SHELL
+
+    exit_event.terminal = True
+    exit_event.direction = 1.0
+    return solve_ivp(spec.hamilton_field, (float(x0[spec.n]), t_final), x0, method="RK45",
+                     rtol=tol, atol=tol, dense_output=True, events=exit_event)
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+@pytest.mark.parametrize("case", list(_SCIPY_CASES))
+def test_integrate_is_bitwise_scipy_rk45(case, backward):
+    # each numeric segment is scipy's RK45 run from the segment's first row:
+    # the same rows, bounds, step and rejection counts, and dense output at
+    # the step ends and between them, one time at a time and in arrays
+    spec, x0, t_final, tol, n_numeric = _SCIPY_CASES[case]
+    p0 = PhasePoint.from_state(np.asarray(x0, dtype=float))
+    if backward:
+        p0, t_final = PhasePoint.from_state(integrate(spec, p0, t_final, tol=tol).states[-1]), p0.t
+    traj = integrate(spec, p0, t_final, tol=tol)
+    rows, segments = traj.states, traj.segments
+    if backward:
+        rows, segments = rows[::-1], segments[::-1]
+    rng = np.random.default_rng(5)
+    i = steps = rejected = numeric = 0
+    inside = 0.0
+    for seg in segments:
+        if not seg.numeric:
+            i += 1
+            continue
+        res = _scipy_segment(spec, rows[i], t_final, tol)
+        m = len(res.t) - 1
+        assert np.array_equal(rows[i + 1:i + 1 + m], res.y.T[1:])
+        assert (seg.t_lo, seg.t_hi) == tuple(sorted((float(res.t[0]), float(res.t[-1]))))
+        times = np.concatenate([res.t, (res.t[:-1] + res.t[1:]) / 2,
+                                rng.uniform(seg.t_lo, seg.t_hi, 9)])
+        for t in times:
+            assert np.array_equal(seg.sol(t), res.sol(t))
+        for ts in (times, np.sort(times), rng.permutation(times), res.t[::-1]):
+            assert np.array_equal(seg.sol(ts), res.sol(ts))
+        steps += m
+        rejected += (res.nfev - 2) // 6 - m
+        inside += seg.t_hi - seg.t_lo
+        numeric += 1
+        i += m
+    assert numeric == n_numeric[backward] and i == len(rows) - 1
+    p_res = np.abs(rows[:, 2 * spec.n + 1] + spec.kinetic(rows))
+    assert traj.stats == {"steps": steps, "rejected_steps_estimate": rejected,
+                          "max_p_drift": float(p_res.max() - p_res[0]),
+                          "time_inside_support": inside}
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError, not a hang, when the block runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_field_that_turns_nan_is_a_step_failure(monkeypatch):
+    # past t = 0.2 the field is NaN: every step there is rejected and
+    # shrinks until it is below the spacing of t, never a hang
+    field = PerturbationSpec.hamilton_field
+
+    def turning_nan(self, t, x):
+        f = field(self, t, x)
+        return np.where(x[..., self.n] > 0.2, np.nan, f)
+
+    monkeypatch.setattr(PerturbationSpec, "hamilton_field", turning_nan)
+    with _deadline(20), pytest.raises(StepFailure, match="step size"):
+        integrate(BUMP2, bichar_from_cusp(BEAM, -2.3), 2.3, tol=1e-11)
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: x ** 3 - 0.3,
+    lambda x: math.exp(x) - 1.5,
+    lambda x: math.tanh(50.0 * (x - 0.2)) + 0.1 * x,
+    lambda x: (x - 0.1) * abs(x - 0.1) ** 0.3,
+], ids=["cubic", "exp", "steep", "cusp"])
+def test_brent_root_is_bitwise_brentq(f):
+    # the same evaluation points and the same root as scipy's brentq with
+    # the tolerances solve_ivp places events with
+    from scipy.optimize import brentq
+
+    eps = np.finfo(float).eps
+    for a, b in ((-1.0, 1.0), (1.0, -1.0), (-0.4, 1.3)):
+        calls, ref_calls = [], []
+        root = flow._brent_root(lambda x: calls.append(x) or f(x), a, b)
+        ref = brentq(lambda x: ref_calls.append(x) or f(x), a, b, xtol=4 * eps, rtol=4 * eps)
+        assert root == ref and calls == ref_calls and len(calls) > 5
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 1e300, 1.0])
+def test_integrate_refuses_a_tolerance_not_finite_or_not_below_one(tol):
+    # a NaN tol makes the step size NaN, which no step-size test stops; at
+    # 1e300 every step passes and the flow crosses the bump in 7 steps
+    p0 = PhasePoint(z=[-4.0], t=-2.0, zeta=[1.0], tau=-1.0)
+    with _deadline(20), pytest.raises(ValueError, match="^tol "):
+        integrate(BUMP1, p0, 2.0, tol=tol)
 
 
 def test_integrate_monotone_samples_and_csv(tmp_path):

@@ -1,5 +1,7 @@
 """Grid propagators, scattering maps, packets, and persistence."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from cusplab.quantum import (
     WaveField,
     adjoint_scattering_map,
     asymptotic_profile_error,
+    check_band_limited,
     coherent_data,
     dump_field,
     export_spectrum_csv,
@@ -245,6 +248,21 @@ def test_a_nan_leak_fraction_is_refused(values):
     with pytest.raises(ValidationError) as refused:
         propagate_window(flat_spec(1), u, 1.0)
     assert refused.value.invariant == "finite-leak-fraction"
+
+
+def test_band_limit_check_of_overflowing_inputs_raises_no_warning():
+    # |f|^2 overflows at the centre of a packet of amplitude 1e200: its outer
+    # band holds no mass, so it is band-limited; where every sample
+    # overflows the fraction is NaN and the input is refused
+    grid = Grid(n=1, N=256, L=20.0)
+    packet = 1e200 * coherent_data(grid, 0.0, 0.0, 0.5).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_band_limited(SpectralData(grid=grid, values=packet))
+        scattering_map(flat_spec(1), SpectralData(grid=grid, values=packet))
+        with pytest.raises(ValidationError) as refused:
+            check_band_limited(SpectralData(grid=grid, values=np.full(grid.shape(), 1e200 + 0j)))
+    assert refused.value.invariant == "band-limited-input"
 
 
 @pytest.mark.parametrize("n", [1, 2], ids=["n=1", "n=2"])

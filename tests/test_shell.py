@@ -180,6 +180,10 @@ _BEAM = {"Z0": [1.0], "frak0": [0.0]}
      "jobs[0].params.h_list"),
     ({"solver": {"dt": 2e-3, "flow_tol": 0}}, "solver.flow_tol"),
     ({"solver": {"dt": 2e-3, "flow_tol": -1}}, "solver.flow_tol"),
+    ({"solver": {"dt": 2e-3, "flow_tol": 1}}, "solver.flow_tol"),
+    ({"solver": {"dt": 2e-3, "flow_tol": 1e300}}, "solver.flow_tol"),
+    ({"solver": {"dt": 2e-3, "flow_tol": float("inf")}}, "solver.flow_tol"),
+    ({"solver": {"dt": 2e-3, "flow_tol": "1e-11"}}, "solver.flow_tol"),
     ({"perturbation": _bump(center_z=[[0.0]])}, "perturbation.bumps[0].center_z"),
     ({"perturbation": _bump(center_z=[float("nan")])}, "perturbation.bumps[0].center_z"),
     ({"perturbation": _bump(center_z=["0.5"])}, "perturbation.bumps[0].center_z"),
@@ -199,7 +203,8 @@ _BEAM = {"Z0": [1.0], "frak0": [0.0]}
         "unknown-scenario-key", "unknown-job-key", "unknown-perturbation-key",
         "unknown-grid-key", "h_fd-zero", "samples-zero",
         "h_list-rising-noncompact", "h_list-rising-egorov", "flow_tol-zero",
-        "flow_tol-negative", "center_z-nested", "center_z-nan", "center_z-string",
+        "flow_tol-negative", "flow_tol-one", "flow_tol-huge", "flow_tol-infinity",
+        "flow_tol-string", "center_z-nested", "center_z-nan", "center_z-string",
         "center_z-bool", "pattern-nan", "pattern-flat", "amplitude-nan",
         "potential-center_z-string", "seed-negative", "job-seed-negative"])
 def test_scenario_bad_values_are_parse_errors(tmp_path, capsys, overrides, field):
@@ -209,6 +214,16 @@ def test_scenario_bad_values_are_parse_errors(tmp_path, capsys, overrides, field
     assert err.value.field == field
     assert main(["--out", str(tmp_path), "all", "--scenario", path]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", [1e300, float("inf"), float("nan")])
+def test_flow_tol_out_of_range_is_refused_as_such(tmp_path, value):
+    # a flow tolerance of 1e300 passes every Runge-Kutta step; an infinite
+    # one is a number out of range, not an entry of the wrong type
+    path = _write(tmp_path, _minimal(solver={"dt": 2e-3, "flow_tol": value}))
+    with pytest.raises(ParseError, match="flow_tol must be a finite number in") as err:
+        load_scenario(path)
+    assert err.value.field == "solver.flow_tol"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -240,22 +255,26 @@ import sys
 from cusplab import flow, shell
 from cusplab.phasespace import PhasePoint
 from cusplab.symbols import MetricBump, PerturbationSpec
-print("import", "scipy.integrate" in sys.modules)
+def ode_solver_loaded():
+    return any(m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "optimize"])
+               for m in sys.modules)
+print("import", ode_solver_loaded())
 code, _ = shell.run(shell.load_scenario(shell.bundled_scenario_path("flat")),
                     only={"pairing"}, out_root=sys.argv[1])
-print("pairing", code, "scipy.integrate" in sys.modules)
+print("pairing", code, ode_solver_loaded())
 spec = PerturbationSpec(n=1, bumps=(MetricBump(
     amplitude=0.1, center_z=[0.0], center_t=0.0, radius_z=1.0, radius_t=1.0, pattern=1.0),))
 flow.integrate(spec, PhasePoint(z=[-4.0], t=-2.0, zeta=[1.0], tau=-1.0), 2.0)
-print("flow", "scipy.integrate" in sys.modules)
+print("flow", ode_solver_loaded())
 """
 
 
-def test_ode_solver_loads_only_with_the_first_flow(tmp_path):
-    # grid-only work never imports scipy.integrate; flowing a beam does
+def test_flow_loads_no_ode_solver(tmp_path):
+    # the Runge-Kutta loop and its exit root are in-tree: neither grid work
+    # nor a flow imports scipy.integrate or scipy.optimize
     proc = _fresh_python("-c", _ODE_SOLVER_PROBE, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["import False", "pairing 0 False", "flow True"]
+    assert proc.stdout.splitlines() == ["import False", "pairing 0 False", "flow False"]
 
 
 _COLD_START_PROBE = """
