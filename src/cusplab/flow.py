@@ -456,9 +456,10 @@ class Trajectory:
         return [(s.t_lo, s.t_hi) for s in self.segments if s.numeric]
 
     def export_csv(self, path, stride: float):
-        """Write t, z, zeta, tau, p_residual rows sampled every ``stride``."""
+        """Write t, z, zeta, tau, p_residual rows sampled every ``stride``
+        over the segments' span."""
         n = self.spec.n
-        t0, t1 = self.states[0, n], self.states[-1, n]
+        t0, t1 = self.segments[0].t_lo, self.segments[-1].t_hi
         times = np.arange(t0, t1 + 0.5 * stride, stride)
         times = times[times <= t1]
         header = (["t"] + [f"z_{i+1}" for i in range(n)]
@@ -486,10 +487,13 @@ def integrate(spec: PerturbationSpec, p0: PhasePoint, t_final: float,
     (:func:`_rk45`): the exit is tested once per accepted step, located by a
     port of scipy's Brent root finder, and a step's dense interpolant is
     built only when the segment's solution is read there.  ``tol`` must be
-    finite, positive and below 1 (a ValueError otherwise)."""
+    finite, positive and below 1, and ``t_final`` finite (a ValueError
+    otherwise)."""
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be a finite number in (0, 1), not {tol!r}")
     t_final = float(t_final)
+    if not math.isfinite(t_final):
+        raise ValueError(f"t_final must be a finite number, not {t_final!r}")
     if t_final == p0.t:
         raise ValueError("t_final must differ from the initial time")
     direction = 1.0 if t_final > p0.t else -1.0
@@ -542,6 +546,10 @@ def integrate(spec: PerturbationSpec, p0: PhasePoint, t_final: float,
             if inside_time > budget:
                 raise TrappingSuspected(
                     f"time inside support ({inside_time:.3g}) exceeded budget {budget:.3g}")
+            # the segment's clock ends the flow: the t entry of its last row
+            # may fall a rounding error short of t_final
+            if sol.ts[-1] == t_final:
+                break
 
     # |p| = |tau + zeta.g.zeta| at every state; row 0 is p0
     x = np.array(states)

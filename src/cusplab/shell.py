@@ -5,15 +5,14 @@ schema describing the perturbation, grid, solver parameters, and a list of
 check jobs.  Every CLI subcommand maps one-to-one onto a library operation;
 the CLI only parses arguments and forwards them.
 
-:func:`run` first collects the map requests of the selected jobs' grid
-checks (:func:`verify.plan`) and groups them by operator: spec object,
-grid, solver parameters and direction.  Each group is mapped by one
+:func:`run` first plans the map requests of the selected jobs' grid checks
+(:func:`verify.plan`) and groups them by operator: spec object, grid,
+solver parameters and direction.  Each group is mapped by one
 :func:`verify.march`, in a process pool with ``jobs`` > 1.  Then every job
-runs its check in this process, which measures from its slices.  A job
-whose requests cannot be planned, or whose input a shared march would
-refuse, stays out of every group, and the jobs of a group whose march
-raises map alone: either way the check maps by itself, so every report is
-the job's solo report.
+runs its check in this process, which measures from its slices.  One rule
+covers every failure: a job whose planning raises maps alone, and the jobs
+of a group whose march raises map alone.  Either way the check maps by
+itself, so every report is the job's solo report.
 """
 
 from __future__ import annotations
@@ -23,13 +22,12 @@ import inspect
 import json
 import os
 import sys
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import quantum, verify
+from . import verify
 from .errors import CuspLabError, NotPositiveDefinite, ParseError, ValidationError
 from .flow import (
     classical_scatter,
@@ -258,7 +256,7 @@ def load_scenario(path) -> Scenario:
         where = f"jobs[{i}]"
         _known(job, ("check", "params", "control"), where)
         check = _require(job, "check", str, where)
-        if check not in JOB_CHECKS:
+        if check not in verify.JOB_FAMILIES:
             raise ParseError(f"unknown check '{check}'", field=f"{where}.check")
         params = _require(job, "params", dict, where, {})
         _validate_job(check, params, n, f"{where}.params")
@@ -301,20 +299,6 @@ def _needs_grid(sc):
     return sc.grid
 
 
-# job name -> name of its verify check.  The check's keyword arguments are
-# the job's parameters; it is looked up at call time, so a wrapper installed
-# on a verify function sees the call.
-JOB_CHECKS = {
-    "free-identity": "check_free_identity",
-    "unitarity": "check_unitarity",
-    "pairing": "check_pairing",
-    "symplectic": "check_symplectic",
-    "radial": "check_radial",
-    "egorov": "check_egorov",
-    "eikonal": "check_eikonal_phase",
-    "highfreq": "check_highfreq_identity",
-    "noncompact": "check_noncompactness",
-}
 # check arguments the scenario fills, not the job
 SCENARIO_ARGS = ("spec", "grid", "params", "tol_flow", "control", "out_dir", "mapped")
 # tolerances multiplied by --tol-scale, given or defaulted
@@ -322,6 +306,11 @@ TOL_ARGS = ("tol", "rel_cap", "abs_cap", "exponent_tol", "limit_tol", "rel_tol",
             "abs_tol", "linearity_tol")
 # beam vectors: lists of `dimension` finite numbers
 VECTOR_ARGS = ("Z0", "frak0", "frak_far", "frak_through")
+
+
+def _check(job):
+    """The verify check of job family ``job``, looked up now."""
+    return getattr(verify, verify.JOB_FAMILIES[job][0])
 
 
 def _valid_arg(key, value, default, n):
@@ -350,7 +339,7 @@ def _validate_job(check, params, n, where):
     """A job's params must be keyword arguments of its check that the
     scenario does not fill, typed like their defaults and in range, and must
     include every argument the check requires."""
-    args = inspect.signature(getattr(verify, JOB_CHECKS[check])).parameters
+    args = inspect.signature(_check(check)).parameters
     for key, value in params.items():
         if key not in args or key in SCENARIO_ARGS:
             allowed = [a for a in args if a not in SCENARIO_ARGS]
@@ -367,7 +356,7 @@ def _validate_job(check, params, n, where):
 def _check_args(sc, job, tol_scale, out_dir):
     """The job's check and every one of its arguments by name: the
     scenario's and the job's, else the check's defaults."""
-    check = getattr(verify, JOB_CHECKS[job["check"]])
+    check = _check(job["check"])
     args = inspect.signature(check).parameters
     given = {"spec": sc.spec, "params": sc.solver, "tol_flow": sc.flow_tol,
              "control": job.get("control", False), "out_dir": out_dir,
@@ -391,52 +380,32 @@ def _run_check(sc, job, tol_scale, out_dir, mapped=None):
     return check(**kwargs)
 
 
-def _requests(sc, job, tol_scale):
-    """The job's first-round map requests; none when planning raises, which
-    the check raises again when it maps alone."""
-    try:
-        return verify.plan(job["check"], _check_args(sc, job, tol_scale, None)[1])
-    except Exception:   # whatever it is, the solo run raises it again
-        return []
-
-
 def _operator(request):
     """What a march shares: the spec object (a control's mutated spec is
     another), grid, solver parameters and direction."""
     return id(request.spec), request.grid, request.params, request.direction
 
 
-def _band_limited(request):
-    try:
-        quantum.check_band_limited(request.inputs)
-    except ValidationError:
-        return False
-    return True
-
-
 def _march(group):
-    """The outputs of one group of requests, or None when its march raises:
-    its jobs then map alone, so a failure is charged to the job that caused
-    it, as in its solo run."""
+    """The outputs of one group of requests, or None when its march raises."""
     try:
         return verify.march(group)
-    except Exception:   # the solo runs raise it again
+    except Exception:   # its jobs map alone, and their solo runs raise it again
         return None
 
 
 def _mapped(sc, selected, tol_scale, jobs):
     """{job index: [(inputs, outputs), ...]} for the selected jobs whose
-    first-round requests were all marched, one march per operator."""
-    planned = {i: requests for i, job in selected
-               if (requests := _requests(sc, job, tol_scale))}
-    # an input refused in a shared march would fail the march for every
-    # job in it, so its job maps alone; a march of its own tests it anyway
-    shared = Counter(_operator(r) for requests in planned.values() for r in requests)
-    planned = {i: requests for i, requests in planned.items()
-               if all(shared[_operator(r)] == 1 or _band_limited(r) for r in requests)}
-    groups = {}
-    for requests in planned.values():
-        for r in requests:
+    first-round requests were all marched, one march per operator.  A job
+    whose planning raises, or whose group's march raises, is left out, so
+    its check maps alone."""
+    planned, groups = {}, {}
+    for i, job in selected:
+        try:
+            planned[i] = verify.plan(job["check"], _check_args(sc, job, tol_scale, None)[1])
+        except Exception:   # the solo run raises it again
+            continue
+        for r in planned[i]:
             groups.setdefault(_operator(r), []).append(r)
     groups = list(groups.values())
     if jobs > 1 and len(groups) > 1:
@@ -450,7 +419,7 @@ def _mapped(sc, selected, tol_scale, jobs):
                for r, out in zip(group, outs)}
     return {i: [(r.inputs, outputs[id(r)]) for r in requests]
             for i, requests in planned.items()
-            if all(id(r) in outputs for r in requests)}
+            if requests and all(id(r) in outputs for r in requests)}
 
 
 def run_job(sc: Scenario, job: dict, out_root: str, index: int,
@@ -723,7 +692,7 @@ def main(argv=None):
 
     # one subcommand per job family, except where a beam command holds the
     # name: `--only radial all` runs the radial jobs
-    for name in JOB_CHECKS:
+    for name in verify.JOB_FAMILIES:
         if name not in sub.choices:
             command(name, _cmd_run, f"run the scenario's '{name}' jobs", check=name)
     command("all", _cmd_run, "run every job declared by the scenario "

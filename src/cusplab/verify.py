@@ -9,13 +9,15 @@ an output directory.
 
 A grid check is split into what it maps and what it measures.  Its planner
 returns the maps its first round needs as :class:`MapRequest` s (spec, grid,
-solver parameters, direction and inputs); :func:`plan` looks the planner up
-by job name.  The check measures from the (inputs, outputs) pairs in its
-``mapped`` argument, in its planner's order.  A scenario run fills
+solver parameters, direction and inputs).  :data:`JOB_FAMILIES` is the one
+table of job families: it names each job's check and planner, and
+:func:`plan` reads it.  The check measures from the (inputs, outputs) pairs
+in its ``mapped`` argument, in its planner's order.  A scenario run fills
 ``mapped`` from one :func:`march` per operator shared by its jobs; without
-it the check plans and maps by itself, one map per request.  A map whose
-input depends on an earlier output, eikonal's doubled amplitude, stays
-inside its check.
+it the check plans and maps by itself, one march per request.  A job whose
+planning raises, or whose group's march raises, is run that second way, so
+its report is its solo report.  A map whose input depends on an earlier
+output, eikonal's doubled amplitude, stays inside its check.
 """
 
 from __future__ import annotations
@@ -138,13 +140,11 @@ class MapRequest(NamedTuple):
 
 def march(requests):
     """The outputs of ``requests``, which share spec, grid, params and
-    direction, from one map of all their inputs; one output per request,
-    shaped like its inputs.  A single request is mapped as it is.  The map
-    is looked up on ``quantum`` at call time."""
+    direction, from one map of all their inputs stacked; one output per
+    request, shaped like its inputs.  The map is looked up on ``quantum``
+    at call time."""
     first = requests[0]
     apply = _q.scattering_map if first.direction > 0 else _q.adjoint_scattering_map
-    if len(requests) == 1:
-        return [apply(first.spec, first.inputs, first.params)]
     stacks = [np.reshape(r.inputs.values, (-1, *first.grid.shape())) for r in requests]
     out = apply(first.spec, _q.SpectralData(grid=first.grid, values=np.concatenate(stacks)),
                 first.params)
@@ -328,10 +328,11 @@ def check_radial(spec: PerturbationSpec, Z0, frak0, horizon: float = 1e6,
                                             ["t", "abs_w", "direction"], rows))
 
 
-def _egorov_requests(spec, grid, Z0, frak0, h_list, params, **_):
-    c_in = CuspData(Z=np.atleast_1d(Z0), frak=np.atleast_1d(frak0))
-    f = _stack([_q.coherent_data(grid, c_in.Z, c_in.frak, h) for h in h_list])
-    return [MapRequest(spec, grid, params, 1.0, f)]
+def _family_requests(spec, grid, Z0, frak0, h_list, params, **_):
+    """The coherent packet of (Z0, frak0) at each width of ``h_list``,
+    stacked, by S: the families of egorov and noncompact."""
+    return [MapRequest(spec, grid, params, 1.0,
+                       _stack([_q.coherent_data(grid, Z0, frak0, h) for h in h_list]))]
 
 
 def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
@@ -364,7 +365,7 @@ def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
                                           horizon=1e6, tol=tol_flow)
     cross = float(np.max(np.abs(limit.pair() - target)))
 
-    [(_, fp)] = mapped or _map_alone(_egorov_requests(spec, grid, Z0, frak0, h_list, params))
+    [(_, fp)] = mapped or _map_alone(_family_requests(spec, grid, Z0, frak0, h_list, params))
     errors = []
     rows = []
     for h, values in zip(h_list, fp.values):
@@ -508,15 +509,6 @@ def _noncompact_test_functions(grid):
     return [_q.SpectralData(grid=grid, values=p.astype(complex)) for p in phis]
 
 
-def _noncompact_requests(spec, grid, Z0, frak0, h_list, params, **_):
-    Z0 = np.atleast_1d(np.asarray(Z0, dtype=float))
-    frak0 = np.atleast_1d(np.asarray(frak0, dtype=float))
-    h_list = list(h_list)
-    _check_decreasing(h_list, "noncompact")
-    return [MapRequest(spec, grid, params, 1.0,
-                       _stack([_q.coherent_data(grid, Z0, frak0, h) for h in h_list]))]
-
-
 def check_noncompactness(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
                          h_list=(0.1, 0.05, 0.02, 0.01),
                          params: _q.SolverParams = _q.SolverParams(),
@@ -532,8 +524,8 @@ def check_noncompactness(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
     fail to clear.  Weak nullity is proxied by |<f_k, phi>| decreasing for
     three fixed test functions."""
     h_list = list(h_list)
-    [(f, fp)] = mapped or _map_alone(
-        _noncompact_requests(spec, grid, Z0, frak0, h_list, params))
+    _check_decreasing(h_list, "noncompact")
+    [(f, fp)] = mapped or _map_alone(_family_requests(spec, grid, Z0, frak0, h_list, params))
     norms = _q.SpectralData(grid=grid, values=fp.values - f.values).norm()
     if c_floor is None:
         c_floor = 0.5 * float(np.sqrt(max(2.0 - 2.0 * np.real(fp.inner(f)[0]), 0.0)))
@@ -554,15 +546,20 @@ def check_noncompactness(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
                                              "overlap_3"], rows))
 
 
-# job name -> planner of its check's first-round maps; a planner takes the
-# check's arguments by name
-_PLANNERS = {
-    "unitarity": _unitarity_requests,
-    "pairing": _pairing_requests,
-    "egorov": _egorov_requests,
-    "eikonal": _eikonal_requests,
-    "highfreq": _highfreq_requests,
-    "noncompact": _noncompact_requests,
+# job name -> (name of its check, planner of the check's first-round maps or
+# None).  The check's keyword arguments are the job's parameters, and a
+# planner takes them by name.  The check is looked up at call time, so a
+# wrapper installed on a verify function sees the call.
+JOB_FAMILIES = {
+    "free-identity": ("check_free_identity", None),
+    "unitarity": ("check_unitarity", _unitarity_requests),
+    "pairing": ("check_pairing", _pairing_requests),
+    "symplectic": ("check_symplectic", None),
+    "radial": ("check_radial", None),
+    "egorov": ("check_egorov", _family_requests),
+    "eikonal": ("check_eikonal_phase", _eikonal_requests),
+    "highfreq": ("check_highfreq_identity", _highfreq_requests),
+    "noncompact": ("check_noncompactness", _family_requests),
 }
 
 
@@ -570,5 +567,5 @@ def plan(job: str, arguments: dict) -> list:
     """The :class:`MapRequest` s of the first round of job ``job``, given
     every argument of its check by name; [] for a check that maps nothing
     up front."""
-    planner = _PLANNERS.get(job)
+    planner = JOB_FAMILIES[job][1]
     return planner(**arguments) if planner else []

@@ -174,8 +174,8 @@ _SCIPY_CASES = {
     "1-D": (BUMP1, [-4.0, -2.0, 1.0, -1.0], 2.0, 1e-11, (1, 1)),
     "2-D": (BUMP2, bichar_from_cusp(BEAM, -2.3).state(), 2.3, 1e-11, (1, 1)),
     # forward, the t entry of the last state ends a rounding error short of
-    # 0.3, and a second numeric segment of one step closes the gap
-    "2-D, ends inside": (BUMP2, bichar_from_cusp(BEAM, -2.3).state(), 0.3, 1e-9, (2, 1)),
+    # 0.3, yet the segment's clock reaches it: one numeric segment
+    "2-D, ends inside": (BUMP2, bichar_from_cusp(BEAM, -2.3).state(), 0.3, 1e-9, (1, 1)),
     "1-D, five segments": (_five_bumps(), [-12.0, -6.0, 1.0, -1.0], 6.0, 1e-11, (5, 5)),
 }
 
@@ -294,6 +294,16 @@ def test_integrate_refuses_a_tolerance_not_finite_or_not_below_one(tol):
         integrate(BUMP1, p0, 2.0, tol=tol)
 
 
+@pytest.mark.parametrize("t_final", [float("nan"), float("inf"), -float("inf")])
+def test_integrate_refuses_a_final_time_not_finite(t_final):
+    # a NaN t_final would end the loop at once, leaving a one-row trajectory
+    # with no segments; an infinite one would fail in PhasePoint, without
+    # naming t_final
+    p0 = PhasePoint(z=[-4.0], t=-2.0, zeta=[1.0], tau=-1.0)
+    with _deadline(20), pytest.raises(ValueError, match="^t_final "):
+        integrate(BUMP1, p0, t_final)
+
+
 def test_integrate_monotone_samples_and_csv(tmp_path):
     p0 = bichar_from_cusp(BEAM, -2.3)
     traj = integrate(BUMP2, p0, 2.3, tol=1e-9)
@@ -307,6 +317,19 @@ def test_integrate_monotone_samples_and_csv(tmp_path):
     first = [float(v) for v in lines[1].split(",")]
     assert abs(first[0] + 2.3) < 1e-12
     assert abs(first[-1]) < 1e-9    # on-characteristic residual column
+
+
+@pytest.mark.parametrize("t0, t1", [(-0.2, 0.3), (0.3, -0.2)], ids=["forward", "backward"])
+def test_flow_ending_inside_is_one_segment_sampled_to_its_end(tmp_path, t0, t1):
+    # the segment's clock ends the flow at t1, though the t entry of its last
+    # row may fall a rounding error short; the CSV samples the segments' span,
+    # so it keeps a sample that falls on t1
+    traj = integrate(BUMP2, bichar_from_cusp(BEAM, t0), t1, tol=1e-9)
+    assert len(traj.segments) == 1
+    path = tmp_path / "traj.csv"
+    traj.export_csv(path, stride=0.25)
+    times = [float(line.split(",", 1)[0]) for line in path.read_text().splitlines()[1:]]
+    assert len(times) == 3 and (times[0], times[-1]) == (-0.2, 0.3)
 
 
 def test_trapping_budget_guard():

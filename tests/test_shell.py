@@ -521,10 +521,13 @@ def _with_noncompact(sc, **params):
     # the family starts near the box edge and leaks: the shared march
     # raises, and each of its jobs maps alone
     ({"frak0": [18.0]}, "BoundaryLeak", [2, 1, 1, 1, 1]),
-    # the family sits in the outer band of the dual grid: it is refused
-    # before any march, and pairing's packets march without it
-    ({"Z0": [16.0]}, "ValidationError: input carries", [1, 1, 1]),
-], ids=["shared", "leaking", "refused"])
+    # the family sits in the outer band of the dual grid: the shared march
+    # refuses it and raises, and each of its jobs maps alone
+    ({"Z0": [16.0]}, "ValidationError: input carries", [2, 1, 1, 1, 1]),
+    # the family's packet leaves the dual grid while it is planned: the job
+    # joins no group, and pairing's packets march without it
+    ({"Z0": [19.5]}, "PacketClipped", [1, 1]),
+], ids=["shared", "leaking", "refused", "unplanned"])
 def test_each_job_writes_its_solo_outputs(tmp_path, monkeypatch, params, note, marches):
     sc = _with_noncompact(load_scenario(_write(tmp_path, _SHARED_MARCH)), **params)
     sizes = []
