@@ -457,11 +457,15 @@ class Trajectory:
 
     def export_csv(self, path, stride: float):
         """Write t, z, zeta, tau, p_residual rows sampled every ``stride``
-        over the segments' span."""
+        over the segments' span, and a last row at the span's end: a grid
+        time within rounding of the end is replaced by it, so the end state
+        of the flow is always written, once."""
         n = self.spec.n
         t0, t1 = self.segments[0].t_lo, self.segments[-1].t_hi
         times = np.arange(t0, t1 + 0.5 * stride, stride)
-        times = times[times <= t1]
+        keep = times < t1 - 1e-6 * stride
+        keep[0] = True
+        times = np.append(times[keep], t1)
         header = (["t"] + [f"z_{i+1}" for i in range(n)]
                   + [f"zeta_{i+1}" for i in range(n)] + ["tau", "p_residual"])
         with open(path, "w", newline="") as fh:

@@ -154,6 +154,15 @@ def inverse_ft(grid: Grid, values: np.ndarray) -> np.ndarray:
         np.fft.ifftn(np.fft.ifftshift(values, axes), axes=axes), axes)
 
 
+def _finite_time(name, value):
+    """``value`` as a float, or a ValueError whose first word is ``name``
+    when it is not finite."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class _Samples:
     """Complex samples on the grid: one input of shape ``grid.shape()``, or
@@ -217,7 +226,7 @@ class WaveField(_Samples):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "time", float(self.time))
+        object.__setattr__(self, "time", _finite_time("time", self.time))
 
     def boundary_leak_fraction(self):
         """Mass fraction in the outer 5% shell of the box."""
@@ -241,7 +250,7 @@ class SpectralData(_Samples):
 
 def free_propagate(u: WaveField, dt: float) -> WaveField:
     """Exact free solver on the box: multiply FT(u) by e^{-i dt |Z|^2}."""
-    dt = float(dt)
+    dt = _finite_time("dt", dt)
     if dt == 0.0:
         return u
     f_hat = forward_ft(u.grid, u.values)
@@ -251,7 +260,7 @@ def free_propagate(u: WaveField, dt: float) -> WaveField:
 
 def poisson_free(f: SpectralData, t: float) -> WaveField:
     """The free solution with asymptotic data f, sampled at time t."""
-    t = float(t)
+    t = _finite_time("t", t)
     mult = np.exp(-1j * t * f.grid.dual_norm_sq())
     return WaveField(grid=f.grid, values=inverse_ft(f.grid, mult * f.values), time=t)
 
@@ -280,7 +289,7 @@ def asymptotic_profile_error(f: SpectralData, t: float) -> float:
     f(Z) = sum_m a_m e^{i pi m Z / z_max} per axis, whose coefficients a_m
     are the DFT of the samples.
     """
-    t = float(t)
+    t = _finite_time("t", t)
     if t == 0.0:
         raise ValueError("profile comparison requires t != 0")
     grid = f.grid
@@ -320,7 +329,6 @@ class SolverParams:
 
     dt: float = 1e-3
     margin: float = 0.25
-    measure_compensated: bool = True
 
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
@@ -424,17 +432,16 @@ def solve_cyclic_tridiagonal(lower, diag, upper, corner_ul, corner_lr, rhs):
     return y - np.multiply.outer(q, vy / (1.0 + vq))
 
 
-def _effective_potential(spec, pts, t, compensated, adjoint):
-    """V_eff at an (m, n) array of points at time t.  The forward generator of
-    the half-density conjugate keeps the measure term unless the compensator
-    eats it; the plain adjoint carries the conjugate potential."""
+def _effective_potential(spec, pts, t, adjoint):
+    """V_eff at an (m, n) array of points at time t, one rule per direction.
+    Forward, the march propagates the half-density conjugate |g|^{1/4} u
+    without its measure term (1/4) i d_t log det g, so V_eff is the
+    potential V and S keeps the flat norm of the asymptotic data.  Adjoint,
+    the scheme is the plain-measure adjoint, so V_eff is the conjugate of
+    V - (1/4) i d_t log det g."""
     v_eff = spec.potential_field(pts, t).astype(complex)
     if adjoint:
-        if compensated:
-            v_eff = v_eff - 0.25j * spec.dt_log_det_metric_field(pts, t)
-        return np.conj(v_eff)
-    if not compensated:
-        v_eff = v_eff + 0.25j * spec.dt_log_det_metric_field(pts, t)
+        return np.conj(v_eff - 0.25j * spec.dt_log_det_metric_field(pts, t))
     return v_eff
 
 
@@ -511,9 +518,11 @@ class _Footprint:
     stencil weights are real and are summed into their slots by one real
     ``np.bincount``; V_eff, the only complex part of R, is then added on the
     diagonal, ``band[up, diag]``, at ``diag``, the footprint rows where the
-    fields are evaluated.  A footprint with no free index along some axis
-    has no such band and is refused.  Only the stencil depends on the
-    dimension:
+    fields are evaluated.  V_eff has one rule per direction
+    (_effective_potential): V forward, the conjugate of
+    V - (1/4) i d_t log det g adjoint.  A footprint with no free index along
+    some axis has no such band and is refused.  Only the stencil depends on
+    the dimension:
 
     n = 1: the divergence-form operator K with face coefficient
     c = sqrt(g^{11}) at z_j + dz/2, assembled per face.  The face right of
@@ -534,8 +543,7 @@ class _Footprint:
         gets (1 - c s_r) / dz^2, (r, l) gets (1 - c s_l) / dz^2, (l, l) and
         (r, r) get (c s_l - 1) / dz^2 and (c s_r - 1) / dz^2.  This is the
         plain-measure adjoint of the direct divergence-form discretization,
-        built independently of the forward block, with the conjugate
-        potential.
+        built independently of the forward block, with the adjoint V_eff.
 
     n = 2: the 9-point stencil of
 
@@ -544,16 +552,15 @@ class _Footprint:
 
     at the support points, in centred differences with analytic coefficient
     fields.  The metric part is symmetrized for the forward scheme; the
-    adjoint scheme uses its transpose with the conjugate potential.  The
+    adjoint scheme uses its transpose with the adjoint V_eff.  The
     band is about the footprint's width.
 
     A step is the Cayley step 2 y - x with (1 + cR) y = x: one banded solve
     on x, and no product R x.
     """
 
-    def __init__(self, spec, grid, compensated, adjoint):
-        self.spec, self.dz, self.n = spec, grid.dz, grid.n
-        self.compensated, self.adjoint = compensated, adjoint
+    def __init__(self, spec, grid, adjoint):
+        self.spec, self.dz, self.n, self.adjoint = spec, grid.dz, grid.n, adjoint
         N, shape = grid.N, grid.shape()
         pts = grid.points_z()
         self.support = _support_indices(spec, pts)
@@ -604,7 +611,7 @@ class _Footprint:
         the ``diag`` rows, at one time t or, with a leading M axis, at a
         column (M, 1) of times: one evaluation of every field for a block of
         steps, slice k bitwise the evaluation at time k alone."""
-        v_eff = _effective_potential(self.spec, self.x, t, self.compensated, self.adjoint)
+        v_eff = _effective_potential(self.spec, self.x, t, self.adjoint)
         dz = self.dz
         if self.n == 1:
             g = self.spec.inverse_metric_field(self.x_and_faces, t)[..., 0, 0]
@@ -711,7 +718,7 @@ def _strang_march(spec, grid, values, t0, t1, params):
     axes = grid.axes
     norm_sq = np.fft.ifftshift(grid.dual_norm_sq())
     half, full = np.exp(-0.5j * step * norm_sq), np.exp(-1j * step * norm_sq)
-    footprint = _Footprint(spec, grid, params.measure_compensated, adjoint=t1 < t0)
+    footprint = _Footprint(spec, grid, adjoint=t1 < t0)
     ids = footprint.ids
     times = t0 + (np.arange(m) + 0.5) * step
     remainders = footprint.remainders(times)
@@ -751,6 +758,7 @@ def propagate_window(spec: PerturbationSpec, u: WaveField, t_to: float,
     fields, propagated by one march per interval.  Raises BoundaryLeak when
     the outer-shell mass fraction of some field exceeds LEAK_THRESHOLD
     after an active interval or at t_to."""
+    t_to = _finite_time("t_to", t_to)
     params = params or SolverParams()
     intervals = _active_intervals(spec, min(u.time, t_to), max(u.time, t_to))
     if t_to < u.time:

@@ -301,9 +301,6 @@ def _needs_grid(sc):
 
 # check arguments the scenario fills, not the job
 SCENARIO_ARGS = ("spec", "grid", "params", "tol_flow", "control", "out_dir", "mapped")
-# tolerances multiplied by --tol-scale, given or defaulted
-TOL_ARGS = ("tol", "rel_cap", "abs_cap", "exponent_tol", "limit_tol", "rel_tol",
-            "abs_tol", "linearity_tol")
 # beam vectors: lists of `dimension` finite numbers
 VECTOR_ARGS = ("Z0", "frak0", "frak_far", "frak_through")
 
@@ -353,7 +350,7 @@ def _validate_job(check, params, n, where):
             raise ParseError(f"missing required entry '{key}'", field=f"{where}.{key}")
 
 
-def _check_args(sc, job, tol_scale, out_dir):
+def _check_args(sc, job, out_dir):
     """The job's check and every one of its arguments by name: the
     scenario's and the job's, else the check's defaults."""
     check = _check(job["check"])
@@ -365,16 +362,13 @@ def _check_args(sc, job, tol_scale, out_dir):
               if key in given or arg.default is not arg.empty}
     if "grid" in args:
         kwargs["grid"] = _needs_grid(sc)
-    for key in TOL_ARGS:
-        if key in args:
-            kwargs[key] *= tol_scale
     return check, kwargs
 
 
-def _run_check(sc, job, tol_scale, out_dir, mapped=None):
+def _run_check(sc, job, out_dir, mapped=None):
     """Call the job's check; ``mapped`` holds its first round's
     (inputs, outputs) pairs when the scenario marched them."""
-    check, kwargs = _check_args(sc, job, tol_scale, out_dir)
+    check, kwargs = _check_args(sc, job, out_dir)
     if mapped is not None:
         kwargs["mapped"] = mapped
     return check(**kwargs)
@@ -394,7 +388,7 @@ def _march(group):
         return None
 
 
-def _mapped(sc, selected, tol_scale, jobs):
+def _mapped(sc, selected, jobs):
     """{job index: [(inputs, outputs), ...]} for the selected jobs whose
     first-round requests were all marched, one march per operator.  A job
     whose planning raises, or whose group's march raises, is left out, so
@@ -402,7 +396,7 @@ def _mapped(sc, selected, tol_scale, jobs):
     planned, groups = {}, {}
     for i, job in selected:
         try:
-            planned[i] = verify.plan(job["check"], _check_args(sc, job, tol_scale, None)[1])
+            planned[i] = verify.plan(job["check"], _check_args(sc, job, None)[1])
         except Exception:   # the solo run raises it again
             continue
         for r in planned[i]:
@@ -422,8 +416,7 @@ def _mapped(sc, selected, tol_scale, jobs):
             if requests and all(id(r) in outputs for r in requests)}
 
 
-def run_job(sc: Scenario, job: dict, out_root: str, index: int,
-            tol_scale: float = 1.0, mapped=None):
+def run_job(sc: Scenario, job: dict, out_root: str, index: int, mapped=None):
     """Execute one job; errors are captured in the report.  A job marked
     ``"control"`` runs its check's negative control, where the check has one.
     ``mapped`` is passed on to the check."""
@@ -431,7 +424,7 @@ def run_job(sc: Scenario, job: dict, out_root: str, index: int,
     os.makedirs(out_dir, exist_ok=True)
     control = job.get("control", False)
     try:
-        report = _run_check(sc, job, tol_scale, out_dir, mapped)
+        report = _run_check(sc, job, out_dir, mapped)
     except CuspLabError as exc:
         report = verify.CheckReport(
             name=job["check"],
@@ -442,8 +435,7 @@ def run_job(sc: Scenario, job: dict, out_root: str, index: int,
     return report
 
 
-def run(sc: Scenario, only=None, out_root: str = "out", tol_scale: float = 1.0,
-        jobs: int = 1):
+def run(sc: Scenario, only=None, out_root: str = "out", jobs: int = 1):
     """Run the scenario's jobs; returns (exit_code, reports).
 
     The jobs' first-round maps are made first, one march per operator; with
@@ -452,8 +444,8 @@ def run(sc: Scenario, only=None, out_root: str = "out", tol_scale: float = 1.0,
     checks pass and controls fail."""
     selected = [(i, job) for i, job in enumerate(sc.jobs)
                 if only is None or job["check"] in only]
-    mapped = _mapped(sc, selected, tol_scale, jobs)
-    reports = [run_job(sc, job, out_root, i, tol_scale, mapped.get(i))
+    mapped = _mapped(sc, selected, jobs)
+    reports = [run_job(sc, job, out_root, i, mapped.get(i))
                for i, job in selected]
     exit_code = 0 if all(r.satisfied for r in reports) else 1
     return exit_code, reports
@@ -510,17 +502,21 @@ def _out_root(args):
 
 
 def _cmd_run(args):
-    """``all`` runs every job; a check subcommand runs that check's jobs and
-    fails when the scenario declares none.  ``--only`` narrows either."""
-    sc = resolve_scenario(args.scenario)
+    """``all`` runs every job and a check subcommand that check's jobs;
+    ``--only``, a list of job families, narrows either.  A run that selects
+    no job fails."""
     only = set(args.only.split(",")) if args.only else None
+    for name in sorted(only or ()):
+        if name not in verify.JOB_FAMILIES:
+            raise ParseError(f"unknown job family '{name}' "
+                             f"(known: {', '.join(verify.JOB_FAMILIES)})", field="--only")
+    sc = resolve_scenario(args.scenario)
     if args.check is not None:
         only = {args.check} if only is None else only & {args.check}
-    code, reports = run(sc, only=only, out_root=_out_root(args),
-                        tol_scale=args.tol_scale, jobs=args.jobs)
+    code, reports = run(sc, only=only, out_root=_out_root(args), jobs=args.jobs)
     for r in reports:
         _print_report(r)
-    if args.check is not None and not reports:
+    if not reports:
         print(f"scenario '{sc.name}' declares no matching jobs")
         return 1
     return code
@@ -542,14 +538,14 @@ def _read_report(path):
 
 def _cmd_report(args):
     root = os.path.join(_out_root(args), args.scenario_name)
-    if not os.path.isdir(root):
-        print(f"no outputs under {root}")
-        return 1
     rows = []
-    for sub in sorted(os.listdir(root)):
+    for sub in sorted(os.listdir(root)) if os.path.isdir(root) else ():
         path = os.path.join(root, sub, "report.json")
         if os.path.exists(path):
             rows.append((sub, *_read_report(path)))
+    if not rows:
+        print(f"no outputs under {root}")
+        return 1
     for sub, status, control, satisfied in rows:
         tag = "control" if control else "check"
         print(f"{sub:30s} {status:4s} [{tag}] satisfied={satisfied}")
@@ -647,9 +643,7 @@ def main(argv=None):
                         help=f"output directory (default 'out' or ${OUT_ENV_VAR})")
     parser.add_argument("--jobs", type=int, default=1, help="parallel job count")
     parser.add_argument("--only", default=None,
-                        help="comma-separated job filter")
-    parser.add_argument("--tol-scale", type=_positive, default=1.0, dest="tol_scale",
-                        help="global tolerance multiplier (acceptance requires 1.0)")
+                        help="comma-separated job families to run")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, summary, scenario=True, **defaults):

@@ -332,6 +332,23 @@ def test_flow_ending_inside_is_one_segment_sampled_to_its_end(tmp_path, t0, t1):
     assert len(times) == 3 and (times[0], times[-1]) == (-0.2, 0.3)
 
 
+@pytest.mark.parametrize("t0, t1", [(-3.0, 0.3), (0.3, -3.0)], ids=["forward", "backward"])
+def test_csv_ends_at_the_end_of_the_span(tmp_path, t0, t1):
+    # from -3 by 0.01 the grid ends at 0.29999999999992966, a rounding error
+    # short of 0.3: that row becomes 0.3.  By 0.25 it ends at 0.25, and 0.3
+    # follows it.  Every other row is the grid's
+    traj = integrate(BUMP2, bichar_from_cusp(BEAM, t0), t1, tol=1e-9)
+    path = tmp_path / "traj.csv"
+    for stride, grid_rows in ((0.01, 330), (0.25, 14)):
+        traj.export_csv(path, stride=stride)
+        rows = path.read_text().splitlines()[1:]
+        grid = np.arange(-3.0, 0.3 + 0.5 * stride, stride)[:grid_rows]
+        assert [row.split(",", 1)[0] for row in rows[:-1]] == [f"{t:.17g}" for t in grid]
+        end = traj.dense(0.3)
+        assert rows[-1] == ",".join(f"{v:.17g}" for v in [
+            0.3, *end.z, *end.zeta, end.tau, principal_symbol(BUMP2, end)])
+
+
 def test_trapping_budget_guard():
     p0 = bichar_from_cusp(BEAM, -2.3)
     with pytest.raises(TrappingSuspected):

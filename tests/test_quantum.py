@@ -396,50 +396,49 @@ def test_footprint_remainder_equals_whole_grid(monkeypatch, n, where):
     # index per axis, and this one leaves just that line free
     supported, free = _all_but_opposite(grid, spec)
     for adjoint in (False, True):
-        for compensated in (True, False):
-            part = quantum._Footprint(spec, grid, compensated, adjoint)
-            with monkeypatch.context() as nearly_every_point_supported:
-                nearly_every_point_supported.setattr(quantum, "_support_indices",
-                                                     lambda spec, pts: supported)
-                whole = quantum._Footprint(spec, grid, compensated, adjoint)
-            assert part.ids.size < size and whole.ids.size == (grid.N - 1) ** n
-            assert np.array_equal(np.setdiff1d(np.arange(size), whole.ids), free)
-            assert (part.ids.min() == 0 and part.ids.max() == size - 1) == (where == "corner")
-            r_part = _embedded(part, part.remainder(0.3), size)
-            r_whole = _embedded(whole, whole.remainder(0.3), size)
-            assert not np.any(r_part[free]) and not np.any(r_part[:, free])
-            assert np.max(np.abs(r_whole)) > 1.0
-            assert np.max(np.abs(r_part - r_whole)) <= 1e-13 * np.max(np.abs(r_whole))
-            # the footprint step solves the embedded Crank-Nicolson system
-            c, r = 0.5j * 5e-3, part.remainder(0.3)
-            x = rng.normal(size=part.ids.size) + 1j * rng.normal(size=part.ids.size)
-            full = np.zeros(size, dtype=complex)
-            full[part.ids] = x
-            eye = np.eye(size)
-            expect = np.linalg.solve(eye + c * r_whole, (eye - c * r_whole) @ full)
-            assert np.max(np.abs(part.step(x, r, c) - expect[part.ids])) < 1e-12
-            assert np.max(np.abs(np.delete(expect, part.ids))) < 1e-12
-            # an (m, 3) stack shares the step: each column as if alone
-            xs = np.column_stack([x, 1j * x[::-1], np.conj(x)])
-            stepped = part.step(xs, r, c)
-            for k in range(3):
-                assert np.array_equal(stepped[:, k], part.step(xs[:, k].copy(), r, c))
-            # the Cayley step (1 + A)^{-1} (1 - A), A = cR, against exp(-2A):
-            # the series differ by sum_{j >= 3} (-1)^j (2 - 2^j / j!) A^j, each
-            # coefficient at most 2 in modulus, so for a = ||A||_2 < 1
-            # ||step x - exp(-2A) x|| <= 2 a^3 / (1 - a) ||x||.  R_whole
-            # vanishes off the footprint, where its exponential is the identity
-            r_fp = r_whole[np.ix_(part.ids, part.ids)]
-            a = abs(c) * np.linalg.norm(r_fp, 2)
-            assert 1e-3 < a < 0.5
-            bound = 2.0 * a**3 / (1.0 - a) * np.linalg.norm(x)
-            exact = expm(-2.0 * c * r_fp) @ x
-            assert np.linalg.norm(part.step(x, r, c) - exact) <= bound
-            # the backward step, c -> -c, is first-order far from exp(-2A)
-            assert np.linalg.norm(part.step(x, r, -c) - exact) > bound
+        part = quantum._Footprint(spec, grid, adjoint)
+        with monkeypatch.context() as nearly_every_point_supported:
+            nearly_every_point_supported.setattr(quantum, "_support_indices",
+                                                 lambda spec, pts: supported)
+            whole = quantum._Footprint(spec, grid, adjoint)
+        assert part.ids.size < size and whole.ids.size == (grid.N - 1) ** n
+        assert np.array_equal(np.setdiff1d(np.arange(size), whole.ids), free)
+        assert (part.ids.min() == 0 and part.ids.max() == size - 1) == (where == "corner")
+        r_part = _embedded(part, part.remainder(0.3), size)
+        r_whole = _embedded(whole, whole.remainder(0.3), size)
+        assert not np.any(r_part[free]) and not np.any(r_part[:, free])
+        assert np.max(np.abs(r_whole)) > 1.0
+        assert np.max(np.abs(r_part - r_whole)) <= 1e-13 * np.max(np.abs(r_whole))
+        # the footprint step solves the embedded Crank-Nicolson system
+        c, r = 0.5j * 5e-3, part.remainder(0.3)
+        x = rng.normal(size=part.ids.size) + 1j * rng.normal(size=part.ids.size)
+        full = np.zeros(size, dtype=complex)
+        full[part.ids] = x
+        eye = np.eye(size)
+        expect = np.linalg.solve(eye + c * r_whole, (eye - c * r_whole) @ full)
+        assert np.max(np.abs(part.step(x, r, c) - expect[part.ids])) < 1e-12
+        assert np.max(np.abs(np.delete(expect, part.ids))) < 1e-12
+        # an (m, 3) stack shares the step: each column as if alone
+        xs = np.column_stack([x, 1j * x[::-1], np.conj(x)])
+        stepped = part.step(xs, r, c)
+        for k in range(3):
+            assert np.array_equal(stepped[:, k], part.step(xs[:, k].copy(), r, c))
+        # the Cayley step (1 + A)^{-1} (1 - A), A = cR, against exp(-2A):
+        # the series differ by sum_{j >= 3} (-1)^j (2 - 2^j / j!) A^j, each
+        # coefficient at most 2 in modulus, so for a = ||A||_2 < 1
+        # ||step x - exp(-2A) x|| <= 2 a^3 / (1 - a) ||x||.  R_whole
+        # vanishes off the footprint, where its exponential is the identity
+        r_fp = r_whole[np.ix_(part.ids, part.ids)]
+        a = abs(c) * np.linalg.norm(r_fp, 2)
+        assert 1e-3 < a < 0.5
+        bound = 2.0 * a**3 / (1.0 - a) * np.linalg.norm(x)
+        exact = expm(-2.0 * c * r_fp) @ x
+        assert np.linalg.norm(part.step(x, r, c) - exact) <= bound
+        # the backward step, c -> -c, is first-order far from exp(-2A)
+        assert np.linalg.norm(part.step(x, r, -c) - exact) > bound
 
 
-def _remainder_by_definition(spec, grid, t, compensated, adjoint):
+def _remainder_by_definition(spec, grid, t, adjoint):
     """The 1-D remainder on the whole periodic grid, straight from the field
     values: W K W (forward) or K S (adjoint), less K_0, plus V_eff.  K has
     the face coefficient c = sqrt(g^{11}) at z_j + dz/2 between points j and
@@ -455,12 +454,9 @@ def _remainder_by_definition(spec, grid, t, compensated, adjoint):
     else:
         W = np.diag(a**0.25)
         H = W @ K @ W
-    potential = spec.potential_field(pts, t).astype(complex)
-    measure = 0.25j * spec.dt_log_det_metric_field(pts, t)
+    v_eff = spec.potential_field(pts, t).astype(complex)
     if adjoint:
-        v_eff = np.conj(potential - measure if compensated else potential)
-    else:
-        v_eff = potential if compensated else potential + measure
+        v_eff = np.conj(v_eff - 0.25j * spec.dt_log_det_metric_field(pts, t))
     return H - K0 + np.diag(v_eff)
 
 
@@ -477,16 +473,15 @@ def test_1d_footprint_remainder_equals_its_definition(where):
     else:
         spec = _footprint_spec(grid, where)
     for adjoint in (False, True):
-        for compensated in (True, False):
-            footprint = quantum._Footprint(spec, grid, compensated, adjoint)
-            gaps = np.count_nonzero(np.diff(footprint.ids) % grid.N != 1)
-            assert gaps == (1 if where == "apart" else 0)
-            r_fp = _embedded(footprint, footprint.remainder(0.3), grid.N)
-            r_def = _remainder_by_definition(spec, grid, 0.3, compensated, adjoint)
-            assert np.max(np.abs(r_def)) > 1.0
-            assert np.max(np.abs(r_fp - r_def)) <= 1e-13 * np.max(np.abs(r_def))
-            # the forward block is exactly symmetric, bit for bit
-            assert adjoint or np.array_equal(r_fp, r_fp.T)
+        footprint = quantum._Footprint(spec, grid, adjoint)
+        gaps = np.count_nonzero(np.diff(footprint.ids) % grid.N != 1)
+        assert gaps == (1 if where == "apart" else 0)
+        r_fp = _embedded(footprint, footprint.remainder(0.3), grid.N)
+        r_def = _remainder_by_definition(spec, grid, 0.3, adjoint)
+        assert np.max(np.abs(r_def)) > 1.0
+        assert np.max(np.abs(r_fp - r_def)) <= 1e-13 * np.max(np.abs(r_def))
+        # the forward block is exactly symmetric, bit for bit
+        assert adjoint or np.array_equal(r_fp, r_fp.T)
 
 
 @pytest.mark.parametrize("n", [1, 2], ids=["n=1", "n=2"])
@@ -495,14 +490,12 @@ def test_only_the_effective_potential_makes_the_band_complex(n):
     grid = Grid(n=n, N=256 if n == 1 else 32, L=10.0)
     spec = _footprint_spec(grid, "inside")
     for adjoint in (False, True):
-        for compensated in (True, False):
-            footprint = quantum._Footprint(spec, grid, compensated, adjoint)
-            imag = footprint.remainder(0.3).imag
-            v_eff = quantum._effective_potential(spec, grid.points_z()[footprint.ids], 0.3,
-                                                 compensated, adjoint)
-            assert np.any(v_eff.imag)
-            assert np.array_equal(imag[footprint.up], v_eff.imag)
-            assert not np.any(np.delete(imag, footprint.up, axis=0))
+        footprint = quantum._Footprint(spec, grid, adjoint)
+        imag = footprint.remainder(0.3).imag
+        v_eff = quantum._effective_potential(spec, grid.points_z()[footprint.ids], 0.3, adjoint)
+        assert np.any(v_eff.imag)
+        assert np.array_equal(imag[footprint.up], v_eff.imag)
+        assert not np.any(np.delete(imag, footprint.up, axis=0))
 
 
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
@@ -512,12 +505,12 @@ def test_seam_wrapping_footprint_keeps_the_interior_band(monkeypatch, adjoint):
     # plain sorted order of the corner footprint would need m - 1 diagonals
     grid = Grid(n=2, N=32, L=10.0)
     N, spec = grid.N, _footprint_spec(grid, "corner")
-    corner = quantum._Footprint(spec, grid, True, adjoint)
+    corner = quantum._Footprint(spec, grid, adjoint)
     i, j = np.divmod(corner.support, N)
     moved = np.sort(((i + N // 2) % N) * N + (j + N // 2) % N)
     with monkeypatch.context() as translated:
         translated.setattr(quantum, "_support_indices", lambda spec, pts: moved)
-        interior = quantum._Footprint(spec, grid, True, adjoint)
+        interior = quantum._Footprint(spec, grid, adjoint)
     assert corner.ids.min() == 0 and corner.ids.max() == N * N - 1
     assert interior.ids.min() > N and interior.ids.max() < N * N - N
     assert corner.ids.size == interior.ids.size
@@ -537,7 +530,7 @@ def test_footprint_without_a_free_index_is_refused(n, radius):
     spec = _metric_spec(radius_z=radius, n=n)
     for adjoint in (False, True):
         with pytest.raises(ValidationError) as refused:
-            quantum._Footprint(spec, grid, True, adjoint)
+            quantum._Footprint(spec, grid, adjoint)
         assert refused.value.invariant == "footprint-leaves-a-free-index"
     u = WaveField(grid=grid, values=np.zeros(grid.shape()), time=-2.0)
     with pytest.raises(ValidationError, match="footprint-leaves-a-free-index"):
@@ -573,15 +566,14 @@ def test_footprint_windows_do_not_go_stale(n):
     grid = Grid(n=n, N=256 if n == 1 else 32, L=10.0)
     spec = _two_bumps_and_potential(n)
     for adjoint in (False, True):
-        for compensated in (True, False):
-            kept = quantum._Footprint(spec, grid, compensated, adjoint)
-            fresh = quantum._Footprint(spec, grid, compensated, adjoint)
-            fresh.x = fresh.x.array
-            if n == 1:
-                fresh.x_and_faces = fresh.x_and_faces.array
-            # bump b is inactive at 0.1, bump a at 1.55
-            for t in (0.9, 0.1, 1.3, 1.55, 0.9):
-                assert np.array_equal(kept.remainder(t), fresh.remainder(t))
+        kept = quantum._Footprint(spec, grid, adjoint)
+        fresh = quantum._Footprint(spec, grid, adjoint)
+        fresh.x = fresh.x.array
+        if n == 1:
+            fresh.x_and_faces = fresh.x_and_faces.array
+        # bump b is inactive at 0.1, bump a at 1.55
+        for t in (0.9, 0.1, 1.3, 1.55, 0.9):
+            assert np.array_equal(kept.remainder(t), fresh.remainder(t))
 
 
 def _bitwise_equal(a, b):
@@ -608,15 +600,14 @@ def test_block_fields_equal_per_time_fields(n):
         for k, t in enumerate(times):
             assert _bitwise_equal(block[k], evaluate(pts, t))
     for adjoint in (False, True):
-        for compensated in (True, False):
-            footprint = quantum._Footprint(spec, grid, compensated, adjoint)
-            weights, v_eff = footprint.fields(times[:, None])
-            bands = list(footprint.remainders(times))
-            for k, t in enumerate(times):
-                alone = footprint.fields(t)
-                assert _bitwise_equal(weights[k], alone[0])
-                assert _bitwise_equal(v_eff[k], alone[1])
-                assert _bitwise_equal(bands[k], footprint.remainder(t))
+        footprint = quantum._Footprint(spec, grid, adjoint)
+        weights, v_eff = footprint.fields(times[:, None])
+        bands = list(footprint.remainders(times))
+        for k, t in enumerate(times):
+            alone = footprint.fields(t)
+            assert _bitwise_equal(weights[k], alone[0])
+            assert _bitwise_equal(v_eff[k], alone[1])
+            assert _bitwise_equal(bands[k], footprint.remainder(t))
 
 
 def _plain_march(spec, grid, values, t0, t1, params):
@@ -628,7 +619,7 @@ def _plain_march(spec, grid, values, t0, t1, params):
     axes = grid.axes
     norm_sq = np.fft.ifftshift(grid.dual_norm_sq())
     half, full = np.exp(-0.5j * step * norm_sq), np.exp(-1j * step * norm_sq)
-    footprint = quantum._Footprint(spec, grid, params.measure_compensated, adjoint=t1 < t0)
+    footprint = quantum._Footprint(spec, grid, adjoint=t1 < t0)
     ids = footprint.ids
     spectrum = np.fft.fftn(values, axes=axes)
     v = np.fft.ifftn(half * spectrum, axes=axes)
@@ -650,7 +641,7 @@ def test_buffered_march_equals_plain_march(monkeypatch, n, N):
     params = SolverParams(dt=2e-2)
     fields = [poisson_free(coherent_data(grid, [z] * n, [fr] * n, h), 0.0).values
               for z, fr, h in ((0.3, 0.0, 0.5), (-0.2, 1.0, 0.3), (0.1, -0.5, 0.4))]
-    points = len(quantum._Footprint(spec, grid, True, False).x.array)
+    points = len(quantum._Footprint(spec, grid, False).x.array)
     # the budget's blocks, then blocks of 3 steps: the 50 steps of a march
     # span 17 blocks, and the last ends after 2 of its 3 steps
     for budget in (quantum._BLOCK_POINTS, 3 * points):
@@ -754,6 +745,28 @@ def test_coherent_data_rejects_non_finite_values(field, value):
         coherent_data(GRID, **args)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_free_operations_reject_a_non_finite_time(monkeypatch, value):
+    # a non-finite time made all-NaN fields (or a NaN error) without a word;
+    # each is refused, naming its parameter, before any transform
+    f = coherent_data(GRID, 0.5, 0.0, 0.5)
+    u = poisson_free(f, -5.0)
+
+    def no_transform(*args):
+        raise AssertionError("transformed a field at a non-finite time")
+
+    monkeypatch.setattr(quantum, "forward_ft", no_transform)
+    monkeypatch.setattr(quantum, "inverse_ft", no_transform)
+    calls = [("time", lambda: WaveField(grid=GRID, values=u.values, time=value)),
+             ("dt", lambda: free_propagate(u, value)),
+             ("t", lambda: poisson_free(f, value)),
+             ("t", lambda: asymptotic_profile_error(f, value)),
+             ("t_to", lambda: propagate_window(flat_spec(1), u, value))]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} "):
+            call()
+
+
 def test_adjoint_map_flat_identity():
     spec = flat_spec(1)
     g = coherent_data(GRID, 0.7, -0.5, 0.3)
@@ -784,14 +797,13 @@ def test_pairing_conservation(spec_builder, tol):
     assert residual < tol
 
 
-def test_uncompensated_metric_evolution_changes_plain_mass():
-    # without the measure compensator the plain norm genuinely drifts
+def test_metric_evolution_conserves_flat_norm():
+    # the forward march propagates the half-density conjugate, so S keeps the
+    # flat norm of the asymptotic data under a time-dependent metric
     spec = _metric_spec(0.3)
     f = coherent_data(GRID, 1.0, 0.0, 0.25)
-    on = scattering_map(spec, f, SolverParams(dt=1e-3, measure_compensated=True))
-    off = scattering_map(spec, f, SolverParams(dt=1e-3, measure_compensated=False))
-    assert abs(on.norm() - 1.0) < 1e-6
-    assert abs(on.norm() - off.norm()) > 1e-10
+    fp = scattering_map(spec, f, SolverParams(dt=1e-3))
+    assert abs(fp.norm() - 1.0) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Scenario parsing/validation, the runner, and the CLI surface."""
 
 import ast
-import functools
 import json
 import os
 import shutil
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 
 import cusplab
-from cusplab import shell, verify
+from cusplab import verify
 from cusplab.errors import ParseError, ValidationError
 from cusplab.flow import classical_scatter
 from cusplab.phasespace import CuspData
@@ -165,7 +164,7 @@ _BEAM = {"Z0": [1.0], "frak0": [0.0]}
     ({"jobs": [{"check": "eikonal", "params": {**_BEAM, "Z0": [1.0, 0.0]}}]},
      "jobs[0].params.Z0"),
     ({"solver": {"dt": 2e-3, "dtt": 1e-3}}, "solver.dtt"),
-    ({"solver": {"measure_compensated": "false"}}, "solver.measure_compensated"),
+    ({"solver": {"measure_compensated": True}}, "solver.measure_compensated"),
     ({"jobs": [{"check": "pairing", "control": "false"}]}, "jobs[0].control"),
     ({"seeed": 3}, "scenario.seeed"),
     ({"jobs": [{"check": "free-identity", "parms": {"tol": 1e-300}}]}, "jobs[0].parms"),
@@ -438,24 +437,6 @@ def test_huge_h_fd_is_a_typed_error_naming_it(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: h_fd = 1e+300")
 
 
-def test_tol_scale_scales_every_keyword_tolerance(tmp_path, monkeypatch):
-    # the bundled egorov job sets rel_cap and leaves abs_cap at its default;
-    # --tol-scale multiplies both
-    seen = {}
-    check = verify.check_egorov
-
-    @functools.wraps(check)
-    def spy(**kwargs):
-        seen.update(kwargs)
-
-    monkeypatch.setattr(verify, "check_egorov", spy)
-    sc = resolve_scenario("egorov")
-    job = next(job for job in sc.jobs if job["check"] == "egorov")
-    shell._run_check(sc, job, 2.0, str(tmp_path))
-    assert seen["rel_cap"] == 0.1
-    assert seen["abs_cap"] == 2e-6
-
-
 def test_run_is_deterministic(tmp_path):
     sc = load_scenario(bundled_scenario_path("flat"))
     run(sc, only={"pairing"}, out_root=str(tmp_path / "a"))
@@ -469,8 +450,7 @@ def test_classical_only_scenario_needs_no_grid(tmp_path):
     sc = resolve_scenario("classical2d")
     assert sc.grid is None
     # the symplectic job runs without any quantum solver being constructed
-    code, reports = run(sc, only={"symplectic"}, out_root=str(tmp_path),
-                        tol_scale=1.0)
+    code, reports = run(sc, only={"symplectic"}, out_root=str(tmp_path))
     assert code == 0 and reports[0].status == "pass"
 
 
@@ -671,6 +651,36 @@ def test_every_job_family_but_radial_has_a_check_subcommand(tmp_path, capsys):
     assert "[PASS] radial" in capsys.readouterr().out
 
 
+def test_only_of_an_unknown_job_family_is_an_error(tmp_path, capsys):
+    # a misspelt family selected no job, and the run passed
+    code = main(["--out", str(tmp_path), "--only", "pairng", "all", "--scenario", "flat"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'pairng'" in err and "(field: --only)" in err
+    assert not os.listdir(tmp_path)
+
+
+def test_a_run_that_selects_no_job_fails(tmp_path, capsys):
+    # flat declares no egorov job, and `all` passed with nothing checked, as
+    # it did on a scenario without jobs
+    path = _write(tmp_path, _minimal())
+    for argv, name in ((["--only", "egorov", "all", "--scenario", "flat"], "flat"),
+                       (["--only", "egorov", "pairing", "--scenario", "flat"], "flat"),
+                       (["all", "--scenario", path], "case")):
+        assert main(["--out", str(tmp_path)] + argv) == 1
+        assert capsys.readouterr().out == f"scenario '{name}' declares no matching jobs\n"
+
+
+def test_report_without_reports_fails(tmp_path, capsys):
+    # `flow` writes under the scenario's directory, but no report.json
+    code = main(["--out", str(tmp_path), "flow", "--scenario", "bump_metric",
+                 "--Z", "1.0", "--frak", "0.3", "--t0", "-2.5", "--t1", "2.5"])
+    assert code == 0 and (tmp_path / "bump_metric" / "flow").is_dir()
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path), "report", "bump_metric"]) == 1
+    assert capsys.readouterr().out == f"no outputs under {tmp_path / 'bump_metric'}\n"
+
+
 @pytest.mark.parametrize("command, scenario", [("classical-map", "bump_metric"),
                                                ("scatter", "eikonal")])
 @pytest.mark.parametrize("flag", ["--Z", "--frak"])
@@ -698,10 +708,8 @@ def test_cli_beam_of_wrong_dimension_is_an_error(tmp_path, capsys, command, scen
       "--t0", "-2", "--t1", "-2"], "--t1"),
     (["flow", "--scenario", "bump_metric", "--Z", "1.0", "--frak", "0.3",
       "--t0", "nan", "--t1", "2"], "--t0"),
-    (["--tol-scale", "nan", "all", "--scenario", "flat"], "--tol-scale"),
-    (["--tol-scale", "-1", "all", "--scenario", "flat"], "--tol-scale"),
 ], ids=["scatter-h", "propagate-h", "h-fd", "horizon", "stride", "t1-equals-t0",
-        "t0-nan", "tol-scale-nan", "tol-scale-negative"])
+        "t0-nan"])
 def test_cli_bad_number_flags_are_errors(tmp_path, capsys, argv, flag):
     try:
         code = main(["--out", str(tmp_path)] + argv)
