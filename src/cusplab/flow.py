@@ -45,6 +45,7 @@ from .phasespace import (
 from .symbols import SUPPORT_MARGIN, PerturbationSpec, principal_symbol, symbol_jet
 
 EXIT_SHELL = 1e-10     # absolute shell thickness for the exit event
+_GAUSS_PANELS, _GAUSS_ORDER = 24, 10    # the beam integrals' Gauss-Legendre rule
 
 
 def hamilton_rhs(spec: PerturbationSpec, p: PhasePoint) -> np.ndarray:
@@ -479,7 +480,7 @@ class Trajectory:
 
 
 def integrate(spec: PerturbationSpec, p0: PhasePoint, t_final: float,
-              tol: float = 1e-11, transit_budget: float | None = None) -> Trajectory:
+              tol: float = 1e-11) -> Trajectory:
     """Flow ``p0`` to ``t_final`` (either direction), splitting exactly into
     free flights and adaptive RK 5(4) segments through the support.
 
@@ -501,7 +502,7 @@ def integrate(spec: PerturbationSpec, p0: PhasePoint, t_final: float,
     if t_final == p0.t:
         raise ValueError("t_final must differ from the initial time")
     direction = 1.0 if t_final > p0.t else -1.0
-    budget = transit_budget if transit_budget is not None else _transit_budget(spec, p0.zeta)
+    budget = _transit_budget(spec, p0.zeta)
 
     segments = []
     states = [p0.state()]
@@ -636,12 +637,12 @@ class ScatterResult:
         return (min(s[0] for s in spans), max(s[1] for s in spans)) if spans else None
 
 
-def _gauss_panels(f, t0, t1, n_panels=24, order=10):
+def _gauss_panels(f, t0, t1):
     """Composite Gauss-Legendre quadrature on [t0, t1] of the smooth real or
     complex integrands whose values at the nodes ts are the rows of f(ts)."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
     total = 0.0
-    edges = np.linspace(t0, t1, n_panels + 1)
+    edges = np.linspace(t0, t1, _GAUSS_PANELS + 1)
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         ts = mid + half * nodes

@@ -463,6 +463,10 @@ def _support_indices(spec, pts):
 # of more than 1000 rows, where each numpy call is already array-bound
 _BLOCK_POINTS = 2048
 
+# the most steps one march takes, refused before its times array (8 bytes a
+# step) is built: 10^7 keep it under 80 MB; the largest bundled march takes 4,000
+_MAX_STEPS = 10**7
+
 # offsets (di, dj) of the 9-point stencil in n = 2, the centre first
 _STENCIL = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
                      (1, 1), (-1, -1), (1, -1), (-1, 1)])
@@ -712,7 +716,11 @@ def _strang_march(spec, grid, values, t0, t1, params):
     two orders, so an unnamed temporary would let a stack round unlike its
     slices."""
     span = t1 - t0
-    m = max(1, int(np.ceil(abs(span) / params.dt - 1e-12)))
+    steps = np.ceil(abs(span) / params.dt - 1e-12)
+    if not steps <= _MAX_STEPS:     # a ValidationError, not a failed allocation
+        raise ValidationError(f"dt = {params.dt:.3g} needs {steps:.3g} steps, more than "
+                              f"{_MAX_STEPS:,}", invariant="march-steps")
+    m = max(1, int(steps))
     step = span / m
     c = 0.5j * step
     axes = grid.axes

@@ -2,8 +2,11 @@
 
 A scenario is a JSON document (conventionally ``*.scn``) with a versioned
 schema describing the perturbation, grid, solver parameters, and a list of
-check jobs.  Every CLI subcommand maps one-to-one onto a library operation;
-the CLI only parses arguments and forwards them.
+check jobs.  The CLI only parses arguments and forwards them.  ``all`` runs
+the scenario's jobs (``--only`` a list of job families, ``--jobs`` the pool
+size) and ``report`` summarizes the reports they wrote; every other
+subcommand takes one beam (``--Z``, ``--frak``) and maps it onto one
+library operation.
 
 :func:`run` first plans the map requests of the selected jobs' grid checks
 (:func:`verify.plan`) and groups them by operator: spec object, grid,
@@ -455,9 +458,11 @@ def run(sc: Scenario, only=None, out_root: str = "out", jobs: int = 1):
 # CLI
 
 
-def _beam(args, sc):
-    """(Z, frak) from ``--Z`` and ``--frak``: each a comma-separated list of
-    ``sc.n`` finite numbers, or a ParseError naming the flag."""
+def _scenario_beam(args):
+    """(scenario, CuspData) of ``--scenario``, ``--Z`` and ``--frak``; the
+    last two are each a comma-separated list of the scenario's dimension
+    finite numbers, or a ParseError names the flag."""
+    sc = resolve_scenario(args.scenario)
     beam = []
     for flag, text in (("--Z", args.Z), ("--frak", args.frak)):
         try:
@@ -468,7 +473,7 @@ def _beam(args, sc):
             raise ParseError(f"expected {sc.n} comma-separated finite numbers, "
                              f"got '{text}'", field=flag)
         beam.append(vector)
-    return beam
+    return sc, CuspData(*beam)
 
 
 def _finite(text, low=-np.inf):
@@ -487,6 +492,13 @@ def _positive(text):
     return _finite(text, low=0.0)
 
 
+def _pool_size(text):
+    """argparse type of ``--jobs``: an integer of at least 1."""
+    if not (text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got '{text}'")
+    return int(text)
+
+
 def _print_report(report):
     print(f"[{report.status.upper():4s}] {report.name}"
           + ("  (control: expected to fail)" if report.control else ""))
@@ -501,18 +513,22 @@ def _out_root(args):
     return args.out or os.environ.get(OUT_ENV_VAR, "out")
 
 
+def _out_dir(args, sc, name):
+    """Directory ``name`` of scenario ``sc`` under the output root, made."""
+    out = os.path.join(_out_root(args), sc.name, name)
+    os.makedirs(out, exist_ok=True)
+    return out
+
+
 def _cmd_run(args):
-    """``all`` runs every job and a check subcommand that check's jobs;
-    ``--only``, a list of job families, narrows either.  A run that selects
-    no job fails."""
+    """Run the scenario's jobs, or with ``--only``, a list of job families,
+    the jobs of those families.  A run that selects no job fails."""
     only = set(args.only.split(",")) if args.only else None
     for name in sorted(only or ()):
         if name not in verify.JOB_FAMILIES:
             raise ParseError(f"unknown job family '{name}' "
                              f"(known: {', '.join(verify.JOB_FAMILIES)})", field="--only")
     sc = resolve_scenario(args.scenario)
-    if args.check is not None:
-        only = {args.check} if only is None else only & {args.check}
     code, reports = run(sc, only=only, out_root=_out_root(args), jobs=args.jobs)
     for r in reports:
         _print_report(r)
@@ -553,15 +569,12 @@ def _cmd_report(args):
 
 
 def _cmd_flow(args):
-    sc = resolve_scenario(args.scenario)
-    c_in = CuspData(*_beam(args, sc))
+    sc, c_in = _scenario_beam(args)
     if args.t1 == args.t0:
         raise ParseError("the flow needs --t1 different from --t0", field="--t1")
     p0 = bichar_from_cusp(c_in, args.t0)
     traj = integrate(sc.spec, p0, args.t1, tol=sc.flow_tol)
-    out = os.path.join(_out_root(args), sc.name, "flow")
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "trajectory.csv")
+    path = os.path.join(_out_dir(args, sc, "flow"), "trajectory.csv")
     traj.export_csv(path, stride=args.stride)
     print(f"trajectory written to {path}")
     print("stats:", traj.stats)
@@ -569,8 +582,7 @@ def _cmd_flow(args):
 
 
 def _cmd_classical_map(args):
-    sc = resolve_scenario(args.scenario)
-    c_in = CuspData(*_beam(args, sc))
+    sc, c_in = _scenario_beam(args)
     res = classical_scatter(sc.spec, c_in, tol=sc.flow_tol)
     print("Z_out    =", res.c_out.Z)
     print("frak_out =", res.c_out.frak)
@@ -582,8 +594,7 @@ def _cmd_classical_map(args):
 
 
 def _cmd_jacobian(args):
-    sc = resolve_scenario(args.scenario)
-    c_in = CuspData(*_beam(args, sc))
+    sc, c_in = _scenario_beam(args)
     jac = scatter_jacobian(sc.spec, c_in, h_fd=args.h_fd, tol=sc.flow_tol)
     np.set_printoptions(precision=10, suppress=False)
     print(jac)
@@ -592,8 +603,7 @@ def _cmd_jacobian(args):
 
 
 def _cmd_radial_op(args):
-    sc = resolve_scenario(args.scenario)
-    c_in = CuspData(*_beam(args, sc))
+    sc, c_in = _scenario_beam(args)
     rep = radial_convergence(sc.spec, verify.radial_seed(sc.spec, c_in),
                              horizon=args.horizon, tol=sc.flow_tol)
     print("exponent forward :", rep.exponent_forward)
@@ -604,14 +614,11 @@ def _cmd_radial_op(args):
 
 
 def _cmd_propagate(args):
-    sc = resolve_scenario(args.scenario)
-    grid = _needs_grid(sc)
-    f = coherent_data(grid, *_beam(args, sc), args.h)
+    sc, c_in = _scenario_beam(args)
+    f = coherent_data(_needs_grid(sc), c_in.Z, c_in.frak, args.h)
     span = window_span(sc.spec, sc.solver)
     u = propagate_window(sc.spec, poisson_free(f, -span), span, sc.solver)
-    out = os.path.join(_out_root(args), sc.name, "propagate")
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "field.field")
+    path = os.path.join(_out_dir(args, sc, "propagate"), "field.field")
     dump_field(path, u)
     print(f"field at t={u.time} written to {path}; norm = {u.norm():.12g}, "
           f"shell fraction = {u.boundary_leak_fraction():.3e}")
@@ -619,12 +626,10 @@ def _cmd_propagate(args):
 
 
 def _cmd_scatter(args):
-    sc = resolve_scenario(args.scenario)
-    grid = _needs_grid(sc)
-    f = coherent_data(grid, *_beam(args, sc), args.h)
+    sc, c_in = _scenario_beam(args)
+    f = coherent_data(_needs_grid(sc), c_in.Z, c_in.frak, args.h)
     fp = scattering_map(sc.spec, f, sc.solver)
-    out = os.path.join(_out_root(args), sc.name, "scatter")
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(args, sc, "scatter")
     export_spectrum_csv(os.path.join(out, "incoming.csv"), f)
     export_spectrum_csv(os.path.join(out, "outgoing.csv"), fp)
     dump_field(os.path.join(out, "outgoing.field"), fp)
@@ -641,64 +646,48 @@ def main(argv=None):
                     "time-dependent Schrodinger operators")
     parser.add_argument("--out", default=None,
                         help=f"output directory (default 'out' or ${OUT_ENV_VAR})")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel job count")
-    parser.add_argument("--only", default=None,
-                        help="comma-separated job families to run")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, scenario=True, **defaults):
+    def command(name, func, summary, beam=True):
+        """A subcommand that reads ``--scenario`` and, with ``beam``, one beam."""
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func, **defaults)
-        if scenario:
-            p.add_argument("--scenario", required=True,
-                           help="scenario file path or bundled name")
+        p.set_defaults(func=func)
+        p.add_argument("--scenario", required=True, help="scenario file path or bundled name")
+        if beam:
+            p.add_argument("--Z", required=True, help="comma-separated Z components")
+            p.add_argument("--frak", required=True, help="comma-separated frak components")
         return p
 
-    def add_beam(p, with_h=False):
-        p.add_argument("--Z", required=True, help="comma-separated Z components")
-        p.add_argument("--frak", required=True, help="comma-separated frak components")
-        if with_h:
-            p.add_argument("--h", type=_positive, default=0.25, help="packet width")
-
     p = command("flow", _cmd_flow, "integrate one bicharacteristic, export CSV")
-    add_beam(p)
     p.add_argument("--t0", type=_finite, required=True)
     p.add_argument("--t1", type=_finite, required=True)
     p.add_argument("--stride", type=_positive, default=0.01)
 
-    p = command("classical-map", _cmd_classical_map, "classical scattering of one beam")
-    add_beam(p)
+    command("classical-map", _cmd_classical_map, "classical scattering of one beam")
 
-    p = command("jacobian", _cmd_jacobian,
-                "scattering-map Jacobian and symplectic defect")
-    add_beam(p)
+    p = command("jacobian", _cmd_jacobian, "scattering-map Jacobian and symplectic defect")
     p.add_argument("--h-fd", type=_positive, default=1e-4, dest="h_fd")
 
     p = command("radial", _cmd_radial_op, "radial-set convergence of one beam")
-    add_beam(p)
     p.add_argument("--horizon", type=_positive, default=1e6)
 
     p = command("propagate", _cmd_propagate, "propagate a packet across the window")
-    add_beam(p, with_h=True)
+    p.add_argument("--h", type=_positive, default=0.25, help="packet width")
 
     p = command("scatter", _cmd_scatter, "apply the scattering map to a packet")
-    add_beam(p, with_h=True)
+    p.add_argument("--h", type=_positive, default=0.25, help="packet width")
 
-    # one subcommand per job family, except where a beam command holds the
-    # name: `--only radial all` runs the radial jobs
-    for name in verify.JOB_FAMILIES:
-        if name not in sub.choices:
-            command(name, _cmd_run, f"run the scenario's '{name}' jobs", check=name)
-    command("all", _cmd_run, "run every job declared by the scenario "
-            "('cusplab --only radial all' runs its radial jobs)", check=None)
+    p = command("all", _cmd_run, "run the jobs declared by the scenario", beam=False)
+    p.add_argument("--only", default=None,
+                   help="comma-separated job families to run (default: every job)")
+    p.add_argument("--jobs", type=_pool_size, default=1,
+                   help="processes that march distinct operators (default 1)")
 
-    p = command("report", _cmd_report, "summarize reports under the output directory",
-                scenario=False)
+    p = sub.add_parser("report", help="summarize reports under the output directory")
+    p.set_defaults(func=_cmd_report)
     p.add_argument("scenario_name")
 
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         return args.func(args)
     except CuspLabError as exc:

@@ -349,10 +349,11 @@ def test_csv_ends_at_the_end_of_the_span(tmp_path, t0, t1):
             0.3, *end.z, *end.zeta, end.tau, principal_symbol(BUMP2, end)])
 
 
-def test_trapping_budget_guard():
+def test_trapping_budget_guard(monkeypatch):
+    monkeypatch.setattr(flow, "_transit_budget", lambda spec, zeta: 1e-3)
     p0 = bichar_from_cusp(BEAM, -2.3)
     with pytest.raises(TrappingSuspected):
-        integrate(BUMP2, p0, 2.3, tol=1e-9, transit_budget=1e-3)
+        integrate(BUMP2, p0, 2.3, tol=1e-9)
 
 
 def test_classical_scatter_flat_is_exact_identity():

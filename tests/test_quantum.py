@@ -730,6 +730,15 @@ def test_solver_params_reject_non_finite_values(field, value):
         SolverParams(**{field: value})
 
 
+@pytest.mark.parametrize("dt", [1e-300, 1e-30])
+def test_a_march_of_too_many_steps_is_refused_naming_dt(dt):
+    # a times array of one entry a step cannot be allocated
+    f = coherent_data(GRID, 0.5, 0.0, 0.5)
+    with pytest.raises(ValidationError, match="^dt = ") as refused:
+        scattering_map(_potential_spec(), f, SolverParams(dt=dt))
+    assert refused.value.invariant == "march-steps"
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_grid_rejects_a_non_finite_half_width(value):
     # the parameter comes first, so that a scenario error names grid.half_width

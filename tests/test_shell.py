@@ -228,10 +228,53 @@ def test_flow_tol_out_of_range_is_refused_as_such(tmp_path, value):
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
     with pytest.raises(SystemExit) as exc:
-        main(["--out", str(tmp_path), "--jobs", jobs, "all", "--scenario", "flat"])
+        main(["--out", str(tmp_path), "all", "--jobs", jobs, "--scenario", "flat"])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
     assert not (tmp_path / "flat").exists()
+
+
+def test_all_is_the_one_command_that_runs_jobs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert ("{flow,classical-map,jacobian,radial,propagate,scatter,all,report}"
+            in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--scenario", "bump_metric", "--Z", "1.0", "--frak", "0.3",
+     "--t0", "-2", "--t1", "2"],
+    ["classical-map", "--scenario", "bump_metric", "--Z", "1.0", "--frak", "0.3"],
+    ["jacobian", "--scenario", "bump_metric", "--Z", "1.0", "--frak", "0.3"],
+    ["radial", "--scenario", "bump_metric", "--Z", "1.0", "--frak", "0.3"],
+    ["propagate", "--scenario", "eikonal", "--Z", "1.0", "--frak", "0.0"],
+    ["scatter", "--scenario", "eikonal", "--Z", "1.0", "--frak", "0.0"],
+    ["report", "flat"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("flag", [["--only", "pairng"], ["--jobs", "3"]],
+                         ids=lambda flag: flag[0])
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_commands_that_run_no_jobs_refuse_only_and_jobs(tmp_path, capsys, argv, flag,
+                                                        before):
+    # the flags were global, and every command but the run accepted and
+    # ignored them before its name
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path)] + (flag + argv if before else argv + flag))
+    assert exc.value.code == 2
+    assert "cusplab: error: " in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("dt", [1e-300, 1e-30])
+def test_a_dt_of_too_many_steps_fails_the_job_naming_dt(tmp_path, capsys, dt):
+    # the march asked numpy for one time a step, and the run ended in a
+    # traceback
+    doc = json.loads(Path(bundled_scenario_path("potential")).read_text())
+    doc["solver"]["dt"], doc["jobs"] = dt, doc["jobs"][:1]
+    assert main(["--out", str(tmp_path), "all", "--scenario", _write(tmp_path, doc)]) == 1
+    out = capsys.readouterr().out
+    assert f"note: ValidationError: dt = {dt:.3g} needs" in out
 
 
 def _fresh_python(*args):
@@ -619,8 +662,8 @@ def test_cli_scatter_and_report(tmp_path, capsys):
     assert (tmp_path / "eikonal" / "scatter" / "outgoing.field").exists()
 
 
-def test_cli_check_subcommand(tmp_path, capsys):
-    code = main(["--out", str(tmp_path), "eikonal", "--scenario", "eikonal"])
+def test_cli_run_of_one_family_and_report(tmp_path, capsys):
+    code = main(["--out", str(tmp_path), "all", "--only", "eikonal", "--scenario", "eikonal"])
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out
@@ -642,18 +685,19 @@ def test_report_of_a_malformed_report_json_is_an_error_naming_it(tmp_path, capsy
     assert err.startswith("error: ") and str(path) in err
 
 
-def test_every_job_family_but_radial_has_a_check_subcommand(tmp_path, capsys):
-    # `radial` is the beam command; `--only radial all` runs the radial jobs
-    assert main(["--out", str(tmp_path), "free-identity", "--scenario", "flat"]) == 0
+def test_only_runs_any_job_family_radial_included(tmp_path, capsys):
+    # `radial` is also the beam command, which runs no jobs
+    assert main(["--out", str(tmp_path), "all", "--only", "free-identity",
+                 "--scenario", "flat"]) == 0
     assert "[PASS] free-identity" in capsys.readouterr().out
-    assert main(["--out", str(tmp_path), "--only", "radial", "all",
+    assert main(["--out", str(tmp_path), "all", "--only", "radial",
                  "--scenario", "bump_metric"]) == 0
     assert "[PASS] radial" in capsys.readouterr().out
 
 
 def test_only_of_an_unknown_job_family_is_an_error(tmp_path, capsys):
     # a misspelt family selected no job, and the run passed
-    code = main(["--out", str(tmp_path), "--only", "pairng", "all", "--scenario", "flat"])
+    code = main(["--out", str(tmp_path), "all", "--only", "pairng", "--scenario", "flat"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'pairng'" in err and "(field: --only)" in err
@@ -664,8 +708,7 @@ def test_a_run_that_selects_no_job_fails(tmp_path, capsys):
     # flat declares no egorov job, and `all` passed with nothing checked, as
     # it did on a scenario without jobs
     path = _write(tmp_path, _minimal())
-    for argv, name in ((["--only", "egorov", "all", "--scenario", "flat"], "flat"),
-                       (["--only", "egorov", "pairing", "--scenario", "flat"], "flat"),
+    for argv, name in ((["all", "--only", "egorov", "--scenario", "flat"], "flat"),
                        (["all", "--scenario", path], "case")):
         assert main(["--out", str(tmp_path)] + argv) == 1
         assert capsys.readouterr().out == f"scenario '{name}' declares no matching jobs\n"
@@ -730,6 +773,6 @@ def test_cli_bad_scenario_returns_error(capsys):
 
 def test_out_env_var_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CUSPLAB_OUT", str(tmp_path))
-    code = main(["eikonal", "--scenario", "eikonal"])
+    code = main(["all", "--only", "eikonal", "--scenario", "eikonal"])
     assert code == 0
     assert (tmp_path / "eikonal").exists()
