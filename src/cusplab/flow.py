@@ -749,6 +749,9 @@ def _radial_direction(spec: PerturbationSpec, p0: PhasePoint, direction: float,
     traj = integrate(spec, p0, t_edge, tol=tol)
     end = PhasePoint.from_state(traj.states[-1 if direction > 0 else 0])
     t_start = max(abs(end.t) * 1.5, 1.0)
+    if not (math.isfinite(horizon) and horizon > t_start):   # else it samples the window
+        raise ValidationError(f"horizon = {horizon!r} must be finite and past the first "
+                              f"sample, |t| = {t_start!r}", invariant="horizon-beyond-window")
     ts = direction * np.geomspace(t_start, horizon, 24)
     ws = np.empty(len(ts))
     for i, t in enumerate(ts):

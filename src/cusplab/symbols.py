@@ -19,14 +19,19 @@ points at many times pays for the spatial windows once.  The field
 evaluators also take a column (M, 1) of times and return a leading M axis,
 one slice per time, bitwise the slice a single time gives.  The
 Hamilton vector field of the principal symbol has its own loop over the
-bumps, on flat phase-space states: it contracts each pattern with zeta and
-never forms g or its derivatives.  The principal symbol and zeta.g.zeta are
-read off that field.
+bumps, on phase-space states: it contracts each pattern with zeta and
+never forms g or its derivatives.  One state takes a row path in Python
+floats, bitwise the array path on that state, as numpy's per-call cost
+there exceeds the arithmetic (see :meth:`PerturbationSpec.hamilton_field`).
+The principal symbol and zeta.g.zeta are read off that field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -36,6 +41,7 @@ from .phasespace import PhasePoint
 # Relative inflation of every term's support radii wherever a support is
 # tested: rounding may then only add points, at which the fields are flat.
 SUPPORT_MARGIN = 1e-9
+_FLOOR = 1e-100     # the floor of 1 - r^2 in the mollifier, see _mollifier
 
 
 def _mollifier(d, radius, slope=True):
@@ -49,9 +55,20 @@ def _mollifier(d, radius, slope=True):
     both results are exactly 0, with no division by zero.
     """
     r = d / radius
-    s = np.maximum(1.0 - r * r, 1e-100)
+    s = np.maximum(1.0 - r * r, _FLOOR)
     w = np.exp(1.0 - 1.0 / s)
     return w, (w * -2.0 / (radius**2 * s**2) if slope else None)
+
+
+def _mollifier_row(d, radius):
+    """:func:`_mollifier` (w, k) at a Python float d, with the bits numpy's
+    float64 scalars give: a NaN stays NaN, as in np.maximum."""
+    r = d / radius
+    s = 1.0 - r * r
+    if s <= _FLOOR:
+        s = _FLOOR
+    w = float(np.exp(1.0 - 1.0 / s))
+    return w, w * -2.0 / (radius**2 * s**2)
 
 
 class FieldPoints:
@@ -241,7 +258,26 @@ class PerturbationSpec:
         s = P zeta and q = zeta.s, and adds eps w s to g zeta, eps q d_z w to
         d_z p and eps q d_t w to d_t p.  Outside every support the field is
         exactly the flat one, (2 zeta, 1, 0, 0).
+
+        A stack takes the array path.  One flat state (n < 8) takes a row
+        path in Python floats, which saves the 25 or so numpy dispatches on
+        0-d and (n,) arrays that dominate a call, and has the bits of the
+        array path on that state.  It keeps np.exp (math.exp rounds apart on
+        5 % of arguments), zeta @ P (scalar products round apart where BLAS
+        fuses multiply-adds) and s**2, libm's pow (s * s rounds apart on
+        0.1 %), and sums left to right, as np.add.reduce sums fewer than 8
+        terms.  A stack squares s as s * s, so its row differs from the
+        state alone in the last bit on about 0.1 % of states in a support.
         """
+        if x.ndim == 1 and self.n < 8:
+            try:
+                return self._hamilton_row(x)
+            except ZeroDivisionError:   # radius**2 * s**2 underflowed, radius < 1e-61
+                pass
+        return self._hamilton_array(x)
+
+    def _hamilton_array(self, x):
+        """:meth:`hamilton_field` in numpy arrays, at a stack or at one state."""
         n = self.n
         z, tz, zeta = x[..., :n], x[..., n], x[..., n + 1:2 * n + 1]
         gz, dz, dt = zeta, 0.0, 0.0
@@ -263,6 +299,27 @@ class PerturbationSpec:
         f[..., n + 1:2 * n + 1] = -dz
         f[..., 2 * n + 1] = -dt
         return f
+
+    def _hamilton_row(self, x):
+        """:meth:`hamilton_field` at one flat state x, in Python floats."""
+        n = self.n
+        row = x.tolist()
+        z, tz, zeta = row[:n], row[n], row[n + 1:2 * n + 1]
+        gz, dz, dt = zeta, [0.0] * n, 0.0
+        for b in self.bumps:
+            dtc = tz - b.center_t
+            wt, kt = _mollifier_row(dtc, b.radius_t)
+            if wt == 0.0:
+                continue
+            d = [zj - cj for zj, cj in zip(z, b.center_z.tolist())]
+            wz, kz = _mollifier_row(math.sqrt(reduce(add, [v * v for v in d], 0.0)), b.radius_z)
+            s = (x[n + 1:2 * n + 1] @ b.pattern).tolist()
+            q = reduce(add, [zj * sj for zj, sj in zip(zeta, s)], 0.0)
+            gw, dw = b.amplitude * wt * wz, b.amplitude * wt * kz * q
+            gz = [g + gw * sj for g, sj in zip(gz, s)]
+            dz = [v + dw * dj for v, dj in zip(dz, d)]
+            dt = dt + (b.amplitude * kt * dtc) * wz * q
+        return np.array([2.0 * v for v in gz] + [1.0] + [-v for v in dz] + [-dt])
 
     def kinetic(self, x):
         """zeta.g.zeta at a flat state x, or at each row of an (m, 2n + 2)

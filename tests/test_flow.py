@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from cusplab import flow
-from cusplab.errors import StepFailure, TrappingSuspected
+from cusplab.errors import StepFailure, TrappingSuspected, ValidationError
 from cusplab.flow import (
     classical_scatter,
     hamilton_rhs,
@@ -235,6 +235,26 @@ def test_integrate_is_bitwise_scipy_rk45(case, backward):
     assert traj.stats == {"steps": steps, "rejected_steps_estimate": rejected,
                           "max_p_drift": float(p_res.max() - p_res[0]),
                           "time_inside_support": inside}
+
+
+def test_flow_through_the_row_path_is_the_flow_through_a_stack_of_one(monkeypatch):
+    # one state's field comes from the row path in Python floats; given as a
+    # stack of one row it comes from the array path.  The two round apart in
+    # the last bit on about 0.1 % of states inside a support (pow(s, 2)
+    # against s * s), on none of this beam's, so its march is the same
+    def beam():
+        return (integrate(BUMP2, bichar_from_cusp(BEAM, -2.3), 2.3, tol=1e-11),
+                classical_scatter(BUMP2, BEAM, tol=1e-11))
+
+    traj, res = beam()
+    field = PerturbationSpec.hamilton_field
+    monkeypatch.setattr(PerturbationSpec, "hamilton_field",
+                        lambda self, t, x: field(self, t, x[None])[0])
+    traj_stack, res_stack = beam()
+    assert traj.states.tobytes() == traj_stack.states.tobytes()
+    assert traj.stats == traj_stack.stats and traj.stats["steps"] > 0
+    assert res.c_out.pair().tobytes() == res_stack.c_out.pair().tobytes()
+    assert (res.transit, res.action_diff) == (res_stack.transit, res_stack.action_diff)
 
 
 @contextmanager
@@ -510,6 +530,14 @@ def test_radial_convergence_limits_match_scatter():
     rep = radial_convergence(BUMP2, p0, horizon=1e6, tol=1e-11)
     assert np.max(np.abs(rep.limit_forward.pair() - res.c_out.pair())) < 1e-8
     assert np.max(np.abs(rep.limit_backward.pair() - BEAM.pair())) < 1e-8
+
+
+@pytest.mark.parametrize("horizon", [0.5, -1e3, np.nan, np.inf])
+def test_radial_convergence_refuses_a_horizon_that_samples_nothing_beyond_the_beam(horizon):
+    # the samples start at |t| >= 1, beyond the window: a horizon nearer in
+    # samples the free flight run back into the window
+    with pytest.raises(ValidationError, match="horizon"):
+        radial_convergence(BUMP2, bichar_from_cusp(BEAM, -3.0), horizon=horizon, tol=1e-11)
 
 
 def test_zero_frequency_beam_is_supported():

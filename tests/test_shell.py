@@ -480,6 +480,20 @@ def test_huge_h_fd_is_a_typed_error_naming_it(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: h_fd = 1e+300")
 
 
+def test_a_radial_horizon_short_of_the_samples_is_a_typed_error_naming_it(tmp_path, capsys):
+    # on this beam the samples start at |t| = 3: a horizon of 0.5 would
+    # sample the free flight run back into the window, and every check pass
+    doc = json.loads(Path(bundled_scenario_path("bump_metric")).read_text())
+    doc["jobs"] = [{"check": "radial", "params": {"Z0": [1.0], "frak0": [0.3], "horizon": 0.5}}]
+    code, reports = run(load_scenario(_write(tmp_path, doc)), out_root=str(tmp_path))
+    assert code == 1 and reports[0].status == "fail"
+    assert reports[0].note.startswith("ValidationError: horizon = 0.5")
+    code = main(["--out", str(tmp_path), "radial", "--scenario", "bump_metric",
+                 "--Z", "1.0", "--frak", "0.3", "--horizon", "0.5"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: horizon = 0.5")
+
+
 def test_run_is_deterministic(tmp_path):
     sc = load_scenario(bundled_scenario_path("flat"))
     run(sc, only={"pairing"}, out_root=str(tmp_path / "a"))

@@ -308,7 +308,7 @@ def test_hamilton_field_contracts_the_metric_jet(n, n_bumps, seed):
         field = spec.hamilton_field(None, states)
         for x, f in zip(states, field):
             z, t, zeta = x[:n], x[n], x[n + 1:2 * n + 1]
-            # a row of the array evaluation is the single-state field
+            # on these dyadic states a row of the stack is the single-state field
             assert _bits(spec.hamilton_field(t, x)) == _bits(f)
             g, dgdz, dgdt = spec.inverse_metric_jet(z, t)
             ref = np.concatenate([2.0 * g @ zeta, [1.0],
@@ -322,3 +322,52 @@ def test_hamilton_field_contracts_the_metric_jet(n, n_bumps, seed):
             jet = symbol_jet(spec, PhasePoint.from_state(x))
             rhs = np.concatenate([jet.dp_dzeta, [1.0], -jet.dp_dz, [-jet.dp_dt]])
             assert _bits(rhs) == _bits(f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hamilton_row_path_is_the_array_arithmetic_where_rounding_bites(n):
+    """A flat state's field, computed in Python floats, has the bits of the
+    array path on that state, sign bits included, at non-dyadic states:
+    inside each support, where 1 - r^2 is tiny (w near underflow), outside
+    with signed zeros in zeta, and with one NaN coordinate."""
+    rng = np.random.default_rng(n)
+    bumps = []
+    for _ in range(2):
+        a = rng.uniform(-0.5, 0.5, (n, n))
+        bumps.append(MetricBump(amplitude=rng.uniform(-0.3, 0.3), pattern=(a + a.T) / 2,
+                                center_z=rng.uniform(-0.5, 0.5, n),
+                                center_t=rng.uniform(-0.5, 0.5),
+                                radius_z=rng.uniform(0.5, 1.5), radius_t=rng.uniform(0.5, 1.5)))
+    spec = PerturbationSpec(n=n, bumps=tuple(bumps))
+    k = 150
+    # |offset| / radius: inside, just inside (1 - r^2 from 2/3 down past the
+    # exp's underflow at 1/745), and on or beyond the edge
+    radii = [rng.uniform(0.0, 1.0, k), np.sqrt(1.0 - 1.0 / rng.uniform(1.5, 800.0, k)),
+             1.0 + rng.uniform(0.0, 0.5, k) * (rng.random(k) < 0.8)]
+    states = []
+    for b in spec.bumps:
+        for rz in radii:
+            for rt in radii:
+                u = rng.standard_normal((k, n))
+                u /= np.linalg.norm(u, axis=1, keepdims=True)
+                z = b.center_z + u * (rz * b.radius_z)[:, None]
+                t = b.center_t + rng.choice([-1.0, 1.0], k) * rt * b.radius_t
+                zeta = rng.uniform(-2.0, 2.0, (k, n)) * (rng.random((k, n)) < 0.8)
+                zeta[rng.random((k, n)) < 0.3] *= -1.0     # -0.0 among the zeros
+                states.append(np.column_stack([z, t, zeta, rng.uniform(-2.0, 2.0, k)]))
+    states = np.concatenate(states)
+    nan_states = states[rng.integers(0, len(states), 2 * n + 2)]
+    nan_states[np.arange(2 * n + 2), np.arange(2 * n + 2)] = np.nan
+    with np.errstate(invalid="ignore"):
+        for x in np.concatenate([states, nan_states]):
+            assert _bits(spec.hamilton_field(None, x)) == _bits(spec._hamilton_array(x))
+
+
+def test_hamilton_row_path_falls_back_where_python_floats_divide_by_zero():
+    # outside a bump of radius 1e-70, radius**2 * s**2 underflows to 0: Python
+    # floats raise ZeroDivisionError there, numpy's give the array path's nan
+    spec = _bump_spec(n=1, radius_z=1e-70)
+    x = np.array([0.5, 0.0, 1.0, -1.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = spec.hamilton_field(None, x)
+        assert _bits(f) == _bits(spec._hamilton_array(x)) and np.isnan(f[2])
