@@ -63,29 +63,35 @@ def hamilton_rhs(spec: PerturbationSpec, p: PhasePoint) -> np.ndarray:
 # support-region geometry for the free/numeric split
 
 
-def _inflated(term):
-    rz = term.radius_z * (1.0 + SUPPORT_MARGIN)
-    rt = term.radius_t * (1.0 + SUPPORT_MARGIN)
-    return term.center_z, term.center_t, rz, rt
+def _inflated(spec: PerturbationSpec) -> list:
+    """(center_z, center_t, Rz, Rt) of every term, its radii inflated by
+    SUPPORT_MARGIN."""
+    grow = 1.0 + SUPPORT_MARGIN
+    return [(term.center_z, term.center_t, term.radius_z * grow, term.radius_t * grow)
+            for term in spec.terms()]
 
 
 def _outsideness(spec: PerturbationSpec, z: np.ndarray, t: float) -> float:
     """min over terms of max(|z - c| - Rz, |t - ct| - Rt); <= 0 inside."""
-    best = np.inf
-    for term in spec.terms():
-        cz, ct, rz, rt = _inflated(term)
+    return _outsideness_of(_inflated(spec), z, t)
+
+
+def _outsideness_of(inflated: list, z: np.ndarray, t: float) -> float:
+    """:func:`_outsideness` of the terms ``inflated`` = _inflated(spec)."""
+    best = math.inf
+    for cz, ct, rz, rt in inflated:
         d = z - cz      # |d| with the arithmetic of np.linalg.norm
         best = min(best, max(math.sqrt(d.dot(d)) - rz, abs(t - ct) - rt))
     return best
 
 
-def _free_entry_time(spec, z0, t0, zeta, t_limit):
+def _free_entry_time(inflated, z0, t0, zeta, t_limit):
     """Earliest time (in the direction of t_limit) the free beam from
-    (z0, t0) enters the inflated support, or None."""
+    (z0, t0) enters the support of the terms ``inflated`` =
+    _inflated(spec), or None."""
     direction = 1.0 if t_limit > t0 else -1.0
     best = None
-    for term in spec.terms():
-        cz, ct, rz, rt = _inflated(term)
+    for cz, ct, rz, rt in inflated:
         a = z0 - cz - 2.0 * zeta * t0
         zz = float(zeta @ zeta)
         if zz > 0.0:
@@ -130,7 +136,7 @@ def _transit_budget(spec: PerturbationSpec, zeta: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4) steps, as scipy.integrate's RK45 takes them
 
-_EPS = np.finfo(float).eps
+_EPS = math.ulp(1.0)    # the float64 machine epsilon, a Python float
 # the tableau (Dormand & Prince, J. Comput. Appl. Math. 6, 1980) and the
 # dense-output matrix (Shampine, Math. Comp. 46, 1986) of scipy's RK45,
 # written as scipy writes them, so every coefficient has scipy's bits
@@ -157,17 +163,20 @@ _RK_P = np.array([
      701980252875 / 199316789632],
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
-# stage s combines the stages before it with the weights a[:s]
-_RK_STAGES = tuple((s, a[:s], c) for s, (a, c) in enumerate(zip(_RK_A[1:], _RK_C[1:]), start=1))
+# stage s combines the stages before it with the weights a[:s], at the
+# node c, a Python float
+_RK_STAGES = tuple((s, a[:s], float(c))
+                   for s, (a, c) in enumerate(zip(_RK_A[1:], _RK_C[1:]), start=1))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / 5    # -1 / (order of the error estimate + 1)
 
 
 def _rms(x):
-    """Root mean square of x, with the arithmetic of
-    np.linalg.norm(x) / sqrt(x.size)."""
+    """Root mean square of x, a Python float, with the arithmetic of
+    np.linalg.norm(x) / sqrt(x.size) (math.sqrt and np.sqrt are both the
+    correctly rounded square root)."""
     x = x.ravel()
-    return np.sqrt(x.dot(x)) / x.size ** 0.5
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(field, t0, y0, t_bound, f0, direction, rtol, atol):
@@ -191,15 +200,19 @@ def _initial_step(field, t0, y0, t_bound, f0, direction, rtol, atol):
 def _rk_step(field, t, y, f, h, k):
     """One RK 5(4) step of size h from (t, y), f the field there: the new
     state and its field; the seven stages go to the rows of k.  The stage
-    states are scipy's y + np.dot(k[:s].T, a) * h, formed in place."""
+    states are scipy's y + np.dot(k[:s].T, a) * h, formed in place, and
+    the sums are np.dot's own call, the method k[:s].T.dot(a).  h and the
+    nodes c are Python floats; the products with h take it as a 0-d
+    array, which numpy multiplies in at half the cost of a float."""
     k[0] = f
+    h_array = np.array(h)
     for s, a, c in _RK_STAGES:
-        x = np.dot(k[:s].T, a)
-        x *= h
+        x = k[:s].T.dot(a)
+        x *= h_array
         x += y
         k[s] = field(t + c * h, x)
-    y_new = np.dot(k[:-1].T, _RK_B)
-    y_new *= h
+    y_new = k[:-1].T.dot(_RK_B)
+    y_new *= h_array
     y_new += y
     f_new = field(t + h, y_new)
     k[-1] = f_new
@@ -336,14 +349,28 @@ def _rk45(field, t0, y0, t_bound, tol, exit_value):
     field that turns NaN shrinks the step to that failure.  Works on y0 as
     given, not on a copy.
 
+    The step control runs in Python floats: t, the direction, the step h
+    and its size, the error norm and the stage nodes c.  On float64 values
+    Python's sums, products, quotients, abs, square root and pow (libm's,
+    as numpy's scalar power) give numpy's bits, without numpy's per-call
+    cost on 0-d values.  rtol and atol, and h in the stage sums, act on
+    arrays in place as 0-d arrays: the same operation at half the cost of
+    a float operand.  The arrays keep scipy's products: the stage sums are
+    ``np.dot(k[:s].T, a)`` (:func:`_rk_step`) and the error estimate
+    ``np.dot(k.T, E)``, each taken as the method ``.dot``, which is the
+    same call without np.dot's dispatch.  They cannot move to Python
+    floats: BLAS's matrix-vector product rounds like neither a
+    left-to-right sum nor a chain of fused multiply-adds.
+
     Returns (ys, sol, attempts): the states after y0 at the ends of the
     steps (the last at the exit time), the segment's :class:`_RKSolution`,
     and the number of steps attempted."""
-    direction = np.sign(t_bound - t0)
+    direction = 1.0 if t_bound > t0 else -1.0
     rtol = max(tol, 100 * _EPS)
     f = field(t0, y0)
     h_abs = _initial_step(field, t0, y0, t_bound, f, direction, rtol, tol)
     t, y, abs_y = t0, y0, np.abs(y0)
+    rtol_array, atol_array = np.array(rtol), np.array(tol)
     ts, ys, steps = [t0], [], []
     attempts = 0
     k = np.empty((_RK_C.size + 1,) + y0.shape)
@@ -359,15 +386,15 @@ def _rk45(field, t0, y0, t_bound, tol, exit_value):
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             attempts += 1
             y_new, f_new = _rk_step(field, t, y, f, h, k)
             # scipy's np.dot(k.T, E) * h / (atol + max(|y|, |y_new|) * rtol)
             abs_y_new = np.abs(y_new)
             scale = np.maximum(abs_y, abs_y_new)
-            scale *= rtol
-            scale += tol
-            error = np.dot(k.T, _RK_E)
+            scale *= rtol_array
+            scale += atol_array
+            error = k.T.dot(_RK_E)
             error *= h
             error /= scale
             error_norm = _rms(error)
@@ -511,12 +538,14 @@ def integrate(spec: PerturbationSpec, p0: PhasePoint, t_final: float,
     n_steps = 0
     n_attempts = 0
 
+    inflated, n = _inflated(spec), p0.n     # once per flow, not once per step
+
     def exit_value(t, x):
-        return _outsideness(spec, x[:p0.n], t) - EXIT_SHELL
+        return _outsideness_of(inflated, x[:n], t) - EXIT_SHELL
 
     while (t_final - current.t) * direction > 0.0:
-        if _outsideness(spec, current.z, current.t) > 0.0:
-            entry = _free_entry_time(spec, current.z, current.t, current.zeta, t_final)
+        if _outsideness_of(inflated, current.z, current.t) > 0.0:
+            entry = _free_entry_time(inflated, current.z, current.t, current.zeta, t_final)
             if entry is None:
                 target = t_final
             else:
@@ -664,7 +693,7 @@ def classical_scatter(spec: PerturbationSpec, c_in: CuspData,
     t_in, t_out = _beam_times(window, c_in)
 
     seed = bichar_from_cusp(c_in, t_in)
-    if _free_entry_time(spec, seed.z, seed.t, seed.zeta, t_out) is None:
+    if _free_entry_time(_inflated(spec), seed.z, seed.t, seed.zeta, t_out) is None:
         return ScatterResult(c_in, c_in, None)
 
     traj = integrate(spec, seed, t_out, tol=tol)

@@ -734,7 +734,7 @@ def _strang_march(spec, grid, values, t0, t1, params):
     v = np.empty_like(spectrum)
     flat = v.reshape(*v.shape[:v.ndim - grid.n], -1)    # a view of v
     np.multiply(half, spectrum, out=spectrum)
-    np.fft.ifftn(spectrum, axes=axes, out=v)
+    _fft_into(np.fft.ifft, spectrum, axes, v)
     for k, t_mid in enumerate(times):
         if ids.size:
             try:
@@ -746,10 +746,20 @@ def _strang_march(spec, grid, values, t0, t1, params):
                 raise ConvergenceFailure(f"remainder step at t={t_mid:.6g} produced "
                                          "non-finite values")
             flat[..., ids] = solved
-        np.fft.fftn(v, axes=axes, out=spectrum)
+        _fft_into(np.fft.fft, v, axes, spectrum)
         np.multiply(full if k < m - 1 else half, spectrum, out=spectrum)
-        np.fft.ifftn(spectrum, axes=axes, out=v)
+        _fft_into(np.fft.ifft, spectrum, axes, v)
     return v
+
+
+def _fft_into(transform, a, axes, out):
+    """np.fft.fftn (``transform`` np.fft.fft) or np.fft.ifftn (np.fft.ifft)
+    of a over ``axes``, written into out: one axis at a time, the last
+    first, as fftn transforms once it has read its arguments, so the bits
+    are fftn's without the cost of its argument handling on every step."""
+    for axis in reversed(axes):
+        a = transform(a, axis=axis, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,8 @@ SOLVER_KEYS = tuple(f.name for f in SOLVER_FIELDS) + ("flow_tol",)
 SCENARIO_KEYS = ("schema_version", "name", "dimension", "perturbation", "grid",
                  "solver", "seed", "jobs")
 TERM_KEYS = ("amplitude", "center_z", "center_t", "radius_z", "radius_t")
+# a term refuses a radius it cannot square with a message that starts with its name
+RADIUS_KEYS = {"radius_z": "radius_z", "radius_t": "radius_t"}
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,7 @@ def _parse_perturbation(doc, n):
     for i, b in enumerate(doc.get("bumps", [])):
         where = f"perturbation.bumps[{i}]"
         _known(b, TERM_KEYS + ("pattern",), where)
-        with _fields(where):
+        with _fields(where, RADIUS_KEYS):
             bumps.append(MetricBump(
                 amplitude=_require(b, "amplitude", float, where),
                 center_z=_numbers(b, "center_z", (n,), where),
@@ -166,7 +168,7 @@ def _parse_perturbation(doc, n):
         where = f"perturbation.potential_terms[{i}]"
         _known(p, TERM_KEYS, where)
         amp = _numbers(p, "amplitude", (2,), where)
-        with _fields(where):
+        with _fields(where, RADIUS_KEYS):
             pots.append(PotentialTerm(
                 amplitude=complex(amp[0], amp[1]),
                 center_z=_numbers(p, "center_z", (n,), where),

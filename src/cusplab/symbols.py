@@ -22,8 +22,12 @@ Hamilton vector field of the principal symbol has its own loop over the
 bumps, on phase-space states: it contracts each pattern with zeta and
 never forms g or its derivatives.  One state takes a row path in Python
 floats, bitwise the array path on that state, as numpy's per-call cost
-there exceeds the arithmetic (see :meth:`PerturbationSpec.hamilton_field`).
-The principal symbol and zeta.g.zeta are read off that field.
+there exceeds the arithmetic (see :meth:`PerturbationSpec.hamilton_field`):
+the state's coordinates and each bump's centres, radii, squared radii and
+amplitude are Python floats there, read once per state and once per spec.
+Besides reading the state and building the result, only the exponentials
+and the contraction zeta @ P stay numpy calls, as their bits are numpy's
+own.  The principal symbol and zeta.g.zeta are read off that field.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from itertools import repeat
+from operator import add, mul, neg, sub
 
 import numpy as np
 
@@ -42,6 +47,7 @@ from .phasespace import PhasePoint
 # tested: rounding may then only add points, at which the fields are flat.
 SUPPORT_MARGIN = 1e-9
 _FLOOR = 1e-100     # the floor of 1 - r^2 in the mollifier, see _mollifier
+_TINY = 5e-324      # the least subnormal: the floor of the mollifier slope's denominator
 
 
 def _mollifier(d, radius, slope=True):
@@ -52,23 +58,15 @@ def _mollifier(d, radius, slope=True):
     One exp serves both, for scalars and arrays alike.  For |d| >= radius
     the factor 1 - r^2 <= 0 is raised to a floor far below any value it
     takes inside the support (at least 2^-53), so the exp underflows and
-    both results are exactly 0, with no division by zero.
+    both results are exactly 0 (k is -0.0).  The denominator of k is
+    raised to the least subnormal, which changes it only where it
+    underflowed to 0 (a radius below about 1e-61 at the floor), so there
+    too k is -0.0 where w is 0 and never 0/0.
     """
     r = d / radius
     s = np.maximum(1.0 - r * r, _FLOOR)
     w = np.exp(1.0 - 1.0 / s)
-    return w, (w * -2.0 / (radius**2 * s**2) if slope else None)
-
-
-def _mollifier_row(d, radius):
-    """:func:`_mollifier` (w, k) at a Python float d, with the bits numpy's
-    float64 scalars give: a NaN stays NaN, as in np.maximum."""
-    r = d / radius
-    s = 1.0 - r * r
-    if s <= _FLOOR:
-        s = _FLOOR
-    w = float(np.exp(1.0 - 1.0 / s))
-    return w, w * -2.0 / (radius**2 * s**2)
+    return w, (w * -2.0 / np.maximum(radius**2 * s**2, _TINY) if slope else None)
 
 
 class FieldPoints:
@@ -101,7 +99,8 @@ def _at(points):
 
 def _coerce_window(term, kind, number):
     """Store a term's amplitude as a ``number``, its centres and radii as
-    floats, and check that they are finite and the radii positive."""
+    floats, and check that they are finite and the radii positive, with
+    squares that do not overflow."""
     object.__setattr__(term, "amplitude", number(term.amplitude))
     object.__setattr__(term, "center_z", np.atleast_1d(np.asarray(term.center_z, dtype=float)))
     for name in ("center_t", "radius_z", "radius_t"):
@@ -111,6 +110,13 @@ def _coerce_window(term, kind, number):
         raise ValueError(f"{kind} amplitude, centres and radii must be finite")
     if term.radius_z <= 0 or term.radius_t <= 0:
         raise ValueError(f"{kind} radii must be positive")
+    for name in ("radius_z", "radius_t"):
+        radius = getattr(term, name)
+        try:
+            radius**2      # the mollifier's slope squares it
+        except OverflowError:
+            raise ValueError(f"{name} = {radius!r} is too large: its square overflows "
+                             "a float") from None
 
 
 @dataclass(frozen=True)
@@ -173,6 +179,10 @@ class PerturbationSpec:
             if any(term.center_z.size != self.n for term in terms):
                 raise ValueError(f"{kind} dimension mismatch")
         self._validate_positive_definite()
+        # each bump's window as the row path of hamilton_field reads it
+        object.__setattr__(self, "_row_bumps", tuple(
+            (b.center_t, b.radius_t, b.radius_t**2, b.center_z.tolist(), b.radius_z,
+             b.radius_z**2, b.amplitude, b.pattern) for b in self.bumps))
 
     # -- support geometry ------------------------------------------------
 
@@ -262,7 +272,11 @@ class PerturbationSpec:
         A stack takes the array path.  One flat state (n < 8) takes a row
         path in Python floats, which saves the 25 or so numpy dispatches on
         0-d and (n,) arrays that dominate a call, and has the bits of the
-        array path on that state.  It keeps np.exp (math.exp rounds apart on
+        array path on that state.  Every scalar there is a Python float:
+        the state, read once with ``tolist``, and each bump's centres, radii,
+        squared radii and amplitude, read once per spec.  Python floats and
+        numpy's float64 give the same IEEE sums, products, quotients and
+        square roots.  The row path keeps np.exp (math.exp rounds apart on
         5 % of arguments), zeta @ P (scalar products round apart where BLAS
         fuses multiply-adds) and s**2, libm's pow (s * s rounds apart on
         0.1 %), and sums left to right, as np.add.reduce sums fewer than 8
@@ -270,10 +284,7 @@ class PerturbationSpec:
         state alone in the last bit on about 0.1 % of states in a support.
         """
         if x.ndim == 1 and self.n < 8:
-            try:
-                return self._hamilton_row(x)
-            except ZeroDivisionError:   # radius**2 * s**2 underflowed, radius < 1e-61
-                pass
+            return self._hamilton_row(x)
         return self._hamilton_array(x)
 
     def _hamilton_array(self, x):
@@ -301,25 +312,42 @@ class PerturbationSpec:
         return f
 
     def _hamilton_row(self, x):
-        """:meth:`hamilton_field` at one flat state x, in Python floats."""
+        """:meth:`hamilton_field` at one flat state x, in Python floats: per
+        bump the time mollifier, skipped where it is 0, then the spatial
+        one, each :func:`_mollifier`'s arithmetic written out.  The vector
+        operations map operator functions over lists, whose products and
+        sums are the array path's, in its order, without a comprehension's
+        frame; ``den or _TINY`` is np.maximum(den, _TINY) where den is a
+        square or NaN."""
         n = self.n
         row = x.tolist()
         z, tz, zeta = row[:n], row[n], row[n + 1:2 * n + 1]
+        zeta_array = x[n + 1:2 * n + 1]
         gz, dz, dt = zeta, [0.0] * n, 0.0
-        for b in self.bumps:
-            dtc = tz - b.center_t
-            wt, kt = _mollifier_row(dtc, b.radius_t)
+        for ct, rt, rt2, cz, rz, rz2, amplitude, pattern in self._row_bumps:
+            dtc = tz - ct
+            r = dtc / rt
+            s = 1.0 - r * r
+            if s <= _FLOOR:     # not where s is NaN, as in np.maximum
+                s = _FLOOR
+            wt = float(np.exp(1.0 - 1.0 / s))
             if wt == 0.0:
                 continue
-            d = [zj - cj for zj, cj in zip(z, b.center_z.tolist())]
-            wz, kz = _mollifier_row(math.sqrt(reduce(add, [v * v for v in d], 0.0)), b.radius_z)
-            s = (x[n + 1:2 * n + 1] @ b.pattern).tolist()
-            q = reduce(add, [zj * sj for zj, sj in zip(zeta, s)], 0.0)
-            gw, dw = b.amplitude * wt * wz, b.amplitude * wt * kz * q
-            gz = [g + gw * sj for g, sj in zip(gz, s)]
-            dz = [v + dw * dj for v, dj in zip(dz, d)]
-            dt = dt + (b.amplitude * kt * dtc) * wz * q
-        return np.array([2.0 * v for v in gz] + [1.0] + [-v for v in dz] + [-dt])
+            kt = wt * -2.0 / (rt2 * s**2 or _TINY)
+            d = list(map(sub, z, cz))
+            r = math.sqrt(reduce(add, map(mul, d, d), 0.0)) / rz
+            s = 1.0 - r * r
+            if s <= _FLOOR:
+                s = _FLOOR
+            wz = float(np.exp(1.0 - 1.0 / s))
+            kz = wz * -2.0 / (rz2 * s**2 or _TINY)
+            p = (zeta_array @ pattern).tolist()
+            q = reduce(add, map(mul, zeta, p), 0.0)
+            gw, dw = amplitude * wt * wz, amplitude * wt * kz * q
+            gz = list(map(add, gz, map(mul, p, repeat(gw))))
+            dz = list(map(add, dz, map(mul, d, repeat(dw))))
+            dt = dt + (amplitude * kt * dtc) * wz * q
+        return np.array([*map(mul, gz, repeat(2.0)), 1.0, *map(neg, dz), -dt])
 
     def kinetic(self, x):
         """zeta.g.zeta at a flat state x, or at each row of an (m, 2n + 2)
@@ -403,12 +431,36 @@ class PerturbationSpec:
         pts = FieldPoints(np.stack([m.ravel() for m in mesh], axis=-1))
         for t in np.linspace(t_lo, t_hi, 32):
             with np.errstate(over="ignore", invalid="ignore"):
-                eigs = np.linalg.eigvalsh(self.inverse_metric_field(pts, t))
+                least, most = _eigenvalue_bounds(self.inverse_metric_field(pts, t))
+                least, most = np.min(least), np.max(most)
             # false for a NaN, which an overflowed metric gives
-            if not (np.min(eigs) > 0.0 and np.max(eigs) < np.inf):
+            if not (least > 0.0 and most < np.inf):
                 raise NotPositiveDefinite(
-                    f"inverse metric has eigenvalues in [{np.min(eigs):.3e}, "
-                    f"{np.max(eigs):.3e}], not all finite and positive, at t={t:.4g}")
+                    f"inverse metric has eigenvalues in [{least:.3e}, {most:.3e}], not all "
+                    f"finite and positive, at t={t:.4g}")
+
+
+def _eigenvalue_bounds(g):
+    """The least and the greatest eigenvalue of each symmetric matrix of a
+    stack g (..., n, n), read off its lower triangle as eigvalsh reads it.
+    For n <= 2 they are taken in closed form, a tenth of eigvalsh's cost:
+    g itself for n = 1, and (a + c)/2 -+ hypot((a - c)/2, b) for n = 2,
+    with a and c halved first so that no sum overflows where the
+    eigenvalues do not.  A NaN entry gives a NaN bound, and so does an
+    eigvalsh that does not converge (for n >= 3 it may not at a NaN)."""
+    n = g.shape[-1]
+    if n == 1:
+        return g[..., 0, 0], g[..., 0, 0]
+    if n == 2:
+        a, b, c = 0.5 * g[..., 0, 0], g[..., 1, 0], 0.5 * g[..., 1, 1]
+        mid, radius = a + c, np.hypot(a - c, b)
+        return mid - radius, mid + radius
+    try:
+        eigs = np.linalg.eigvalsh(g)
+    except np.linalg.LinAlgError:   # no convergence, as at a NaN entry
+        nan = np.full(g.shape[:-2], np.nan)
+        return nan, nan
+    return eigs[..., 0], eigs[..., -1]
 
 
 def flat_spec(n: int) -> PerturbationSpec:

@@ -177,6 +177,14 @@ _SCIPY_CASES = {
     # 0.3, yet the segment's clock reaches it: one numeric segment
     "2-D, ends inside": (BUMP2, bichar_from_cusp(BEAM, -2.3).state(), 0.3, 1e-9, (1, 1)),
     "1-D, five segments": (_five_bumps(), [-12.0, -6.0, 1.0, -1.0], 6.0, 1e-11, (5, 5)),
+    # overlapping in space and time, with patterns that are not diagonal:
+    # each bump's cached window, its zeta @ P and the sums over the bumps
+    "2-D, two sheared bumps": (PerturbationSpec(n=2, bumps=(
+        MetricBump(amplitude=0.05, center_z=[0.0, 0.0], center_t=0.0, radius_z=1.0,
+                   radius_t=1.0, pattern=[[1.0, 0.4], [0.4, -0.5]]),
+        MetricBump(amplitude=-0.04, center_z=[0.6, -0.2], center_t=0.3, radius_z=0.8,
+                   radius_t=0.7, pattern=[[0.3, -0.6], [-0.6, 0.8]]))),
+        bichar_from_cusp(BEAM, -2.3).state(), 2.3, 1e-11, (1, 1)),
 }
 
 
@@ -255,6 +263,22 @@ def test_flow_through_the_row_path_is_the_flow_through_a_stack_of_one(monkeypatc
     assert traj.stats == traj_stack.stats and traj.stats["steps"] > 0
     assert res.c_out.pair().tobytes() == res_stack.c_out.pair().tobytes()
     assert (res.transit, res.action_diff) == (res_stack.transit, res_stack.action_diff)
+
+
+def test_a_beam_crosses_a_bump_of_radius_below_1e_61():
+    # the beam meets the bump's centre at t = 0 and is outside its support,
+    # where the field is flat, from the next stage on.  There the slope's
+    # denominator, radius**2 * (1 - r^2)**2, underflows to 0, and the field
+    # was once NaN (0/0), which failed the march
+    spec = PerturbationSpec(n=1, bumps=(MetricBump(
+        amplitude=0.1, center_z=[0.0], center_t=0.0, radius_z=1e-70, radius_t=1.0,
+        pattern=1.0),))
+    p0 = PhasePoint.from_state(np.array([-4.0, -2.0, 1.0, -1.0]))
+    traj = integrate(spec, p0, 2.0)
+    assert [seg.numeric for seg in traj.segments] == [False, True, False]
+    assert traj.stats["steps"] > 0
+    assert np.array_equal(traj.states[:, 2:], np.tile([1.0, -1.0], (len(traj.states), 1)))
+    assert abs(traj.states[-1, 0] - 4.0) < 1e-10
 
 
 @contextmanager

@@ -193,6 +193,8 @@ _BEAM = {"Z0": [1.0], "frak0": [0.0]}
      "perturbation.potential_terms[0].amplitude"),
     ({"perturbation": _potential(center_z=["0.5"])},
      "perturbation.potential_terms[0].center_z"),
+    ({"perturbation": _bump(radius_z=1e200)}, "perturbation.bumps[0].radius_z"),
+    ({"perturbation": _potential(radius_t=1e200)}, "perturbation.potential_terms[0].radius_t"),
     ({"seed": -1}, "scenario.seed"),
     ({"jobs": [{"check": "symplectic", "params": {"seed": -1}}]}, "jobs[0].params.seed"),
 ], ids=["points", "dt", "bump", "h", "h_list", "unknown-key", "scenario-key",
@@ -205,7 +207,8 @@ _BEAM = {"Z0": [1.0], "frak0": [0.0]}
         "flow_tol-negative", "flow_tol-one", "flow_tol-huge", "flow_tol-infinity",
         "flow_tol-string", "center_z-nested", "center_z-nan", "center_z-string",
         "center_z-bool", "pattern-nan", "pattern-flat", "amplitude-nan",
-        "potential-center_z-string", "seed-negative", "job-seed-negative"])
+        "potential-center_z-string", "radius_z-overflowing", "potential-radius_t-overflowing",
+        "seed-negative", "job-seed-negative"])
 def test_scenario_bad_values_are_parse_errors(tmp_path, capsys, overrides, field):
     path = _write(tmp_path, _minimal(**overrides))
     with pytest.raises(ParseError) as err:
@@ -478,6 +481,17 @@ def test_huge_h_fd_is_a_typed_error_naming_it(tmp_path, capsys):
                  "--Z", "1.0,0.0", "--frak", "0.0,0.3", "--h-fd", "1e300"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: h_fd = 1e+300")
+
+
+def test_a_radius_whose_square_overflows_stops_the_run_naming_it(tmp_path, capsys):
+    # the mollifier squares each radius: a radius_z of 1e200 once ended the
+    # run in a bare OverflowError
+    doc = json.loads(Path(bundled_scenario_path("bump_metric")).read_text())
+    doc["perturbation"]["bumps"][0]["radius_z"] = 1e200
+    assert main(["--out", str(tmp_path), "all", "--scenario", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: radius_z = 1e+200 is too large")
+    assert "(field: perturbation.bumps[0].radius_z)" in err
 
 
 def test_a_radial_horizon_short_of_the_samples_is_a_typed_error_naming_it(tmp_path, capsys):

@@ -14,6 +14,7 @@ from cusplab.symbols import (
     MetricBump,
     PerturbationSpec,
     PotentialTerm,
+    _eigenvalue_bounds,
     _mollifier,
     flat_spec,
     principal_symbol,
@@ -363,11 +364,57 @@ def test_hamilton_row_path_is_the_array_arithmetic_where_rounding_bites(n):
             assert _bits(spec.hamilton_field(None, x)) == _bits(spec._hamilton_array(x))
 
 
-def test_hamilton_row_path_falls_back_where_python_floats_divide_by_zero():
-    # outside a bump of radius 1e-70, radius**2 * s**2 underflows to 0: Python
-    # floats raise ZeroDivisionError there, numpy's give the array path's nan
+def test_a_bump_of_radius_below_1e_61_is_flat_outside_its_support():
+    # outside a bump of radius 1e-70, radius**2 * s**2 underflows to 0 at the
+    # floor of s: the slope is -0.0 there, as at any radius, not 0/0, and the
+    # row path and the array path give the flat field
     spec = _bump_spec(n=1, radius_z=1e-70)
     x = np.array([0.5, 0.0, 1.0, -1.0])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="raise", invalid="raise"):
+        assert _mollifier(np.array([0.5]), 1e-70)[1].tobytes() == np.array([-0.0]).tobytes()
         f = spec.hamilton_field(None, x)
-        assert _bits(f) == _bits(spec._hamilton_array(x)) and np.isnan(f[2])
+        assert _bits(f) == _bits(spec._hamilton_array(x))
+        assert _bits(f) == _bits(flat_spec(1).hamilton_field(None, x))
+
+
+@pytest.mark.parametrize("term", [MetricBump, PotentialTerm])
+@pytest.mark.parametrize("name", ["radius_z", "radius_t"])
+def test_terms_refuse_a_radius_whose_square_overflows(term, name):
+    # the mollifier's slope squares each radius: 1e200 would end a run in a
+    # bare OverflowError, so the term refuses it and names the field first
+    window = dict(amplitude=0.1, center_z=[0.0], center_t=0.0, radius_z=1.0,
+                  radius_t=1.0, **({"pattern": 1.0} if term is MetricBump else {}))
+    term(**{**window, name: 1e150})
+    with pytest.raises(ValueError, match=rf"^{name} = 1e\+200 is too large"):
+        term(**{**window, name: 1e200})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eigenvalue_bounds_give_eigvalsh_verdicts(n):
+    # the positive-definiteness verdict, least > 0 and greatest < inf with a
+    # NaN failing, on random symmetric stacks: definite, indefinite, with
+    # entries that overflow or whose sums would, and with NaNs
+    rng = np.random.default_rng(n)
+    eye = np.eye(n)
+    g = rng.standard_normal((400, 8, n, n)) * 10.0 ** rng.integers(-3, 4, (400, 8, 1, 1))
+    g = g + np.swapaxes(g, -1, -2)
+    verdicts = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        g[:200] += 40.0 * eye                           # mostly definite
+        g[200:250] *= 1e306                             # entries that overflow
+        g[250:300, :, 0, 0] = np.inf
+        g[300:340, :, -1, 0] = np.nan
+        g[340:350, :, 0, -1] = np.nan                   # the upper triangle
+        g[350:370] = eye * 10.0 ** rng.uniform(-300, 300, (20, 8, 1, 1))
+        g[370:385] = 1.5e308 * eye + 1e307 * (1.0 - eye)    # a + c overflows
+        g[385:] = -1e307 * eye + 1e308 * eye[::-1]
+        for stack in g:
+            lo, hi = _eigenvalue_bounds(stack)
+            try:
+                eigs = np.linalg.eigvalsh(stack)
+                expected = bool(np.min(eigs) > 0.0 and np.max(eigs) < np.inf)
+            except np.linalg.LinAlgError:
+                expected = False
+            verdicts.append((bool(np.min(lo) > 0.0 and np.max(hi) < np.inf), expected))
+    assert all(got == expected for got, expected in verdicts)
+    assert 0 < sum(expected for _, expected in verdicts) < len(verdicts)
