@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy of the package, and the two tests that refuse an argument by name."""
+
+import numpy as np
 
 
 class CuspLabError(Exception):
@@ -20,10 +22,6 @@ class ZeroBasePoint(CuspLabError):
 
 class ChartInvalid(CuspLabError):
     """Boundary-chart coordinates violate the chart's validity region."""
-
-
-class NotPositiveDefinite(CuspLabError):
-    """The assembled inverse metric fails positive definiteness."""
 
 
 class TrappingSuspected(CuspLabError):
@@ -71,13 +69,46 @@ class ParseError(CuspLabError):
 
 
 class ValidationError(CuspLabError):
-    """A scenario violated a declared invariant.
-
-    ``invariant`` names the violated invariant.
-    """
+    """An input violated a declared invariant, named by ``invariant`` where given."""
 
     def __init__(self, message, invariant=None):
         self.invariant = invariant
         if invariant is not None:
             message = f"{message} [invariant: {invariant}]"
         super().__init__(message)
+
+
+class NotPositiveDefinite(ValidationError):
+    """The assembled inverse metric fails positive definiteness."""
+
+
+class InvalidArgument(ValidationError, ValueError):
+    """A refused argument: ``field`` names it, and the message starts with that name."""
+
+    def __init__(self, field, message):
+        self.field = field
+        super().__init__(f"{field} {message}")
+
+    def __reduce__(self):   # a pickle, as between processes, rebuilds it from both
+        return type(self), (self.field, str(self).removeprefix(f"{self.field} "))
+
+
+def in_range(field, value, low=-np.inf, high=np.inf):
+    """``value`` as a float in the open interval (low, high), which holds
+    no infinity or NaN, or an InvalidArgument naming ``field``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):     # not a number: refused as NaN is
+        number = np.nan
+    if not low < number < high:
+        verdict = ("too large" if number >= high else "too small" if number <= low
+                   else "not a number")
+        raise InvalidArgument(field, f"= {value} is {verdict}: {field} must be a finite "
+                                     f"number in ({low!r}, {high!r})")
+    return number
+
+
+def not_finite(**values):
+    """The InvalidArgument naming the first of ``values`` (keyword: field) not all finite."""
+    field, value = next((k, v) for k, v in values.items() if not np.all(np.isfinite(v)))
+    return InvalidArgument(field, f"must be finite, not {value!r}")

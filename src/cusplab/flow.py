@@ -33,7 +33,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import StepFailure, TrappingSuspected, ValidationError
+from .errors import InvalidArgument, StepFailure, TrappingSuspected, in_range
 from .phasespace import (
     CuspData,
     PhasePoint,
@@ -477,8 +477,8 @@ class Trajectory:
         for seg in self.segments:
             if seg.t_lo - 1e-12 <= t <= seg.t_hi + 1e-12:
                 return PhasePoint.from_state(seg.sol(t))
-        raise ValueError(f"time {t} outside trajectory range "
-                         f"[{self.segments[0].t_lo}, {self.segments[-1].t_hi}]")
+        raise InvalidArgument("t", f"= {t} is outside the trajectory's range "
+                              f"[{self.segments[0].t_lo}, {self.segments[-1].t_hi}]")
 
     def numeric_spans(self):
         return [(s.t_lo, s.t_hi) for s in self.segments if s.numeric]
@@ -519,15 +519,12 @@ def integrate(spec: PerturbationSpec, p0: PhasePoint, t_final: float,
     (:func:`_rk45`): the exit is tested once per accepted step, located by a
     port of scipy's Brent root finder, and a step's dense interpolant is
     built only when the segment's solution is read there.  ``tol`` must be
-    finite, positive and below 1, and ``t_final`` finite (a ValueError
-    otherwise)."""
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must be a finite number in (0, 1), not {tol!r}")
-    t_final = float(t_final)
-    if not math.isfinite(t_final):
-        raise ValueError(f"t_final must be a finite number, not {t_final!r}")
+    finite, positive and below 1, and ``t_final`` finite (an
+    InvalidArgument otherwise)."""
+    tol = in_range("tol", tol, 0.0, 1.0)
+    t_final = in_range("t_final", t_final)
     if t_final == p0.t:
-        raise ValueError("t_final must differ from the initial time")
+        raise InvalidArgument("t_final", "must differ from the initial time")
     direction = 1.0 if t_final > p0.t else -1.0
     budget = _transit_budget(spec, p0.zeta)
 
@@ -607,6 +604,8 @@ def _beam_times(window: tuple, c_in: CuspData) -> tuple:
     """Seed and exit times of the beam: one time unit, plus the time the
     beam needs to cover its offset, outside the perturbation window."""
     slack = float(np.linalg.norm(c_in.frak)) / (2.0 * max(float(np.linalg.norm(c_in.Z)), 0.1))
+    if not math.isfinite(slack):
+        raise InvalidArgument("frak", f"= {c_in.frak.tolist()} overflows the beam's seed time")
     return window[0] - 1.0 - slack, window[1] + 1.0 + slack
 
 
@@ -706,10 +705,9 @@ def scatter_jacobian(spec: PerturbationSpec, c_in: CuspData,
                      h_fd: float = 1e-4, tol: float = 1e-11) -> np.ndarray:
     """Central-difference Jacobian of (Z, frak) -> classical_scatter output.
 
-    Raises ValidationError naming ``h_fd`` when a shifted beam leaves the
-    finite phase space."""
-    if h_fd <= 0:
-        raise ValueError("h_fd must be positive")
+    Raises InvalidArgument naming ``h_fd`` when a shifted beam leaves the
+    finite phase space and the beam itself does not."""
+    h_fd = in_range("h_fd", h_fd, 0.0)
     q0 = c_in.pair()
     m = q0.size
     jac = np.empty((m, m))
@@ -719,10 +717,10 @@ def scatter_jacobian(spec: PerturbationSpec, c_in: CuspData,
         try:
             f_plus = classical_scatter(spec, CuspData.from_pair(q0 + dq), tol=tol).c_out.pair()
             f_minus = classical_scatter(spec, CuspData.from_pair(q0 - dq), tol=tol).c_out.pair()
-        except ValueError as exc:   # a non-finite phase-space point
-            raise ValidationError(f"h_fd = {h_fd:g} shifts the beam out of the finite "
-                                  f"phase space: {exc}", invariant="h_fd-keeps-beams-finite"
-                                  ) from exc
+        except InvalidArgument as exc:   # a shifted seed overflows
+            classical_scatter(spec, c_in, tol=tol)   # which raises if the beam's own does
+            raise InvalidArgument("h_fd", f"= {h_fd!r} shifts the beam out of the finite "
+                                  f"phase space: {exc}") from exc
         jac[:, j] = (f_plus - f_minus) / (2.0 * h_fd)
     return jac
 
@@ -778,10 +776,8 @@ def _radial_direction(spec: PerturbationSpec, p0: PhasePoint, direction: float,
     traj = integrate(spec, p0, t_edge, tol=tol)
     end = PhasePoint.from_state(traj.states[-1 if direction > 0 else 0])
     t_start = max(abs(end.t) * 1.5, 1.0)
-    if not (math.isfinite(horizon) and horizon > t_start):   # else it samples the window
-        raise ValidationError(f"horizon = {horizon!r} must be finite and past the first "
-                              f"sample, |t| = {t_start!r}", invariant="horizon-beyond-window")
-    ts = direction * np.geomspace(t_start, horizon, 24)
+    # past the first sample, or the samples run back into the window
+    ts = direction * np.geomspace(t_start, in_range("horizon", horizon, t_start), 24)
     ws = np.empty(len(ts))
     for i, t in enumerate(ts):
         p = free_flow(end, t - end.t)

@@ -20,7 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CharacteristicViolation, ChartInvalid, InsidePerturbation, ZeroBasePoint
+from .errors import (
+    CharacteristicViolation,
+    ChartInvalid,
+    InsidePerturbation,
+    InvalidArgument,
+    ZeroBasePoint,
+    in_range,
+    not_finite,
+)
 
 CHARACTERISTIC_TOL = 1e-9
 
@@ -48,10 +56,10 @@ class PhasePoint:
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "tau", float(self.tau))
         if self.z.shape != self.zeta.shape:
-            raise ValueError("z and zeta must have the same length")
+            raise InvalidArgument("zeta", "must have the length of z")
         if not (np.all(np.isfinite(self.z)) and np.all(np.isfinite(self.zeta))
                 and np.isfinite(self.t) and np.isfinite(self.tau)):
-            raise ValueError("phase-space components must be finite")
+            raise not_finite(z=self.z, t=self.t, zeta=self.zeta, tau=self.tau)
 
     @property
     def n(self) -> int:
@@ -78,9 +86,9 @@ class CuspData:
         object.__setattr__(self, "Z", _vec(self.Z))
         object.__setattr__(self, "frak", _vec(self.frak))
         if self.Z.shape != self.frak.shape:
-            raise ValueError("Z and frak must have the same length")
+            raise InvalidArgument("frak", "must have the length of Z")
         if not (np.all(np.isfinite(self.Z)) and np.all(np.isfinite(self.frak))):
-            raise ValueError("asymptotic data must be finite")
+            raise not_finite(Z=self.Z, frak=self.frak)
 
     @property
     def n(self) -> int:
@@ -165,14 +173,15 @@ def bichar_from_cusp(c: CuspData, t_init: float) -> PhasePoint:
     """The unique characteristic point at time ``t_init`` with data ``c``.
 
     The bicharacteristic with data (Z, frak) is (2*t*Z - frak, t, Z, -|Z|^2).
-    """
-    t_init = float(t_init)
-    return PhasePoint(
-        z=2.0 * t_init * c.Z - c.frak,
-        t=t_init,
-        zeta=c.Z,
-        tau=-float(c.Z @ c.Z),
-    )
+    A point that overflows is an InvalidArgument naming ``Z`` or ``frak``."""
+    t_init = in_range("t_init", t_init)
+    tau = -float(c.Z @ c.Z)
+    try:
+        return PhasePoint(z=2.0 * t_init * c.Z - c.frak, t=t_init, zeta=c.Z, tau=tau)
+    except InvalidArgument:   # it overflows: through |Z|^2 or 2 t Z, else through frak
+        field = "Z" if not np.all(np.isfinite([tau, *(2.0 * t_init * c.Z)])) else "frak"
+        raise InvalidArgument(field, f"= {getattr(c, field).tolist()} overflows the "
+                              f"characteristic point at t = {t_init!r}") from None
 
 
 def to_boundary_chart(c: CuspData, axis: int | None = None) -> CuspBoundaryCoords:

@@ -62,9 +62,11 @@ from .errors import (
     BoundaryLeak,
     ConvergenceFailure,
     InsideWindow,
+    InvalidArgument,
     PacketClipped,
     ValidationError,
     ZeroMass,
+    in_range,
 )
 from .symbols import SUPPORT_MARGIN, FieldPoints, PerturbationSpec
 
@@ -87,13 +89,11 @@ class Grid:
     def __post_init__(self):
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "N", int(self.N))
-        object.__setattr__(self, "L", float(self.L))
+        object.__setattr__(self, "L", in_range("L", self.L, 0.0))
         if self.n not in (1, 2):
-            raise ValueError("grid dimension must be 1 or 2")
+            raise InvalidArgument("n", "must be 1 or 2")
         if self.N < 4 or (self.N & (self.N - 1)) != 0:
-            raise ValueError("N must be a power of two >= 4")
-        if not 0 < self.L < np.inf:
-            raise ValueError("L must be positive and finite")
+            raise InvalidArgument("N", "must be a power of two >= 4")
 
     @property
     def dz(self) -> float:
@@ -154,15 +154,6 @@ def inverse_ft(grid: Grid, values: np.ndarray) -> np.ndarray:
         np.fft.ifftn(np.fft.ifftshift(values, axes), axes=axes), axes)
 
 
-def _finite_time(name, value):
-    """``value`` as a float, or a ValueError whose first word is ``name``
-    when it is not finite."""
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, not {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class _Samples:
     """Complex samples on the grid: one input of shape ``grid.shape()``, or
@@ -180,8 +171,8 @@ class _Samples:
         vals = np.asarray(self.values, dtype=complex)
         n = self.grid.n
         if vals.ndim not in (n, n + 1) or vals.shape[vals.ndim - n:] != self.grid.shape():
-            raise ValueError(f"values must have shape {self.grid.shape()}, "
-                             "after at most one batch axis")
+            raise InvalidArgument("values", f"must have shape {self.grid.shape()}, "
+                                  "after at most one batch axis")
         object.__setattr__(self, "values", vals)
 
     def norm(self):
@@ -226,7 +217,7 @@ class WaveField(_Samples):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "time", _finite_time("time", self.time))
+        object.__setattr__(self, "time", in_range("time", self.time))
 
     def boundary_leak_fraction(self):
         """Mass fraction in the outer 5% shell of the box."""
@@ -250,7 +241,7 @@ class SpectralData(_Samples):
 
 def free_propagate(u: WaveField, dt: float) -> WaveField:
     """Exact free solver on the box: multiply FT(u) by e^{-i dt |Z|^2}."""
-    dt = _finite_time("dt", dt)
+    dt = in_range("dt", dt)
     if dt == 0.0:
         return u
     f_hat = forward_ft(u.grid, u.values)
@@ -260,7 +251,7 @@ def free_propagate(u: WaveField, dt: float) -> WaveField:
 
 def poisson_free(f: SpectralData, t: float) -> WaveField:
     """The free solution with asymptotic data f, sampled at time t."""
-    t = _finite_time("t", t)
+    t = in_range("t", t)
     mult = np.exp(-1j * t * f.grid.dual_norm_sq())
     return WaveField(grid=f.grid, values=inverse_ft(f.grid, mult * f.values), time=t)
 
@@ -289,9 +280,9 @@ def asymptotic_profile_error(f: SpectralData, t: float) -> float:
     f(Z) = sum_m a_m e^{i pi m Z / z_max} per axis, whose coefficients a_m
     are the DFT of the samples.
     """
-    t = _finite_time("t", t)
+    t = in_range("t", t)
     if t == 0.0:
-        raise ValueError("profile comparison requires t != 0")
+        raise InvalidArgument("t", "must not be 0 for a profile comparison")
     grid = f.grid
     u = poisson_free(f, t)
 
@@ -331,10 +322,9 @@ class SolverParams:
     margin: float = 0.25
 
     def __post_init__(self):
-        if not 0 < self.dt < np.inf:
-            raise ValueError("dt must be positive and finite")
-        if not 0 <= self.margin < np.inf:
-            raise ValueError("margin must be nonnegative and finite")
+        object.__setattr__(self, "dt", in_range("dt", self.dt, 0.0))
+        # a margin of 0 is allowed: the bound is the least negative float
+        object.__setattr__(self, "margin", in_range("margin", self.margin, -5e-324))
 
 
 def _active_intervals(spec: PerturbationSpec, t_from: float, t_to: float):
@@ -776,7 +766,7 @@ def propagate_window(spec: PerturbationSpec, u: WaveField, t_to: float,
     fields, propagated by one march per interval.  Raises BoundaryLeak when
     the outer-shell mass fraction of some field exceeds LEAK_THRESHOLD
     after an active interval or at t_to."""
-    t_to = _finite_time("t_to", t_to)
+    t_to = in_range("t_to", t_to)
     params = params or SolverParams()
     intervals = _active_intervals(spec, min(u.time, t_to), max(u.time, t_to))
     if t_to < u.time:
@@ -879,15 +869,12 @@ def adjoint_scattering_map(spec: PerturbationSpec, g_plus: SpectralData,
 def coherent_data(grid: Grid, Z0, frak0, h: float) -> SpectralData:
     """Gaussian packet f(Z) = (pi h)^{-n/4} e^{-|Z-Z0|^2/2h} e^{i frak0.(Z-Z0)},
     unit continuum norm."""
-    if not 0 < h < np.inf:
-        raise ValueError("h must be positive and finite")
+    h = in_range("h", h, 0.0)
     Z0 = np.atleast_1d(np.asarray(Z0, dtype=float))
     frak0 = np.atleast_1d(np.asarray(frak0, dtype=float))
-    if Z0.size != grid.n or frak0.size != grid.n:
-        raise ValueError("Z0 and frak0 must match the grid dimension")
     for name, vector in (("Z0", Z0), ("frak0", frak0)):
-        if not np.all(np.isfinite(vector)):
-            raise ValueError(f"{name} must be finite")
+        if vector.size != grid.n or not np.all(np.isfinite(vector)):
+            raise InvalidArgument(name, f"must be {grid.n} finite numbers, not {vector!r}")
     if np.any(np.abs(Z0) + 6.0 * np.sqrt(h) > grid.z_max):
         raise PacketClipped("6 sqrt(h) half-width leaves the dual grid")
 

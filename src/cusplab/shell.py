@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import verify
-from .errors import CuspLabError, NotPositiveDefinite, ParseError, ValidationError
+from .errors import CuspLabError, InvalidArgument, ParseError, ValidationError, in_range
 from .flow import (
     classical_scatter,
     integrate,
@@ -55,7 +55,6 @@ from .quantum import (
 from .symbols import MetricBump, PerturbationSpec, PotentialTerm
 
 SCHEMA_VERSION = 1
-OUT_ENV_VAR = "CUSPLAB_OUT"
 # solver keys: the SolverParams fields, read with their defaults and typed
 # like them, and the flow's tolerance
 SOLVER_FIELDS = fields(SolverParams)
@@ -63,8 +62,6 @@ SOLVER_KEYS = tuple(f.name for f in SOLVER_FIELDS) + ("flow_tol",)
 SCENARIO_KEYS = ("schema_version", "name", "dimension", "perturbation", "grid",
                  "solver", "seed", "jobs")
 TERM_KEYS = ("amplitude", "center_z", "center_t", "radius_z", "radius_t")
-# a term refuses a radius it cannot square with a message that starts with its name
-RADIUS_KEYS = {"radius_z": "radius_z", "radius_t": "radius_t"}
 
 
 @dataclass(frozen=True)
@@ -82,8 +79,7 @@ class Scenario:
 
 
 def _real(value):
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and bool(np.isfinite(value)))
+    return _is(value, float) and bool(np.isfinite(value))
 
 
 def _reals(value, n):
@@ -92,10 +88,10 @@ def _reals(value, n):
 
 
 def _is(value, kind):
-    """JSON type test: a float is any finite real number; an int or a bool
-    must be exactly that."""
+    """JSON type test: a float is any number, as its constructor refuses one
+    out of range by name; an int or a bool must be exactly that."""
     if kind is float:
-        return _real(value)
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
     return type(value) is kind if kind in (int, bool) else isinstance(value, kind)
 
 
@@ -126,14 +122,13 @@ def _known(mapping, keys, where):
 
 @contextmanager
 def _fields(where, keys=None):
-    """Turn a constructor's ValueError or TypeError into a ParseError naming
-    the field at fault: ``keys`` maps the message's first word, the parameter
-    at fault, to its key in section ``where``; otherwise the section."""
+    """Turn a constructor's InvalidArgument into a ParseError naming the entry
+    at fault in section ``where``: its field, or the key ``keys`` maps it to."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
-        key = (keys or {}).get(str(exc).split(" ", 1)[0])
-        raise ParseError(str(exc), field=f"{where}.{key}" if key else where) from exc
+    except InvalidArgument as exc:
+        key = (keys or {}).get(exc.field, exc.field)
+        raise ParseError(str(exc), field=f"{where}.{key}") from exc
 
 
 def _numbers(mapping, key, shape, where):
@@ -151,10 +146,10 @@ def _numbers(mapping, key, shape, where):
 def _parse_perturbation(doc, n):
     _known(doc, ("bumps", "potential_terms"), "perturbation")
     bumps = []
-    for i, b in enumerate(doc.get("bumps", [])):
+    for i, b in enumerate(_require(doc, "bumps", list, "perturbation", [])):
         where = f"perturbation.bumps[{i}]"
         _known(b, TERM_KEYS + ("pattern",), where)
-        with _fields(where, RADIUS_KEYS):
+        with _fields(where):
             bumps.append(MetricBump(
                 amplitude=_require(b, "amplitude", float, where),
                 center_z=_numbers(b, "center_z", (n,), where),
@@ -164,11 +159,11 @@ def _parse_perturbation(doc, n):
                 pattern=np.asarray(_numbers(b, "pattern", (n, n), where), dtype=float),
             ))
     pots = []
-    for i, p in enumerate(doc.get("potential_terms", [])):
+    for i, p in enumerate(_require(doc, "potential_terms", list, "perturbation", [])):
         where = f"perturbation.potential_terms[{i}]"
         _known(p, TERM_KEYS, where)
         amp = _numbers(p, "amplitude", (2,), where)
-        with _fields(where, RADIUS_KEYS):
+        with _fields(where):
             pots.append(PotentialTerm(
                 amplitude=complex(amp[0], amp[1]),
                 center_z=_numbers(p, "center_z", (n,), where),
@@ -176,14 +171,18 @@ def _parse_perturbation(doc, n):
                 radius_z=_require(p, "radius_z", float, where),
                 radius_t=_require(p, "radius_t", float, where),
             ))
-    with _fields("perturbation"):
-        try:
-            return PerturbationSpec(n=n, bumps=tuple(bumps), potential_terms=tuple(pots))
-        except NotPositiveDefinite as exc:
-            raise ValidationError(str(exc), invariant="NotPositiveDefinite") from exc
+    return PerturbationSpec(n=n, bumps=tuple(bumps), potential_terms=tuple(pots))
 
 
 def _validate_scenario(sc: Scenario):
+    horizon = window_span(sc.spec, sc.solver)
+    if not np.isfinite(2.0 * horizon):   # a map marches across [-horizon, horizon]
+        times = {f"perturbation.{kind}[{i}].center_t": abs(term.center_t)
+                 for kind in ("bumps", "potential_terms")
+                 for i, term in enumerate(getattr(sc.spec, kind))}
+        times["solver.margin"] = sc.solver.margin
+        raise ParseError(f"the maps' horizon {horizon:g} spans no finite time",
+                         field=max(times, key=times.get))
     if sc.grid is None:
         return
     if sc.spec.spatial_extent() > 0.8 * sc.grid.L:
@@ -191,7 +190,6 @@ def _validate_scenario(sc: Scenario):
             f"perturbation support (extent {sc.spec.spatial_extent():.3g}) "
             f"exceeds 80% of the spatial box (L = {sc.grid.L})",
             invariant="support-inside-box")
-    horizon = window_span(sc.spec, sc.solver)
     for job in sc.jobs:
         params = job["params"]
         # the job's semiclassical parameters: its h, or else its h_list
@@ -231,6 +229,8 @@ def load_scenario(path) -> Scenario:
                          field="scenario.schema_version")
     name = _require(doc, "name", str, "scenario")
     n = _require(doc, "dimension", int, "scenario")
+    if n < 1:
+        raise ParseError("dimension must be positive", field="scenario.dimension")
     spec = _parse_perturbation(doc.get("perturbation", {}), n)
 
     grid = None
@@ -241,23 +241,18 @@ def load_scenario(path) -> Scenario:
                         L=_require(gdoc, "half_width", float, "grid"))
 
     sdoc = _known(doc.get("solver", {}), SOLVER_KEYS, "solver")
-    with _fields("solver", {f.name: f.name for f in SOLVER_FIELDS}):
+    with _fields("solver"):
         solver = SolverParams(**{
             f.name: _require(sdoc, f.name, type(f.default), "solver", f.default)
             for f in SOLVER_FIELDS})
-    # a number out of range, infinities and NaN included, is refused as such
-    # before the type test, which takes only finite numbers
-    flow_tol = sdoc.get("flow_tol", 1e-11)
-    if type(flow_tol) in (int, float) and not 0 < flow_tol < 1:
-        raise ParseError(f"flow_tol must be a finite number in (0, 1), not {flow_tol!r}",
-                         field="solver.flow_tol")
-    flow_tol = _require(sdoc, "flow_tol", float, "solver", 1e-11)
+        flow_tol = in_range("flow_tol", _require(sdoc, "flow_tol", float, "solver", 1e-11),
+                            0.0, 1.0)
     seed = _require(doc, "seed", int, "scenario", 0)
     if seed < 0:
         raise ParseError("seed must be nonnegative", field="scenario.seed")
 
     jobs = []
-    for i, job in enumerate(doc.get("jobs", [])):
+    for i, job in enumerate(_require(doc, "jobs", list, "scenario", [])):
         where = f"jobs[{i}]"
         _known(job, ("check", "params", "control"), where)
         check = _require(job, "check", str, where)
@@ -333,8 +328,8 @@ def _valid_arg(key, value, default, n):
     if kind not in (float, int, bool):
         return True
     positive = key == "samples" or (kind is float and default is not None and default > 0)
-    return (_is(value, kind) and not (positive and value <= 0)
-            and not (key == "seed" and value < 0))
+    return ((_real(value) if kind is float else _is(value, kind))
+            and not (positive and value <= 0) and not (key == "seed" and value < 0))
 
 
 def _validate_job(check, params, n, where):
@@ -481,13 +476,9 @@ def _scenario_beam(args):
 def _finite(text, low=-np.inf):
     """argparse type of the number flags: a finite number above ``low``."""
     try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not low < value < np.inf:
-        kind = "positive finite" if low == 0.0 else "finite"
-        raise argparse.ArgumentTypeError(f"expected a {kind} number, got '{text}'")
-    return value
+        return in_range("the value", text, low)
+    except InvalidArgument as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive(text):
@@ -511,13 +502,9 @@ def _print_report(report):
         print(f"    note: {report.note}")
 
 
-def _out_root(args):
-    return args.out or os.environ.get(OUT_ENV_VAR, "out")
-
-
 def _out_dir(args, sc, name):
     """Directory ``name`` of scenario ``sc`` under the output root, made."""
-    out = os.path.join(_out_root(args), sc.name, name)
+    out = os.path.join(args.out, sc.name, name)
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -531,7 +518,7 @@ def _cmd_run(args):
             raise ParseError(f"unknown job family '{name}' "
                              f"(known: {', '.join(verify.JOB_FAMILIES)})", field="--only")
     sc = resolve_scenario(args.scenario)
-    code, reports = run(sc, only=only, out_root=_out_root(args), jobs=args.jobs)
+    code, reports = run(sc, only=only, out_root=args.out, jobs=args.jobs)
     for r in reports:
         _print_report(r)
     if not reports:
@@ -555,7 +542,7 @@ def _read_report(path):
 
 
 def _cmd_report(args):
-    root = os.path.join(_out_root(args), args.scenario_name)
+    root = os.path.join(args.out, args.scenario_name)
     rows = []
     for sub in sorted(os.listdir(root)) if os.path.isdir(root) else ():
         path = os.path.join(root, sub, "report.json")
@@ -646,8 +633,7 @@ def main(argv=None):
         prog="cusplab",
         description="Scattering-map laboratory for compactly perturbed "
                     "time-dependent Schrodinger operators")
-    parser.add_argument("--out", default=None,
-                        help=f"output directory (default 'out' or ${OUT_ENV_VAR})")
+    parser.add_argument("--out", default="out", help="output directory (default 'out')")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, summary, beam=True):

@@ -40,7 +40,7 @@ from operator import add, mul, neg, sub
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
+from .errors import InvalidArgument, NotPositiveDefinite, in_range, not_finite
 from .phasespace import PhasePoint
 
 # Relative inflation of every term's support radii wherever a support is
@@ -48,6 +48,8 @@ from .phasespace import PhasePoint
 SUPPORT_MARGIN = 1e-9
 _FLOOR = 1e-100     # the floor of 1 - r^2 in the mollifier, see _mollifier
 _TINY = 5e-324      # the least subnormal: the floor of the mollifier slope's denominator
+# the open bound of the radii: the mollifier's slope squares each, which stays finite below it
+_RADIUS_BOUND = math.nextafter(math.sqrt(np.finfo(float).max), math.inf)
 
 
 def _mollifier(d, radius, slope=True):
@@ -97,26 +99,17 @@ def _at(points):
     return points if isinstance(points, FieldPoints) else FieldPoints(points)
 
 
-def _coerce_window(term, kind, number):
+def _coerce_window(term, number):
     """Store a term's amplitude as a ``number``, its centres and radii as
-    floats, and check that they are finite and the radii positive, with
-    squares that do not overflow."""
+    floats, and check that they are finite and the radii positive, below
+    ``_RADIUS_BOUND``; an InvalidArgument names the entry."""
     object.__setattr__(term, "amplitude", number(term.amplitude))
     object.__setattr__(term, "center_z", np.atleast_1d(np.asarray(term.center_z, dtype=float)))
-    for name in ("center_t", "radius_z", "radius_t"):
-        object.__setattr__(term, name, float(getattr(term, name)))
-    if not np.all(np.isfinite([term.amplitude, term.center_t, term.radius_z, term.radius_t,
-                               *term.center_z])):
-        raise ValueError(f"{kind} amplitude, centres and radii must be finite")
-    if term.radius_z <= 0 or term.radius_t <= 0:
-        raise ValueError(f"{kind} radii must be positive")
+    if not (np.isfinite(term.amplitude) and np.all(np.isfinite(term.center_z))):
+        raise not_finite(amplitude=term.amplitude, center_z=term.center_z)
+    object.__setattr__(term, "center_t", in_range("center_t", term.center_t))
     for name in ("radius_z", "radius_t"):
-        radius = getattr(term, name)
-        try:
-            radius**2      # the mollifier's slope squares it
-        except OverflowError:
-            raise ValueError(f"{name} = {radius!r} is too large: its square overflows "
-                             "a float") from None
+        object.__setattr__(term, name, in_range(name, getattr(term, name), 0.0, _RADIUS_BOUND))
 
 
 @dataclass(frozen=True)
@@ -131,17 +124,14 @@ class MetricBump:
     pattern: np.ndarray  # symmetric n x n
 
     def __post_init__(self):
-        _coerce_window(self, "bump", float)
+        _coerce_window(self, float)
         pat = np.asarray(self.pattern, dtype=float)
         if pat.ndim == 0:
             pat = pat.reshape(1, 1)
         object.__setattr__(self, "pattern", pat)
-        if pat.shape != (self.center_z.size, self.center_z.size):
-            raise ValueError("pattern must be n x n")
-        if not np.all(np.isfinite(pat)):
-            raise ValueError("pattern must be finite")
-        if not np.allclose(pat, pat.T):
-            raise ValueError("pattern must be symmetric")
+        n = self.center_z.size
+        if not (pat.shape == (n, n) and np.all(np.isfinite(pat)) and np.allclose(pat, pat.T)):
+            raise InvalidArgument("pattern", f"must be finite, symmetric and {n} x {n}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +145,7 @@ class PotentialTerm:
     radius_t: float
 
     def __post_init__(self):
-        _coerce_window(self, "potential", complex)
+        _coerce_window(self, complex)
 
 
 @dataclass(frozen=True)
@@ -175,9 +165,9 @@ class PerturbationSpec:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "bumps", tuple(self.bumps))
         object.__setattr__(self, "potential_terms", tuple(self.potential_terms))
-        for kind, terms in (("bump", self.bumps), ("potential", self.potential_terms)):
+        for field, terms in (("bumps", self.bumps), ("potential_terms", self.potential_terms)):
             if any(term.center_z.size != self.n for term in terms):
-                raise ValueError(f"{kind} dimension mismatch")
+                raise InvalidArgument(field, f"must have centres of n = {self.n} entries")
         self._validate_positive_definite()
         # each bump's window as the row path of hamilton_field reads it
         object.__setattr__(self, "_row_bumps", tuple(
@@ -437,7 +427,7 @@ class PerturbationSpec:
             if not (least > 0.0 and most < np.inf):
                 raise NotPositiveDefinite(
                     f"inverse metric has eigenvalues in [{least:.3e}, {most:.3e}], not all "
-                    f"finite and positive, at t={t:.4g}")
+                    f"finite and positive, at t={t:.4g}", invariant="NotPositiveDefinite")
 
 
 def _eigenvalue_bounds(g):

@@ -443,8 +443,8 @@ def check_eikonal_phase(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
 
 
 def _packet_width(h, t):
-    """Physical 1-sigma width of the coherent packet at time t."""
-    return float(np.sqrt((1.0 + 4.0 * h**2 * t**2) / (2.0 * h)))
+    """Physical 1-sigma width of the coherent packet at time t (inf where it overflows)."""
+    return float(np.sqrt((1.0 + 4.0 * (h * h) * (t * t)) / (2.0 * h)))
 
 
 def _highfreq_requests(spec, grid, Z0, frak_far, frak_through, h, params, **_):

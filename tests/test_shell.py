@@ -148,7 +148,7 @@ _BEAM = {"Z0": [1.0], "frak0": [0.0]}
 @pytest.mark.parametrize("overrides, field", [
     ({"grid": {"points": 1000, "half_width": 20.0}}, "grid.points"),
     ({"solver": {"dt": -1}}, "solver.dt"),
-    ({"perturbation": _bump(radius_z=0.0)}, "perturbation.bumps[0]"),
+    ({"perturbation": _bump(radius_z=0.0)}, "perturbation.bumps[0].radius_z"),
     ({"jobs": _BAD_H}, "jobs[0].params.h"),
     ({"jobs": _BAD_H_LIST}, "jobs[0].params.h_list"),
     ({"jobs": [{"check": "pairing", "params": {"tolx": 5}}]}, "jobs[0].params.tolx"),
@@ -476,7 +476,7 @@ def test_huge_h_fd_is_a_typed_error_naming_it(tmp_path, capsys):
     doc["jobs"] = [{"check": "symplectic", "params": {"h_fd": 1e300, "samples": 1}}]
     code, reports = run(load_scenario(_write(tmp_path, doc)), out_root=str(tmp_path))
     assert code == 1 and reports[0].status == "fail"
-    assert reports[0].note.startswith("ValidationError: h_fd = 1e+300")
+    assert reports[0].note.startswith("InvalidArgument: h_fd = 1e+300")
     code = main(["--out", str(tmp_path), "jacobian", "--scenario", "classical2d",
                  "--Z", "1.0,0.0", "--frak", "0.0,0.3", "--h-fd", "1e300"])
     assert code == 2
@@ -494,6 +494,49 @@ def test_a_radius_whose_square_overflows_stops_the_run_naming_it(tmp_path, capsy
     assert "(field: perturbation.bumps[0].radius_z)" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("command, Z", [
+    (["classical-map"], 1e200), (["radial"], 1e200),
+    (["flow", "--t0=-2.5", "--t1=2.5"], 1e200), (["jacobian"], 1e300),
+], ids=["classical-map", "radial", "flow", "jacobian"])
+def test_a_beam_whose_seed_overflows_stops_naming_z(tmp_path, capsys, command, Z):
+    # |Z|^2 overflows the beam's seed: a ValueError traceback from PhasePoint,
+    # and in `jacobian` an error blaming h_fd, as if the unshifted beam were
+    # finite
+    code = main(["--out", str(tmp_path), *command, "--scenario", "classical2d",
+                 "--Z", f"{Z},0", "--frak", "0,0.3"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: Z = [{Z!r}, 0.0] overflows")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_radial_job_whose_seed_overflows_reports_an_error(tmp_path, capsys):
+    doc = json.loads(Path(bundled_scenario_path("classical2d")).read_text())
+    doc["jobs"][1]["params"]["Z0"] = [1e200, 0.0]
+    assert main(["--out", str(tmp_path), "all", "--scenario", _write(tmp_path, doc)]) == 1
+    report = json.loads((tmp_path / "classical2d" / "01_radial" / "report.json").read_text())
+    assert report["note"].startswith("InvalidArgument: Z = [1e+200, 0.0] overflows")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_time_window_that_overflows_the_march_is_refused_at_load(tmp_path, capsys):
+    # a centre of 1e308 loaded; the run then ended in a ValueError traceback
+    # naming the span of an internal free propagation
+    doc = json.loads(Path(bundled_scenario_path("bump_metric")).read_text())
+    doc["perturbation"]["bumps"][0]["center_t"] = 1e308
+    path = _write(tmp_path, doc)
+    with pytest.raises(ParseError) as err:
+        load_scenario(path)
+    assert err.value.field == "perturbation.bumps[0].center_t"
+    assert main(["--out", str(tmp_path), "all", "--scenario", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    doc["perturbation"]["bumps"][0]["center_t"] = 0.0
+    doc["solver"]["margin"] = 1e308
+    with pytest.raises(ParseError) as err:
+        load_scenario(_write(tmp_path, doc))
+    assert err.value.field == "solver.margin"
+
+
 def test_a_radial_horizon_short_of_the_samples_is_a_typed_error_naming_it(tmp_path, capsys):
     # on this beam the samples start at |t| = 3: a horizon of 0.5 would
     # sample the free flight run back into the window, and every check pass
@@ -501,7 +544,7 @@ def test_a_radial_horizon_short_of_the_samples_is_a_typed_error_naming_it(tmp_pa
     doc["jobs"] = [{"check": "radial", "params": {"Z0": [1.0], "frak0": [0.3], "horizon": 0.5}}]
     code, reports = run(load_scenario(_write(tmp_path, doc)), out_root=str(tmp_path))
     assert code == 1 and reports[0].status == "fail"
-    assert reports[0].note.startswith("ValidationError: horizon = 0.5")
+    assert reports[0].note.startswith("InvalidArgument: horizon = 0.5")
     code = main(["--out", str(tmp_path), "radial", "--scenario", "bump_metric",
                  "--Z", "1.0", "--frak", "0.3", "--horizon", "0.5"])
     assert code == 2
@@ -799,8 +842,11 @@ def test_cli_bad_scenario_returns_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_out_env_var_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CUSPLAB_OUT", str(tmp_path))
+def test_the_output_root_is_the_out_flag_alone(tmp_path, monkeypatch, capsys):
+    # --out, default "out", is the one setting: the environment variable
+    # that once overrode the default is not read
+    monkeypatch.setenv("CUSPLAB_OUT", str(tmp_path / "env"))
+    monkeypatch.chdir(tmp_path)
     code = main(["all", "--only", "eikonal", "--scenario", "eikonal"])
     assert code == 0
-    assert (tmp_path / "eikonal").exists()
+    assert (tmp_path / "out" / "eikonal").exists() and not (tmp_path / "env").exists()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cusplab.errors import NotPositiveDefinite
+from cusplab.errors import InvalidArgument, NotPositiveDefinite
 from cusplab.phasespace import PhasePoint
 from cusplab.symbols import (
     MetricBump,
@@ -179,8 +179,9 @@ def test_terms_reject_non_finite_windows(term, entry):
     # a NaN centre would silently drop its term from the quantum footprint
     window = dict(amplitude=0.1, center_z=[0.0], center_t=0.0, radius_z=1.0,
                   radius_t=1.0, **({"pattern": 1.0} if term is MetricBump else {}))
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(InvalidArgument) as refused:
         term(**{**window, **entry})
+    assert refused.value.field == next(iter(entry))
 
 
 def test_positive_definite_lattice_accepts_valid_spec():
