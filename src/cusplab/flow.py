@@ -602,8 +602,11 @@ def integrate(spec: PerturbationSpec, p0: PhasePoint, t_final: float,
 
 def _beam_times(window: tuple, c_in: CuspData) -> tuple:
     """Seed and exit times of the beam: one time unit, plus the time the
-    beam needs to cover its offset, outside the perturbation window."""
-    slack = float(np.linalg.norm(c_in.frak)) / (2.0 * max(float(np.linalg.norm(c_in.Z)), 0.1))
+    beam needs to cover its offset, outside the perturbation window.  A
+    norm may overflow silently: an infinite slack is refused here, and an
+    infinite |Z| by the seed that follows."""
+    with np.errstate(over="ignore"):
+        slack = float(np.linalg.norm(c_in.frak)) / (2.0 * max(float(np.linalg.norm(c_in.Z)), 0.1))
     if not math.isfinite(slack):
         raise InvalidArgument("frak", f"= {c_in.frak.tolist()} overflows the beam's seed time")
     return window[0] - 1.0 - slack, window[1] + 1.0 + slack

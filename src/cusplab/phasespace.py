@@ -173,13 +173,17 @@ def bichar_from_cusp(c: CuspData, t_init: float) -> PhasePoint:
     """The unique characteristic point at time ``t_init`` with data ``c``.
 
     The bicharacteristic with data (Z, frak) is (2*t*Z - frak, t, Z, -|Z|^2).
-    A point that overflows is an InvalidArgument naming ``Z`` or ``frak``."""
+    A point that overflows is an InvalidArgument naming ``Z`` or ``frak``,
+    with no floating-point warning ahead of it."""
     t_init = in_range("t_init", t_init)
-    tau = -float(c.Z @ c.Z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau = -float(c.Z @ c.Z)
+        moved = 2.0 * t_init * c.Z
+        z = moved - c.frak
     try:
-        return PhasePoint(z=2.0 * t_init * c.Z - c.frak, t=t_init, zeta=c.Z, tau=tau)
+        return PhasePoint(z=z, t=t_init, zeta=c.Z, tau=tau)
     except InvalidArgument:   # it overflows: through |Z|^2 or 2 t Z, else through frak
-        field = "Z" if not np.all(np.isfinite([tau, *(2.0 * t_init * c.Z)])) else "frak"
+        field = "Z" if not np.all(np.isfinite([tau, *moved])) else "frak"
         raise InvalidArgument(field, f"= {getattr(c, field).tolist()} overflows the "
                               f"characteristic point at t = {t_init!r}") from None
 

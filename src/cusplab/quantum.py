@@ -121,13 +121,14 @@ class Grid:
         return np.meshgrid(*([self.axis_Z()] * self.n), indexing="ij")
 
     def points_z(self) -> np.ndarray:
-        """(N^n, n) array of physical points in row-major order."""
-        mesh = self.mesh_z()
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        """(N^n, n) array of physical points in row-major order; read-only,
+        built once per grid (see _grid_table)."""
+        return _grid_table(self, "points_z")
 
     def dual_norm_sq(self) -> np.ndarray:
-        mesh = self.mesh_Z()
-        return sum(m**2 for m in mesh)
+        """|Z|^2 on the dual grid, origin centred; read-only, built once per
+        grid (see _grid_table)."""
+        return _grid_table(self, "dual_norm_sq")
 
     def shape(self):
         return (self.N,) * self.n
@@ -137,6 +138,24 @@ class Grid:
         """The grid axes of a sample array, the last n, with or without a
         leading batch axis."""
         return tuple(range(-self.n, 0))
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_table(grid, name):
+    """The read-only table ``name`` of ``grid``: "points_z", the (N^n, n)
+    physical points in row-major order, "dual_norm_sq", |Z|^2 on the dual
+    grid with the origin centred, or "dual_norm_sq_fft", the same in FFT
+    order, the order in which a march multiplies.  Each is built once per
+    grid, as every map and march of a run reads the same few, and is
+    read-only, as it is shared."""
+    if name == "points_z":
+        table = np.stack([m.ravel() for m in grid.mesh_z()], axis=-1)
+    elif name == "dual_norm_sq":
+        table = sum(m**2 for m in grid.mesh_Z())
+    else:
+        table = np.fft.ifftshift(grid.dual_norm_sq())
+    table.flags.writeable = False
+    return table
 
 
 def forward_ft(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -240,13 +259,18 @@ class SpectralData(_Samples):
 
 
 def free_propagate(u: WaveField, dt: float) -> WaveField:
-    """Exact free solver on the box: multiply FT(u) by e^{-i dt |Z|^2}."""
+    """Exact free solver on the box: multiply FT(u) by e^{-i dt |Z|^2}.  The
+    multiplier is applied in FFT order, between the transforms of
+    forward_ft and inverse_ft without the fftshift pair that cancels
+    between them: each product is the same, at a permuted index."""
     dt = in_range("dt", dt)
     if dt == 0.0:
         return u
-    f_hat = forward_ft(u.grid, u.values)
-    f_hat *= np.exp(-1j * dt * u.grid.dual_norm_sq())
-    return WaveField(grid=u.grid, values=inverse_ft(u.grid, f_hat), time=u.time + dt)
+    grid, axes = u.grid, u.grid.axes
+    f_hat = grid.dz**grid.n * np.fft.fftn(np.fft.ifftshift(u.values, axes), axes=axes)
+    f_hat *= np.exp(-1j * dt * _grid_table(grid, "dual_norm_sq_fft"))
+    values = grid.dz**(-grid.n) * np.fft.fftshift(np.fft.ifftn(f_hat, axes=axes), axes)
+    return WaveField(grid=grid, values=values, time=u.time + dt)
 
 
 def poisson_free(f: SpectralData, t: float) -> WaveField:
@@ -353,39 +377,57 @@ def _active_intervals(spec: PerturbationSpec, t_from: float, t_to: float):
 def solve_banded(l_and_u, ab, b):
     """Solve a x = b for the band ``ab`` with l lower and u upper diagonals,
     stored as scipy.linalg.solve_banded takes it: a[i, j] at
-    ``ab[u + i - j, j]``.  ``b`` is one column of m values or an (m, k)
-    stack of columns.
+    ``ab[u + i - j, j]``.  ``ab`` may also come in ``?gbsv``'s layout, with
+    l spare rows on top, 2l + u + 1 rows in all; the band is then its last
+    l + u + 1 rows.  ``b`` is one column of m values or an (m, k) stack of
+    columns.
 
     It makes the LAPACK call scipy.linalg.solve_banded makes, with the same
     arguments, so the result is bitwise scipy's: ``?gtsv`` when l = u = 1,
-    otherwise ``?gbsv`` on ``ab`` below l zero rows, the room its LU
-    factorization fills in.  It skips scipy's batch dispatch and validated
-    copies but keeps its checks: a non-finite entry of ``ab`` or ``b``
-    raises ValueError, a singular band numpy.linalg.LinAlgError.
+    otherwise ``?gbsv`` on the band below l rows, the room its LU
+    factorization fills in.  A band of l + u + 1 rows is copied below l zero
+    rows, as scipy does; one already in ``?gbsv``'s layout is passed as it
+    is, whatever its spare rows hold, and overwritten by its LU factors
+    (in place when it is Fortran-ordered).  It skips scipy's batch dispatch
+    and validated copies but keeps its checks: a non-finite entry of the
+    band or of ``b`` raises ValueError, a singular band
+    numpy.linalg.LinAlgError.
 
     ``scipy.linalg`` is imported by the first call: it costs more than the
     rest of the package, and only the remainder step needs it, so
     ``report``, ``--help`` and runs that never step a remainder never load
-    it.  The module-level name is also the binding perfbench/tracer.py wraps
-    to time the banded solves."""
-    from scipy.linalg import get_lapack_funcs
-
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
+    it.  The LAPACK routine is looked up once per dtype (see _lapack).  The
+    module-level name is also the binding perfbench/tracer.py wraps to time
+    the banded solves."""
     lower, upper = l_and_u
+    rows = lower + upper + 1
+    band = ab[ab.shape[0] - rows:]
+    if not (np.isfinite(band).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    dtype = np.result_type(ab, b)
     if lower == upper == 1:
-        gtsv, = get_lapack_funcs(("gtsv",), (ab, b))
-        *_, x, info = gtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+        *_, x, info = _lapack("gtsv", dtype)(band[2, :-1], band[1], band[0, 1:], b)
     else:
-        gbsv, = get_lapack_funcs(("gbsv",), (ab, b))
-        padded = np.zeros((2 * lower + upper + 1, ab.shape[1]), dtype=gbsv.dtype)
-        padded[lower:] = ab
-        *_, x, info = gbsv(lower, upper, padded, b, overwrite_ab=True)
+        gbsv = _lapack("gbsv", dtype)
+        if ab.shape[0] == rows:
+            ab = np.zeros((rows + lower, ab.shape[1]), dtype=gbsv.dtype)
+            ab[lower:] = band
+        *_, x, info = gbsv(lower, upper, ab, b, overwrite_ab=True)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of the LAPACK solve")
     return x
+
+
+@functools.lru_cache(maxsize=8)
+def _lapack(name, dtype):
+    """The LAPACK routine ``name`` ("gtsv" or "gbsv") that
+    scipy.linalg.get_lapack_funcs picks for arrays whose common dtype is
+    ``dtype``: the lookup is done once per dtype, not once per solve."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(name, dtype=dtype)
 
 
 def solve_cyclic_tridiagonal(lower, diag, upper, corner_ul, corner_lr, rhs):
@@ -550,7 +592,11 @@ class _Footprint:
     band is about the footprint's width.
 
     A step is the Cayley step 2 y - x with (1 + cR) y = x: one banded solve
-    on x, and no product R x.
+    on x, and no product R x.  The footprint owns the band of 1 + cR, one
+    complex buffer allocated once per march in its LAPACK routine's layout:
+    the band alone for ``?gtsv`` (lo = up = 1), and for ``?gbsv`` below
+    ``pad`` = lo spare rows, Fortran-ordered, so that each solve factors it
+    in place.  A step writes it and allocates no band-sized array.
     """
 
     def __init__(self, spec, grid, adjoint):
@@ -599,6 +645,9 @@ class _Footprint:
         self.lo, self.up = (int(np.max(d, initial=0)) for d in (rows - cols, cols - rows))
         self.shape = (self.lo + self.up + 1, m)
         self.slot = (self.up + rows - cols) * m + cols
+        self.pad = 0 if self.lo == self.up == 1 else self.lo
+        self.plus = np.zeros((self.pad + self.shape[0], m), dtype=complex,
+                             order="F" if self.pad else "C")
 
     def fields(self, t):
         """The real stencil weights, in the order of ``slot``, and V_eff at
@@ -670,10 +719,17 @@ class _Footprint:
         """One Crank-Nicolson step (1 + cR)^{-1} (1 - cR) x of the remainder
         band R, for x on the footprint: one column of m values, or an
         (m, k) stack of columns that shares one solve.  It is taken as
-        2 y - x with (1 + cR) y = x, one banded solve."""
-        plus = c * remainder
-        plus[self.up] += 1.0
-        return 2.0 * solve_banded((self.lo, self.up), plus, x) - x
+        2 y - x with (1 + cR) y = x, one banded solve.  1 + cR is written
+        into the footprint's buffer, ``plus``: c = i step / 2 is purely
+        imaginary, so R c has the bits of c R.  ``remainder`` and ``x`` are
+        left as they are, and 2 y - x is formed in y."""
+        band = self.plus[self.pad:]
+        np.multiply(remainder, c, out=band)
+        band[self.up] += 1.0
+        y = solve_banded((self.lo, self.up), self.plus, x)
+        y *= 2.0
+        y -= x
+        return y
 
 
 def _strang_march(spec, grid, values, t0, t1, params):
@@ -688,16 +744,18 @@ def _strang_march(spec, grid, values, t0, t1, params):
     (1 + cR)^{-1} (1 - cR) x = 2 y - x with (1 + cR) y = x in either
     dimension, so no product R x is formed: y is one banded solve on the
     band of 1 + cR, in the seam-rotated footprint order fixed once per
-    march.  A solve that fails, or meets a non-finite remainder, raises
+    march, written into the footprint's buffer (see _Footprint.step).  A
+    solve that fails, or meets a non-finite remainder, raises
     ConvergenceFailure.  Adjacent half-steps are fused, so
     m steps make m + 1 multiplier applications, each between a forward and
     an inverse transform: 2m + 2 transforms.  The multiplier is kept in FFT
-    order: for even N the fftshift pairs of forward_ft and inverse_ft
-    cancel.  The march keeps one spectrum and one field buffer, which every
-    transform and multiplier writes into, so a step allocates no grid-sized
-    array.  The spatial windows of the remainder are evaluated once per
-    march, and its fields once per block of steps at the steps' midpoints
-    (see _Footprint); the blocks are walked as the steps take their bands.
+    order, built from the grid's cached |Z|^2 in that order (_grid_table):
+    for even N the fftshift pairs of forward_ft and inverse_ft cancel.  The
+    march keeps one spectrum and one field buffer, which every transform
+    and multiplier writes into, so a step allocates no grid-sized array.
+    The spatial windows of the remainder are evaluated once per march, and
+    its fields once per block of steps at the steps' midpoints (see
+    _Footprint); the blocks are walked as the steps take their bands.
 
     The multiplier is the left operand of every product, and complex
     products elsewhere name their array operands.  For operands of one
@@ -714,7 +772,7 @@ def _strang_march(spec, grid, values, t0, t1, params):
     step = span / m
     c = 0.5j * step
     axes = grid.axes
-    norm_sq = np.fft.ifftshift(grid.dual_norm_sq())
+    norm_sq = _grid_table(grid, "dual_norm_sq_fft")
     half, full = np.exp(-0.5j * step * norm_sq), np.exp(-1j * step * norm_sq)
     footprint = _Footprint(spec, grid, adjoint=t1 < t0)
     ids = footprint.ids

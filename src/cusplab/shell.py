@@ -199,9 +199,11 @@ def _validate_scenario(sc: Scenario):
                    if params.get(key) is not None]
         if not hs or "Z0" not in params or not offsets:
             continue
-        # the widest packet, at the largest offset, over the whole horizon
-        extent = (2.0 * horizon * np.max(np.abs(params["Z0"])) + max(offsets)
-                  + 6.0 * max(verify._packet_width(h, horizon) for h in hs))
+        # the widest packet, at the largest offset, over the whole horizon;
+        # an extent that overflows is refused below, with no warning
+        with np.errstate(over="ignore"):
+            extent = (2.0 * horizon * np.max(np.abs(params["Z0"])) + max(offsets)
+                      + 6.0 * max(verify._packet_width(h, horizon) for h in hs))
         if extent > 0.95 * sc.grid.L:
             raise ValidationError(f"job '{job['check']}' needs extent {extent:.3g} "
                                   f"> 95% of the box (L = {sc.grid.L})",

@@ -383,6 +383,9 @@ class PerturbationSpec:
         returns (m,) at one time, (M, m) at a column (M, 1) of times.
 
         det g = 1 / det(g_inv), so d/dt log det g = -tr(g_inv^{-1} d_t g_inv).
+        For n = 2 the trace is taken in closed form, g_inv^{-1} = adj(g_inv) /
+        det(g_inv), as _Footprint.fields takes d_j log sqrt(det g); n >= 3
+        solves the stack of n x n systems.
         """
         pts = _at(points)
         if self.metric_is_flat:
@@ -390,6 +393,11 @@ class PerturbationSpec:
         ginv, _, dt_ginv = self._metric(pts, t, dt=True)
         if self.n == 1:
             return -dt_ginv[..., 0, 0] / ginv[..., 0, 0]
+        if self.n == 2:
+            g00, g01, g10, g11 = ginv[..., 0, 0], ginv[..., 0, 1], ginv[..., 1, 0], ginv[..., 1, 1]
+            det = g00 * g11 - g01 * g10
+            return -(g11 * dt_ginv[..., 0, 0] - g01 * dt_ginv[..., 1, 0]
+                     - g10 * dt_ginv[..., 0, 1] + g00 * dt_ginv[..., 1, 1]) / det
         return -np.trace(np.linalg.solve(ginv, dt_ginv), axis1=-2, axis2=-1)
 
     def inverse_metric_jet_field(self, points, t):
@@ -409,6 +417,20 @@ class PerturbationSpec:
     # -- validation --------------------------------------------------------
 
     def _validate_positive_definite(self):
+        """Refuse an inverse metric that is not finite and positive
+        definite: first each bump alone, exactly, then the assembled metric
+        on a lattice over the support box.  A bump alone gives
+        g = 1 + eps w P with 0 <= w <= 1, whose eigenvalues 1 + eps w lambda(P)
+        are extreme at w = 0 or at its spacetime centre, where w = 1, a point
+        that no lattice need meet."""
+        for i, b in enumerate(self.bumps):
+            with np.errstate(over="ignore", invalid="ignore"):
+                least, most = _eigenvalue_bounds(np.eye(self.n) + b.amplitude * b.pattern)
+            if not (least > 0.0 and most < np.inf):
+                raise NotPositiveDefinite(
+                    f"bumps[{i}] alone gives the inverse metric eigenvalues in "
+                    f"[{least:.3e}, {most:.3e}], not all finite and positive, at its centre",
+                    invariant="NotPositiveDefinite")
         if not self.bumps:
             return
         per_axis = 64 if self.n <= 2 else 16

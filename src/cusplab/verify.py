@@ -31,7 +31,7 @@ import numpy as np
 
 from . import flow as _flow
 from . import quantum as _q
-from .errors import ValidationError
+from .errors import ValidationError, in_range
 from .phasespace import CuspData, bichar_from_cusp
 from .symbols import PerturbationSpec, flat_spec
 
@@ -121,6 +121,16 @@ def _decreasing(h_list):
     return all(a > b for a, b in zip(h_list, h_list[1:]))
 
 
+def _positive(**knobs):
+    """Refuse each of a check's tolerances, thresholds and steps, given by
+    name, that is not a positive finite number, below 1 for ``tol_flow`` as
+    for the flow's own tolerance: an InvalidArgument names it (see
+    errors.in_range).  None, the default of an optional one, passes."""
+    for name, value in knobs.items():
+        if value is not None:
+            in_range(name, value, 0.0, 1.0 if name == "tol_flow" else np.inf)
+
+
 def _check_decreasing(h_list, check):
     if not _decreasing(h_list):
         raise ValidationError("h_list must be strictly decreasing",
@@ -177,6 +187,7 @@ def check_free_identity(grid: _q.Grid, params: _q.SolverParams = _q.SolverParams
     Runs the full pipeline (data -> field before the window -> propagate ->
     data) over [-span, span].  ``control`` flips the extraction multiplier
     (negative control: must fail)."""
+    _positive(tol=tol, span=span)
     spec = flat_spec(grid.n)
     f = _default_inputs(grid)
     u = _q.propagate_window(spec, _q.poisson_free(f, -span), span, params)
@@ -215,6 +226,7 @@ def check_unitarity(spec: PerturbationSpec, grid: _q.Grid,
 
     With ``control`` the potential is made dissipative (Im V < 0), losing
     mass; the resulting report must fail."""
+    _positive(tol=tol)
     [(f, fp)] = mapped or _map_alone(_unitarity_requests(spec, grid, params, control))
     defects = abs(fp.norm() - f.norm()) / f.norm()
     rows = list(enumerate(defects))
@@ -250,6 +262,7 @@ def check_pairing(spec: PerturbationSpec, grid: _q.Grid,
     With ``refine`` the run is repeated at (dt/2, 2N) and the residual must
     shrink by at least ``refine_factor``.  The ``control`` variant replaces
     the adjoint route by the plain map (a broken adjoint) and must fail."""
+    _positive(tol=tol, refine_factor=refine_factor)
     pairs = mapped or _map_alone(_pairing_requests(spec, grid, params, refine, control))
     residuals = [abs(fp.inner(g) - f.inner(gm)) / (f.norm() * g.norm())
                  for (f, fp), (g, gm) in zip(pairs[::2], pairs[1::2])]
@@ -274,6 +287,7 @@ def check_symplectic(spec: PerturbationSpec, samples: int = 20,
 
     ``control`` scales one Jacobian row (a non-symplectic matrix), verifying
     the defect metric is discriminating; that control must fail."""
+    _positive(h_fd=h_fd, tol_flow=tol_flow, tol=tol)
     rng = np.random.default_rng(seed)
     rows = []
     worst = 0.0
@@ -308,6 +322,8 @@ def check_radial(spec: PerturbationSpec, Z0, frak0, horizon: float = 1e6,
     limits reproduce the scattering map computed independently.
 
     ``control`` offsets the scattering target (broken cross-check; must fail)."""
+    _positive(horizon=horizon, tol_flow=tol_flow, exponent_tol=exponent_tol,
+              limit_tol=limit_tol)
     c_in = CuspData(Z=Z0, frak=frak0)
     report = _flow.radial_convergence(spec, radial_seed(spec, c_in), horizon=horizon,
                                       tol=tol_flow)
@@ -350,6 +366,7 @@ def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
     the radial-convergence diagnostic (an independent code path), with the
     flow tolerance capped at 1e-12.  ``control`` reflects the classical
     target (a broken prediction: must fail)."""
+    _positive(rel_cap=rel_cap, abs_cap=abs_cap, tol_flow=tol_flow)
     tol_flow = min(tol_flow, 1e-12)
     h_list = list(h_list)
     _check_decreasing(h_list, "egorov")
@@ -407,6 +424,8 @@ def check_eikonal_phase(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
     and a weak real potential.  Doubling the amplitude must double the
     measured phase within ``linearity_tol``.  ``control`` compares against
     the sign-flipped integral (must fail)."""
+    _positive(h=h, rel_tol=rel_tol, abs_tol=abs_tol, linearity_tol=linearity_tol,
+              tol_flow=tol_flow)
     if not spec.metric_is_flat:
         raise ValidationError("eikonal check requires a flat metric",
                               invariant="eikonal-flat-metric")
@@ -481,6 +500,7 @@ def check_highfreq_identity(spec: PerturbationSpec, grid: _q.Grid, Z0,
                             out_dir=None, mapped=None) -> CheckReport:
     """Beams offset far (in the 1-cusp frequency) from the perturbation are
     scattered trivially; a beam through it is not (positive control)."""
+    _positive(h=h, tol=tol, control_floor=control_floor)
     [(f, fp)] = mapped or _map_alone(
         _highfreq_requests(spec, grid, Z0, frak_far, frak_through, h, params))
     defects = _relative_defects(fp, f)
@@ -523,6 +543,7 @@ def check_noncompactness(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
     degenerates to zero) pass an explicit positive floor the family must
     fail to clear.  Weak nullity is proxied by |<f_k, phi>| decreasing for
     three fixed test functions."""
+    _positive(c_floor=c_floor)
     h_list = list(h_list)
     _check_decreasing(h_list, "noncompact")
     [(f, fp)] = mapped or _map_alone(_family_requests(spec, grid, Z0, frak0, h_list, params))

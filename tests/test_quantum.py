@@ -325,6 +325,12 @@ def test_solve_banded_is_bitwise_scipy(l_and_u):
         x = quantum.solve_banded(l_and_u, ab, b)
         assert x.shape == b.shape
         assert np.array_equal(x, scipy_solve_banded(l_and_u, ab, b))
+    # the band in ?gbsv's layout, below l spare rows whatever they hold, in
+    # either memory order: the bits of scipy on the band alone
+    for order in ("C", "F"):
+        padded = np.array(np.vstack([cplx(l_and_u[0], m), ab]), order=order)
+        x = quantum.solve_banded(l_and_u, padded, b)
+        assert np.array_equal(x, scipy_solve_banded(l_and_u, ab, b))
     real_ab, real_b = ab.real.copy(), rng.normal(size=m)
     x = quantum.solve_banded(l_and_u, real_ab, real_b)
     assert x.dtype == np.float64
@@ -411,6 +417,7 @@ def test_footprint_remainder_equals_whole_grid(monkeypatch, n, where):
         assert np.max(np.abs(r_part - r_whole)) <= 1e-13 * np.max(np.abs(r_whole))
         # the footprint step solves the embedded Crank-Nicolson system
         c, r = 0.5j * 5e-3, part.remainder(0.3)
+        r_before = r.copy()
         x = rng.normal(size=part.ids.size) + 1j * rng.normal(size=part.ids.size)
         full = np.zeros(size, dtype=complex)
         full[part.ids] = x
@@ -436,6 +443,9 @@ def test_footprint_remainder_equals_whole_grid(monkeypatch, n, where):
         assert np.linalg.norm(part.step(x, r, c) - exact) <= bound
         # the backward step, c -> -c, is first-order far from exp(-2A)
         assert np.linalg.norm(part.step(x, r, -c) - exact) > bound
+        # every step above reused R: a step writes 1 + cR into the
+        # footprint's own buffer, never into R
+        assert np.array_equal(r, r_before)
 
 
 def _remainder_by_definition(spec, grid, t, adjoint):

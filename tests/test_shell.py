@@ -494,7 +494,6 @@ def test_a_radius_whose_square_overflows_stops_the_run_naming_it(tmp_path, capsy
     assert "(field: perturbation.bumps[0].radius_z)" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("command, Z", [
     (["classical-map"], 1e200), (["radial"], 1e200),
     (["flow", "--t0=-2.5", "--t1=2.5"], 1e200), (["jacobian"], 1e300),
@@ -509,7 +508,6 @@ def test_a_beam_whose_seed_overflows_stops_naming_z(tmp_path, capsys, command, Z
     assert capsys.readouterr().err.startswith(f"error: Z = [{Z!r}, 0.0] overflows")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_a_radial_job_whose_seed_overflows_reports_an_error(tmp_path, capsys):
     doc = json.loads(Path(bundled_scenario_path("classical2d")).read_text())
     doc["jobs"][1]["params"]["Z0"] = [1e200, 0.0]
@@ -535,6 +533,36 @@ def test_a_time_window_that_overflows_the_march_is_refused_at_load(tmp_path, cap
     with pytest.raises(ParseError) as err:
         load_scenario(_write(tmp_path, doc))
     assert err.value.field == "solver.margin"
+
+
+def test_a_bump_whose_inverse_metric_vanishes_at_its_centre_is_refused_at_load(
+        tmp_path, capsys):
+    # no point of the positive-definiteness lattice is the bump's centre, so
+    # an amplitude of -1 loaded; pairing then divided by det g = 0 there
+    doc = json.loads(Path(bundled_scenario_path("bump_metric")).read_text())
+    doc["perturbation"]["bumps"][0]["amplitude"] = -1.0
+    path = _write(tmp_path, doc)
+    with pytest.raises(ValidationError, match=r"^bumps\[0\] alone") as err:
+        load_scenario(path)
+    assert err.value.invariant == "NotPositiveDefinite"
+    assert main(["--out", str(tmp_path), "all", "--scenario", path]) == 2
+    assert capsys.readouterr().err.startswith("error: bumps[0] alone")
+
+
+@pytest.mark.parametrize("command, field", [
+    (["classical-map", "--scenario", "classical2d", "--Z", "1e200,0", "--frak", "0,0.3"], "Z"),
+    (["classical-map", "--scenario", "classical2d", "--Z", "1,0", "--frak", "1e308,0"], "frak"),
+    (["all", "--scenario", "Z0_1e308.scn"], "job 'egorov'"),
+], ids=["Z", "frak", "job-Z0"])
+def test_an_overflow_refused_by_name_prints_one_error_line(tmp_path, command, field):
+    # numpy's overflow warnings once reached stderr ahead of the error line
+    doc = json.loads(Path(bundled_scenario_path("egorov")).read_text())
+    doc["jobs"][0]["params"]["Z0"] = [1e308]
+    _write(tmp_path, doc, "Z0_1e308.scn")
+    command = [str(tmp_path / arg) if arg.endswith(".scn") else arg for arg in command]
+    proc = _fresh_python("-m", "cusplab.shell", "--out", str(tmp_path), *command)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {field}") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_a_radial_horizon_short_of_the_samples_is_a_typed_error_naming_it(tmp_path, capsys):

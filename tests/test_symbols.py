@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from cusplab.errors import InvalidArgument, NotPositiveDefinite
 from cusplab.phasespace import PhasePoint
 from cusplab.symbols import (
+    FieldPoints,
     MetricBump,
     PerturbationSpec,
     PotentialTerm,
@@ -199,6 +200,34 @@ def test_dt_log_det_metric_field():
         a_m = spec.inverse_metric(z, 0.2 - h)[0, 0]
         fd = -(np.log(a_p) - np.log(a_m)) / (2 * h)   # det g = 1 / g^{11}
         assert abs(vals[i] - fd) < 1e-7
+
+
+@pytest.mark.parametrize("shear", [0.3, 0.9, -0.6])
+@pytest.mark.parametrize("eps", [0.2, -0.45, 0.8])
+def test_2d_dt_log_det_is_the_trace_of_the_solve(monkeypatch, shear, eps):
+    # n = 2 takes -tr(g^{-1} d_t g) from the 2 x 2 adjugate, not from a
+    # batched solve: within 8 ulps of the solve on a sheared bump, and of
+    # the terms' scale where a second bump makes the trace cancel
+    ax = np.linspace(-2.0, 2.0, 41)
+    pts = FieldPoints(np.stack([m.ravel() for m in np.meshgrid(ax, ax, indexing="ij")], -1))
+    times = np.linspace(-1.1, 1.2, 24)[:, None]
+    sheared = MetricBump(amplitude=eps, center_z=[0.1, -0.2], center_t=0.1, radius_z=1.5,
+                         radius_t=1.0, pattern=[[1.0, shear], [shear, 0.5]])
+    other = MetricBump(amplitude=0.3, center_z=[-0.4, 0.3], center_t=-0.2, radius_z=1.0,
+                       radius_t=0.8, pattern=[[0.2, -0.7], [-0.7, 1.0]])
+    for bumps in ((sheared,), (sheared, other)):
+        spec = PerturbationSpec(n=2, bumps=bumps)
+        g, _, dgdt = spec._metric(pts, times, dt=True)
+        solved = -np.trace(np.linalg.solve(g, dgdt), axis1=-2, axis2=-1)
+        with monkeypatch.context() as no_solve:
+            no_solve.setattr(np.linalg, "solve", None)
+            closed = spec.dt_log_det_metric_field(pts, times)
+        terms = np.abs(g[..., ::-1, ::-1] * np.swapaxes(dgdt, -1, -2)).sum(axis=(-2, -1))
+        scale = np.abs(solved) if len(bumps) == 1 else terms / np.abs(np.linalg.det(g))
+        assert np.all(np.abs(closed - solved) <= 8 * np.spacing(scale))
+        # outside every support, and for the flat metric, exactly 0
+        assert np.all(closed[solved == 0.0] == 0.0) and np.any(solved == 0.0)
+    assert not np.any(flat_spec(2).dt_log_det_metric_field(pts, times))
 
 
 def _dyadic(rng, lo, hi, size=None):

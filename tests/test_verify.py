@@ -1,12 +1,17 @@
 """Check reports: pass/fail semantics, examples, and negative controls."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
-from cusplab.errors import ValidationError
+from cusplab import verify
+from cusplab.errors import InvalidArgument, ValidationError
 from cusplab.quantum import Grid, SolverParams
 from cusplab.symbols import MetricBump, PerturbationSpec, PotentialTerm, flat_spec
 from cusplab.verify import (
+    JOB_FAMILIES,
     CheckReport,
     Measurement,
     check_egorov,
@@ -243,3 +248,27 @@ def test_reports_serialize(tmp_path):
     assert doc["status"] == "pass"
     assert doc["measured"][0]["ok"] is True
     assert report.artifacts and report.artifacts[0].endswith(".csv")
+
+
+# every argument a check needs but no tolerance: fixed, valid values
+_REQUIRED = {"spec": _metric_spec(), "grid": Grid(n=1, N=64, L=30.0), "Z0": [1.0],
+             "frak0": [0.3], "frak_far": [12.0], "h_list": [0.1, 0.05]}
+# the check's own tolerances, thresholds and steps
+_KNOB = re.compile(r"tol|.*_tol|.*_cap|.*_floor|h_fd|horizon|h|span|refine_factor")
+
+
+@pytest.mark.parametrize("family", sorted(JOB_FAMILIES))
+def test_a_check_refuses_a_non_finite_tolerance_by_name(family):
+    # a NaN tolerance once gave a report whose measurement could never pass
+    # (or, as a control, could never fail) instead of an error naming it
+    check = getattr(verify, JOB_FAMILIES[family][0])
+    args = inspect.signature(check).parameters
+    knobs = [name for name in args if _KNOB.fullmatch(name)]
+    assert knobs
+    required = {name: _REQUIRED[name] for name, arg in args.items()
+                if arg.default is arg.empty}
+    for name in knobs:
+        for value in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(InvalidArgument) as refused:
+                check(**required, **{name: value})
+            assert refused.value.field == name
