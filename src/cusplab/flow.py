@@ -41,6 +41,7 @@ from .phasespace import (
     cusp_from_bichar,
     free_flow,
     galilean_invariant,
+    momentum_in_range,
 )
 from .symbols import SUPPORT_MARGIN, PerturbationSpec, principal_symbol, symbol_jet
 
@@ -519,10 +520,16 @@ def integrate(spec: PerturbationSpec, p0: PhasePoint, t_final: float,
     (:func:`_rk45`): the exit is tested once per accepted step, located by a
     port of scipy's Brent root finder, and a step's dense interpolant is
     built only when the segment's solution is read there.  ``tol`` must be
-    finite, positive and below 1, and ``t_final`` finite (an
-    InvalidArgument otherwise)."""
+    finite, positive and below 1, and ``t_final`` finite; |z|^2 of ``p0``,
+    which finds the support, must be finite, and ``p0.zeta`` a momentum the
+    flow can carry (:func:`momentum_in_range`); an InvalidArgument otherwise,
+    naming ``z`` or ``zeta``."""
     tol = in_range("tol", tol, 0.0, 1.0)
     t_final = in_range("t_final", t_final)
+    if not sum(v * v for v in p0.z.tolist()) < math.inf:
+        raise InvalidArgument("z", f"= {p0.z.tolist()} overflows |z|^2, which finds the "
+                                   f"support")
+    momentum_in_range("zeta", p0.zeta, tol)
     if t_final == p0.t:
         raise InvalidArgument("t_final", "must differ from the initial time")
     direction = 1.0 if t_final > p0.t else -1.0
@@ -694,7 +701,7 @@ def classical_scatter(spec: PerturbationSpec, c_in: CuspData,
         return ScatterResult(c_in, c_in, None)
     t_in, t_out = _beam_times(window, c_in)
 
-    seed = bichar_from_cusp(c_in, t_in)
+    seed = bichar_from_cusp(c_in, t_in, tol)
     if _free_entry_time(_inflated(spec), seed.z, seed.t, seed.zeta, t_out) is None:
         return ScatterResult(c_in, c_in, None)
 

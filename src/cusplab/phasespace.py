@@ -169,23 +169,48 @@ def cusp_from_bichar(p: PhasePoint, spec=None, tol: float = CHARACTERISTIC_TOL) 
     return CuspData(Z=p.zeta, frak=galilean_invariant(p))
 
 
-def bichar_from_cusp(c: CuspData, t_init: float) -> PhasePoint:
+def momentum_in_range(field: str, zeta: np.ndarray, tol: float):
+    """Refuse, naming ``field``, a momentum zeta that a bicharacteristic
+    flow at ``tol`` cannot carry.  The Hamilton field is quadratic in zeta,
+    and the Runge-Kutta step control squares it in units of its tolerance,
+    at least the relative one, rtol = max(tol, 100 eps): (|zeta|^2 / rtol)^2
+    must be finite, or the first step ends in an overflow.  ``tol`` must be
+    in (0, 1)."""
+    rtol = max(in_range("tol", tol, 0.0, 1.0), 100 * np.finfo(float).eps)
+    scaled = sum(v * v for v in zeta.tolist()) / rtol    # Python floats overflow silently
+    if not scaled * scaled < np.inf:
+        raise InvalidArgument(field, f"= {zeta.tolist()} is too large for the flow at "
+                                     f"tol = {tol!r}: (|{field}|^2 / rtol)^2 overflows")
+
+
+def bichar_from_cusp(c: CuspData, t_init: float, tol: float | None = None) -> PhasePoint:
     """The unique characteristic point at time ``t_init`` with data ``c``.
 
     The bicharacteristic with data (Z, frak) is (2*t*Z - frak, t, Z, -|Z|^2).
-    A point that overflows is an InvalidArgument naming ``Z`` or ``frak``,
-    with no floating-point warning ahead of it."""
+    A point that overflows, or whose |z|^2 does (the flow takes it to find
+    the support), is an InvalidArgument naming ``Z`` or ``frak``, with no
+    floating-point warning ahead of it.  With ``tol``, the tolerance of the
+    flow the point seeds, a Z that flow cannot carry is refused too
+    (:func:`momentum_in_range`)."""
     t_init = in_range("t_init", t_init)
     with np.errstate(over="ignore", invalid="ignore"):
         tau = -float(c.Z @ c.Z)
         moved = 2.0 * t_init * c.Z
         z = moved - c.frak
-    try:
-        return PhasePoint(z=z, t=t_init, zeta=c.Z, tau=tau)
-    except InvalidArgument:   # it overflows: through |Z|^2 or 2 t Z, else through frak
-        field = "Z" if not np.all(np.isfinite([tau, *moved])) else "frak"
+        if not np.all(np.isfinite([tau, *moved])):    # through |Z|^2 or 2 t Z
+            field = "Z"
+        elif not np.all(np.isfinite(z)):
+            field = "frak"
+        elif not np.isfinite(z @ z):    # through the square of 2 t Z, else of frak
+            field = "Z" if not np.isfinite(moved @ moved) else "frak"
+        else:
+            field = None
+    if field is not None:
         raise InvalidArgument(field, f"= {getattr(c, field).tolist()} overflows the "
-                              f"characteristic point at t = {t_init!r}") from None
+                              f"characteristic point at t = {t_init!r}")
+    if tol is not None:
+        momentum_in_range("Z", c.Z, tol)
+    return PhasePoint(z=z, t=t_init, zeta=c.Z, tau=tau)
 
 
 def to_boundary_chart(c: CuspData, axis: int | None = None) -> CuspBoundaryCoords:

@@ -563,7 +563,7 @@ def _cmd_flow(args):
     sc, c_in = _scenario_beam(args)
     if args.t1 == args.t0:
         raise ParseError("the flow needs --t1 different from --t0", field="--t1")
-    p0 = bichar_from_cusp(c_in, args.t0)
+    p0 = bichar_from_cusp(c_in, args.t0, sc.flow_tol)
     traj = integrate(sc.spec, p0, args.t1, tol=sc.flow_tol)
     path = os.path.join(_out_dir(args, sc, "flow"), "trajectory.csv")
     traj.export_csv(path, stride=args.stride)
@@ -595,7 +595,7 @@ def _cmd_jacobian(args):
 
 def _cmd_radial_op(args):
     sc, c_in = _scenario_beam(args)
-    rep = radial_convergence(sc.spec, verify.radial_seed(sc.spec, c_in),
+    rep = radial_convergence(sc.spec, verify.radial_seed(sc.spec, c_in, sc.flow_tol),
                              horizon=args.horizon, tol=sc.flow_tol)
     print("exponent forward :", rep.exponent_forward)
     print("exponent backward:", rep.exponent_backward)

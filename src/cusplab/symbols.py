@@ -384,21 +384,22 @@ class PerturbationSpec:
 
         det g = 1 / det(g_inv), so d/dt log det g = -tr(g_inv^{-1} d_t g_inv).
         For n = 2 the trace is taken in closed form, g_inv^{-1} = adj(g_inv) /
-        det(g_inv), as _Footprint.fields takes d_j log sqrt(det g); n >= 3
-        solves the stack of n x n systems.
+        det(g_inv), as _Footprint.fields takes d_j log sqrt(det g).  n >= 3,
+        which no Grid has, is an InvalidArgument naming ``n``.
         """
+        if self.n > 2:
+            raise InvalidArgument("n", f"= {self.n}: d/dt log det g is taken for n = 1 "
+                                       f"and 2, the dimensions of a Grid")
         pts = _at(points)
         if self.metric_is_flat:
             return np.zeros(np.shape(t)[:-1] + pts.array.shape[:1])
         ginv, _, dt_ginv = self._metric(pts, t, dt=True)
         if self.n == 1:
             return -dt_ginv[..., 0, 0] / ginv[..., 0, 0]
-        if self.n == 2:
-            g00, g01, g10, g11 = ginv[..., 0, 0], ginv[..., 0, 1], ginv[..., 1, 0], ginv[..., 1, 1]
-            det = g00 * g11 - g01 * g10
-            return -(g11 * dt_ginv[..., 0, 0] - g01 * dt_ginv[..., 1, 0]
-                     - g10 * dt_ginv[..., 0, 1] + g00 * dt_ginv[..., 1, 1]) / det
-        return -np.trace(np.linalg.solve(ginv, dt_ginv), axis1=-2, axis2=-1)
+        g00, g01, g10, g11 = ginv[..., 0, 0], ginv[..., 0, 1], ginv[..., 1, 0], ginv[..., 1, 1]
+        det = g00 * g11 - g01 * g10
+        return -(g11 * dt_ginv[..., 0, 0] - g01 * dt_ginv[..., 1, 0]
+                 - g10 * dt_ginv[..., 0, 1] + g00 * dt_ginv[..., 1, 1]) / det
 
     def inverse_metric_jet_field(self, points, t):
         """(g, dgdz) at an (m, n) array of points or at FieldPoints;

@@ -308,10 +308,11 @@ def check_symplectic(spec: PerturbationSpec, samples: int = 20,
                                             ["beam", "defect"], rows))
 
 
-def radial_seed(spec: PerturbationSpec, c_in: CuspData):
+def radial_seed(spec: PerturbationSpec, c_in: CuspData, tol: float):
     """The bicharacteristic of ``c_in`` two time units before the window
-    (before t = -1 without one): where the radial diagnostic starts."""
-    return bichar_from_cusp(c_in, (spec.time_window() or (-1.0, 1.0))[0] - 2.0)
+    (before t = -1 without one): where the radial diagnostic, flowing at
+    ``tol``, starts."""
+    return bichar_from_cusp(c_in, (spec.time_window() or (-1.0, 1.0))[0] - 2.0, tol)
 
 
 def check_radial(spec: PerturbationSpec, Z0, frak0, horizon: float = 1e6,
@@ -325,7 +326,7 @@ def check_radial(spec: PerturbationSpec, Z0, frak0, horizon: float = 1e6,
     _positive(horizon=horizon, tol_flow=tol_flow, exponent_tol=exponent_tol,
               limit_tol=limit_tol)
     c_in = CuspData(Z=Z0, frak=frak0)
-    report = _flow.radial_convergence(spec, radial_seed(spec, c_in), horizon=horizon,
+    report = _flow.radial_convergence(spec, radial_seed(spec, c_in, tol_flow), horizon=horizon,
                                       tol=tol_flow)
     scatter = _flow.classical_scatter(spec, c_in, tol=tol_flow)
     target = scatter.c_out.pair() + (0.1 if control else 0.0)
@@ -378,7 +379,7 @@ def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
         target = 2.0 * c_in.pair() - target
 
     # the cross-check reads the forward radial limit only
-    _, limit, _ = _flow._radial_direction(spec, radial_seed(spec, c_in), 1.0,
+    _, limit, _ = _flow._radial_direction(spec, radial_seed(spec, c_in, tol_flow), 1.0,
                                           horizon=1e6, tol=tol_flow)
     cross = float(np.max(np.abs(limit.pair() - target)))
 

@@ -8,6 +8,7 @@ Both are derandomized, so a run is the same run every time."""
 import json
 import math
 import pickle
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cusplab.errors import CuspLabError, InvalidArgument, ParseError, ValidationError
-from cusplab.flow import classical_scatter, integrate, scatter_jacobian
+from cusplab.flow import classical_scatter, integrate, radial_convergence, scatter_jacobian
 from cusplab.phasespace import CuspData, PhasePoint, bichar_from_cusp
 from cusplab.quantum import (
     Grid,
@@ -151,12 +152,37 @@ def test_a_beam_whose_seed_overflows_names_z_or_frak(Z, frak, field):
 
 
 def test_bichar_from_cusp_names_the_datum_that_overflows():
-    for c, t, field in [(CuspData(Z=[1e200], frak=[0.0]), -3.0, "Z"),
-                        (CuspData(Z=[1e150], frak=[-1e308]), 5e157, "frak"),
-                        (CuspData(Z=[1.0], frak=[0.0]), math.inf, "t_init")]:
+    for c, t, tol, field in [(CuspData(Z=[1e200], frak=[0.0]), -3.0, None, "Z"),
+                             (CuspData(Z=[1e150], frak=[-1e308]), 5e157, None, "frak"),
+                             (CuspData(Z=[1.0], frak=[0.0]), math.inf, None, "t_init"),
+                             # |z|^2 overflows, through 2 t Z or through frak
+                             (CuspData(Z=[1e154], frak=[0.0]), -2.5, None, "Z"),
+                             (CuspData(Z=[1.0], frak=[1e300]), -3.0, None, "frak"),
+                             # (|Z|^2 / rtol)^2, which the flow's step control takes
+                             (CuspData(Z=[1e150], frak=[0.0]), -3.0, 1e-11, "Z"),
+                             (CuspData(Z=[1.0], frak=[0.0]), -3.0, math.nan, "tol")]:
         with pytest.raises(InvalidArgument) as refused:
-            bichar_from_cusp(c, t)
+            bichar_from_cusp(c, t, tol)
         assert refused.value.field == field
+
+
+@pytest.mark.parametrize("p0, field", [
+    (PhasePoint(z=[-1e155], t=-2.0, zeta=[1.0], tau=-1.0), "z"),
+    (PhasePoint(z=[-4.0], t=-2.0, zeta=[1e150], tau=-1e300), "zeta"),
+], ids=["z", "zeta"])
+@pytest.mark.parametrize("call", [lambda p0: integrate(BUMP, p0, 2.0),
+                                  lambda p0: radial_convergence(BUMP, p0)],
+                         ids=["integrate", "radial_convergence"])
+def test_a_seed_that_the_flow_cannot_carry_is_refused_by_name(p0, field, call):
+    # |z|^2 overflowed in the support test, and the beam flew as if it
+    # missed the support; |zeta|^2 / tol overflowed the step control, which
+    # ended in a ZeroDivisionError
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidArgument) as refused:
+            call(p0)
+    assert refused.value.field == field
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_a_refused_argument_survives_a_pickle():

@@ -1,11 +1,15 @@
 """Scenario parsing/validation, the runner, and the CLI surface."""
 
 import ast
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,6 +56,30 @@ def _minimal(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def _report_agrees(out_root, name, code):
+    """`cusplab report` on the outputs of a run that exited ``code`` (0 or
+    1) gives the same verdict; a run that selected no job wrote none, which
+    the report also fails."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--out", str(out_root), "report", name]) == code
+
+
+def _run(sc, out_root, **kwargs):
+    """:func:`run` into ``out_root``, checked against `cusplab report`."""
+    code, reports = run(sc, out_root=str(out_root), **kwargs)
+    _report_agrees(out_root, sc.name, code if reports else 1)
+    return code, reports
+
+
+def _all(out_root, name, *argv):
+    """The exit status of `cusplab all` with ``argv``, which `cusplab report`
+    on scenario ``name`` repeats when it is 0 or 1."""
+    code = main(["--out", str(out_root), "all", *argv])
+    if code in (0, 1):
+        _report_agrees(out_root, name, code)
+    return code
 
 
 def test_bundled_flat_scenario_loads():
@@ -275,7 +303,7 @@ def test_a_dt_of_too_many_steps_fails_the_job_naming_dt(tmp_path, capsys, dt):
     # traceback
     doc = json.loads(Path(bundled_scenario_path("potential")).read_text())
     doc["solver"]["dt"], doc["jobs"] = dt, doc["jobs"][:1]
-    assert main(["--out", str(tmp_path), "all", "--scenario", _write(tmp_path, doc)]) == 1
+    assert _all(tmp_path, "potential", "--scenario", _write(tmp_path, doc)) == 1
     out = capsys.readouterr().out
     assert f"note: ValidationError: dt = {dt:.3g} needs" in out
 
@@ -333,6 +361,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [shell.main(["--out", sys.argv[1], "all", "--scenario", "flat"]),
              shell.main(["--out", sys.argv[1], "report", "flat"])]
 print("flat", codes, scipy_modules())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = shell.main(["--out", sys.argv[1], "all", "--scenario", "classical2d"])
+print("classical2d", code, scipy_modules())
 spec = PerturbationSpec(n=1, bumps=(MetricBump(
     amplitude=0.1, center_z=[0.0], center_t=0.0, radius_z=1.0, radius_t=0.1, pattern=1.0),))
 grid = quantum.Grid(n=1, N=256, L=20.0)
@@ -343,10 +374,12 @@ print("map", "scipy.linalg" in sys.modules)
 
 
 def test_scipy_loads_only_with_the_first_banded_solve(tmp_path):
-    # import, a flat run and its report load no scipy; the remainder step does
+    # import, a flat run and its report, and a classical run, whose flow is
+    # in-tree, load no scipy; the remainder step does
     proc = _fresh_python("-c", _COLD_START_PROBE, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["import []", "flat [0, 0] []", "map True"]
+    assert proc.stdout.splitlines() == ["import []", "flat [0, 0] []", "classical2d 0 []",
+                                        "map True"]
 
 
 _SPARSE_PROBE = """
@@ -383,7 +416,7 @@ def test_scenario_grid_must_accommodate_packets(tmp_path):
 
 def test_run_flat_scenario_exit_zero(tmp_path):
     sc = load_scenario(bundled_scenario_path("flat"))
-    code, reports = run(sc, only={"pairing"}, out_root=str(tmp_path))
+    code, reports = _run(sc, tmp_path, only={"pairing"})
     assert code == 0
     assert len(reports) == 1 and reports[0].status == "pass"
     out = tmp_path / "flat" / "02_pairing" / "report.json"
@@ -401,7 +434,7 @@ def test_run_fails_when_a_control_passes(tmp_path):
         jobs=[{"check": "highfreq", "control": True,
                "params": {"Z0": [1.0], "frak_far": [16.0], "h": 0.5}}])
     sc = load_scenario(_write(tmp_path, doc))
-    code, reports = run(sc, out_root=str(tmp_path))
+    code, reports = _run(sc, tmp_path)
     assert reports[0].status == "pass" and not reports[0].satisfied
     assert code == 1
 
@@ -432,7 +465,7 @@ def test_control_job_runs_the_checks_negative_control(tmp_path, check,
                    jobs=[{"check": check, "params": params, "control": control}
                          for control in (False, True)])
     sc = load_scenario(_write(tmp_path, doc))
-    code, (plain, control) = run(sc, out_root=str(tmp_path))
+    code, (plain, control) = _run(sc, tmp_path)
     assert plain.status == "pass" and not plain.control
     assert control.status == "fail" and control.control and control.satisfied
     assert code == 0
@@ -448,7 +481,7 @@ def test_run_captures_boundary_leak_and_fails(tmp_path):
              "radius_z": 2.0, "radius_t": 1.0}]},
         jobs=[{"check": "pairing"}])
     sc = load_scenario(_write(tmp_path, doc))
-    code, reports = run(sc, out_root=str(tmp_path))
+    code, reports = _run(sc, tmp_path)
     assert code == 1
     assert reports[0].status == "fail"
     assert "BoundaryLeak" in reports[0].note
@@ -464,17 +497,16 @@ def test_run_captures_precondition_errors(tmp_path):
         jobs=[{"check": "highfreq",
                "params": {"Z0": [1.0], "frak_far": [4.0], "h": 0.5}}])
     sc = load_scenario(_write(tmp_path, doc))
-    code, reports = run(sc, out_root=str(tmp_path))
+    code, reports = _run(sc, tmp_path)
     assert code == 1
     assert "ValidationError" in reports[0].note
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_huge_h_fd_is_a_typed_error_naming_it(tmp_path, capsys):
     # the shifted beams of a 1e300 step have no finite phase-space point
     doc = json.loads(Path(bundled_scenario_path("classical2d")).read_text())
     doc["jobs"] = [{"check": "symplectic", "params": {"h_fd": 1e300, "samples": 1}}]
-    code, reports = run(load_scenario(_write(tmp_path, doc)), out_root=str(tmp_path))
+    code, reports = _run(load_scenario(_write(tmp_path, doc)), tmp_path)
     assert code == 1 and reports[0].status == "fail"
     assert reports[0].note.startswith("InvalidArgument: h_fd = 1e+300")
     code = main(["--out", str(tmp_path), "jacobian", "--scenario", "classical2d",
@@ -509,12 +541,20 @@ def test_a_beam_whose_seed_overflows_stops_naming_z(tmp_path, capsys, command, Z
 
 
 def test_a_radial_job_whose_seed_overflows_reports_an_error(tmp_path, capsys):
-    doc = json.loads(Path(bundled_scenario_path("classical2d")).read_text())
-    doc["jobs"][1]["params"]["Z0"] = [1e200, 0.0]
-    assert main(["--out", str(tmp_path), "all", "--scenario", _write(tmp_path, doc)]) == 1
-    report = json.loads((tmp_path / "classical2d" / "01_radial" / "report.json").read_text())
-    assert report["note"].startswith("InvalidArgument: Z = [1e+200, 0.0] overflows")
-    assert "Traceback" not in capsys.readouterr().err
+    # a frak0 whose seed's |z|^2 overflows once flew as a beam that missed
+    # the support, with numpy's overflow warnings and a NaN exponent
+    for entry, value, note in (("Z0", [1e200, 0.0], "Z = [1e+200, 0.0] overflows"),
+                               ("frak0", [1e300, 0.3], "frak = [1e+300, 0.3] overflows")):
+        doc = json.loads(Path(bundled_scenario_path("classical2d")).read_text())
+        doc["jobs"][1]["params"][entry] = value
+        out = tmp_path / entry
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _all(out, "classical2d", "--scenario", _write(tmp_path, doc)) == 1
+        assert not caught, [str(w.message) for w in caught]
+        report = json.loads((out / "classical2d" / "01_radial" / "report.json").read_text())
+        assert report["note"].startswith(f"InvalidArgument: {note}")
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_a_time_window_that_overflows_the_march_is_refused_at_load(tmp_path, capsys):
@@ -549,20 +589,96 @@ def test_a_bump_whose_inverse_metric_vanishes_at_its_centre_is_refused_at_load(
     assert capsys.readouterr().err.startswith("error: bumps[0] alone")
 
 
-@pytest.mark.parametrize("command, field", [
-    (["classical-map", "--scenario", "classical2d", "--Z", "1e200,0", "--frak", "0,0.3"], "Z"),
-    (["classical-map", "--scenario", "classical2d", "--Z", "1,0", "--frak", "1e308,0"], "frak"),
-    (["all", "--scenario", "Z0_1e308.scn"], "job 'egorov'"),
-], ids=["Z", "frak", "job-Z0"])
-def test_an_overflow_refused_by_name_prints_one_error_line(tmp_path, command, field):
-    # numpy's overflow warnings once reached stderr ahead of the error line
-    doc = json.loads(Path(bundled_scenario_path("egorov")).read_text())
-    doc["jobs"][0]["params"]["Z0"] = [1e308]
-    _write(tmp_path, doc, "Z0_1e308.scn")
-    command = [str(tmp_path / arg) if arg.endswith(".scn") else arg for arg in command]
+def _mutated(name, keys, value):
+    """The text of bundled scenario ``name`` with the entry at ``keys``
+    replaced by ``value``."""
+    doc = json.loads(Path(bundled_scenario_path(name)).read_text())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return json.dumps(doc)
+
+
+_CLASSICAL_BEAM = ["--scenario", "classical2d", "--Z", "1.0,0.0"]
+_BUMP0 = ("perturbation", "bumps", 0)
+# (arguments, files written under the output root first, start of the error)
+_REFUSALS = {
+    "Z": (["classical-map", "--scenario", "classical2d", "--Z", "1e200,0", "--frak", "0,0.3"],
+          {}, "Z"),
+    "frak": (["classical-map", "--scenario", "classical2d", "--Z", "1,0", "--frak", "1e308,0"],
+             {}, "frak"),
+    "job-Z0": (["all", "--scenario", "s.scn"],
+               {"s.scn": _mutated("egorov", ("jobs", 0, "params", "Z0"), [1e308])},
+               "job 'egorov'"),
+    # the seed's |z|^2 overflowed, and the beam flew as if it missed the support
+    "radial-frak": (["radial", *_CLASSICAL_BEAM, "--frak", "1e300,0.3"], {}, "frak"),
+    "flow-frak": (["flow", *_CLASSICAL_BEAM, "--frak", "1e300,0.3", "--t0=-2.5", "--t1=2.5"],
+                  {}, "frak"),
+    "flow_tol-zero": (["all", "--scenario", "s.scn"],
+                      {"s.scn": _mutated("classical2d", ("solver", "flow_tol"), 0)},
+                      "flow_tol = 0.0 is too small"),
+    # a flow tolerance of 1 or more would pass every Runge-Kutta step
+    "flow_tol-1e300": (["all", "--scenario", "s.scn"],
+                       {"s.scn": _mutated("classical2d", ("solver", "flow_tol"), 1e300)},
+                       "flow_tol = 1e+300 is too large"),
+    "center_z-nested": (["all", "--scenario", "s.scn"],
+                        {"s.scn": _mutated("bump_metric", (*_BUMP0, "center_z"), [[0.0]])},
+                        "center_z must be"),
+    "radius_z-1e200": (["all", "--scenario", "s.scn"],
+                       {"s.scn": _mutated("bump_metric", (*_BUMP0, "radius_z"), 1e200)},
+                       "radius_z = 1e+200 is too large"),
+    "amplitude-minus-1": (["all", "--scenario", "s.scn"],
+                          {"s.scn": _mutated("bump_metric", (*_BUMP0, "amplitude"), -1.0)},
+                          "bumps[0] alone"),
+    "center_t-1e308": (["all", "--scenario", "s.scn"],
+                       {"s.scn": _mutated("bump_metric", (*_BUMP0, "center_t"), 1e308)},
+                       "the maps' horizon 1e+308"),
+    "report-truncated": (["report", "flat"],
+                         {"flat/00_pairing/report.json": '{"status": "pa'},
+                         "cannot read report"),
+    "only-misspelt": (["all", "--only", "pairng", "--scenario", "flat"], {},
+                      "unknown job family 'pairng'"),
+    "measure_compensated": (["all", "--scenario", "s.scn"],
+                            {"s.scn": _mutated("classical2d", ("solver", "measure_compensated"),
+                                               True)},
+                            "unknown entry 'measure_compensated'"),
+}
+
+
+@pytest.mark.parametrize("command, files, error", _REFUSALS.values(), ids=_REFUSALS)
+def test_an_overflow_refused_by_name_prints_one_error_line(tmp_path, command, files, error):
+    # a refused input ends the process with exit 2 and one error line;
+    # numpy's overflow warnings once reached stderr ahead of it
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    command = [str(tmp_path / arg) if arg in files else arg for arg in command]
     proc = _fresh_python("-m", "cusplab.shell", "--out", str(tmp_path), *command)
     assert proc.returncode == 2
-    assert proc.stderr.startswith(f"error: {field}") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: {error}") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("magnitude", [1e150, 1e160, 1e300])
+@pytest.mark.parametrize("flag", ["--Z", "--frak"])
+@pytest.mark.parametrize("command", [["classical-map"], ["flow", "--t0=-2.5", "--t1=2.5"],
+                                     ["jacobian"], ["radial"]], ids=lambda command: command[0])
+def test_a_beam_command_flies_or_names_an_entry_that_overflows(tmp_path, capsys, command, flag,
+                                                               magnitude):
+    # on either side of 1.3e154, where a square overflows: |Z| = 1e150 ended
+    # in a ZeroDivisionError, and a frak of 1e160 warned and flew as if the
+    # beam missed the support
+    beam = {"--Z": "1.0,0.0", "--frak": "0.0,0.3"}
+    beam[flag] = f"{magnitude!r},{beam[flag].split(',')[1]}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["--out", str(tmp_path), *command, "--scenario", "classical2d",
+                     "--Z", beam["--Z"], "--frak", beam["--frak"]])
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 2)
+    if code == 2:
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:]} = [{magnitude!r}, ") and err.count("\n") == 1, err
 
 
 def test_a_radial_horizon_short_of_the_samples_is_a_typed_error_naming_it(tmp_path, capsys):
@@ -570,7 +686,7 @@ def test_a_radial_horizon_short_of_the_samples_is_a_typed_error_naming_it(tmp_pa
     # sample the free flight run back into the window, and every check pass
     doc = json.loads(Path(bundled_scenario_path("bump_metric")).read_text())
     doc["jobs"] = [{"check": "radial", "params": {"Z0": [1.0], "frak0": [0.3], "horizon": 0.5}}]
-    code, reports = run(load_scenario(_write(tmp_path, doc)), out_root=str(tmp_path))
+    code, reports = _run(load_scenario(_write(tmp_path, doc)), tmp_path)
     assert code == 1 and reports[0].status == "fail"
     assert reports[0].note.startswith("InvalidArgument: horizon = 0.5")
     code = main(["--out", str(tmp_path), "radial", "--scenario", "bump_metric",
@@ -592,7 +708,7 @@ def test_classical_only_scenario_needs_no_grid(tmp_path):
     sc = resolve_scenario("classical2d")
     assert sc.grid is None
     # the symplectic job runs without any quantum solver being constructed
-    code, reports = run(sc, only={"symplectic"}, out_root=str(tmp_path))
+    code, reports = _run(sc, tmp_path, only={"symplectic"})
     assert code == 0 and reports[0].status == "pass"
 
 
@@ -613,15 +729,26 @@ _SHARED_MARCH = _minimal(
           {"check": "pairing", "params": {"tol": 5e-3}}])
 
 
+def _workload(name):
+    """The small scenario document of benchmark workload ``name``, seed 7,
+    read from the benchmark's workload module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.scenario(name, 7, small=True)
+
+
 def test_parallel_job_execution(tmp_path):
     # distinct operators march in parallel, and every file is what one
-    # process writes
+    # process writes: on 1-D grids, on a 2-D grid and for classical jobs
     out = tmp_path / "out"
-    for sc in (resolve_scenario("flat"), load_scenario(_write(tmp_path, _SHARED_MARCH))):
+    for doc in (None, _SHARED_MARCH, _workload("strang2d"), _workload("classical")):
+        sc = resolve_scenario("flat") if doc is None else load_scenario(_write(tmp_path, doc))
         written = {}
         for jobs in (1, 2):
             shutil.rmtree(out, ignore_errors=True)
-            code, reports = run(sc, out_root=str(out), jobs=jobs)
+            code, reports = _run(sc, out, jobs=jobs)
             written[jobs] = _outputs(out)
             assert code == 0
             assert [r.name for r in reports] == [job["check"] for job in sc.jobs]
@@ -661,7 +788,7 @@ def test_each_job_writes_its_solo_outputs(tmp_path, monkeypatch, params, note, m
 
     monkeypatch.setattr(verify, "march", spy)
     out = tmp_path / "out"
-    code, (noncompact, pairing) = run(sc, out_root=str(out))
+    code, (noncompact, pairing) = _run(sc, out)
     assert sizes == marches
     assert pairing.status == "pass" and noncompact.note.startswith(note)
     assert code == (1 if note else 0)
@@ -786,11 +913,9 @@ def test_report_of_a_malformed_report_json_is_an_error_naming_it(tmp_path, capsy
 
 def test_only_runs_any_job_family_radial_included(tmp_path, capsys):
     # `radial` is also the beam command, which runs no jobs
-    assert main(["--out", str(tmp_path), "all", "--only", "free-identity",
-                 "--scenario", "flat"]) == 0
+    assert _all(tmp_path, "flat", "--only", "free-identity", "--scenario", "flat") == 0
     assert "[PASS] free-identity" in capsys.readouterr().out
-    assert main(["--out", str(tmp_path), "all", "--only", "radial",
-                 "--scenario", "bump_metric"]) == 0
+    assert _all(tmp_path, "bump_metric", "--only", "radial", "--scenario", "bump_metric") == 0
     assert "[PASS] radial" in capsys.readouterr().out
 
 
@@ -807,9 +932,9 @@ def test_a_run_that_selects_no_job_fails(tmp_path, capsys):
     # flat declares no egorov job, and `all` passed with nothing checked, as
     # it did on a scenario without jobs
     path = _write(tmp_path, _minimal())
-    for argv, name in ((["all", "--only", "egorov", "--scenario", "flat"], "flat"),
-                       (["all", "--scenario", path], "case")):
-        assert main(["--out", str(tmp_path)] + argv) == 1
+    for argv, name in ((["--only", "egorov", "--scenario", "flat"], "flat"),
+                       (["--scenario", path], "case")):
+        assert _all(tmp_path, name, *argv) == 1
         assert capsys.readouterr().out == f"scenario '{name}' declares no matching jobs\n"
 
 
@@ -875,6 +1000,5 @@ def test_the_output_root_is_the_out_flag_alone(tmp_path, monkeypatch, capsys):
     # that once overrode the default is not read
     monkeypatch.setenv("CUSPLAB_OUT", str(tmp_path / "env"))
     monkeypatch.chdir(tmp_path)
-    code = main(["all", "--only", "eikonal", "--scenario", "eikonal"])
-    assert code == 0
+    assert _all("out", "eikonal", "--only", "eikonal", "--scenario", "eikonal") == 0
     assert (tmp_path / "out" / "eikonal").exists() and not (tmp_path / "env").exists()

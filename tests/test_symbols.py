@@ -230,6 +230,16 @@ def test_2d_dt_log_det_is_the_trace_of_the_solve(monkeypatch, shear, eps):
     assert not np.any(flat_spec(2).dt_log_det_metric_field(pts, times))
 
 
+def test_dt_log_det_metric_field_refuses_three_dimensions():
+    # its one caller runs on a Grid, which has n = 1 or 2
+    bump = MetricBump(amplitude=0.1, center_z=[0.0] * 3, center_t=0.0, radius_z=1.0,
+                      radius_t=1.0, pattern=np.eye(3))
+    for spec in (PerturbationSpec(n=3, bumps=(bump,)), flat_spec(3)):
+        with pytest.raises(InvalidArgument) as refused:
+            spec.dt_log_det_metric_field(np.zeros((1, 3)), 0.0)
+        assert refused.value.field == "n"
+
+
 def _dyadic(rng, lo, hi, size=None):
     """Multiples of 1/32 in [lo, hi].  Their sums, differences and squares
     are exact, so a drawn point can sit exactly on a support boundary."""
