@@ -98,6 +98,8 @@ def in_range(field, value, low=-np.inf, high=np.inf):
     no infinity or NaN, or an InvalidArgument naming ``field``."""
     try:
         number = float(value)
+    except OverflowError:               # an integer beyond every float
+        number = np.inf if value > 0 else -np.inf
     except (TypeError, ValueError):     # not a number: refused as NaN is
         number = np.nan
     if not low < number < high:

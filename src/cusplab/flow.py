@@ -72,13 +72,9 @@ def _inflated(spec: PerturbationSpec) -> list:
             for term in spec.terms()]
 
 
-def _outsideness(spec: PerturbationSpec, z: np.ndarray, t: float) -> float:
-    """min over terms of max(|z - c| - Rz, |t - ct| - Rt); <= 0 inside."""
-    return _outsideness_of(_inflated(spec), z, t)
-
-
 def _outsideness_of(inflated: list, z: np.ndarray, t: float) -> float:
-    """:func:`_outsideness` of the terms ``inflated`` = _inflated(spec)."""
+    """min over the terms ``inflated`` = _inflated(spec) of
+    max(|z - c| - Rz, |t - ct| - Rt); <= 0 inside."""
     best = math.inf
     for cz, ct, rz, rt in inflated:
         d = z - cz      # |d| with the arithmetic of np.linalg.norm
@@ -186,11 +182,15 @@ def _initial_step(field, t0, y0, t_bound, f0, direction, rtol, atol):
     interval_length = abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    with np.errstate(over="ignore"):    # d1 and d2 are inf at a tol far below 100 eps,
+        d1 = _rms(f0 / scale)           # and the step is then scipy's 0: the minimum step
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
+    if h0 == 0.0:
+        return 0.0
     f1 = field(t0 + h0 * direction, y0 + h0 * direction * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
+    with np.errstate(over="ignore"):
+        d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -489,6 +489,7 @@ class Trajectory:
         over the segments' span, and a last row at the span's end: a grid
         time within rounding of the end is replaced by it, so the end state
         of the flow is always written, once."""
+        stride = in_range("stride", stride, 0.0)
         n = self.spec.n
         t0, t1 = self.segments[0].t_lo, self.segments[-1].t_hi
         times = np.arange(t0, t1 + 0.5 * stride, stride)

@@ -250,8 +250,8 @@ def load_scenario(path) -> Scenario:
         flow_tol = in_range("flow_tol", _require(sdoc, "flow_tol", float, "solver", 1e-11),
                             0.0, 1.0)
     seed = _require(doc, "seed", int, "scenario", 0)
-    if seed < 0:
-        raise ParseError("seed must be nonnegative", field="scenario.seed")
+    with _fields("scenario"):
+        verify.refuse_arguments({"seed": seed})
 
     jobs = []
     for i, job in enumerate(_require(doc, "jobs", list, "scenario", [])):
@@ -313,25 +313,18 @@ def _check(job):
 
 
 def _valid_arg(key, value, default, n):
-    """Beam vectors have n finite entries and ``h_list`` is a non-empty,
-    strictly decreasing list of positive numbers; a number, or an optional
-    number (default None), has its default's type.  A number whose default
-    is a positive float (a tolerance, a step, a horizon, a scale) and
-    ``samples`` must be positive, and ``seed`` nonnegative."""
+    """Whether ``value`` has the JSON type and length of argument ``key``:
+    beam vectors are lists of n finite numbers, ``h_list`` a list of
+    numbers, and a number, or an optional number (default None), has its
+    default's type.  Ranges are verify.refuse_arguments'."""
     if value is None and default is None:
         return True
     if key in VECTOR_ARGS:
         return _reals(value, n)
     if key == "h_list":
-        return (isinstance(value, list) and bool(value)
-                and all(_real(h) and h > 0 for h in value)
-                and verify._decreasing(value))
+        return isinstance(value, list) and all(_is(h, float) for h in value)
     kind = float if default is None else type(default)
-    if kind not in (float, int, bool):
-        return True
-    positive = key == "samples" or (kind is float and default is not None and default > 0)
-    return ((_real(value) if kind is float else _is(value, kind))
-            and not (positive and value <= 0) and not (key == "seed" and value < 0))
+    return kind not in (float, int, bool) or _is(value, kind)
 
 
 def _validate_job(check, params, n, where):
@@ -345,8 +338,10 @@ def _validate_job(check, params, n, where):
             raise ParseError(f"check '{check}' takes no parameter '{key}' "
                              f"(it takes {', '.join(allowed)})", field=f"{where}.{key}")
         if not _valid_arg(key, value, args[key].default, n):
-            raise ParseError(f"entry '{key}' has the wrong type, length, sign or order",
+            raise ParseError(f"entry '{key}' has the wrong type or length",
                              field=f"{where}.{key}")
+        with _fields(where):
+            verify.refuse_arguments({key: value})
     for key, arg in args.items():
         if arg.default is arg.empty and key not in SCENARIO_ARGS and key not in params:
             raise ParseError(f"missing required entry '{key}'", field=f"{where}.{key}")

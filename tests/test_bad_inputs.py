@@ -7,6 +7,7 @@ Both are derandomized, so a run is the same run every time."""
 
 import json
 import math
+import os
 import pickle
 import warnings
 from pathlib import Path
@@ -123,6 +124,7 @@ CALLS = [
 CALLS += [(key, lambda v, term=term, window=window, key=key: term(**{**window, key: v}))
           for term, window in ((MetricBump, {**TERM, "pattern": 1.0}), (PotentialTerm, TERM))
           for key in TERM]
+CALLS += [("stride", lambda v: integrate(BUMP, SEED, 2.0).export_csv(os.devnull, v))]
 
 
 @pytest.mark.parametrize("field, call", CALLS,

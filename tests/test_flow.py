@@ -2,6 +2,7 @@
 
 import math
 import signal
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from cusplab import flow
-from cusplab.errors import StepFailure, TrappingSuspected, ValidationError
+from cusplab.errors import InvalidArgument, StepFailure, TrappingSuspected, ValidationError
 from cusplab.flow import (
     classical_scatter,
     hamilton_rhs,
@@ -194,7 +195,7 @@ def _scipy_segment(spec, x0, t_final, tol):
     from scipy.integrate import solve_ivp
 
     def exit_event(t, x):
-        return flow._outsideness(spec, x[:spec.n], t) - flow.EXIT_SHELL
+        return flow._outsideness_of(flow._inflated(spec), x[:spec.n], t) - flow.EXIT_SHELL
 
     exit_event.terminal = True
     exit_event.direction = 1.0
@@ -391,6 +392,28 @@ def test_csv_ends_at_the_end_of_the_span(tmp_path, t0, t1):
         end = traj.dense(0.3)
         assert rows[-1] == ",".join(f"{v:.17g}" for v in [
             0.3, *end.z, *end.zeta, end.tau, principal_symbol(BUMP2, end)])
+
+
+@pytest.mark.parametrize("stride", [0.0, -0.1])
+def test_csv_refuses_a_stride_by_name(tmp_path, stride):
+    # a stride of 0 was a ZeroDivisionError and -0.1 an IndexError (a NaN
+    # or infinite one, refused in test_bad_inputs, a ValueError of np.arange)
+    traj = integrate(BUMP2, bichar_from_cusp(BEAM, -0.2), 0.3, tol=1e-9)
+    with pytest.raises(InvalidArgument) as refused:
+        traj.export_csv(tmp_path / "traj.csv", stride=stride)
+    assert refused.value.field == "stride"
+    assert not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("t0, t1", [(-0.2, -0.19), (-0.5, -0.47)], ids=["inside", "entering"])
+def test_a_tolerance_far_below_100_eps_flows_without_a_warning(t0, t1):
+    # the first step's error norms overflowed in _rms: started inside the
+    # support, a RuntimeWarning then a ZeroDivisionError; entering it, a
+    # RuntimeWarning in a run that went on.  The first step is the minimum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(BUMP2, bichar_from_cusp(BEAM, t0), t1, tol=1e-200)
+    assert traj.states[-1, 2] == t1
 
 
 def test_trapping_budget_guard(monkeypatch):

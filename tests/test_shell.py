@@ -225,6 +225,9 @@ _BEAM = {"Z0": [1.0], "frak0": [0.0]}
     ({"perturbation": _potential(radius_t=1e200)}, "perturbation.potential_terms[0].radius_t"),
     ({"seed": -1}, "scenario.seed"),
     ({"jobs": [{"check": "symplectic", "params": {"seed": -1}}]}, "jobs[0].params.seed"),
+    ({"jobs": [{"check": "noncompact", "params": {**_BEAM, "c_floor": 0}}]},
+     "jobs[0].params.c_floor"),
+    ({"seed": 10**400}, "scenario.seed"),
 ], ids=["points", "dt", "bump", "h", "h_list", "unknown-key", "scenario-key",
         "scenario-key-mapped",
         "missing-frak_far", "tol-string", "samples-float", "Z0-length",
@@ -236,7 +239,7 @@ _BEAM = {"Z0": [1.0], "frak0": [0.0]}
         "flow_tol-string", "center_z-nested", "center_z-nan", "center_z-string",
         "center_z-bool", "pattern-nan", "pattern-flat", "amplitude-nan",
         "potential-center_z-string", "radius_z-overflowing", "potential-radius_t-overflowing",
-        "seed-negative", "job-seed-negative"])
+        "seed-negative", "job-seed-negative", "c_floor-zero", "seed-beyond-float"])
 def test_scenario_bad_values_are_parse_errors(tmp_path, capsys, overrides, field):
     path = _write(tmp_path, _minimal(**overrides))
     with pytest.raises(ParseError) as err:

@@ -1,7 +1,7 @@
 """Check reports: pass/fail semantics, examples, and negative controls."""
 
 import inspect
-import re
+import math
 
 import numpy as np
 import pytest
@@ -130,9 +130,9 @@ def test_noncompact_requires_decreasing_h_list(h_list):
         amplitude=0.05, center_z=[0.0], center_t=0.0, radius_z=18.0,
         radius_t=1.0, pattern=np.eye(1)),))
     grid = Grid(n=1, N=2048, L=48.0)
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(InvalidArgument) as err:
         check_noncompactness(spec, grid, [1.5], [0.0], h_list=h_list, params=PARAMS)
-    assert err.value.invariant == "noncompact-h-list-decreasing"
+    assert err.value.field == "h_list"
 
 
 def test_eikonal_zero_potential_gives_zero_phases():
@@ -253,22 +253,29 @@ def test_reports_serialize(tmp_path):
 # every argument a check needs but no tolerance: fixed, valid values
 _REQUIRED = {"spec": _metric_spec(), "grid": Grid(n=1, N=64, L=30.0), "Z0": [1.0],
              "frak0": [0.3], "frak_far": [12.0], "h_list": [0.1, 0.05]}
-# the check's own tolerances, thresholds and steps
-_KNOB = re.compile(r"tol|.*_tol|.*_cap|.*_floor|h_fd|horizon|h|span|refine_factor")
+# out of range, though neither non-finite nor a non-positive float
+_OUT_OF_RANGE = {"samples": [0, -3], "seed": [-1], "tol_flow": [1.0],
+                 "h_list": [[], [0.02, 0.05, 0.1], [0.05, 0.05], [0.1, 0.0], [0.1, -0.05]]}
 
 
 @pytest.mark.parametrize("family", sorted(JOB_FAMILIES))
 def test_a_check_refuses_a_non_finite_tolerance_by_name(family):
     # a NaN tolerance once gave a report whose measurement could never pass
-    # (or, as a control, could never fail) instead of an error naming it
+    # (or, as a control, could never fail) instead of an error naming it;
+    # samples 0 passed having measured nothing, and an empty h_list was an
+    # IndexError.  The numbers are the arguments whose default is a real
+    # number, and c_floor, whose default is None
     check = getattr(verify, JOB_FAMILIES[family][0])
     args = inspect.signature(check).parameters
-    knobs = [name for name in args if _KNOB.fullmatch(name)]
-    assert knobs
+    numbers = [name for name, arg in args.items() if name == "c_floor" or (
+        isinstance(arg.default, (int, float)) and not isinstance(arg.default, bool))]
+    assert numbers
     required = {name: _REQUIRED[name] for name, arg in args.items()
                 if arg.default is arg.empty}
-    for name in knobs:
-        for value in (float("nan"), float("inf"), 0.0, -1.0):
-            with pytest.raises(InvalidArgument) as refused:
-                check(**required, **{name: value})
-            assert refused.value.field == name
+    cases = [(name, value) for name in numbers
+             for value in (math.nan, math.inf, -1.0) + ((0.0,) if name != "seed" else ())]
+    cases += [(name, value) for name in args for value in _OUT_OF_RANGE.get(name, [])]
+    for name, value in cases:
+        with pytest.raises(InvalidArgument) as refused:
+            check(**{**required, name: value})
+        assert refused.value.field == name, (name, value)
