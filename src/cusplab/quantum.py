@@ -596,7 +596,8 @@ class _Footprint:
     complex buffer allocated once per march in its LAPACK routine's layout:
     the band alone for ``?gtsv`` (lo = up = 1), and for ``?gbsv`` below
     ``pad`` = lo spare rows, Fortran-ordered, so that each solve factors it
-    in place.  A step writes it and allocates no band-sized array.
+    in place.  A step writes 1 + cR into it, but :meth:`band` makes each
+    step's R as two band-sized arrays: the real scatter and its complex copy.
     """
 
     def __init__(self, spec, grid, adjoint):

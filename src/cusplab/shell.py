@@ -78,15 +78,6 @@ class Scenario:
     jobs: tuple
 
 
-def _real(value):
-    return _is(value, float) and bool(np.isfinite(value))
-
-
-def _reals(value, n):
-    """Whether ``value`` is a JSON list of n finite numbers."""
-    return isinstance(value, list) and len(value) == n and all(map(_real, value))
-
-
 def _is(value, kind):
     """JSON type test: a float is any number, as its constructor refuses one
     out of range by name; an int or a bool must be exactly that."""
@@ -105,6 +96,8 @@ def _require(mapping, key, kind, where, default=None):
     if not _is(mapping[key], kind):
         raise ParseError(f"entry '{key}' must be of type {kind.__name__}",
                          field=f"{where}.{key}")
+    if type(mapping[key]) is int and abs(mapping[key]) > sys.float_info.max:
+        raise ParseError(f"entry '{key}' is an integer beyond every float", field=f"{where}.{key}")
     return float(mapping[key]) if kind is float else mapping[key]
 
 
@@ -136,8 +129,10 @@ def _numbers(mapping, key, shape, where):
     numbers, or for a ``shape`` (rows, n) a list of ``rows`` such lists of n."""
     value = _require(mapping, key, list, where)
     *rows, n = shape
-    if not (_reals(value, n) if not rows else
-            len(value) == rows[0] and all(_reals(row, n) for row in value)):
+    lists = value if rows else [value]
+    if len(lists) != (rows[0] if rows else 1) or not all(
+            isinstance(row, list) and len(row) == n and all(map(verify.finite_number, row))
+            for row in lists):
         what = f"{rows[0]} lists of {n}" if rows else f"a list of {n}"
         raise ParseError(f"{key} must be {what} finite numbers", field=f"{where}.{key}")
     return value
@@ -183,31 +178,13 @@ def _validate_scenario(sc: Scenario):
         times["solver.margin"] = sc.solver.margin
         raise ParseError(f"the maps' horizon {horizon:g} spans no finite time",
                          field=max(times, key=times.get))
-    if sc.grid is None:
-        return
-    if sc.spec.spatial_extent() > 0.8 * sc.grid.L:
+    if sc.grid is not None and sc.spec.spatial_extent() > 0.8 * sc.grid.L:
         raise ValidationError(
             f"perturbation support (extent {sc.spec.spatial_extent():.3g}) "
             f"exceeds 80% of the spatial box (L = {sc.grid.L})",
             invariant="support-inside-box")
-    for job in sc.jobs:
-        params = job["params"]
-        # the job's semiclassical parameters: its h, or else its h_list
-        hs = [params["h"]] if "h" in params else params.get("h_list", [])
-        offsets = [np.max(np.abs(params[key]))
-                   for key in ("frak0", "frak_far", "frak_through")
-                   if params.get(key) is not None]
-        if not hs or "Z0" not in params or not offsets:
-            continue
-        # the widest packet, at the largest offset, over the whole horizon;
-        # an extent that overflows is refused below, with no warning
-        with np.errstate(over="ignore"):
-            extent = (2.0 * horizon * np.max(np.abs(params["Z0"])) + max(offsets)
-                      + 6.0 * max(verify._packet_width(h, horizon) for h in hs))
-        if extent > 0.95 * sc.grid.L:
-            raise ValidationError(f"job '{job['check']}' needs extent {extent:.3g} "
-                                  f"> 95% of the box (L = {sc.grid.L})",
-                                  invariant="grid-accommodates-jobs")
+    for i, job in enumerate(sc.jobs):
+        _validate_job(sc, job, f"jobs[{i}]", horizon)
 
 
 def load_scenario(path) -> Scenario:
@@ -251,7 +228,7 @@ def load_scenario(path) -> Scenario:
                             0.0, 1.0)
     seed = _require(doc, "seed", int, "scenario", 0)
     with _fields("scenario"):
-        verify.refuse_arguments({"seed": seed})
+        verify.refuse_argument("seed", seed, int)
 
     jobs = []
     for i, job in enumerate(_require(doc, "jobs", list, "scenario", [])):
@@ -260,10 +237,8 @@ def load_scenario(path) -> Scenario:
         check = _require(job, "check", str, where)
         if check not in verify.JOB_FAMILIES:
             raise ParseError(f"unknown check '{check}'", field=f"{where}.check")
-        params = _require(job, "params", dict, where, {})
-        _validate_job(check, params, n, f"{where}.params")
         jobs.append({"check": check,
-                     "params": dict(params),
+                     "params": dict(_require(job, "params", dict, where, {})),
                      "control": _require(job, "control", bool, where, False)})
 
     sc = Scenario(name=name, n=n, spec=spec, grid=grid, solver=solver,
@@ -296,79 +271,54 @@ def resolve_scenario(ref: str) -> Scenario:
 
 def _needs_grid(sc):
     if sc.grid is None:
-        raise ValidationError("this job requires a grid section",
-                              invariant="job-requires-grid")
+        raise ValidationError("this job requires a grid section", invariant="job-requires-grid")
     return sc.grid
 
 
 # check arguments the scenario fills, not the job
 SCENARIO_ARGS = ("spec", "grid", "params", "tol_flow", "control", "out_dir", "mapped")
-# beam vectors: lists of `dimension` finite numbers
-VECTOR_ARGS = ("Z0", "frak0", "frak_far", "frak_through")
 
 
-def _check(job):
-    """The verify check of job family ``job``, looked up now."""
-    return getattr(verify, verify.JOB_FAMILIES[job][0])
+def _validate_job(sc, job, where, horizon):
+    """Check ``job`` as the call the run makes (:func:`_check_args`): a
+    ParseError names the entry at fault, and packets that outgrow the box
+    break grid-accommodates-jobs."""
+    try:
+        check, kwargs = _check_args(sc, job, None)
+    except ValidationError as exc:   # a grid check in a scenario without a grid
+        raise ParseError(f"check '{job['check']}' needs the scenario's grid section",
+                         field=f"{where}.check") from exc
+    allowed = [key for key in verify.kinds(check) if key not in SCENARIO_ARGS]
+    for key in job["params"]:
+        if key not in allowed:
+            raise ParseError(f"check '{job['check']}' takes no parameter '{key}' "
+                             f"(it takes {', '.join(allowed)})", field=f"{where}.params.{key}")
+    for key in inspect.signature(check).parameters:
+        if key not in kwargs:
+            raise ParseError(f"missing required entry '{key}'", field=f"{where}.params.{key}")
+    with _fields(f"{where}.params"):
+        verify.refuse_arguments(check, kwargs)
+    extent = verify.packet_extent(kwargs, horizon)
+    if sc.grid is not None and extent is not None and extent > 0.95 * sc.grid.L:
+        raise ValidationError(f"job '{job['check']}' needs extent {extent:.3g} "
+                              f"> 95% of the box (L = {sc.grid.L})",
+                              invariant="grid-accommodates-jobs")
 
 
-def _valid_arg(key, value, default, n):
-    """Whether ``value`` has the JSON type and length of argument ``key``:
-    beam vectors are lists of n finite numbers, ``h_list`` a list of
-    numbers, and a number, or an optional number (default None), has its
-    default's type.  Ranges are verify.refuse_arguments'."""
-    if value is None and default is None:
-        return True
-    if key in VECTOR_ARGS:
-        return _reals(value, n)
-    if key == "h_list":
-        return isinstance(value, list) and all(_is(h, float) for h in value)
-    kind = float if default is None else type(default)
-    return kind not in (float, int, bool) or _is(value, kind)
-
-
-def _validate_job(check, params, n, where):
-    """A job's params must be keyword arguments of its check that the
-    scenario does not fill, typed like their defaults and in range, and must
-    include every argument the check requires."""
-    args = inspect.signature(_check(check)).parameters
-    for key, value in params.items():
-        if key not in args or key in SCENARIO_ARGS:
-            allowed = [a for a in args if a not in SCENARIO_ARGS]
-            raise ParseError(f"check '{check}' takes no parameter '{key}' "
-                             f"(it takes {', '.join(allowed)})", field=f"{where}.{key}")
-        if not _valid_arg(key, value, args[key].default, n):
-            raise ParseError(f"entry '{key}' has the wrong type or length",
-                             field=f"{where}.{key}")
-        with _fields(where):
-            verify.refuse_arguments({key: value})
-    for key, arg in args.items():
-        if arg.default is arg.empty and key not in SCENARIO_ARGS and key not in params:
-            raise ParseError(f"missing required entry '{key}'", field=f"{where}.{key}")
-
-
-def _check_args(sc, job, out_dir):
+def _check_args(sc, job, out_dir, mapped=None):
     """The job's check and every one of its arguments by name: the
-    scenario's and the job's, else the check's defaults."""
-    check = _check(job["check"])
+    scenario's and the job's, else the check's defaults.  The check is looked
+    up now, so a wrapper installed on verify sees the call."""
+    check = getattr(verify, verify.JOB_FAMILIES[job["check"]][0])
     args = inspect.signature(check).parameters
     given = {"spec": sc.spec, "params": sc.solver, "tol_flow": sc.flow_tol,
              "control": job.get("control", False), "out_dir": out_dir,
-             "seed": sc.seed, **job.get("params", {})}
+             "mapped": mapped, "seed": sc.seed, **job.get("params", {})}
     kwargs = {key: given.get(key, arg.default) for key, arg in args.items()
               if key in given or arg.default is not arg.empty}
     if "grid" in args:
         kwargs["grid"] = _needs_grid(sc)
     return check, kwargs
-
-
-def _run_check(sc, job, out_dir, mapped=None):
-    """Call the job's check; ``mapped`` holds its first round's
-    (inputs, outputs) pairs when the scenario marched them."""
-    check, kwargs = _check_args(sc, job, out_dir)
-    if mapped is not None:
-        kwargs["mapped"] = mapped
-    return check(**kwargs)
 
 
 def _operator(request):
@@ -387,9 +337,9 @@ def _march(group):
 
 def _mapped(sc, selected, jobs):
     """{job index: [(inputs, outputs), ...]} for the selected jobs whose
-    first-round requests were all marched, one march per operator.  A job
-    whose planning raises, or whose group's march raises, is left out, so
-    its check maps alone."""
+    requests were all marched, one march per operator.  A job whose planning
+    raises, or whose group's march raises, is left out, so its check maps
+    alone."""
     planned, groups = {}, {}
     for i, job in selected:
         try:
@@ -416,12 +366,14 @@ def _mapped(sc, selected, jobs):
 def run_job(sc: Scenario, job: dict, out_root: str, index: int, mapped=None):
     """Execute one job; errors are captured in the report.  A job marked
     ``"control"`` runs its check's negative control, where the check has one.
-    ``mapped`` is passed on to the check."""
+    ``mapped``, its (inputs, outputs) pairs when the scenario marched them,
+    is passed on to the check."""
     out_dir = os.path.join(out_root, sc.name, f"{index:02d}_{job['check']}")
     os.makedirs(out_dir, exist_ok=True)
     control = job.get("control", False)
     try:
-        report = _run_check(sc, job, out_dir, mapped)
+        check, kwargs = _check_args(sc, job, out_dir, mapped)
+        report = check(**kwargs)
     except CuspLabError as exc:
         report = verify.CheckReport(
             name=job["check"],
@@ -435,9 +387,9 @@ def run_job(sc: Scenario, job: dict, out_root: str, index: int, mapped=None):
 def run(sc: Scenario, only=None, out_root: str = "out", jobs: int = 1):
     """Run the scenario's jobs; returns (exit_code, reports).
 
-    The jobs' first-round maps are made first, one march per operator; with
-    ``jobs`` > 1 distinct operators march in parallel processes.  The checks
-    then run here, in job order.  Exit code 0 iff every report is satisfied:
+    The jobs' maps are made first, one march per operator; with ``jobs`` > 1
+    distinct operators march in parallel processes.  The checks then run
+    here, in job order.  Exit code 0 iff every report is satisfied:
     checks pass and controls fail."""
     selected = [(i, job) for i, job in enumerate(sc.jobs)
                 if only is None or job["check"] in only]
@@ -463,7 +415,7 @@ def _scenario_beam(args):
             vector = [float(v) for v in text.split(",")]
         except ValueError:
             vector = []
-        if len(vector) != sc.n or not all(map(_real, vector)):
+        if len(vector) != sc.n or not all(map(verify.finite_number, vector)):
             raise ParseError(f"expected {sc.n} comma-separated finite numbers, "
                              f"got '{text}'", field=flag)
         beam.append(vector)

@@ -8,16 +8,18 @@ given their inputs and seeds, and emit plot-ready CSV artifacts when given
 an output directory.
 
 A grid check is split into what it maps and what it measures.  Its planner
-returns the maps its first round needs as :class:`MapRequest` s (spec, grid,
-solver parameters, direction and inputs).  :data:`JOB_FAMILIES` is the one
-table of job families: it names each job's check and planner, and
-:func:`plan` reads it.  The check measures from the (inputs, outputs) pairs
-in its ``mapped`` argument, in its planner's order.  A scenario run fills
-``mapped`` from one :func:`march` per operator shared by its jobs; without
-it the check plans and maps by itself, one march per request.  A job whose
-planning raises, or whose group's march raises, is run that second way, so
-its report is its solo report.  A map whose input depends on an earlier
-output, eikonal's doubled amplitude, stays inside its check.
+returns every map it needs as :class:`MapRequest` s (spec, grid, solver
+parameters, direction and inputs).  :data:`JOB_FAMILIES` is the one table of
+job families: it names each job's check and planner, and :func:`plan` reads
+it.  The check measures from the (inputs, outputs) pairs in its ``mapped``
+argument, in its planner's order.  A scenario run fills ``mapped`` from one
+:func:`march` per operator shared by its jobs; without it the check plans
+and maps by itself, one march per request.  A job whose planning raises, or
+whose group's march raises, is run that second way, so its report is its
+solo report.
+
+Each argument a job may set declares its kind in the check's signature, and
+:func:`refuse_arguments` refuses by it, in every check and in the loader.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from __future__ import annotations
 import json
 import numbers
 import os
+import sys
+import typing
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -117,23 +121,67 @@ def _relative_defects(out, ref):
             for a, b in zip(out.values, ref.values)]
 
 
-def refuse_arguments(arguments):
-    """Refuse a check's ``arguments`` (its ``locals()``) by the type of their
-    values.  Every real number that is not a bool (a tolerance, threshold,
-    step, width, horizon, scale, floor or count) must be positive and finite;
-    ``seed`` may be 0, and ``tol_flow`` stays below 1, as the flow's own
-    tolerance.  ``h_list`` must be a non-empty, strictly decreasing list of
-    positive numbers.  A break raises an InvalidArgument naming the argument
-    (see errors.in_range)."""
-    for name, value in arguments.items():
-        if name == "h_list":
-            widths = [in_range(name, h, 0.0) for h in value] if np.ndim(value) == 1 else []
-            if not widths or any(a <= b for a, b in zip(widths, widths[1:])):
-                raise InvalidArgument(name, f"= {value!r} must be a non-empty, strictly "
-                                            "decreasing list of positive numbers")
-        elif isinstance(value, numbers.Real) and not isinstance(value, bool):
-            in_range(name, value, -1.0 if name == "seed" else 0.0,
-                     1.0 if name == "tol_flow" else np.inf)
+class Beam:
+    """Kind of a beam: n finite numbers, n the spec's dimension; one number where n = 1."""
+
+
+class Widths:
+    """Kind of packet widths: a non-empty, strictly decreasing list of positive numbers."""
+
+
+# each kind a check argument may declare, as a refusal describes it
+_KINDS = {float: "a number", int: "an integer", bool: "true or false",
+          Beam: "a beam of n = {n} finite numbers",
+          Widths: "a non-empty, strictly decreasing list of positive numbers"}
+
+
+def finite_number(value) -> bool:
+    """Whether ``value`` is a number, not a bool, within the floats' range."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def kinds(check) -> dict:
+    """{argument: (kind, optional)} for each argument of ``check`` whose
+    annotation is a kind of :data:`_KINDS`, or one of them ``| None``."""
+    declared = {}
+    for name, hint in typing.get_type_hints(check).items():
+        optional = typing.get_args(hint)[1:] == (type(None),)
+        kind = typing.get_args(hint)[0] if optional else hint
+        if kind in _KINDS:
+            declared[name] = kind, optional
+    return declared
+
+
+def refuse_argument(name, value, kind, n=1):
+    """Raise an InvalidArgument naming ``name`` unless ``value`` is of ``kind`` (a beam of
+    ``n`` numbers) and, as a number, positive, or for ``seed`` >= 0, for ``tol_flow`` < 1."""
+    if kind in (Beam, Widths):
+        items = value.tolist() if isinstance(value, np.ndarray) else value
+        if kind is Beam and n == 1 and not isinstance(items, (list, tuple)):
+            items = [items]
+        ok = isinstance(items, (list, tuple)) and all(map(finite_number, items)) and (
+            len(items) == n if kind is Beam else
+            0 < len(items) and 0 < items[-1] and all(a > b for a, b in zip(items, items[1:])))
+    elif kind is bool:
+        ok = isinstance(value, (bool, np.bool_))
+    else:
+        ok = (isinstance(value, numbers.Integral if kind is int else numbers.Real)
+              and not isinstance(value, bool))
+    if not ok:
+        raise InvalidArgument(name, f"= {value!r} is not {_KINDS[kind].format(n=n)}")
+    if kind in (int, float):
+        in_range(name, value, -1.0 if name == "seed" else 0.0,
+                 1.0 if name == "tol_flow" else np.inf)
+
+
+def refuse_arguments(check, arguments):
+    """Refuse the ``arguments`` of ``check`` (its ``locals()``, or a job's call)
+    by their declared :func:`kinds`; ``None`` passes where it is optional."""
+    for name, (kind, optional) in kinds(check).items():
+        value = arguments[name]
+        if not (value is None and optional):
+            refuse_argument(name, value, kind, arguments["spec"].n if kind is Beam else 1)
 
 
 class MapRequest(NamedTuple):
@@ -186,7 +234,7 @@ def check_free_identity(grid: _q.Grid, params: _q.SolverParams = _q.SolverParams
     Runs the full pipeline (data -> field before the window -> propagate ->
     data) over [-span, span].  ``control`` flips the extraction multiplier
     (negative control: must fail)."""
-    refuse_arguments(locals())
+    refuse_arguments(check_free_identity, locals())
     spec = flat_spec(grid.n)
     f = _default_inputs(grid)
     u = _q.propagate_window(spec, _q.poisson_free(f, -span), span, params)
@@ -207,13 +255,12 @@ def _unitarity_requests(spec, grid, params, control, **_):
         spec = replace(spec, potential_terms=tuple(
             replace(p, amplitude=p.amplitude.real - 0.3j * abs(p.amplitude))
             for p in spec.potential_terms))
-    else:
-        if not spec.metric_is_flat:
-            raise ValidationError("unitarity check requires a flat metric",
-                                  invariant="unitarity-flat-metric")
-        if any(abs(p.amplitude.imag) > 0 for p in spec.potential_terms):
-            raise ValidationError("unitarity check requires a real potential",
-                                  invariant="unitarity-real-potential")
+    elif not spec.metric_is_flat:
+        raise ValidationError("unitarity check requires a flat metric",
+                              invariant="unitarity-flat-metric")
+    elif any(abs(p.amplitude.imag) > 0 for p in spec.potential_terms):
+        raise ValidationError("unitarity check requires a real potential",
+                              invariant="unitarity-real-potential")
     return [MapRequest(spec, grid, params, 1.0, _default_inputs(grid))]
 
 
@@ -225,7 +272,7 @@ def check_unitarity(spec: PerturbationSpec, grid: _q.Grid,
 
     With ``control`` the potential is made dissipative (Im V < 0), losing
     mass; the resulting report must fail."""
-    refuse_arguments(locals())
+    refuse_arguments(check_unitarity, locals())
     [(f, fp)] = mapped or _map_alone(_unitarity_requests(spec, grid, params, control))
     defects = abs(fp.norm() - f.norm()) / f.norm()
     rows = list(enumerate(defects))
@@ -261,7 +308,7 @@ def check_pairing(spec: PerturbationSpec, grid: _q.Grid,
     With ``refine`` the run is repeated at (dt/2, 2N) and the residual must
     shrink by at least ``refine_factor``.  The ``control`` variant replaces
     the adjoint route by the plain map (a broken adjoint) and must fail."""
-    refuse_arguments(locals())
+    refuse_arguments(check_pairing, locals())
     pairs = mapped or _map_alone(_pairing_requests(spec, grid, params, refine, control))
     residuals = [abs(fp.inner(g) - f.inner(gm)) / (f.norm() * g.norm())
                  for (f, fp), (g, gm) in zip(pairs[::2], pairs[1::2])]
@@ -286,15 +333,14 @@ def check_symplectic(spec: PerturbationSpec, samples: int = 20,
 
     ``control`` scales one Jacobian row (a non-symplectic matrix), verifying
     the defect metric is discriminating; that control must fail."""
-    refuse_arguments(locals())
+    refuse_arguments(check_symplectic, locals())
     rng = np.random.default_rng(seed)
     rows = []
     worst = 0.0
     for k in range(samples):
         Z = rng.uniform(0.5, 2.0, spec.n) * rng.choice([-1.0, 1.0], spec.n)
         frak = rng.uniform(-1.0, 1.0, spec.n)
-        jac = _flow.scatter_jacobian(spec, CuspData(Z=Z, frak=frak),
-                                     h_fd=h_fd, tol=tol_flow)
+        jac = _flow.scatter_jacobian(spec, CuspData(Z=Z, frak=frak), h_fd=h_fd, tol=tol_flow)
         if control:
             jac = jac.copy()
             jac[0, :] *= 1.05
@@ -314,7 +360,7 @@ def radial_seed(spec: PerturbationSpec, c_in: CuspData, tol: float):
     return bichar_from_cusp(c_in, (spec.time_window() or (-1.0, 1.0))[0] - 2.0, tol)
 
 
-def check_radial(spec: PerturbationSpec, Z0, frak0, horizon: float = 1e6,
+def check_radial(spec: PerturbationSpec, Z0: Beam, frak0: Beam, horizon: float = 1e6,
                  tol_flow: float = 1e-11, exponent_tol: float = 0.01,
                  limit_tol: float = 1e-8, control: bool = False,
                  out_dir=None) -> CheckReport:
@@ -322,7 +368,7 @@ def check_radial(spec: PerturbationSpec, Z0, frak0, horizon: float = 1e6,
     limits reproduce the scattering map computed independently.
 
     ``control`` offsets the scattering target (broken cross-check; must fail)."""
-    refuse_arguments(locals())
+    refuse_arguments(check_radial, locals())
     c_in = CuspData(Z=Z0, frak=frak0)
     report = _flow.radial_convergence(spec, radial_seed(spec, c_in, tol_flow), horizon=horizon,
                                       tol=tol_flow)
@@ -350,8 +396,8 @@ def _family_requests(spec, grid, Z0, frak0, h_list, params, **_):
                        _stack([_q.coherent_data(grid, Z0, frak0, h) for h in h_list]))]
 
 
-def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
-                 params: _q.SolverParams = _q.SolverParams(),
+def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0: Beam, frak0: Beam,
+                 h_list: Widths, params: _q.SolverParams = _q.SolverParams(),
                  rel_cap: float = 0.05, abs_cap: float = 1e-6,
                  tol_flow: float = 1e-12, control: bool = False,
                  out_dir=None, mapped=None) -> CheckReport:
@@ -365,7 +411,7 @@ def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
     the radial-convergence diagnostic (an independent code path), with the
     flow tolerance capped at 1e-12.  ``control`` reflects the classical
     target (a broken prediction: must fail)."""
-    refuse_arguments(locals())
+    refuse_arguments(check_egorov, locals())
     tol_flow = min(tol_flow, 1e-12)
     c_in = CuspData(Z=np.atleast_1d(Z0), frak=np.atleast_1d(frak0))
     scatter = _flow.classical_scatter(spec, c_in, tol=tol_flow)
@@ -380,17 +426,12 @@ def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
     cross = float(np.max(np.abs(limit.pair() - target)))
 
     [(_, fp)] = mapped or _map_alone(_family_requests(spec, grid, Z0, frak0, h_list, params))
-    errors = []
-    rows = []
-    for h, values in zip(h_list, fp.values):
-        zbar, frakbar = _q.packet_moments(_q.SpectralData(grid=grid, values=values))
-        e = float(np.linalg.norm(np.concatenate([zbar, frakbar]) - target))
-        errors.append(e)
-        rows.append((h, e, e / displacement if displacement else np.nan))
+    errors = [float(np.linalg.norm(np.concatenate(_q.packet_moments(
+        _q.SpectralData(grid=grid, values=values))) - target)) for values in fp.values]
+    rows = [(h, e, e / displacement if displacement else np.nan) for h, e in zip(h_list, errors)]
     measured = [Measurement("classical-crosscheck", cross, CROSSCHECK_TOL)]
     if displacement > 0.0:
-        trend = max((errors[i + 1] - errors[i] for i in range(len(errors) - 1)),
-                    default=-1.0)
+        trend = max(np.diff(errors), default=-1.0)
         measured.append(Measurement("moment-error-trend", float(trend), 0.0))
         measured.append(Measurement("final-relative-error",
                                     errors[-1] / displacement, rel_cap))
@@ -404,11 +445,21 @@ def check_egorov(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0, h_list,
 
 
 def _eikonal_requests(spec, grid, Z0, frak0, h, params, **_):
-    """The first map only: the doubled amplitude's waits for its phase."""
-    return [MapRequest(spec, grid, params, 1.0, _q.coherent_data(grid, Z0, frak0, h))]
+    """The packet by S, under ``spec`` and under its doubled potential."""
+    if not spec.metric_is_flat:
+        raise ValidationError("eikonal check requires a flat metric",
+                              invariant="eikonal-flat-metric")
+    sup = max((abs(p.amplitude) for p in spec.potential_terms), default=0.0)
+    if sup > 0.1 + 1e-12:
+        raise ValidationError("eikonal check requires ||V|| <= 0.1",
+                              invariant="eikonal-weak-potential")
+    doubled = replace(spec, potential_terms=tuple(
+        replace(p, amplitude=2.0 * p.amplitude) for p in spec.potential_terms))
+    f = _q.coherent_data(grid, Z0, frak0, h)
+    return [MapRequest(s, grid, params, 1.0, f) for s in (spec, doubled)]
 
 
-def check_eikonal_phase(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
+def check_eikonal_phase(spec: PerturbationSpec, grid: _q.Grid, Z0: Beam, frak0: Beam,
                         h: float = 0.25, params: _q.SolverParams = _q.SolverParams(),
                         rel_tol: float = 0.05, abs_tol: float = 0.01,
                         linearity_tol: float = 0.1, tol_flow: float = 1e-11,
@@ -421,45 +472,41 @@ def check_eikonal_phase(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
     and a weak real potential.  Doubling the amplitude must double the
     measured phase within ``linearity_tol``.  ``control`` compares against
     the sign-flipped integral (must fail)."""
-    refuse_arguments(locals())
-    if not spec.metric_is_flat:
-        raise ValidationError("eikonal check requires a flat metric",
-                              invariant="eikonal-flat-metric")
-    sup = max((abs(p.amplitude) for p in spec.potential_terms), default=0.0)
-    if sup > 0.1 + 1e-12:
-        raise ValidationError("eikonal check requires ||V|| <= 0.1",
-                              invariant="eikonal-weak-potential")
-
-    def numeric_phase(pairs):
-        [(f, fp)] = pairs
-        return float(np.angle(fp.inner(f)))
-
+    refuse_arguments(check_eikonal_phase, locals())
+    pairs = mapped or _map_alone(_eikonal_requests(spec, grid, Z0, frak0, h, params))
+    phi_num, phi_num2 = (float(np.angle(fp.inner(f))) for f, fp in pairs)
     phase = _flow.classical_scatter(spec, CuspData(Z0, frak0), tol=tol_flow).potential_phase
     phi_cl = phase if control else -phase
-    phi_num = numeric_phase(mapped or _map_alone(
-        _eikonal_requests(spec, grid, Z0, frak0, h, params)))
     measured = [Measurement("phase-mismatch", abs(phi_num - phi_cl),
                             rel_tol * abs(phi_cl) + abs_tol)]
-    phi_num2 = None
     if abs(phi_num) > 1e-6:      # linearity ratio is meaningful
-        doubled = replace(spec, potential_terms=tuple(
-            replace(p, amplitude=2.0 * p.amplitude) for p in spec.potential_terms))
-        phi_num2 = numeric_phase(_map_alone(
-            _eikonal_requests(doubled, grid, Z0, frak0, h, params)))
         lin = abs(phi_num2 / (2.0 * phi_num) - 1.0)
         measured.append(Measurement("amplitude-linearity", float(lin), linearity_tol))
+    else:
+        phi_num2 = float("nan")
     return CheckReport(name="eikonal", measured=measured, control=control,
                        note=f"phi_num={phi_num:.6g} phi_cl={phi_cl:.6g}",
-                       artifacts=_write_csv(
-                           out_dir, "eikonal_phase.csv",
-                           ["phi_numeric", "phi_classical", "phi_doubled"],
-                           [(phi_num, phi_cl,
-                             phi_num2 if phi_num2 is not None else float("nan"))]))
+                       artifacts=_write_csv(out_dir, "eikonal_phase.csv",
+                                            ["phi_numeric", "phi_classical", "phi_doubled"],
+                                            [(phi_num, phi_cl, phi_num2)]))
 
 
 def _packet_width(h, t):
     """Physical 1-sigma width of the coherent packet at time t (inf where it overflows)."""
     return float(np.sqrt((1.0 + 4.0 * (h * h) * (t * t)) / (2.0 * h)))
+
+
+def packet_extent(arguments, horizon):
+    """How far from 0 the widest packet of a check's ``arguments`` reaches over
+    [-horizon, horizon] (inf on overflow); None for a check without one."""
+    widths = [arguments["h"]] if "h" in arguments else arguments.get("h_list")
+    if widths is None:   # a check with packet widths has a Z0 and a frak offset
+        return None
+    offsets = [np.max(np.abs(arguments[key])) for key in ("frak0", "frak_far", "frak_through")
+               if arguments.get(key) is not None]
+    with np.errstate(over="ignore"):
+        return (2.0 * horizon * np.max(np.abs(arguments["Z0"])) + max(offsets)
+                + 6.0 * max(_packet_width(h, horizon) for h in widths))
 
 
 def _highfreq_requests(spec, grid, Z0, frak_far, frak_through, h, params, **_):
@@ -482,21 +529,19 @@ def _highfreq_requests(spec, grid, Z0, frak_far, frak_through, h, params, **_):
                 f"beam misses the support by {min_dist:.3g} < 5 packet widths "
                 f"({5 * width:.3g})", invariant="highfreq-beam-offset")
 
-    fraks = [frak_far]
-    if frak_through is not None:
-        fraks.append(np.atleast_1d(np.asarray(frak_through, dtype=float)))
+    fraks = [frak for frak in (frak_far, frak_through) if frak is not None]
     return [MapRequest(spec, grid, params, 1.0,
                        _stack([_q.coherent_data(grid, Z0, frak, h) for frak in fraks]))]
 
 
-def check_highfreq_identity(spec: PerturbationSpec, grid: _q.Grid, Z0,
-                            frak_far, frak_through=None, h: float = 0.5,
-                            params: _q.SolverParams = _q.SolverParams(),
+def check_highfreq_identity(spec: PerturbationSpec, grid: _q.Grid, Z0: Beam,
+                            frak_far: Beam, frak_through: Beam | None = None,
+                            h: float = 0.5, params: _q.SolverParams = _q.SolverParams(),
                             tol: float = 1e-3, control_floor: float = 1e-1,
                             out_dir=None, mapped=None) -> CheckReport:
     """Beams offset far (in the 1-cusp frequency) from the perturbation are
     scattered trivially; a beam through it is not (positive control)."""
-    refuse_arguments(locals())
+    refuse_arguments(check_highfreq_identity, locals())
     [(f, fp)] = mapped or _map_alone(
         _highfreq_requests(spec, grid, Z0, frak_far, frak_through, h, params))
     defects = _relative_defects(fp, f)
@@ -525,8 +570,8 @@ def _noncompact_test_functions(grid):
     return [_q.SpectralData(grid=grid, values=p.astype(complex)) for p in phis]
 
 
-def check_noncompactness(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
-                         h_list=(0.1, 0.05, 0.02, 0.01),
+def check_noncompactness(spec: PerturbationSpec, grid: _q.Grid, Z0: Beam, frak0: Beam,
+                         h_list: Widths = (0.1, 0.05, 0.02, 0.01),
                          params: _q.SolverParams = _q.SolverParams(),
                          c_floor: float | None = None,
                          control: bool = False, out_dir=None,
@@ -539,7 +584,7 @@ def check_noncompactness(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
     degenerates to zero) pass an explicit positive floor the family must
     fail to clear.  Weak nullity is proxied by |<f_k, phi>| decreasing for
     three fixed test functions."""
-    refuse_arguments(locals())
+    refuse_arguments(check_noncompactness, locals())
     [(f, fp)] = mapped or _map_alone(_family_requests(spec, grid, Z0, frak0, h_list, params))
     norms = _q.SpectralData(grid=grid, values=fp.values - f.values).norm()
     if c_floor is None:
@@ -561,7 +606,7 @@ def check_noncompactness(spec: PerturbationSpec, grid: _q.Grid, Z0, frak0,
                                              "overlap_3"], rows))
 
 
-# job name -> (name of its check, planner of the check's first-round maps or
+# job name -> (name of its check, planner of the maps the check needs or
 # None).  The check's keyword arguments are the job's parameters, and a
 # planner takes them by name.  The check is looked up at call time, so a
 # wrapper installed on a verify function sees the call.
@@ -579,8 +624,7 @@ JOB_FAMILIES = {
 
 
 def plan(job: str, arguments: dict) -> list:
-    """The :class:`MapRequest` s of the first round of job ``job``, given
-    every argument of its check by name; [] for a check that maps nothing
-    up front."""
+    """The :class:`MapRequest` s of job ``job``, given every argument of its
+    check by name; [] for a check that maps nothing up front."""
     planner = JOB_FAMILIES[job][1]
     return planner(**arguments) if planner else []

@@ -3,8 +3,11 @@ fault, never in a traceback.
 
 A bounded hypothesis sweep mutates one entry of a bundled scenario at a
 time, and another feeds non-finite floats to the library's entry points.
-Both are derandomized, so a run is the same run every time."""
+Both are derandomized, so a run is the same run every time.  Every argument
+of every check is also fed values of the wrong kind for the kind it
+declares."""
 
+import inspect
 import json
 import math
 import os
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cusplab import verify
 from cusplab.errors import CuspLabError, InvalidArgument, ParseError, ValidationError
 from cusplab.flow import classical_scatter, integrate, radial_convergence, scatter_jacobian
 from cusplab.phasespace import CuspData, PhasePoint, bichar_from_cusp
@@ -30,6 +34,7 @@ from cusplab.quantum import (
 )
 from cusplab.shell import bundled_scenario_path, load_scenario
 from cusplab.symbols import MetricBump, PerturbationSpec, PotentialTerm, flat_spec
+from cusplab.verify import JOB_FAMILIES, Beam, Widths, check_eikonal_phase, check_radial
 
 # the overflows these inputs provoke are the point of them
 pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -37,7 +42,7 @@ SCENARIOS = ("flat", "potential", "bump_metric", "classical2d", "eikonal", "high
              "egorov")
 DOCS = {name: json.loads(Path(bundled_scenario_path(name)).read_text()) for name in SCENARIOS}
 # what a mutation puts in place of an entry, or of one element of a list
-MUTATIONS = (math.nan, math.inf, -math.inf, 1e308, 0, -1, "x", [0.5] * 7)
+MUTATIONS = (math.nan, math.inf, -math.inf, 1e308, 0, -1, "x", [0.5] * 7, 10**400)
 # scenario invariants relate entries to one another, so their errors name
 # the invariant, not an entry
 INVARIANTS = ("support-inside-box", "grid-accommodates-jobs", "NotPositiveDefinite")
@@ -191,3 +196,42 @@ def test_a_refused_argument_survives_a_pickle():
     # an error raised in a pool worker comes back pickled
     exc = pickle.loads(pickle.dumps(InvalidArgument("h", "must be positive")))
     assert exc.field == "h" and str(exc) == "h must be positive"
+
+
+# the arguments a check requires, valid on n = 1; each check refuses its
+# arguments before it computes anything
+REQUIRED = {"spec": BUMP, "grid": GRID, "Z0": [1.0], "frak0": [0.0], "frak_far": [12.0],
+            "h_list": [0.1, 0.05]}
+# values of the wrong kind, for each kind a check argument declares
+WRONG_KINDS = {float: ("x", True), int: ("x", True, 2.5), bool: ("x",),
+               Beam: ("x", [1.0, 0.0], [math.nan]), Widths: ("x", [0.1, True])}
+
+
+@pytest.mark.parametrize("family", sorted(JOB_FAMILIES))
+def test_a_check_refuses_a_value_of_the_wrong_kind_by_name(family):
+    # a string tolerance ended in a TypeError, a string beam in a
+    # ValueError, a fractional count or seed in a TypeError, and a beam of
+    # the wrong length named the beam it was compared with
+    check = getattr(verify, JOB_FAMILIES[family][0])
+    args = inspect.signature(check).parameters
+    required = {name: REQUIRED[name] for name, arg in args.items() if arg.default is arg.empty}
+    cases = [(name, value) for name, (kind, _) in verify.kinds(check).items()
+             for value in WRONG_KINDS[kind]]
+    assert cases
+    for name, value in cases:
+        with pytest.raises(InvalidArgument) as refused:
+            check(**{**required, name: value})
+        assert refused.value.field == name, (name, value)
+
+
+def test_a_single_number_is_a_beam_where_n_is_1():
+    # both calls were refused, as "frak0 = 0.0 is too small" and "Z0 = -1.0
+    # is too small"; CuspData and coherent_data take one number on n = 1
+    check_radial(BUMP, Z0=1.0, frak0=0.0)
+    weak = PerturbationSpec(n=1, potential_terms=(PotentialTerm(**{**TERM, "amplitude": 0.05,
+                                                                   "radius_z": 4.0}),))
+    grid = Grid(n=1, N=512, L=20.0)
+    for check, args in [(check_radial, (BUMP,)), (check_eikonal_phase, (weak, grid))]:
+        scalar = check(*args, Z0=-1.0, frak0=0.5).to_dict()
+        listed = check(*args, Z0=[-1.0], frak0=[0.5]).to_dict()
+        assert json.dumps(scalar) == json.dumps(listed)

@@ -2,7 +2,9 @@
 
 import ast
 import contextlib
+import functools
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 import cusplab
-from cusplab import verify
+from cusplab import shell, verify
 from cusplab.errors import ParseError, ValidationError
 from cusplab.flow import classical_scatter
 from cusplab.phasespace import CuspData
@@ -417,6 +419,53 @@ def test_scenario_grid_must_accommodate_packets(tmp_path):
     assert err.value.invariant == "grid-accommodates-jobs"
 
 
+@pytest.mark.parametrize("job, width", [
+    ({"check": "noncompact", "params": {"Z0": [1.5], "frak0": [0.0]}},
+     {"h_list": [0.1, 0.05, 0.02, 0.01]}),
+    ({"check": "eikonal", "params": {"Z0": [1.5], "frak0": [0.0]}}, {"h": 0.25}),
+], ids=["noncompact-h_list", "eikonal-h"])
+def test_a_defaulted_width_must_fit_the_box_as_a_written_one(tmp_path, job, width):
+    # the extent rule read the widths from the job's params alone, so a job
+    # that left them to the check's defaults loaded and then leaked
+    grid = {"points": 256, "half_width": 20.0 if "h_list" in width else 9.0}
+    for params in (job["params"], {**job["params"], **width}):
+        doc = _minimal(grid=grid, jobs=[{**job, "params": params}])
+        with pytest.raises(ValidationError) as err:
+            load_scenario(_write(tmp_path, doc))
+        assert err.value.invariant == "grid-accommodates-jobs"
+
+
+def test_a_grid_check_without_a_grid_is_refused_at_load_naming_the_check(tmp_path, capsys):
+    doc = json.loads(Path(bundled_scenario_path("classical2d")).read_text())
+    doc["jobs"] = [{"check": "symplectic", "params": {"samples": 1}},
+                   {"check": "pairing", "control": True}]
+    with pytest.raises(ParseError) as err:
+        load_scenario(_write(tmp_path, doc))
+    assert err.value.field == "jobs[1].check"
+
+
+def test_a_single_number_is_a_beam_in_a_1d_scenario(tmp_path):
+    # a job's beam on n = 1 may be one number, as the library takes it
+    doc = _minimal(jobs=[{"check": "eikonal", "params": {"Z0": 1.0, "frak0": 0.0}},
+                         {"check": "radial", "params": {"Z0": [1.0], "frak0": 0.3}}])
+    sc = load_scenario(_write(tmp_path, doc))
+    assert [job["params"]["Z0"] for job in sc.jobs] == [1.0, [1.0]]
+    with pytest.raises(ParseError) as err:
+        load_scenario(_write(tmp_path, _minimal(dimension=2, jobs=[
+            {"check": "radial", "params": {"Z0": 1.0, "frak0": [0.0, 0.3]}}])))
+    assert err.value.field == "jobs[0].params.Z0"
+
+
+def test_every_argument_a_job_may_set_declares_a_kind_the_rule_knows():
+    # the loader and every check refuse a job's arguments by these kinds; an
+    # argument without one would reach the check unrefused
+    for family, (name, _) in verify.JOB_FAMILIES.items():
+        check = getattr(verify, name)
+        settable = [arg for arg in inspect.signature(check).parameters
+                    if arg not in shell.SCENARIO_ARGS]
+        assert settable and set(settable) <= set(verify.kinds(check)), family
+
+
 def test_run_flat_scenario_exit_zero(tmp_path):
     sc = load_scenario(bundled_scenario_path("flat"))
     code, reports = _run(sc, tmp_path, only={"pairing"})
@@ -646,6 +695,24 @@ _REFUSALS = {
                             {"s.scn": _mutated("classical2d", ("solver", "measure_compensated"),
                                                True)},
                             "unknown entry 'measure_compensated'"),
+    # an integer beyond every float ended in an OverflowError from float(),
+    # and as an element of a list in numpy's TypeError from isfinite
+    "half_width-10**400": (["all", "--scenario", "s.scn"],
+                           {"s.scn": _mutated("flat", ("grid", "half_width"), 10**400)},
+                           "entry 'half_width' is an integer beyond every float"),
+    "dt-10**400": (["all", "--scenario", "s.scn"],
+                   {"s.scn": _mutated("flat", ("solver", "dt"), 10**400)},
+                   "entry 'dt' is an integer beyond every float"),
+    "center_z-10**400": (["all", "--scenario", "s.scn"],
+                         {"s.scn": _mutated("eikonal", ("perturbation", "potential_terms", 0,
+                                                        "center_z", 0), 10**400)},
+                         "center_z must be"),
+    # a grid check in a scenario without a grid failed when it ran, and as
+    # a control that error report counted as satisfied: the run exited 0
+    "gridless-control": (["all", "--scenario", "s.scn"],
+                         {"s.scn": _mutated("classical2d", ("jobs",),
+                                            [{"check": "pairing", "control": True}])},
+                         "check 'pairing' needs the scenario's grid section"),
 }
 
 
@@ -803,6 +870,50 @@ def test_each_job_writes_its_solo_outputs(tmp_path, monkeypatch, params, note, m
         assert {path.parts[1] for path in alone} == {f"{index:02d}_{job['check']}"}
         assert alone == {path: data for path, data in together.items()
                          if path.parts[1] == f"{index:02d}_{job['check']}"}
+
+
+def test_eikonal_plans_the_doubled_amplitudes_map(tmp_path, monkeypatch):
+    # the doubled amplitude's map was made inside the check, after the
+    # scenario's marches; both maps are planned now, each its own operator
+    doc = _minimal(grid={"points": 512, "half_width": 30.0}, perturbation=_WEAK_POTENTIAL,
+                   jobs=[{"check": "eikonal", "params": {"Z0": [1.0], "frak0": [0.0]}}])
+    sc = load_scenario(_write(tmp_path, doc))
+    events = []
+    march, check = verify.march, verify.check_eikonal_phase
+
+    @functools.wraps(check)
+    def spy(**kwargs):
+        events.append("check")
+        return check(**kwargs)
+
+    monkeypatch.setattr(verify, "march",
+                        lambda requests: events.append(len(requests)) or march(requests))
+    monkeypatch.setattr(verify, "check_eikonal_phase", spy)
+    code, (report,) = _run(sc, tmp_path / "run")
+    assert code == 0 and events == [1, 1, "check"]
+    assert [m.label for m in report.measured] == ["phase-mismatch", "amplitude-linearity"]
+    alone = check(sc.spec, sc.grid, [1.0], [0.0], params=sc.solver)
+    assert json.dumps(alone.to_dict()) == json.dumps({**report.to_dict(), "artifacts": []})
+
+
+def test_compare_outputs_names_the_first_file_that_differs(tmp_path, capsys):
+    for root in ("a", "b"):
+        assert main(["--out", str(tmp_path / root), "all", "--scenario", "flat"]) == 0
+    script = Path(__file__).resolve().parent / "compare_outputs.py"
+
+    def compare():
+        return subprocess.run([sys.executable, str(script), str(tmp_path / "a"),
+                               str(tmp_path / "b")], capture_output=True, text=True, timeout=60)
+
+    same = compare()
+    assert same.returncode == 0 and same.stdout.startswith("same: "), same.stdout
+    csv = tmp_path / "b" / "flat" / "02_pairing" / "pairing_residuals.csv"
+    data = bytearray(csv.read_bytes())
+    data[-2] ^= 1   # a digit of the last number
+    csv.write_bytes(bytes(data))
+    differs = compare()
+    assert differs.returncode == 1
+    assert differs.stdout == "differs: flat/02_pairing/pairing_residuals.csv\n"
 
 
 def test_cli_classical_map(capsys):

@@ -263,12 +263,11 @@ def test_a_check_refuses_a_non_finite_tolerance_by_name(family):
     # a NaN tolerance once gave a report whose measurement could never pass
     # (or, as a control, could never fail) instead of an error naming it;
     # samples 0 passed having measured nothing, and an empty h_list was an
-    # IndexError.  The numbers are the arguments whose default is a real
-    # number, and c_floor, whose default is None
+    # IndexError.  The numbers are the arguments that declare a number or
+    # an integer as their kind
     check = getattr(verify, JOB_FAMILIES[family][0])
     args = inspect.signature(check).parameters
-    numbers = [name for name, arg in args.items() if name == "c_floor" or (
-        isinstance(arg.default, (int, float)) and not isinstance(arg.default, bool))]
+    numbers = [name for name, (kind, _) in verify.kinds(check).items() if kind in (int, float)]
     assert numbers
     required = {name: _REQUIRED[name] for name, arg in args.items()
                 if arg.default is arg.empty}
