@@ -22,17 +22,17 @@ solved there only, with one direct LAPACK call: ``zgtsv`` for the
 tridiagonal band of n = 1, ``zgbsv`` for the narrow band of n = 2.  Every
 dimension orders the footprint the same way and stores R in the same band
 layout; only the stencil depends on n, a 2 x 2 block per face in n = 1 and
-a 9-point stencil per support point in n = 2.  The stencil is real, so it
-is scattered as real weights, and the complex V_eff is added on the
-diagonal afterwards.  A beam that never meets the perturbation sees the
-exact multiplier alone.  A march reuses one spectrum and one field buffer for
-all its transforms and evaluates the terms' spatial windows on the
-footprint once, so a step allocates no grid-sized array.  A march also
-knows all its step midpoints before it starts, so it evaluates the fields,
-the real stencil weights and V_eff for a block of steps in one vectorized
-pass, about ``_BLOCK_POINTS`` field points per block, bitwise the values of
-per-step evaluation; the step loop scatters its step's band, makes the one
-banded solve and runs the two transforms.
+a 9-point stencil per support point in n = 2.  The stencil is real and
+V_eff lies on the diagonal, so each step writes the band of 1 + cR
+straight into one buffer per march.  A beam that never meets the
+perturbation sees the exact multiplier alone.  A march reuses one spectrum
+and one field buffer for all its transforms and evaluates the terms'
+spatial windows on the footprint once, so a step allocates no grid-sized
+array.  A march also knows all its step midpoints before it starts, so it
+evaluates the fields for a block of steps in one vectorized pass, about
+``_BLOCK_POINTS`` field points per block, bitwise the values of per-step
+evaluation; the step loop gathers the footprint, loads its band, makes the
+one banded solve, scatters the solution and runs the two transforms.
 
 One walk serves the scattering map S and its adjoint S*: the direction of
 time selects the scheme, the forward one when time increases and the plain
@@ -471,7 +471,7 @@ def _effective_potential(spec, pts, t, adjoint):
     potential V and S keeps the flat norm of the asymptotic data.  Adjoint,
     the scheme is the plain-measure adjoint, so V_eff is the conjugate of
     V - (1/4) i d_t log det g."""
-    v_eff = spec.potential_field(pts, t).astype(complex)
+    v_eff = spec.potential_field(pts, t)
     if adjoint:
         return np.conj(v_eff - 0.25j * spec.dt_log_det_metric_field(pts, t))
     return v_eff
@@ -491,9 +491,9 @@ def _support_indices(spec, pts):
 
 
 # field points per block of Strang steps whose fields one pass evaluates:
-# about 15 steps of a 2-D support of 132 points, 1 step of a 1-D footprint
-# of more than 1000 rows, where each numpy call is already array-bound
-_BLOCK_POINTS = 2048
+# about 60 steps of a 2-D support of 132 points, 6 of a 1-D footprint of
+# 1,255 rows, whose fields cost half as much a step as one step per block
+_BLOCK_POINTS = 8192
 
 # the most steps one march takes, refused before its times array (8 bytes a
 # step) is built: 10^7 keep it under 80 MB; the largest bundled march takes 4,000
@@ -535,26 +535,25 @@ class _Footprint:
     point.  Those points are FieldPoints, so every term's spatial window is
     evaluated once per march and only the time factors are multiplied in.
 
-    :meth:`fields` gives the real stencil weights and V_eff at one time or,
-    with a leading axis, at a column of times; :meth:`remainders` evaluates
-    them for a block of a march's steps at once, ``_BLOCK_POINTS`` field
-    points per block (about 15 steps of a 2-D support of 132 points, one
-    step of a 1-D footprint of a thousand rows), and scatters each step's
-    band, :meth:`band`, when the step takes it.  Every slice is bitwise the
+    :meth:`fields` gives the real part of R and the imaginary part of V_eff
+    at one time or, with a leading axis, at a column of times;
+    :meth:`step_fields` evaluates them for a block of a march's steps at
+    once, ``_BLOCK_POINTS`` field points per block (about 60 steps of a 2-D
+    support of 132 points, 6 of a 1-D footprint of a thousand rows),
+    and yields each step's slice in turn.  Every slice is bitwise the
     evaluation at its time alone: the element-wise operations are the same
-    and the sums go per slot in the same order; a term inactive at some
+    and the sums go per entry in the same order; a term inactive at some
     times of a block adds exact zeros there.
 
     One layout serves every n.  ``ids`` is row-major order after each axis
     is rotated so that the footprint's largest gap sits at the seam (see
     _seam_shift), so a footprint that wraps the seam has the narrow band of
     one in the interior: ``lo`` lower and ``up`` upper diagonals.  R is
-    stored as solve_banded takes it, entry (r, c) at ``band[up + r - c, c]``,
-    and each weight of the stencil goes to a slot fixed once per march.  The
-    stencil weights are real and are summed into their slots by one real
-    ``np.bincount``; V_eff, the only complex part of R, is then added on the
+    stored as solve_banded takes it, entry (r, c) at ``band[up + r - c, c]``.
+    The stencil is real, and V_eff, the only complex part of R, lies on the
     diagonal, ``band[up, diag]``, at ``diag``, the footprint rows where the
-    fields are evaluated.  V_eff has one rule per direction
+    fields are evaluated, so R's real part is the stencil with V_eff's real
+    part summed last on the diagonal.  V_eff has one rule per direction
     (_effective_potential): V forward, the conjugate of
     V - (1/4) i d_t log det g adjoint.  A footprint with no free index along
     some axis has no such band and is refused.  Only the stencil depends on
@@ -567,7 +566,8 @@ class _Footprint:
     diagonal at every row; g^{11} and V_eff are evaluated at the footprint
     rows, c at those faces.  Where l and r are not grid neighbours, both
     rows and the face are flat, so the block is exactly 0, as is the block
-    of any face that leads out of the footprint.  lo = up = 1.
+    of any face that leads out of the footprint.  lo = up = 1; the three
+    band rows are filled straight from the row and face fields.
 
       forward, W K W + V_eff with w = (g^{11})^{1/4}: (l, r) and (r, l) get
         (1 - w_l c w_r) / dz^2, (l, l) and (r, r) get (w_l c w_l - 1) / dz^2
@@ -589,15 +589,17 @@ class _Footprint:
     at the support points, in centred differences with analytic coefficient
     fields.  The metric part is symmetrized for the forward scheme; the
     adjoint scheme uses its transpose with the adjoint V_eff.  The
-    band is about the footprint's width.
+    band is about the footprint's width.  One real ``np.bincount`` per step
+    sums the weights into ``slot``, fixed once per march, V_eff's last.
 
     A step is the Cayley step 2 y - x with (1 + cR) y = x: one banded solve
     on x, and no product R x.  The footprint owns the band of 1 + cR, one
     complex buffer allocated once per march in its LAPACK routine's layout:
     the band alone for ``?gtsv`` (lo = up = 1), and for ``?gbsv`` below
     ``pad`` = lo spare rows, Fortran-ordered, so that each solve factors it
-    in place.  A step writes 1 + cR into it, but :meth:`band` makes each
-    step's R as two band-sized arrays: the real scatter and its complex copy.
+    in place.  A step writes 1 + cR straight into it from the fields
+    (:meth:`load`), with no complex R.  :meth:`remainder` builds R itself
+    from the same fields, for inspection.
     """
 
     def __init__(self, spec, grid, adjoint):
@@ -623,18 +625,15 @@ class _Footprint:
                                         shape)
         m = self.ids.size
         if self.n == 1:
-            # the faces right of rows l = 0 .. m - 2, between l and r = l + 1,
-            # and entries (l, l), (r, r), (l, r), (r, l) of their blocks.
+            # the faces right of rows l = 0 .. m - 2, between l and r = l + 1.
             # Where l and r are not grid neighbours, l, r and the face are
             # outside every support (else l + 1 and r - 1 would be footprint
             # rows): all flat, so that block is exactly 0
             rows_z = pts[self.ids]
             self.x = FieldPoints(rows_z)
             self.x_and_faces = FieldPoints(np.concatenate([rows_z, rows_z[:-1] + 0.5 * self.dz]))
-            self.diag = np.arange(m)
-            l = self.diag[:-1]
-            rows = np.concatenate([l, l + 1, l, l + 1])
-            cols = np.concatenate([l, l + 1, l + 1, l])
+            self.diag = slice(None)
+            self.lo = self.up = 1
         else:
             self.x = FieldPoints(pts[self.support])
             cols = np.searchsorted(order, keys)
@@ -643,36 +642,42 @@ class _Footprint:
             # entries of M^T (adjoint) or of M and M^T (forward)
             pairs = [(cols, rows)] if adjoint else [(rows, cols), (cols, rows)]
             rows, cols = (np.concatenate(part) for part in zip(*pairs))
-        self.lo, self.up = (int(np.max(d, initial=0)) for d in (rows - cols, cols - rows))
+            self.lo, self.up = (int(np.max(d, initial=0)) for d in (rows - cols, cols - rows))
+            # the stencil weights, then the real part of V_eff on the diagonal
+            self.slot = np.concatenate([(self.up + rows - cols) * m + cols,
+                                        self.up * m + self.diag])
         self.shape = (self.lo + self.up + 1, m)
-        self.slot = (self.up + rows - cols) * m + cols
         self.pad = 0 if self.lo == self.up == 1 else self.lo
         self.plus = np.zeros((self.pad + self.shape[0], m), dtype=complex,
                              order="F" if self.pad else "C")
 
     def fields(self, t):
-        """The real stencil weights, in the order of ``slot``, and V_eff at
-        the ``diag`` rows, at one time t or, with a leading M axis, at a
-        column (M, 1) of times: one evaluation of every field for a block of
-        steps, slice k bitwise the evaluation at time k alone."""
+        """R's real part, its three band rows in n = 1 and the weights of
+        ``slot`` in n = 2, and V_eff's imaginary part at the ``diag`` rows,
+        at one time t or, with a leading M axis, at a column (M, 1) of
+        times, slice k bitwise the evaluation at time k alone."""
         v_eff = _effective_potential(self.spec, self.x, t, self.adjoint)
         dz = self.dz
         if self.n == 1:
             g = self.spec.inverse_metric_field(self.x_and_faces, t)[..., 0, 0]
-            m = self.diag.size
+            m = self.ids.size
             a, c = g[..., :m], np.sqrt(g[..., m:])
             if self.adjoint:
                 s = np.sqrt(a)
                 cs_l, cs_r = c * s[..., :-1], c * s[..., 1:]   # K S: entry (i, j) is c s_j
-                flux = [cs_l, cs_r, cs_r, cs_l]
+                ll, rr, lr, rl = cs_l, cs_r, cs_r, cs_l
             else:
                 w = a**0.25
                 w_l, w_r = w[..., :-1], w[..., 1:]
                 off = w_l * c * w_r                             # W K W: one value, so symmetric
-                flux = [w_l * c * w_l, w_r * c * w_r, off, off]
-            less_free = (np.concatenate(flux, axis=-1) - 1.0) / dz**2
-            half = less_free.shape[-1] // 2  # the diagonal entries, then the off-diagonal
-            weights = np.concatenate([less_free[..., :half], -less_free[..., half:]], axis=-1)
+                ll, rr, lr, rl = w_l * c * w_l, w_r * c * w_r, off, off
+            # entry (l, r) at [0, r], (l, l) at [1, l], (r, r) at [1, r], (r, l) at [2, l]
+            real = np.zeros(g.shape[:-1] + (3, m))
+            real[..., 0, 1:] = (1.0 - lr) / dz**2
+            real[..., 2, :-1] = real[..., 0, 1:] if rl is lr else (1.0 - rl) / dz**2
+            real[..., 1, :-1] = (ll - 1.0) / dz**2
+            real[..., 1, 1:] += (rr - 1.0) / dz**2
+            real[..., 1, :] += v_eff.real
         else:
             g, dgdz = self.spec.inverse_metric_jet_field(self.x, t)
             g00, g01, g10, g11 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
@@ -692,41 +697,50 @@ class _Footprint:
                 -d00 / dz**2 - b0, -d00 / dz**2 + b0,
                 -d11 / dz**2 - b1, -d11 / dz**2 + b1,
                 cross, cross, -cross, -cross], axis=-1)
-            weights = stencil if self.adjoint else np.concatenate([0.5 * stencil] * 2, axis=-1)
-        return weights, v_eff
+            halves = [stencil] if self.adjoint else [0.5 * stencil] * 2
+            real = np.concatenate(halves + [v_eff.real], axis=-1)
+        return real, v_eff.imag
 
-    def band(self, weights, v_eff):
-        """R from the fields of one time: the (lo + up + 1, m) band array."""
-        band = np.bincount(self.slot, weights, self.shape[0] * self.shape[1])
-        band = band.reshape(self.shape).astype(complex)
-        band[self.up, self.diag] += v_eff
-        return band
+    def _real_band(self, real):
+        """R's real part at one time as its band: the n = 1 rows, or the
+        n = 2 weights summed into their slots in order, V_eff's last."""
+        return real if self.n == 1 else np.bincount(
+            self.slot, real, self.shape[0] * self.shape[1]).reshape(self.shape)
 
     def remainder(self, t):
-        """R at time t on the footprint: the (lo + up + 1, m) band array."""
-        return self.band(*self.fields(t))
+        """R at time t on the footprint: the complex (lo + up + 1, m) band
+        array, from the same fields as a step's buffer."""
+        real, v_imag = self.fields(t)
+        band = np.array(self._real_band(real), dtype=complex)
+        band.imag[self.up, self.diag] = v_imag
+        return band
 
-    def remainders(self, times):
-        """R at each of the (M,) ``times`` in turn, as :meth:`remainder`
-        gives it.  The fields are evaluated for a block of times at once,
-        ``_BLOCK_POINTS`` field points per block, and each band is scattered
-        when it is taken."""
+    def step_fields(self, times):
+        """The fields at each of the (M,) ``times`` in turn, as
+        :meth:`fields` gives them at one time, evaluated for a block of
+        times at once, ``_BLOCK_POINTS`` field points per block."""
         block = max(1, _BLOCK_POINTS // max(1, len(self.x.array)))
         for start in range(0, len(times), block):
-            for fields in zip(*self.fields(times[start:start + block, None])):
-                yield self.band(*fields)
+            yield from zip(*self.fields(times[start:start + block, None]))
 
-    def step(self, x, remainder, c):
-        """One Crank-Nicolson step (1 + cR)^{-1} (1 - cR) x of the remainder
-        band R, for x on the footprint: one column of m values, or an
+    def load(self, real, v_imag, c):
+        """Write 1 + cR into the footprint's buffer, ``plus``, from the
+        fields of one time.  c = i step / 2 is purely imaginary, so cR has
+        the bits of the complex product: the imaginary part R_re Im c, the
+        real part -V_im Im c on the diagonal and 0 elsewhere."""
+        band, c = self.plus[self.pad:], c.imag
+        np.multiply(self._real_band(real), c, out=band.imag)
+        band.real = 0.0
+        band.real[self.up] = 1.0
+        band.real[self.up, self.diag] -= v_imag * c
+
+    def step(self, x, fields, c):
+        """One Crank-Nicolson step (1 + cR)^{-1} (1 - cR) x, R at the time
+        of ``fields``, for x on the footprint: one column of m values, or an
         (m, k) stack of columns that shares one solve.  It is taken as
-        2 y - x with (1 + cR) y = x, one banded solve.  1 + cR is written
-        into the footprint's buffer, ``plus``: c = i step / 2 is purely
-        imaginary, so R c has the bits of c R.  ``remainder`` and ``x`` are
-        left as they are, and 2 y - x is formed in y."""
-        band = self.plus[self.pad:]
-        np.multiply(remainder, c, out=band)
-        band[self.up] += 1.0
+        2 y - x with (1 + cR) y = x, one banded solve on the buffer
+        :meth:`load` fills; ``x`` and the fields are left as they are."""
+        self.load(*fields, c)
         y = solve_banded((self.lo, self.up), self.plus, x)
         y *= 2.0
         y -= x
@@ -745,9 +759,12 @@ def _strang_march(spec, grid, values, t0, t1, params):
     (1 + cR)^{-1} (1 - cR) x = 2 y - x with (1 + cR) y = x in either
     dimension, so no product R x is formed: y is one banded solve on the
     band of 1 + cR, in the seam-rotated footprint order fixed once per
-    march, written into the footprint's buffer (see _Footprint.step).  A
-    solve that fails, or meets a non-finite remainder, raises
-    ConvergenceFailure.  Adjacent half-steps are fused, so
+    march, written into the footprint's buffer (see _Footprint.load).  The
+    footprint of every input is gathered by one ``take`` from the raveled
+    field buffer and the solution scattered back by one assignment, through
+    flat indices built once per march; a footprint that wraps the seam
+    needs nothing else.  A solve that fails, or meets a non-finite
+    remainder, raises ConvergenceFailure.  Adjacent half-steps are fused, so
     m steps make m + 1 multiplier applications, each between a forward and
     an inverse transform: 2m + 2 transforms.  The multiplier is kept in FFT
     order, built from the grid's cached |Z|^2 in that order (_grid_table):
@@ -756,7 +773,7 @@ def _strang_march(spec, grid, values, t0, t1, params):
     and multiplier writes into, so a step allocates no grid-sized array.
     The spatial windows of the remainder are evaluated once per march, and
     its fields once per block of steps at the steps' midpoints (see
-    _Footprint); the blocks are walked as the steps take their bands.
+    _Footprint); the blocks are walked as the steps take their fields.
 
     The multiplier is the left operand of every product, and complex
     products elsewhere name their array operands.  For operands of one
@@ -776,25 +793,26 @@ def _strang_march(spec, grid, values, t0, t1, params):
     norm_sq = _grid_table(grid, "dual_norm_sq_fft")
     half, full = np.exp(-0.5j * step * norm_sq), np.exp(-1j * step * norm_sq)
     footprint = _Footprint(spec, grid, adjoint=t1 < t0)
-    ids = footprint.ids
     times = t0 + (np.arange(m) + 0.5) * step
-    remainders = footprint.remainders(times)
+    fields = footprint.step_fields(times)
     spectrum = np.fft.fftn(values, axes=axes)
     v = np.empty_like(spectrum)
-    flat = v.reshape(*v.shape[:v.ndim - grid.n], -1)    # a view of v
+    flat = v.reshape(-1)    # a view of v
+    # the flat index of footprint row r of input j, at [j, r] ([r] for one input)
+    ids = np.arange(v.size).reshape(*v.shape[:v.ndim - grid.n], -1)[..., footprint.ids]
     np.multiply(half, spectrum, out=spectrum)
     _fft_into(np.fft.ifft, spectrum, axes, v)
     for k, t_mid in enumerate(times):
         if ids.size:
             try:
-                solved = footprint.step(flat[..., ids].T, next(remainders), c).T
+                solved = footprint.step(flat.take(ids).T, next(fields), c).T
             except ValueError as exc:   # LinAlgError, or a non-finite band
                 raise ConvergenceFailure(f"remainder step at t={t_mid:.6g} failed: "
                                          f"{exc}") from exc
             if not np.all(np.isfinite(solved)):
                 raise ConvergenceFailure(f"remainder step at t={t_mid:.6g} produced "
                                          "non-finite values")
-            flat[..., ids] = solved
+            flat[ids] = solved
         _fft_into(np.fft.fft, v, axes, spectrum)
         np.multiply(full if k < m - 1 else half, spectrum, out=spectrum)
         _fft_into(np.fft.ifft, spectrum, axes, v)

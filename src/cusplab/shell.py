@@ -542,8 +542,9 @@ def _cmd_jacobian(args):
 
 def _cmd_radial_op(args):
     sc, c_in = _scenario_beam(args)
-    rep = radial_convergence(sc.spec, verify.radial_seed(sc.spec, c_in, sc.flow_tol),
-                             horizon=args.horizon, tol=sc.flow_tol)
+    rep = verify.fittable_radial(radial_convergence(
+        sc.spec, verify.radial_seed(sc.spec, c_in, sc.flow_tol), horizon=args.horizon,
+        tol=sc.flow_tol), "frak")
     print("exponent forward :", rep.exponent_forward)
     print("exponent backward:", rep.exponent_backward)
     print("limit forward    :", rep.limit_forward.Z, rep.limit_forward.frak)

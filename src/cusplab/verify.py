@@ -360,6 +360,17 @@ def radial_seed(spec: PerturbationSpec, c_in: CuspData, tol: float):
     return bichar_from_cusp(c_in, (spec.time_window() or (-1.0, 1.0))[0] - 2.0, tol)
 
 
+def fittable_radial(report, field):
+    """The flow.RadialReport ``report``, or an InvalidArgument naming
+    ``field``, the beam's frequency offset, when every backward sample |w|
+    is exactly 0: the incoming beam then lies on its radial set, and its
+    decay exponent has nothing to fit."""
+    if not np.any(report.samples_backward[:, 1]):
+        raise InvalidArgument(field, "puts the incoming beam on its radial set: |w| is exactly 0 "
+                              "at every backward sample, so no decay exponent can be fitted")
+    return report
+
+
 def check_radial(spec: PerturbationSpec, Z0: Beam, frak0: Beam, horizon: float = 1e6,
                  tol_flow: float = 1e-11, exponent_tol: float = 0.01,
                  limit_tol: float = 1e-8, control: bool = False,
@@ -370,8 +381,8 @@ def check_radial(spec: PerturbationSpec, Z0: Beam, frak0: Beam, horizon: float =
     ``control`` offsets the scattering target (broken cross-check; must fail)."""
     refuse_arguments(check_radial, locals())
     c_in = CuspData(Z=Z0, frak=frak0)
-    report = _flow.radial_convergence(spec, radial_seed(spec, c_in, tol_flow), horizon=horizon,
-                                      tol=tol_flow)
+    report = fittable_radial(_flow.radial_convergence(spec, radial_seed(spec, c_in, tol_flow),
+                                                      horizon=horizon, tol=tol_flow), "frak0")
     scatter = _flow.classical_scatter(spec, c_in, tol=tol_flow)
     target = scatter.c_out.pair() + (0.1 if control else 0.0)
     fwd_err = float(np.max(np.abs(report.limit_forward.pair() - target)))

@@ -226,8 +226,10 @@ def test_a_check_refuses_a_value_of_the_wrong_kind_by_name(family):
 
 def test_a_single_number_is_a_beam_where_n_is_1():
     # both calls were refused, as "frak0 = 0.0 is too small" and "Z0 = -1.0
-    # is too small"; CuspData and coherent_data take one number on n = 1
-    check_radial(BUMP, Z0=1.0, frak0=0.0)
+    # is too small"; CuspData and coherent_data take one number on n = 1.
+    # frak0 = 0.0 is a beam, refused only as one on its radial set
+    with pytest.raises(InvalidArgument, match="^frak0 puts the incoming beam on its radial set"):
+        check_radial(BUMP, Z0=1.0, frak0=0.0)
     weak = PerturbationSpec(n=1, potential_terms=(PotentialTerm(**{**TERM, "amplitude": 0.05,
                                                                    "radius_z": 4.0}),))
     grid = Grid(n=1, N=512, L=20.0)

@@ -416,8 +416,8 @@ def test_footprint_remainder_equals_whole_grid(monkeypatch, n, where):
         assert np.max(np.abs(r_whole)) > 1.0
         assert np.max(np.abs(r_part - r_whole)) <= 1e-13 * np.max(np.abs(r_whole))
         # the footprint step solves the embedded Crank-Nicolson system
-        c, r = 0.5j * 5e-3, part.remainder(0.3)
-        r_before = r.copy()
+        c, r = 0.5j * 5e-3, part.fields(0.3)
+        r_before = [f.copy() for f in r]
         x = rng.normal(size=part.ids.size) + 1j * rng.normal(size=part.ids.size)
         full = np.zeros(size, dtype=complex)
         full[part.ids] = x
@@ -443,9 +443,9 @@ def test_footprint_remainder_equals_whole_grid(monkeypatch, n, where):
         assert np.linalg.norm(part.step(x, r, c) - exact) <= bound
         # the backward step, c -> -c, is first-order far from exp(-2A)
         assert np.linalg.norm(part.step(x, r, -c) - exact) > bound
-        # every step above reused R: a step writes 1 + cR into the
-        # footprint's own buffer, never into R
-        assert np.array_equal(r, r_before)
+        # every step above reused the fields: a step writes 1 + cR into
+        # the footprint's own buffer, never into them
+        assert all(np.array_equal(f, f_before) for f, f_before in zip(r, r_before))
 
 
 def _remainder_by_definition(spec, grid, t, adjoint):
@@ -609,20 +609,26 @@ def test_block_fields_equal_per_time_fields(n):
         assert block.shape[0] == times.size
         for k, t in enumerate(times):
             assert _bitwise_equal(block[k], evaluate(pts, t))
+    c = 0.5j * 5e-3
     for adjoint in (False, True):
         footprint = quantum._Footprint(spec, grid, adjoint)
-        weights, v_eff = footprint.fields(times[:, None])
-        bands = list(footprint.remainders(times))
+        stepped = list(footprint.step_fields(times))
+        assert len(stepped) == times.size
         for k, t in enumerate(times):
             alone = footprint.fields(t)
-            assert _bitwise_equal(weights[k], alone[0])
-            assert _bitwise_equal(v_eff[k], alone[1])
-            assert _bitwise_equal(bands[k], footprint.remainder(t))
+            assert all(_bitwise_equal(*pair) for pair in zip(stepped[k], alone))
+            # the buffer a step loads from the block's fields is bit for bit
+            # the one loaded from the fields at its time alone
+            footprint.load(*stepped[k], c)
+            loaded = footprint.plus.copy()
+            footprint.load(*alone, c)
+            assert _bitwise_equal(loaded, footprint.plus)
 
 
 def _plain_march(spec, grid, values, t0, t1, params):
-    """The Strang march with a fresh array from every transform and product
-    and a fresh remainder at every step."""
+    """The Strang march with a fresh array from every transform and product,
+    and at every step a fresh remainder R and a fresh band of 1 + cR for
+    one solve_banded."""
     span = t1 - t0
     m = max(1, int(np.ceil(abs(span) / params.dt - 1e-12)))
     step = span / m
@@ -635,19 +641,25 @@ def _plain_march(spec, grid, values, t0, t1, params):
     v = np.fft.ifftn(half * spectrum, axes=axes)
     for k in range(m):
         flat = v.reshape(*v.shape[:v.ndim - grid.n], -1)
-        remainder = footprint.remainder(t0 + (k + 0.5) * step)
-        flat[..., ids] = footprint.step(flat[..., ids].T, remainder, 0.5j * step).T
+        plus = 0.5j * step * footprint.remainder(t0 + (k + 0.5) * step)
+        plus[footprint.up] += 1.0
+        x = flat[..., ids].T
+        y = quantum.solve_banded((footprint.lo, footprint.up), plus, x)
+        flat[..., ids] = (2.0 * y - x).T
         spectrum = np.fft.fftn(v, axes=axes)
         v = np.fft.ifftn((full if k < m - 1 else half) * spectrum, axes=axes)
     return v
 
 
-# at N = 16384 one field has 256 KiB, where numpy starts to reuse temporaries
-@pytest.mark.parametrize("n,N", [(1, 512), (1, 16384), (2, 64)],
-                         ids=["n=1", "n=1-N=16384", "n=2"])
-def test_buffered_march_equals_plain_march(monkeypatch, n, N):
+# at N = 16384 one field has 256 KiB, where numpy starts to reuse temporaries;
+# the corner footprint wraps the seam, so its flat indices cross the box edge
+@pytest.mark.parametrize("n,N,where", [(1, 512, "inside"), (1, 16384, "inside"),
+                                       (2, 64, "inside"), (1, 512, "corner"),
+                                       (2, 64, "corner")],
+                         ids=["n=1", "n=1-N=16384", "n=2", "n=1-corner", "n=2-corner"])
+def test_buffered_march_equals_plain_march(monkeypatch, n, N, where):
     grid = Grid(n=n, N=N, L=20.0)
-    spec = _footprint_spec(grid, "inside")
+    spec = _footprint_spec(grid, where)
     params = SolverParams(dt=2e-2)
     fields = [poisson_free(coherent_data(grid, [z] * n, [fr] * n, h), 0.0).values
               for z, fr, h in ((0.3, 0.0, 0.5), (-0.2, 1.0, 0.3), (0.1, -0.5, 0.4))]

@@ -667,6 +667,9 @@ _REFUSALS = {
     "radial-frak": (["radial", *_CLASSICAL_BEAM, "--frak", "1e300,0.3"], {}, "frak"),
     "flow-frak": (["flow", *_CLASSICAL_BEAM, "--frak", "1e300,0.3", "--t0=-2.5", "--t1=2.5"],
                   {}, "frak"),
+    # every backward |w| is exactly 0: there is no decay exponent to fit
+    "radial-frak-zero": (["radial", "--scenario", "bump_metric", "--Z", "1.0", "--frak", "0.0"],
+                         {}, "frak puts the incoming beam on its radial set"),
     "flow_tol-zero": (["all", "--scenario", "s.scn"],
                       {"s.scn": _mutated("classical2d", ("solver", "flow_tol"), 0)},
                       "flow_tol = 0.0 is too small"),

@@ -7,9 +7,10 @@ benchmark run."""
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
-from cusplab import shell
+from cusplab import quantum, shell
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -62,7 +63,8 @@ def test_tracer_records_the_check_a_job_runs(tmp_path):
 
 def test_stacked_noncompact_job_maps_its_family_in_one_call(tmp_path):
     # the three widths share one forward map, which the benchmark still
-    # counts as three inputs
+    # counts as three inputs, and its march makes one banded solve per step
+    # through the module binding the tracer wraps
     doc = {"schema_version": 1, "name": "stacked", "dimension": 1,
            "grid": {"points": 1024, "half_width": 80.0},
            "solver": {"dt": 2e-3, "margin": 0.25},
@@ -73,13 +75,18 @@ def test_stacked_noncompact_job_maps_its_family_in_one_call(tmp_path):
                      "params": {"Z0": [1.5], "frak0": [0.0], "h_list": [0.1, 0.05, 0.02]}}]}
     path = tmp_path / "stacked.scn"
     path.write_text(json.dumps(doc))
+    scenario = shell.load_scenario(str(path))
     tracer = _load_tracer().Tracer()
     with tracer:
-        shell.run(shell.load_scenario(str(path)), out_root=str(tmp_path))
+        shell.run(scenario, out_root=str(tmp_path))
     assert len(tracer._patches) == 0
     maps = [span for span in tracer.spans if span[1] == "quantum.scattering_map"]
     assert len(maps) == 1
     assert tracer.counts["quantum.scattering_map.inputs"] == 3
+    (lo, hi), = quantum._active_intervals(scenario.spec, -1.0, 1.0)
+    steps = math.ceil((hi - lo) / scenario.solver.dt - 1e-12)
+    solves = [span for span in tracer.spans if span[1] == "quantum.solve_banded"]
+    assert steps > 0 and len(solves) == steps
 
 
 def test_jobs_sharing_an_operator_make_one_march_per_direction(tmp_path):

@@ -100,6 +100,14 @@ def test_radial_check_bump():
     assert report.status == "pass"
 
 
+def test_radial_check_refuses_a_beam_on_its_radial_set():
+    # with frak0 = 0 every backward sample |w| is exactly 0, so there is no
+    # decay exponent to fit
+    with pytest.raises(InvalidArgument) as refused:
+        check_radial(_metric_spec(0.05), [1.0], [0.0])
+    assert refused.value.field == "frak0"
+
+
 def test_egorov_flat_control_absolute_cap():
     report = check_egorov(flat_spec(1), GRID, [1.0], [0.0], [0.1, 0.05],
                           PARAMS, abs_cap=1e-6)
