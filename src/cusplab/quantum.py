@@ -25,14 +25,15 @@ layout; only the stencil depends on n, a 2 x 2 block per face in n = 1 and
 a 9-point stencil per support point in n = 2.  The stencil is real and
 V_eff lies on the diagonal, so each step writes the band of 1 + cR
 straight into one buffer per march.  A beam that never meets the
-perturbation sees the exact multiplier alone.  A march reuses one spectrum
-and one field buffer for all its transforms and evaluates the terms'
-spatial windows on the footprint once, so a step allocates no grid-sized
-array.  A march also knows all its step midpoints before it starts, so it
-evaluates the fields for a block of steps in one vectorized pass, about
-``_BLOCK_POINTS`` field points per block, bitwise the values of per-step
-evaluation; the step loop gathers the footprint, loads its band, makes the
-one banded solve, scatters the solution and runs the two transforms.
+perturbation sees the exact multiplier alone.  A march runs every
+transform and multiplier in place on one grid buffer, the transform of its
+input, and evaluates the terms' spatial windows on the footprint once, so
+a step allocates no grid-sized array.  A march also knows all its step
+midpoints before it starts, so it evaluates the fields for a block of
+steps in one vectorized pass, about ``_BLOCK_POINTS`` field points per
+block, bitwise the values of per-step evaluation; the step loop gathers
+the footprint, loads its band, makes the one banded solve, scatters the
+solution and runs the two transforms.
 
 One walk serves the scattering map S and its adjoint S*: the direction of
 time selects the scheme, the forward one when time increases and the plain
@@ -161,16 +162,21 @@ def _grid_table(grid, name):
 def forward_ft(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Discrete FT(u)(Z) on the dual grid (math ordering, origin centred),
     over the grid axes of one field or of a stack."""
-    axes = grid.axes
-    return grid.dz**grid.n * np.fft.fftshift(
-        np.fft.fftn(np.fft.ifftshift(values, axes), axes=axes), axes)
+    return grid.dz**grid.n * _centred_transform(np.fft.fft, grid, values)
 
 
 def inverse_ft(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Inverse of :func:`forward_ft` (exact round trip on the grid)."""
+    return grid.dz**(-grid.n) * _centred_transform(np.fft.ifft, grid, values)
+
+
+def _centred_transform(transform, grid, values):
+    """fftshift(fftn(ifftshift(values))) over the grid axes, or the same
+    with ifftn (``transform`` np.fft.fft or np.fft.ifft): the transform runs
+    in place on the copy that ifftshift makes, never on ``values``."""
     axes = grid.axes
-    return grid.dz**(-grid.n) * np.fft.fftshift(
-        np.fft.ifftn(np.fft.ifftshift(values, axes), axes=axes), axes)
+    shifted = np.fft.ifftshift(np.asarray(values, dtype=complex), axes)
+    return np.fft.fftshift(_fft_in_place(transform, shifted, axes), axes)
 
 
 @dataclass(frozen=True)
@@ -267,9 +273,11 @@ def free_propagate(u: WaveField, dt: float) -> WaveField:
     if dt == 0.0:
         return u
     grid, axes = u.grid, u.grid.axes
-    f_hat = grid.dz**grid.n * np.fft.fftn(np.fft.ifftshift(u.values, axes), axes=axes)
+    # the copy ifftshift makes is transformed and multiplied in place
+    f_hat = _fft_in_place(np.fft.fft, np.fft.ifftshift(u.values, axes), axes)
+    f_hat *= grid.dz**grid.n
     f_hat *= np.exp(-1j * dt * _grid_table(grid, "dual_norm_sq_fft"))
-    values = grid.dz**(-grid.n) * np.fft.fftshift(np.fft.ifftn(f_hat, axes=axes), axes)
+    values = grid.dz**(-grid.n) * np.fft.fftshift(_fft_in_place(np.fft.ifft, f_hat, axes), axes)
     return WaveField(grid=grid, values=values, time=u.time + dt)
 
 
@@ -769,8 +777,10 @@ def _strang_march(spec, grid, values, t0, t1, params):
     an inverse transform: 2m + 2 transforms.  The multiplier is kept in FFT
     order, built from the grid's cached |Z|^2 in that order (_grid_table):
     for even N the fftshift pairs of forward_ft and inverse_ft cancel.  The
-    march keeps one spectrum and one field buffer, which every transform
-    and multiplier writes into, so a step allocates no grid-sized array.
+    march keeps one buffer, the transform of ``values``, never ``values``
+    itself: the footprint ``take``, the scatter, both transforms and the
+    multiplier all act on it in place, so a step allocates no grid-sized
+    array and a march holds one stack-sized array.
     The spatial windows of the remainder are evaluated once per march, and
     its fields once per block of steps at the steps' midpoints (see
     _Footprint); the blocks are walked as the steps take their fields.
@@ -795,13 +805,13 @@ def _strang_march(spec, grid, values, t0, t1, params):
     footprint = _Footprint(spec, grid, adjoint=t1 < t0)
     times = t0 + (np.arange(m) + 0.5) * step
     fields = footprint.step_fields(times)
-    spectrum = np.fft.fftn(values, axes=axes)
-    v = np.empty_like(spectrum)
-    flat = v.reshape(-1)    # a view of v
+    # the one buffer, never ``values``, C-ordered so that ``flat`` is a view of it
+    v = np.ascontiguousarray(np.fft.fftn(values, axes=axes))
+    flat = v.reshape(-1)
     # the flat index of footprint row r of input j, at [j, r] ([r] for one input)
     ids = np.arange(v.size).reshape(*v.shape[:v.ndim - grid.n], -1)[..., footprint.ids]
-    np.multiply(half, spectrum, out=spectrum)
-    _fft_into(np.fft.ifft, spectrum, axes, v)
+    np.multiply(half, v, out=v)
+    _fft_in_place(np.fft.ifft, v, axes)
     for k, t_mid in enumerate(times):
         if ids.size:
             try:
@@ -813,20 +823,23 @@ def _strang_march(spec, grid, values, t0, t1, params):
                 raise ConvergenceFailure(f"remainder step at t={t_mid:.6g} produced "
                                          "non-finite values")
             flat[ids] = solved
-        _fft_into(np.fft.fft, v, axes, spectrum)
-        np.multiply(full if k < m - 1 else half, spectrum, out=spectrum)
-        _fft_into(np.fft.ifft, spectrum, axes, v)
+        _fft_in_place(np.fft.fft, v, axes)
+        np.multiply(full if k < m - 1 else half, v, out=v)
+        _fft_in_place(np.fft.ifft, v, axes)
     return v
 
 
-def _fft_into(transform, a, axes, out):
+def _fft_in_place(transform, a, axes):
     """np.fft.fftn (``transform`` np.fft.fft) or np.fft.ifftn (np.fft.ifft)
-    of a over ``axes``, written into out: one axis at a time, the last
-    first, as fftn transforms once it has read its arguments, so the bits
-    are fftn's without the cost of its argument handling on every step."""
+    of the complex array a over ``axes``, written back into a: one axis at
+    a time, the last first, as fftn transforms once it has read its
+    arguments, so the bits are fftn's without the cost of its argument
+    handling on every step.  In place, numpy makes the same pocketfft calls
+    as into a second array, so the bits do not change, and no second
+    grid-sized array is needed."""
     for axis in reversed(axes):
-        a = transform(a, axis=axis, out=out)
-    return out
+        transform(a, axis=axis, out=a)
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -362,12 +362,13 @@ def radial_seed(spec: PerturbationSpec, c_in: CuspData, tol: float):
 
 def fittable_radial(report, field):
     """The flow.RadialReport ``report``, or an InvalidArgument naming
-    ``field``, the beam's frequency offset, when every backward sample |w|
-    is exactly 0: the incoming beam then lies on its radial set, and its
-    decay exponent has nothing to fit."""
-    if not np.any(report.samples_backward[:, 1]):
+    ``field``, the beam's frequency offset, when some backward sample |w|
+    is exactly 0: the incoming beam then lies on its radial set, or so
+    near it that its |w| samples are round-off, and its decay exponent has
+    nothing to fit (an offset of 1e-13 on bump_metric read 0.92)."""
+    if not np.all(report.samples_backward[:, 1]):
         raise InvalidArgument(field, "puts the incoming beam on its radial set: |w| is exactly 0 "
-                              "at every backward sample, so no decay exponent can be fitted")
+                              "at a backward sample, so no decay exponent can be fitted")
     return report
 
 

@@ -1,5 +1,6 @@
 """Grid propagators, scattering maps, packets, and persistence."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -674,6 +675,82 @@ def test_buffered_march_equals_plain_march(monkeypatch, n, N, where):
                 marched = quantum._strang_march(spec, grid, values, t0, t1, params)
                 assert np.array_equal(values, before)
                 assert np.array_equal(marched, _plain_march(spec, grid, values, t0, t1, params))
+
+
+def _march_peak(spec, grid, values, steps):
+    """The traced peak, in bytes, of one march of ``steps`` steps over [0, 1]."""
+    tracemalloc.start()
+    try:
+        quantum._strang_march(spec, grid, values, 0.0, 1.0, SolverParams(dt=1.0 / steps))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_march_transforms_one_stack_sized_buffer():
+    # every transform and multiplier of the march runs in place on one
+    # buffer: its peak grows by one field per input (a second grid buffer
+    # would make it two), and by nothing with the steps once the blocks of
+    # step fields are full (8 bytes a step of times aside)
+    grid = Grid(n=1, N=8192, L=80.0)
+    spec = _footprint_spec(grid, "inside")
+    rng = np.random.default_rng(5)
+    stacks = {k: rng.normal(size=(k, grid.N)) + 1j * rng.normal(size=(k, grid.N))
+              for k in (4, 8)}
+    field = stacks[4][0].nbytes
+    block = quantum._BLOCK_POINTS // len(quantum._Footprint(spec, grid, False).x.array)
+    _march_peak(spec, grid, stacks[4], 3)   # the grid tables and LAPACK routine are cached
+    peak = {(k, steps): _march_peak(spec, grid, stacks[k], steps)
+            for k in (4, 8) for steps in (2 * block, 5 * block)}
+    assert abs(peak[4, 5 * block] - peak[4, 2 * block]) < 0.01 * 4 * field
+    per_input = (peak[8, 2 * block] - peak[4, 2 * block]) / (4 * field)
+    assert 1.0 <= per_input < 1.5, per_input
+
+
+def test_march_of_a_fortran_ordered_field_equals_the_c_ordered_one():
+    # the march scatters the footprint through a flat view of its buffer;
+    # the transform of a Fortran-ordered field is Fortran-ordered, and a
+    # flat reshape of it would be a copy that the remainder steps are lost in
+    grid = Grid(n=2, N=64, L=20.0)
+    spec = _footprint_spec(grid, "inside")
+    values = poisson_free(coherent_data(grid, [0.3, 0.3], [0.0, 0.5], 0.5), 0.0).values
+    marched = [propagate_window(spec, WaveField(grid=grid, values=start, time=0.0), 1.0,
+                                SolverParams(dt=2e-2)).values
+               for start in (values, np.asfortranarray(values))]
+    assert np.array_equal(*marched)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+@pytest.mark.parametrize("n", [1, 2], ids=["n=1", "n=2"])
+def test_the_map_path_leaves_its_inputs_alone(n, stacked):
+    # the transforms run in place on copies the path makes, never on the
+    # caller's array, which every sample class holds as it is given
+    grid = Grid(n=n, N=512 if n == 1 else 64, L=20.0)
+    spec = _footprint_spec(grid, "inside")
+    params = SolverParams(dt=2e-2)
+    packets = [coherent_data(grid, [z] * n, [fr] * n, h)
+               for z, fr, h in ((0.3, 0.0, 0.5), (-0.2, 1.0, 0.3))]
+    fields = [poisson_free(p, 0.0) for p in packets]
+    if stacked:
+        spectral, physical = (np.stack([x.values for x in xs]) for xs in (packets, fields))
+    else:
+        spectral, physical = packets[0].values, fields[0].values
+    before = spectral.tobytes(), physical.tobytes()
+    data = SpectralData(grid=grid, values=spectral)
+    # at t = 0 the window is open, so propagate_window marches ``physical`` first
+    field = WaveField(grid=grid, values=physical, time=0.0)
+    assert data.values is spectral and field.values is physical
+    calls = {"forward_ft": lambda: forward_ft(grid, physical),
+             "inverse_ft": lambda: inverse_ft(grid, spectral),
+             "free_propagate": lambda: free_propagate(field, 0.3),
+             "poisson_free": lambda: poisson_free(data, -1.5),
+             "extract_asymptotic": lambda: extract_asymptotic(field),
+             "propagate_window": lambda: propagate_window(spec, field, 2.0, params),
+             "scattering_map": lambda: scattering_map(spec, data, params),
+             "adjoint_scattering_map": lambda: adjoint_scattering_map(spec, data, params)}
+    for name, call in calls.items():
+        call()
+        assert (spectral.tobytes(), physical.tobytes()) == before, name
 
 
 # ---------------------------------------------------------------------------
